@@ -102,9 +102,11 @@ def _measure(
 def _end_to_end(measured: Measured) -> tuple[Metrics, Metrics]:
     """The gated end-to-end metrics, and the ones only reported.
 
-    Tail latencies are printed and recorded but not part of the result:
-    on a shared two-core host whole runs slow down by up to 2x, and an
-    open loop's p95 amplifies that far beyond any usable bound.
+    Latencies are printed and recorded but not part of the result: on a
+    shared two-vCPU host whole runs slow down by up to 2x, and over ten
+    seeds the spread of every latency percentile exceeded the largest
+    allowed bound in at least one set of runs, while ``ops_per_s`` stayed
+    within it.
     """
     stats = measured.stats
     if not stats.refreshes:
@@ -112,10 +114,10 @@ def _end_to_end(measured: Measured) -> tuple[Metrics, Metrics]:
     gated: Metrics = {
         "setup_s": (measured.setup["setup_s"], "s"),
         "ops_per_s": (measured.ops_per_s, "1/s"),
-        "p50_ms": (_ms(stats.latencies, 50), "ms"),
-        "refresh_p50_ms": (_ms(stats.refreshes, 50), "ms"),
     }
     reported: Metrics = {
+        "p50_ms": (_ms(stats.latencies, 50), "ms"),
+        "refresh_p50_ms": (_ms(stats.refreshes, 50), "ms"),
         "p95_ms": (_ms(stats.latencies, 95), "ms"),
         "refresh_p95_ms": (_ms(stats.refreshes, 95), "ms"),
         "failed_ratio": (_ratio(stats.failed, stats.attempted), "1"),
@@ -194,7 +196,7 @@ def run(name: str, seed: int, seconds: int, traced: bool, state: Path) -> Outcom
     plain = _measure(workload, data, seconds, sampled, None, checked)
     gated, reported = _end_to_end(plain)
     if name == "ingest":
-        reported["visible_p50_ms"] = gated["refresh_p50_ms"]
+        reported["visible_p50_ms"] = reported["refresh_p50_ms"]
     outcome = Outcome(
         attempted=plain.stats.attempted,
         failed=plain.stats.failed,

@@ -2,11 +2,13 @@
 
 Usage, from the root of a source checkout::
 
-    python3 perfbench/run.py --workload monitor --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload track --seed 1 --seconds 25 --trace 0
 
 The program is imported from ``src/`` of the current directory; the run
 exits with code 2 when there is none.  With ``--trace 0`` the workload
-runs once untraced and the result carries the end-to-end metrics.  With
+runs once untraced and the result carries the gated end-to-end metrics
+(set-up time and throughput); latency percentiles, refresh latency and
+the failure ratio are printed above it and kept in the run record.  With
 ``--trace 1`` it runs untraced, then again with spans around every layer
 call, and the result carries the per-layer metrics of the traced run
 (spans are written to ``.bench_build/traces/``).  Outputs are checked
