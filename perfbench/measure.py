@@ -11,20 +11,29 @@ from __future__ import annotations
 import asyncio
 import gc
 import statistics
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.signals.types import SignalSlice
 
+from perfbench import host
 from perfbench.oracle import check_searches, check_sessions
 from perfbench.system import BenchmarkError, Calls, TracedCalls, set_up
 from perfbench.tracing import Tracer
 from perfbench.workloads import WORKLOADS, Inputs, RunStats, Workload, oracle_sample
 
 Metrics = dict[str, tuple[float, str]]
+
+#: Pause before reading a slow host again.
+HOST_PAUSE_S = 5.0
+
+
+class HostError(Exception):
+    """No measured window in the run's time budget ran on a steady host."""
 
 
 # repr=False: on Python 3.11 asyncio.run can format the finished main
@@ -53,6 +62,8 @@ class Outcome:
     #: Printed beside the metrics but not part of the result.
     report: Metrics = field(default_factory=dict)
     checked: dict[str, int] = field(default_factory=dict)
+    #: Host readings around each measured window, and their verdicts.
+    host: dict[str, Any] = field(default_factory=dict)
 
 
 def _ms(values: Sequence[float], q: float) -> float:
@@ -87,16 +98,18 @@ def _measure(
     seconds: int,
     sampled: set[int],
     tracer: Tracer | None,
-    checked: dict[str, int],
 ) -> Measured:
-    measured = asyncio.run(_measure_async(workload, data, seconds, sampled, tracer))
+    return asyncio.run(_measure_async(workload, data, seconds, sampled, tracer))
+
+
+def _check(measured: Measured, seed: int, checked: dict[str, int]) -> None:
+    """Run the correctness oracle on one measured window, untimed."""
     checked["searches"] = checked.get("searches", 0) + check_searches(
-        measured.stats.searches, measured.slices, data.seed
+        measured.stats.searches, measured.slices, seed, measured.stats.fresh
     )
     checked["frames"] = checked.get("frames", 0) + check_sessions(
         measured.stats.logs.items()
     )
-    return measured
 
 
 def _end_to_end(measured: Measured) -> tuple[Metrics, Metrics]:
@@ -185,15 +198,73 @@ def _layers(traced: Measured, tracer: Tracer, untraced_ops_per_s: float) -> Metr
     return metrics
 
 
-def run(name: str, seed: int, seconds: int, traced: bool, state: Path) -> Outcome:
-    """Run workload ``name`` (and its traced repeat when ``traced``)."""
+def _steady_window(
+    workload: Workload,
+    data: Inputs,
+    seconds: int,
+    sampled: set[int],
+    reference: host.Reference,
+    deadline: float,
+    reserve_s: float,
+) -> tuple[Measured, list[dict[str, Any]]]:
+    """Measure untraced windows until one ran on a steady host.
+
+    A host reading is taken before and after each window (see
+    :mod:`perfbench.host`).  While the host reads slow the run waits; a
+    window whose closing reading is slow, or differs too much from its
+    opening one, is measured again.  Raises :class:`HostError` when no
+    steady window fits before ``deadline`` with ``reserve_s`` left over.
+    """
+    log: list[dict[str, Any]] = []
+    attempt_s = seconds * 1.2 + 10.0  # replaced by the measured length
+    while time.perf_counter() + attempt_s + reserve_s < deadline:
+        before = host.reading()
+        if not log:
+            reference.record(before)
+        if reference.is_slow(before):
+            log.append({"before_ms": before, "verdict": "slow host; waited"})
+            time.sleep(HOST_PAUSE_S)
+            continue
+        began = time.perf_counter()
+        measured = _measure(workload, data, seconds, sampled, None)
+        after = host.reading()
+        attempt_s = time.perf_counter() - began
+        steady = not reference.is_slow(after) and not host.drifted(before, after)
+        log.append({
+            "before_ms": before,
+            "after_ms": after,
+            "ops_per_s": measured.ops_per_s,
+            "verdict": "steady" if steady else "slow or drifting host; discarded",
+        })
+        if steady:
+            return measured, log
+    raise HostError(
+        f"no window ran on a steady host in the time budget "
+        f"(reference {reference.ms} ms; last readings {log[-3:]})"
+    )
+
+
+def run(
+    name: str, seed: int, seconds: int, traced: bool, state: Path, deadline: float
+) -> Outcome:
+    """Run workload ``name`` (and its traced repeat when ``traced``).
+
+    Everything must end before ``deadline`` (a ``time.perf_counter``
+    value).
+    """
     workload = WORKLOADS[name]
     data = workload.make_inputs(seed, seconds)
     # The inputs live for the whole run; keep collections from rescanning them.
     gc.freeze()
     sampled = oracle_sample(seed, len(data.sessions), workload.oracle_sessions)
     checked: dict[str, int] = {}
-    plain = _measure(workload, data, seconds, sampled, None, checked)
+    reference = host.Reference.load(state / "host.json")
+    reference_ms = reference.ms
+    plain, windows = _steady_window(
+        workload, data, seconds, sampled, reference, deadline,
+        reserve_s=seconds * 1.2 + 10.0 if traced else 0.0,
+    )
+    _check(plain, seed, checked)
     gated, reported = _end_to_end(plain)
     if name == "ingest":
         reported["visible_p50_ms"] = reported["refresh_p50_ms"]
@@ -204,12 +275,16 @@ def run(name: str, seed: int, seconds: int, traced: bool, state: Path) -> Outcom
         end_to_end=gated,
         report=reported,
         checked=checked,
+        host={"reference_ms": reference_ms, "windows": windows},
     )
     if traced:
         tracer = Tracer()
-        measured = _measure(workload, data, seconds, sampled, tracer, checked)
+        measured = _measure(workload, data, seconds, sampled, tracer)
+        _check(measured, seed, checked)
         tracer.dump(state / "traces" / f"{name}-seed{seed}.json")
         outcome.layers = _layers(measured, tracer, plain.ops_per_s)
+        # The first set-up of the process is the untraced run's.
+        outcome.layers["setup.first_setup_s"] = (plain.setup["first_setup_s"], "s")
         outcome.attempted += measured.stats.attempted
         outcome.failed += measured.stats.failed
     return outcome

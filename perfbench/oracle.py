@@ -17,8 +17,11 @@ from repro.signals.types import SignalSlice
 
 from perfbench.workloads import SessionLog
 
-#: Served searches replayed through the scalar search per run.
+#: Served searches replayed through the scalar search per run, drawn
+#: uniformly from all served searches ...
 SEARCH_SAMPLES = 4
+#: ... and from the first responses after an insert became visible.
+FRESH_SAMPLES = 4
 
 
 class OracleError(Exception):
@@ -33,9 +36,12 @@ def check_searches(
     searches: Sequence[tuple[np.ndarray, SearchResult]],
     slices: Sequence[SignalSlice],
     seed: int,
+    fresh: Sequence[int] = (),
 ) -> int:
     """Replay a seeded sample of served searches; returns how many.
 
+    ``fresh`` indexes the first searches served after each insert, where
+    a stale cache would show; the sample always includes some of them.
     The MDB only grows by appending, so the plane a search was served
     from held exactly the first ``slices_searched`` slices of the final
     MDB.
@@ -44,9 +50,13 @@ def check_searches(
         raise OracleError("no served searches to check")
     reference = SlidingWindowSearch(SearchConfig(), precompute=False)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 5)))
-    picks = rng.choice(len(searches), size=min(SEARCH_SAMPLES, len(searches)), replace=False)
-    for pick in picks:
-        frame, served = searches[int(pick)]
+    uniform = rng.choice(len(searches), min(SEARCH_SAMPLES, len(searches)), replace=False)
+    picks = {int(i) for i in uniform}
+    if fresh:
+        firsts = rng.choice(fresh, min(FRESH_SAMPLES, len(fresh)), replace=False)
+        picks.update(int(i) for i in firsts)
+    for pick in sorted(picks):
+        frame, served = searches[pick]
         expected = reference.search(frame, list(slices[: served.slices_searched]))
         if _match_key(served) != _match_key(expected):
             raise OracleError(f"search #{pick}: matches differ from the reference")

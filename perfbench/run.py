@@ -13,7 +13,11 @@ the failure ratio are printed above it and kept in the run record.  With
 call, and the result carries the per-layer metrics of the traced run
 (spans are written to ``.bench_build/traces/``).  Outputs are checked
 against the scalar reference engines after every run; a mismatch exits
-with code 1 and prints no result.  The last line of standard output is
+with code 1 and prints no result.  A host-speed reading before and
+after each untraced window (see ``host.py``) decides whether the window
+ran on a steady host; an unsteady one is measured again, and when none
+is steady within the time budget the run exits with code 3 and prints
+no result.  The last line of standard output is
 one JSON object: ``correct``, ``attempted``, ``failed`` and ``metrics``.
 Each invocation also writes a record with the run's provenance to
 ``.bench_build/records/``.
@@ -26,6 +30,7 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -33,6 +38,9 @@ from typing import Any
 
 #: Environment variables that change the program's code paths.
 SENSITIVE_ENV = ("EMAP_SANITIZE", "EMAP_KERNEL", "EMAP_KERNEL_THREADS")
+#: Everything, imports included, must end within this many seconds; it
+#: leaves room for one untraced window to be measured again.
+TIME_BUDGET_S = 120.0
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
@@ -71,15 +79,17 @@ def _source_digest(root: Path) -> str:
 
 
 def _commit(root: Path) -> str | None:
-    """The checked-out commit, read from ``.git`` when there is one."""
-    head = root / ".git" / "HEAD"
-    try:
-        ref = head.read_text().strip()
-        if not ref.startswith("ref: "):
-            return ref
-        return (root / ".git" / ref[5:]).read_text().strip()
-    except OSError:
+    """The checked-out commit, when ``root`` is a git checkout."""
+    if not (root / ".git").exists():  # never report an enclosing repository's
         return None
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=root, capture_output=True, text=True, timeout=30, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return completed.stdout.strip() or None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,6 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.edge._kernels import kernel_backend, kernel_threads
 
     from perfbench import measure
+    from perfbench.measure import HostError
     from perfbench.oracle import OracleError
     from perfbench.system import BenchmarkError
 
@@ -119,7 +130,8 @@ def main(argv: list[str] | None = None) -> int:
     kernel_backend()
     try:
         outcome = measure.run(
-            args.workload, args.seed, args.seconds, bool(args.trace), state
+            args.workload, args.seed, args.seconds, bool(args.trace), state,
+            deadline=started + TIME_BUDGET_S,
         )
     except OracleError as error:
         print(f"perfbench: correctness check failed: {error}", file=sys.stderr)
@@ -127,6 +139,9 @@ def main(argv: list[str] | None = None) -> int:
     except BenchmarkError as error:
         print(f"perfbench: run failed: {error}", file=sys.stderr)
         return 1
+    except HostError as error:
+        print(f"perfbench: {error}", file=sys.stderr)
+        return 3
 
     if args.trace:
         outcome.layers["setup.import_s"] = (import_s, "s")
@@ -149,6 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         "env": {name: os.environ.get(name) for name in SENSITIVE_ENV},
         "setup": outcome.setup,
         "import_s": import_s,
+        "host": outcome.host,
         "reported": {name: value for name, (value, _) in outcome.report.items()},
         "oracle": outcome.checked,
     }

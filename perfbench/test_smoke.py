@@ -2,19 +2,23 @@
 
 Run from the repository root with ``python3 -m pytest perfbench -q``.
 Shortened runs of every workload must emit every declared metric with
-its unit, and a corrupted search result or tracking step must make the
-oracle fail.
+its unit, a corrupted search result or tracking step must make the
+oracle fail, and the host-speed gate must re-measure or refuse a window
+as ``host.py`` describes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
-from typing import Iterator
+from types import SimpleNamespace
+from typing import Iterable, Iterator
 
 import pytest
 
@@ -26,8 +30,13 @@ from repro.edge.fleet import FleetTracker  # noqa: E402
 from repro.edge.tracker import TrackerConfig  # noqa: E402
 from repro.mdb.builder import MDBBuilder  # noqa: E402
 
-from perfbench import inputs, run  # noqa: E402
-from perfbench.oracle import OracleError, check_searches, check_sessions  # noqa: E402
+from perfbench import host, inputs, measure, run  # noqa: E402
+from perfbench.oracle import (  # noqa: E402
+    SEARCH_SAMPLES,
+    OracleError,
+    check_searches,
+    check_sessions,
+)
 from perfbench.workloads import WORKLOADS, SessionLog  # noqa: E402
 
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -109,6 +118,25 @@ def test_oracle_rejects_corrupted_search(
         )
 
 
+def test_oracle_always_checks_first_search_after_insert(
+    served: tuple[CloudServer, inputs.Session],
+) -> None:
+    server, session = served
+    frame = session.frame(1)
+    result, _ = server.handle_frame(frame)
+    corrupted = dataclasses.replace(
+        result, correlations_evaluated=result.correlations_evaluated + 1
+    )
+    searches = [(frame, result)] * 40
+    searches[29] = (frame, corrupted)
+    slices = server.plane.slices
+    # The uniform picks for this seed miss index 29 ...
+    assert check_searches(searches, slices, seed=0) == SEARCH_SAMPLES
+    # ... so only marking it as the first search after an insert catches it.
+    with pytest.raises(OracleError):
+        check_searches(searches, slices, seed=0, fresh=[9, 19, 29, 39])
+
+
 def test_oracle_rejects_corrupted_step(
     served: tuple[CloudServer, inputs.Session],
 ) -> None:
@@ -140,8 +168,73 @@ def test_run_exits_nonzero_on_corrupted_step(
 
     monkeypatch.setattr(FleetTracker, "_commit_session", corrupted)
     monkeypatch.chdir(ROOT)
-    for name in ("EMAP_KERNEL_CACHE", "TMPDIR"):  # main() sets both
-        monkeypatch.delenv(name, raising=False)
+    # main() sets both variables and prepends to sys.path; registering
+    # them here makes pytest undo all three afterwards.
+    monkeypatch.setenv("EMAP_KERNEL_CACHE", str(ROOT / ".bench_build" / "emap-kernels"))
+    monkeypatch.setenv("TMPDIR", str(ROOT / ".bench_build" / "tmp"))
+    monkeypatch.setattr(sys, "path", list(sys.path))
     code = run.main(["--workload", "track", "--seed", "5", "--seconds", "3"])
     assert code == 1
     assert "correctness check failed" in capsys.readouterr().err
+
+
+def test_host_reference_is_the_median_of_earlier_runs(tmp_path: Path) -> None:
+    path = tmp_path / "host.json"
+    fresh = host.Reference.load(path)
+    assert fresh.ms is None and not fresh.is_slow(1e9)
+    for reading in (10.0, 11.0, 30.0):
+        host.Reference.load(path).record(reading)
+    reference = host.Reference.load(path)
+    reference.record(99.0)  # stored for later runs, not used by this one
+    assert reference.ms == 11.0
+    assert reference.is_slow(11.0 * host.SLOW_FACTOR + 0.1)
+    assert not reference.is_slow(11.0 * host.SLOW_FACTOR - 0.1)
+    assert host.drifted(10.0, 10.0 * host.DRIFT_FACTOR + 0.1)
+    assert not host.drifted(10.0, 10.0 * host.DRIFT_FACTOR - 0.1)
+
+
+def _scripted_readings(
+    monkeypatch: pytest.MonkeyPatch, readings: Iterable[float]
+) -> list[str]:
+    """Feed ``readings`` to the host probe; returns the measured windows."""
+    windows: list[str] = []
+    queue = iter(readings)
+    monkeypatch.setattr(measure.host, "reading", lambda: next(queue))
+    monkeypatch.setattr(measure, "HOST_PAUSE_S", 0.0)
+    def window(*args: object) -> SimpleNamespace:
+        windows.append(f"window {len(windows) + 1}")
+        return SimpleNamespace(name=windows[-1], ops_per_s=1.0)
+
+    monkeypatch.setattr(measure, "_measure", window)
+    return windows
+
+
+def test_unsteady_window_is_measured_again(
+    monkeypatch: pytest.MonkeyPatch, tmp_path: Path
+) -> None:
+    windows = _scripted_readings(monkeypatch, [10.0, 16.0, 30.0, 10.0, 10.5])
+    host.Reference.load(tmp_path / "host.json").record(10.0)
+    reference = host.Reference.load(tmp_path / "host.json")
+    measured, log = measure._steady_window(
+        WORKLOADS["track"], None, 1, set(), reference,  # type: ignore[arg-type]
+        deadline=time.perf_counter() + 60.0, reserve_s=0.0,
+    )
+    # Drifted (10 -> 16), then slow before a window (30), then steady.
+    assert measured.name == "window 2" and len(windows) == 2
+    assert [entry["verdict"] for entry in log] == [
+        "slow or drifting host; discarded", "slow host; waited", "steady"
+    ]
+
+
+def test_run_refuses_when_no_window_is_steady(
+    monkeypatch: pytest.MonkeyPatch, tmp_path: Path
+) -> None:
+    windows = _scripted_readings(monkeypatch, itertools.repeat(30.0))
+    host.Reference.load(tmp_path / "host.json").record(10.0)
+    reference = host.Reference.load(tmp_path / "host.json")
+    with pytest.raises(measure.HostError):
+        measure._steady_window(
+            WORKLOADS["track"], None, 1, set(), reference,  # type: ignore[arg-type]
+            deadline=time.perf_counter() + 11.3, reserve_s=0.0,
+        )
+    assert windows == []

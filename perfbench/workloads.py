@@ -55,6 +55,9 @@ class RunStats:
     late: list[float] = field(default_factory=list)
     #: Served searches as ``(frame, result)``, for the search oracle.
     searches: list[tuple[np.ndarray, SearchResult]] = field(default_factory=list)
+    #: Indices into ``searches`` of the first response served from a
+    #: plane holding an inserted recording: the first batch after a refresh.
+    fresh: list[int] = field(default_factory=list)
     #: Logs of the sessions the tracking oracle replays.
     logs: dict[str, SessionLog] = field(default_factory=dict)
 
@@ -354,7 +357,10 @@ async def _ingest(
             result = outcome.result
             stats.latencies.append(done - issued)
             stats.searches.append((frame, result))
-            for entry in [e for e in unseen if e[1] <= result.slices_searched]:
+            shown = [e for e in unseen if e[1] <= result.slices_searched]
+            if shown:
+                stats.fresh.append(len(stats.searches) - 1)
+            for entry in shown:
                 stats.refreshes.append(done - entry[0])
                 unseen.remove(entry)
             completed += 1
