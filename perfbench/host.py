@@ -1,12 +1,12 @@
 """Host-speed probe: a fixed piece of work timed before and after a window.
 
 On a machine shared with other tenants, their load can slow every kind
-of work two- to three-fold for minutes at a time.  A window measured
-while the host changed speed, or ran well below the speed this checkout
-usually sees, does not measure the program: the benchmark measures such
-a window again, and gives no result when no window in its time budget
-was steady.  The readings are kept in each run's record, so a later run
-can tell a host change from a code change.
+of work two- to three-fold for minutes at a time.  Each run records a
+probe reading before and after its measured window, so a later reader of
+the run records can tell a host change from a code change; the probe
+only describes the host.  Steal time, sampled through the window, marks
+the stretches in which other guests took this machine's CPUs; the
+throughput a run reports comes from the stretches where they took least.
 
 The probe is the benchmark's own code, never the program's, so a change
 to the program cannot move it: an interpreter loop and a numpy
@@ -15,28 +15,17 @@ absolute-difference reduction, the two kinds of work the program does.
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 import threading
 import time
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 #: Timed repetitions per probe; the probe reports their median.
 PROBE_REPS = 41
-#: Probes per reading, a second apart; the reading is the fastest, so a
-#: stall of a second or two does not count as a slow host.
+#: Probes per reading; the reading is the fastest.
 READ_PROBES = 3
-READ_GAP_S = 1.0
-#: A reading slower than this multiple of the checkout's reference is slow.
-SLOW_FACTOR = 1.5
-#: The two readings around a window may differ by at most this factor.
-DRIFT_FACTOR = 1.5
-#: Runs whose first reading the checkout's reference is taken from.
-HISTORY = 15
 
 #: Threads the numpy work runs on: one per CPU, as the kernel pool uses
 #: (at most four, to keep the probe short).
@@ -80,48 +69,22 @@ def probe() -> float:
 
 def reading() -> float:
     """The host's speed now: the fastest of :data:`READ_PROBES` probes."""
-    probes = []
-    for index in range(READ_PROBES):
-        if index:
-            time.sleep(READ_GAP_S)
-        probes.append(probe())
-    return min(probes)
+    return min(probe() for _ in range(READ_PROBES))
 
 
-@dataclass
-class Reference:
-    """The first reading of each earlier run in this checkout, newest last."""
+def cpu_ticks() -> tuple[int, int] | None:
+    """Steal and total clock ticks of all CPUs since boot (``/proc/stat``).
 
-    path: Path
-    history: list[float]
-
-    @classmethod
-    def load(cls, path: Path) -> "Reference":
-        try:
-            history = [float(v) for v in json.loads(path.read_text())["reading_ms"]]
-        except (OSError, ValueError, KeyError, TypeError):
-            history = []
-        return cls(path, history[-HISTORY:])
-
-    @property
-    def ms(self) -> float | None:
-        """The median of the recent runs' first readings: the usual speed.
-
-        A slow phase shorter than half the history does not move it.
-        """
-        return statistics.median(self.history) if self.history else None
-
-    def is_slow(self, reading_ms: float) -> bool:
-        reference = self.ms
-        return reference is not None and reading_ms > SLOW_FACTOR * reference
-
-    def record(self, reading_ms: float) -> None:
-        """Store this run's first reading for later runs (not this one)."""
-        history = (self.history + [reading_ms])[-HISTORY:]
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps({"reading_ms": history}), encoding="utf-8")
-
-
-def drifted(before_ms: float, after_ms: float) -> bool:
-    """Whether the host changed speed between two readings."""
-    return max(before_ms, after_ms) > DRIFT_FACTOR * min(before_ms, after_ms)
+    Steal is time a CPU of this machine was ready to run but the
+    hypervisor ran another guest instead.  ``None`` where the kernel does
+    not report it.
+    """
+    try:
+        with open("/proc/stat", encoding="ascii") as stat:
+            fields = stat.readline().split()
+    except OSError:
+        return None
+    if len(fields) < 9 or fields[0] != "cpu":
+        return None
+    ticks = [int(field) for field in fields[1:9]]
+    return ticks[7], sum(ticks)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import asyncio
 import gc
 import statistics
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -22,18 +21,25 @@ from repro.signals.types import SignalSlice
 
 from perfbench import host
 from perfbench.oracle import check_searches, check_sessions
-from perfbench.system import BenchmarkError, Calls, TracedCalls, set_up
+from perfbench.system import (
+    CALM_STEAL,
+    SETUP_AFTER,
+    SETUP_BEFORE,
+    BenchmarkError,
+    Calls,
+    TracedCalls,
+    set_up,
+    summarise,
+)
 from perfbench.tracing import Tracer
 from perfbench.workloads import WORKLOADS, Inputs, RunStats, Workload, oracle_sample
 
 Metrics = dict[str, tuple[float, str]]
 
-#: Pause before reading a slow host again.
-HOST_PAUSE_S = 5.0
-
-
-class HostError(Exception):
-    """No measured window in the run's time budget ran on a steady host."""
+#: Length of the slices of a window whose median rate is ``ops_per_s``.
+SLICE_S = 2.5
+#: Seconds between samples of the host's steal time during a window.
+HOST_SAMPLE_S = 0.25
 
 
 # repr=False: on Python 3.11 asyncio.run can format the finished main
@@ -44,12 +50,77 @@ class Measured:
     setup: dict[str, float]
     slices: tuple[SignalSlice, ...]
     calls: Calls
+    window_s: float
+    #: ``(loop time, steal ticks, total ticks)`` sampled through the window.
+    host_samples: list[tuple[float, int, int]] = field(default_factory=list)
+
+    def _slicing(self) -> tuple[int, float]:
+        count = max(1, round(self.window_s / SLICE_S))
+        return count, self.window_s / count
 
     @property
-    def ops_per_s(self) -> float:
+    def mean_ops_per_s(self) -> float:
+        """Ops over the whole window, the last one's completion included."""
         if self.stats.elapsed_s <= 0:
             raise BenchmarkError("no op completed inside the measured window")
         return len(self.stats.latencies) / self.stats.elapsed_s
+
+    @property
+    def slice_ops_per_s(self) -> list[float]:
+        """Ops per second in each :data:`SLICE_S`-long slice of the window.
+
+        Each op counts as one op spread evenly over its latency, so a
+        slice holds the share of every op in flight during it.  Counting
+        whole ops where they end would step ``track``'s rate in units of
+        a fused batch (about 40 ops/s per 5 s slice).
+        """
+        count, width = self._slicing()
+        ends = np.asarray(self.stats.completed)
+        spans = np.maximum(np.asarray(self.stats.latencies), 1e-9)
+        starts = ends - spans
+        edges = np.arange(count + 1) * width
+        overlap = np.clip(
+            np.minimum(ends, edges[1:, None]) - np.maximum(starts, edges[:-1, None]),
+            0.0, None,
+        )
+        return [float(share) / width for share in (overlap / spans).sum(axis=1)]
+
+    @property
+    def slice_steal(self) -> list[float]:
+        """Share of CPU time the hypervisor gave other guests in each slice
+        (0 where the host does not report it)."""
+        count, width = self._slicing()
+        if len(self.host_samples) < 2:
+            return [0.0] * count
+        at, steal, total = np.asarray(self.host_samples, dtype=float).T
+        edges = self.stats.started + np.arange(count + 1) * width
+        stolen = np.diff(np.interp(edges, at, steal))
+        ticks = np.diff(np.interp(edges, at, total))
+        shares = np.divide(stolen, ticks, out=np.zeros(count), where=ticks > 0)
+        return [float(share) for share in shares]
+
+    @property
+    def ops_per_s(self) -> float:
+        """The median of :attr:`slice_ops_per_s` over the calm slices.
+
+        A slice is calm when its steal share is at most the median one or
+        :data:`CALM_STEAL`.  On a calm host that is every slice, so a
+        trend within the window (``ingest``'s MDB grows) does not move
+        which slices count.
+
+        Other guests on a shared host can slow the program two- to
+        three-fold for seconds to minutes, and that shows as steal time;
+        a stall of a few seconds, from the host or a one-off such as a
+        collection, moves a few slices and not the result.
+        """
+        steal = self.slice_steal
+        cut = max(statistics.median(steal), CALM_STEAL)
+        rate = statistics.median(
+            r for r, s in zip(self.slice_ops_per_s, steal) if s <= cut
+        )
+        if rate <= 0:
+            raise BenchmarkError("no op completed inside the measured window")
+        return rate
 
 
 @dataclass
@@ -62,7 +133,7 @@ class Outcome:
     #: Printed beside the metrics but not part of the result.
     report: Metrics = field(default_factory=dict)
     checked: dict[str, int] = field(default_factory=dict)
-    #: Host readings around each measured window, and their verdicts.
+    #: Host readings around the untraced window (see :mod:`perfbench.host`).
     host: dict[str, Any] = field(default_factory=dict)
 
 
@@ -74,6 +145,15 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else 0.0
 
 
+async def _sample_host(samples: list[tuple[float, int, int]]) -> None:
+    loop = asyncio.get_running_loop()
+    while True:
+        ticks = host.cpu_ticks()
+        if ticks is not None:
+            samples.append((loop.time(), *ticks))
+        await asyncio.sleep(HOST_SAMPLE_S)
+
+
 async def _measure_async(
     workload: Workload,
     data: Inputs,
@@ -81,15 +161,25 @@ async def _measure_async(
     sampled: set[int],
     tracer: Tracer | None,
 ) -> Measured:
-    system, setup = await set_up(data.mdb_records, data.warm_frames)
+    system, splits = await set_up(data.mdb_records, data.warm_frames, SETUP_BEFORE)
     calls = TracedCalls(system, tracer) if tracer is not None else Calls(system)
     stats = RunStats()
+    samples: list[tuple[float, int, int]] = []
+    sampler = asyncio.create_task(_sample_host(samples))
     try:
         await workload.run(calls, data, float(seconds), stats, sampled)
     finally:
+        sampler.cancel()
+        await asyncio.gather(sampler, return_exceptions=True)
         calls.close()
         await system.aclose()
-    return Measured(stats, setup, tuple(system.builder.mdb.slices()), calls)
+    again, more = await set_up(data.mdb_records, data.warm_frames, SETUP_AFTER)
+    await again.aclose()
+    setup = summarise(splits + more)
+    return Measured(
+        stats, setup, tuple(system.builder.mdb.slices()), calls, float(seconds),
+        samples,
+    )
 
 
 def _measure(
@@ -198,72 +288,30 @@ def _layers(traced: Measured, tracer: Tracer, untraced_ops_per_s: float) -> Metr
     return metrics
 
 
-def _steady_window(
-    workload: Workload,
-    data: Inputs,
-    seconds: int,
-    sampled: set[int],
-    reference: host.Reference,
-    deadline: float,
-    reserve_s: float,
-) -> tuple[Measured, list[dict[str, Any]]]:
-    """Measure untraced windows until one ran on a steady host.
-
-    A host reading is taken before and after each window (see
-    :mod:`perfbench.host`).  While the host reads slow the run waits; a
-    window whose closing reading is slow, or differs too much from its
-    opening one, is measured again.  Raises :class:`HostError` when no
-    steady window fits before ``deadline`` with ``reserve_s`` left over.
-    """
-    log: list[dict[str, Any]] = []
-    attempt_s = seconds * 1.2 + 10.0  # replaced by the measured length
-    while time.perf_counter() + attempt_s + reserve_s < deadline:
-        before = host.reading()
-        if not log:
-            reference.record(before)
-        if reference.is_slow(before):
-            log.append({"before_ms": before, "verdict": "slow host; waited"})
-            time.sleep(HOST_PAUSE_S)
-            continue
-        began = time.perf_counter()
-        measured = _measure(workload, data, seconds, sampled, None)
-        after = host.reading()
-        attempt_s = time.perf_counter() - began
-        steady = not reference.is_slow(after) and not host.drifted(before, after)
-        log.append({
-            "before_ms": before,
-            "after_ms": after,
-            "ops_per_s": measured.ops_per_s,
-            "verdict": "steady" if steady else "slow or drifting host; discarded",
-        })
-        if steady:
-            return measured, log
-    raise HostError(
-        f"no window ran on a steady host in the time budget "
-        f"(reference {reference.ms} ms; last readings {log[-3:]})"
-    )
+def _untraced(
+    workload: Workload, data: Inputs, seconds: int, sampled: set[int]
+) -> tuple[Measured, dict[str, Any]]:
+    """Measure the untraced window, with host readings around it."""
+    before_ms = host.reading()
+    measured = _measure(workload, data, seconds, sampled, None)
+    return measured, {
+        "before_ms": before_ms,
+        "after_ms": host.reading(),
+        "mean_ops_per_s": measured.mean_ops_per_s,
+        "slice_ops_per_s": measured.slice_ops_per_s,
+        "slice_steal": measured.slice_steal,
+    }
 
 
-def run(
-    name: str, seed: int, seconds: int, traced: bool, state: Path, deadline: float
-) -> Outcome:
-    """Run workload ``name`` (and its traced repeat when ``traced``).
-
-    Everything must end before ``deadline`` (a ``time.perf_counter``
-    value).
-    """
+def run(name: str, seed: int, seconds: int, traced: bool, state: Path) -> Outcome:
+    """Run workload ``name`` (and its traced repeat when ``traced``)."""
     workload = WORKLOADS[name]
     data = workload.make_inputs(seed, seconds)
     # The inputs live for the whole run; keep collections from rescanning them.
     gc.freeze()
     sampled = oracle_sample(seed, len(data.sessions), workload.oracle_sessions)
     checked: dict[str, int] = {}
-    reference = host.Reference.load(state / "host.json")
-    reference_ms = reference.ms
-    plain, windows = _steady_window(
-        workload, data, seconds, sampled, reference, deadline,
-        reserve_s=seconds * 1.2 + 10.0 if traced else 0.0,
-    )
+    plain, readings = _untraced(workload, data, seconds, sampled)
     _check(plain, seed, checked)
     gated, reported = _end_to_end(plain)
     if name == "ingest":
@@ -275,7 +323,7 @@ def run(
         end_to_end=gated,
         report=reported,
         checked=checked,
-        host={"reference_ms": reference_ms, "windows": windows},
+        host=readings,
     )
     if traced:
         tracer = Tracer()

@@ -31,10 +31,18 @@ from repro.gateway.gateway import ServingGateway
 from repro.mdb.builder import MDBBuilder
 from repro.signals.types import Signal
 
+from perfbench import host
 from perfbench.tracing import Tracer
 
-#: Set-ups per run; ``setup_s`` is their median.
-SETUP_REPEATS = 11
+#: Steal share at which the host counts as calm.  Throughput stayed
+#: within a few percent of its steal-free rate up to about 2% steal, and
+#: fell to under half of it at 30%.
+CALM_STEAL = 0.02
+#: Set-ups before and after the measured window, so that a host
+#: slowdown during one batch of them moves fewer than half (see
+#: :func:`summarise`).
+SETUP_BEFORE = 6
+SETUP_AFTER = 5
 
 
 class BenchmarkError(Exception):
@@ -57,7 +65,9 @@ class System:
 async def _bring_up(
     records: Sequence[Signal], warm_frames: tuple[np.ndarray, np.ndarray]
 ) -> tuple[System, dict[str, float]]:
-    """One complete set-up, timed phase by phase."""
+    """One complete set-up, timed phase by phase, with the host's steal
+    share over it (see :func:`perfbench.host.cpu_ticks`)."""
+    ticks = host.cpu_ticks()
     started = time.perf_counter()
     builder = MDBBuilder()
     for record in records:
@@ -82,35 +92,54 @@ async def _bring_up(
         await system.aclose()
         raise
     ready = time.perf_counter()
+    steal_share = 0.0
+    after = host.cpu_ticks()
+    if ticks is not None and after is not None and after[1] > ticks[1]:
+        steal_share = (after[0] - ticks[0]) / (after[1] - ticks[1])
     return system, {
         "mdb_build_s": built - started,
         "plane_compile_s": compiled - built,
         "kernel_load_s": loaded - compiled,
         "warmup_s": ready - loaded,
         "setup_s": ready - started,
+        "steal_share": steal_share,
     }
 
 
 async def set_up(
-    records: Sequence[Signal], warm_frames: tuple[np.ndarray, np.ndarray]
-) -> tuple[System, dict[str, float]]:
-    """Set the system up :data:`SETUP_REPEATS` times; keep the last one.
+    records: Sequence[Signal],
+    warm_frames: tuple[np.ndarray, np.ndarray],
+    repeats: int,
+) -> tuple[System, list[dict[str, float]]]:
+    """Set the system up ``repeats`` times; keep the last one.
 
-    Returns the median of each phase over the repeats, so ``setup_s``
-    mostly measures warm re-set-ups in one process; ``first_setup_s`` is
-    the first one, which alone pays any cost a process pays only once.
+    Returns the kept system and every set-up's split, in order.
     """
     splits: list[dict[str, float]] = []
     system: System | None = None
-    for _ in range(SETUP_REPEATS):
+    for _ in range(repeats):
         if system is not None:
             await system.aclose()
         system, split = await _bring_up(records, warm_frames)
         splits.append(split)
     assert system is not None
-    setup = {key: statistics.median(split[key] for split in splits) for key in splits[0]}
+    return system, splits
+
+
+def summarise(splits: Sequence[dict[str, float]]) -> dict[str, float]:
+    """The median of each phase over the calm set-ups: those whose steal
+    share is at most the median one or :data:`CALM_STEAL`.
+
+    ``setup_s`` thus mostly measures warm re-set-ups in one process, in
+    the moments other guests took least of the host; ``first_setup_s``
+    is the first one, which alone pays any cost a process pays only once.
+    """
+    steal = [split["steal_share"] for split in splits]
+    cut = max(statistics.median(steal), CALM_STEAL)
+    calm = [split for split in splits if split["steal_share"] <= cut]
+    setup = {key: statistics.median(split[key] for split in calm) for key in splits[0]}
     setup["first_setup_s"] = splits[0]["setup_s"]
-    return system, setup
+    return setup
 
 
 class Calls:

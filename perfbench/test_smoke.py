@@ -3,22 +3,19 @@
 Run from the repository root with ``python3 -m pytest perfbench -q``.
 Shortened runs of every workload must emit every declared metric with
 its unit, a corrupted search result or tracking step must make the
-oracle fail, and the host-speed gate must re-measure or refuse a window
-as ``host.py`` describes.
+oracle fail, and ``ops_per_s`` and ``setup_s`` must be medians over the
+parts of a run in which other guests took least of the host.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import shutil
 import subprocess
 import sys
-import time
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import pytest
 
@@ -30,14 +27,14 @@ from repro.edge.fleet import FleetTracker  # noqa: E402
 from repro.edge.tracker import TrackerConfig  # noqa: E402
 from repro.mdb.builder import MDBBuilder  # noqa: E402
 
-from perfbench import host, inputs, measure, run  # noqa: E402
+from perfbench import host, inputs, measure, run, system  # noqa: E402
 from perfbench.oracle import (  # noqa: E402
     SEARCH_SAMPLES,
     OracleError,
     check_searches,
     check_sessions,
 )
-from perfbench.workloads import WORKLOADS, SessionLog  # noqa: E402
+from perfbench.workloads import WORKLOADS, RunStats, SessionLog  # noqa: E402
 
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 #: Long enough for every workload to produce refresh samples.
@@ -178,63 +175,57 @@ def test_run_exits_nonzero_on_corrupted_step(
     assert "correctness check failed" in capsys.readouterr().err
 
 
-def test_host_reference_is_the_median_of_earlier_runs(tmp_path: Path) -> None:
-    path = tmp_path / "host.json"
-    fresh = host.Reference.load(path)
-    assert fresh.ms is None and not fresh.is_slow(1e9)
-    for reading in (10.0, 11.0, 30.0):
-        host.Reference.load(path).record(reading)
-    reference = host.Reference.load(path)
-    reference.record(99.0)  # stored for later runs, not used by this one
-    assert reference.ms == 11.0
-    assert reference.is_slow(11.0 * host.SLOW_FACTOR + 0.1)
-    assert not reference.is_slow(11.0 * host.SLOW_FACTOR - 0.1)
-    assert host.drifted(10.0, 10.0 * host.DRIFT_FACTOR + 0.1)
-    assert not host.drifted(10.0, 10.0 * host.DRIFT_FACTOR - 0.1)
+def test_throughput_is_the_median_slice_rate() -> None:
+    """A stall that empties a quarter of the window does not move
+    ``ops_per_s``; it only moves the whole-window mean."""
+    stats = RunStats()
+    # 100 ops per second, each 10 ms long, for 20 s; none in 5-10 s.
+    stats.completed = [(t + 1) / 100 for t in range(2000) if not 500 <= t < 1000]
+    stats.latencies = [0.01] * len(stats.completed)
+    stats.elapsed_s = 20.0
+    window = measure.Measured(stats, {}, (), None, 20.0)  # type: ignore[arg-type]
+    assert window.slice_ops_per_s == pytest.approx([100.0] * 2 + [0.0] * 2 + [100.0] * 4)
+    assert window.ops_per_s == pytest.approx(100.0)
+    assert window.mean_ops_per_s == 75.0
 
 
-def _scripted_readings(
-    monkeypatch: pytest.MonkeyPatch, readings: Iterable[float]
-) -> list[str]:
-    """Feed ``readings`` to the host probe; returns the measured windows."""
-    windows: list[str] = []
-    queue = iter(readings)
-    monkeypatch.setattr(measure.host, "reading", lambda: next(queue))
-    monkeypatch.setattr(measure, "HOST_PAUSE_S", 0.0)
-    def window(*args: object) -> SimpleNamespace:
-        windows.append(f"window {len(windows) + 1}")
-        return SimpleNamespace(name=windows[-1], ops_per_s=1.0)
-
-    monkeypatch.setattr(measure, "_measure", window)
-    return windows
+def test_an_op_counts_in_every_slice_it_spans() -> None:
+    stats = RunStats(completed=[7.5], latencies=[5.0], elapsed_s=7.5)
+    window = measure.Measured(stats, {}, (), None, 10.0)  # type: ignore[arg-type]
+    assert window.slice_ops_per_s == pytest.approx([0.0, 0.5 / 2.5, 0.5 / 2.5, 0.0])
 
 
-def test_unsteady_window_is_measured_again(
-    monkeypatch: pytest.MonkeyPatch, tmp_path: Path
-) -> None:
-    windows = _scripted_readings(monkeypatch, [10.0, 16.0, 30.0, 10.0, 10.5])
-    host.Reference.load(tmp_path / "host.json").record(10.0)
-    reference = host.Reference.load(tmp_path / "host.json")
-    measured, log = measure._steady_window(
-        WORKLOADS["track"], None, 1, set(), reference,  # type: ignore[arg-type]
-        deadline=time.perf_counter() + 60.0, reserve_s=0.0,
-    )
-    # Drifted (10 -> 16), then slow before a window (30), then steady.
-    assert measured.name == "window 2" and len(windows) == 2
-    assert [entry["verdict"] for entry in log] == [
-        "slow or drifting host; discarded", "slow host; waited", "steady"
+def test_throughput_skips_the_slices_other_guests_took() -> None:
+    """Slices with more steal than the median slice and than
+    ``CALM_STEAL`` do not count."""
+    stats = RunStats(started=100.0, elapsed_s=10.0)
+    # 100 ops per second in slices 0 and 3, 20 in slices 1 and 2.
+    for index, rate in enumerate([100, 20, 20, 100]):
+        stats.completed += [index * 2.5 + (k + 1) / rate for k in range(int(2.5 * rate))]
+    stats.latencies = [0.001] * len(stats.completed)
+    # Steal ticks out of total ticks: 30% in slices 1 and 2, none elsewhere.
+    samples = [(100.0, 0, 0), (102.5, 0, 500), (107.5, 300, 1500), (110.0, 300, 2000)]
+    window = measure.Measured(stats, {}, (), None, 10.0, samples)  # type: ignore[arg-type]
+    assert window.slice_steal == pytest.approx([0.0, 0.3, 0.3, 0.0])
+    assert window.ops_per_s == pytest.approx(100.0, rel=0.02)
+    # Below CALM_STEAL every slice counts, whatever the ranking.
+    samples = [(100.0, 0, 0), (102.5, 0, 500), (107.5, 15, 1500), (110.0, 15, 2000)]
+    calm = measure.Measured(stats, {}, (), None, 10.0, samples)  # type: ignore[arg-type]
+    assert calm.ops_per_s == pytest.approx(60.0, rel=0.02)
+    unsampled = measure.Measured(stats, {}, (), None, 10.0)  # type: ignore[arg-type]
+    assert unsampled.ops_per_s == pytest.approx(60.0, rel=0.02)
+
+
+def test_setup_time_skips_the_set_ups_other_guests_took() -> None:
+    splits = [
+        {"setup_s": s, "steal_share": steal}
+        for s, steal in [(0.2, 0.0), (0.9, 0.4), (0.3, 0.0), (0.8, 0.5), (0.25, 0.0)]
     ]
+    setup = system.summarise(splits)
+    assert setup["setup_s"] == 0.25 and setup["first_setup_s"] == 0.2
 
 
-def test_run_refuses_when_no_window_is_steady(
-    monkeypatch: pytest.MonkeyPatch, tmp_path: Path
-) -> None:
-    windows = _scripted_readings(monkeypatch, itertools.repeat(30.0))
-    host.Reference.load(tmp_path / "host.json").record(10.0)
-    reference = host.Reference.load(tmp_path / "host.json")
-    with pytest.raises(measure.HostError):
-        measure._steady_window(
-            WORKLOADS["track"], None, 1, set(), reference,  # type: ignore[arg-type]
-            deadline=time.perf_counter() + 11.3, reserve_s=0.0,
-        )
-    assert windows == []
+def test_host_readings() -> None:
+    assert host.reading() > 0
+    ticks = host.cpu_ticks()
+    assert ticks is None or 0 <= ticks[0] <= ticks[1]

@@ -50,6 +50,10 @@ class RunStats:
     attempted: int = 0
     failed: int = 0
     elapsed_s: float = 0.0
+    #: Loop time at which the measured window started.
+    started: float = 0.0
+    #: When each op completed, in seconds from the start of the window.
+    completed: list[float] = field(default_factory=list)
     latencies: list[float] = field(default_factory=list)
     refreshes: list[float] = field(default_factory=list)
     late: list[float] = field(default_factory=list)
@@ -150,7 +154,7 @@ async def _monitor(
     policy = CloudCallPolicy()
     results = await _open_sessions(calls, data, "m", stats)
     calls.window_started()
-    start = loop.time() + 0.1
+    start = stats.started = loop.time() + 0.1
     end = start + seconds
     last_done = start
 
@@ -201,6 +205,7 @@ async def _monitor(
                     log.step(frame, step)
             last_done = max(last_done, done)
             stats.latencies.append(done - due)
+            stats.completed.append(done - start)
             if step is not None and done > due + FRAME_PERIOD_S:
                 stats.failed += 1
             if searching is not None and searching.done():
@@ -248,7 +253,7 @@ async def _track(
     policy = CloudCallPolicy()
     results = await _open_sessions(calls, data, "t", stats)
     calls.window_started()
-    start = loop.time()
+    start = stats.started = loop.time()
     end = start + seconds
     last_done = start
 
@@ -274,6 +279,7 @@ async def _track(
             done = loop.time()
             last_done = max(last_done, done)
             stats.latencies.append(done - issued)
+            stats.completed.append(done - start)
             if log is not None:
                 log.step(frame, step)
             since += 1
@@ -329,7 +335,7 @@ async def _ingest(
     mdb = calls.system.builder.mdb
     pool = [s.frame(1) for s in data.sessions]
     calls.window_started()
-    start = loop.time()
+    start = stats.started = loop.time()
     end = start + seconds
     last_done = start
     completed = 0
@@ -339,10 +345,13 @@ async def _ingest(
 
     async def client(index: int) -> None:
         nonlocal completed, last_done
+        # Each client walks its own seeded order of the whole pool, so
+        # every run searches the pool's frames equally often.
         rng = np.random.default_rng(np.random.SeedSequence((data.seed, 4, index)))
+        order = rng.permutation(len(pool))
         request = 0
         while loop.time() < end:
-            frame = pool[int(rng.integers(len(pool)))]
+            frame = pool[int(order[request % len(pool)])]
             stats.attempted += 1
             issued = loop.time()
             outcome = await calls.submit(
@@ -356,6 +365,7 @@ async def _ingest(
                 continue
             result = outcome.result
             stats.latencies.append(done - issued)
+            stats.completed.append(done - start)
             stats.searches.append((frame, result))
             shown = [e for e in unseen if e[1] <= result.slices_searched]
             if shown:
