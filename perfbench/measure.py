@@ -72,7 +72,7 @@ class Measured:
         Each op counts as one op spread evenly over its latency, so a
         slice holds the share of every op in flight during it.  Counting
         whole ops where they end would step ``track``'s rate in units of
-        a fused batch (about 40 ops/s per 5 s slice).
+        a fused batch (about 80 ops/s in a 2.5 s slice).
         """
         count, width = self._slicing()
         ends = np.asarray(self.stats.completed)
@@ -208,8 +208,9 @@ def _end_to_end(measured: Measured) -> tuple[Metrics, Metrics]:
     Latencies are printed and recorded but not part of the result: on a
     shared two-vCPU host whole runs slow down by up to 2x, and over ten
     seeds the spread of every latency percentile exceeded the largest
-    allowed bound in at least one set of runs, while ``ops_per_s`` stayed
-    within it.
+    allowed bound in at least one set of runs.  ``ops_per_s`` can leave
+    out the slices of a run that other guests took (see
+    :attr:`Measured.ops_per_s`); a percentile cannot.
     """
     stats = measured.stats
     if not stats.refreshes:
