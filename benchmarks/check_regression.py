@@ -20,7 +20,7 @@ when:
 
 **Plane-throughput gate** — serves the same request stream through the
 legacy per-request path and the compiled
-:class:`~repro.cloud.plane.SearchPlane`
+:class:`~repro.cloud.shards.ShardedSearchPlane`
 (``benchmarks/baselines/plane_throughput.json``).  It fails when:
 
 * the two arms stop being **bit-identical** (matches or
@@ -65,12 +65,9 @@ when:
   collapses toward 1).
 
 **Two-stage gate** — serves the same request stream over the same
-compiled plane single-stage, with lossless coarse screening, and with
-fast coarse screening (``benchmarks/baselines/two_stage_throughput.json``).
-It fails when:
+compiled plane single-stage and with fast coarse screening
+(``benchmarks/baselines/two_stage_throughput.json``).  It fails when:
 
-* the lossless arm stops being **bit-identical** to the single-stage
-  plane path — never acceptable;
 * ``fast_pruned_per_query`` drifts from the baseline (the coarse
   screen is deterministic, so drift is an algorithmic change);
 * the fast-mode speedup falls below the **2x absolute floor** over the
@@ -78,17 +75,18 @@ It fails when:
   host.  Fast-mode *quality* is gated separately by the Fig. 11 bench
   (``test_bench_two_stage_throughput.py``).
 
-**Shard gate** — runs the same single-document insert stream against
-the monolithic full-rebuild plane and the sharded delta-refresh plane
-(``benchmarks/baselines/shard_throughput.json``).  It fails when:
+**Shard gate** — adopts the same single-document insert stream by
+compiling a fresh plane from the whole MDB and by one plane's delta
+refresh (``benchmarks/baselines/shard_throughput.json``).  It fails
+when:
 
-* the sharded results stop being **bit-identical** to the monolithic
+* the refreshed results stop being **bit-identical** to the fresh
   plane after any insert — never acceptable;
 * ``shards_compiled`` drifts from the baseline — each single-document
   insert must compile exactly its delta shard (content addressing is
   deterministic, so drift means reuse broke);
 * the delta-refresh speedup falls below the **5x absolute floor** over
-  the full rebuild — self-normalising, both arms share the host.  The
+  the fresh full build — self-normalising, both arms share the host.  The
   floor is the sharded plane's reason to exist: an online-growing MDB
   must adopt a single inserted slice without paying the whole store's
   recompile.
@@ -420,12 +418,6 @@ def compare_gateway(summary: dict, baseline: dict) -> list[str]:
 def compare_two_stage(summary: dict, baseline: dict) -> list[str]:
     """Gate failures for the two-stage search bench (empty = pass)."""
     failures: list[str] = []
-    if not summary["lossless_identical"]:
-        failures.append(
-            "lossless two-stage results diverged from the single-stage "
-            "plane path — matches or correlations_evaluated are no "
-            "longer bit-identical"
-        )
     if summary["fast_pruned_per_query"] != baseline["fast_pruned_per_query"]:
         failures.append(
             "fast_pruned_per_query drifted from baseline "
@@ -448,9 +440,9 @@ def compare_shards(summary: dict, baseline: dict) -> list[str]:
     failures: list[str] = []
     if not summary["identical"]:
         failures.append(
-            "sharded plane results diverged from the monolithic plane "
-            "after an insert — matches or correlations_evaluated are no "
-            "longer bit-identical"
+            "delta-refreshed plane results diverged from a freshly "
+            "compiled plane after an insert — matches or "
+            "correlations_evaluated are no longer bit-identical"
         )
     if summary["shards_compiled"] != baseline["shards_compiled"]:
         failures.append(
@@ -464,7 +456,8 @@ def compare_shards(summary: dict, baseline: dict) -> list[str]:
         failures.append(
             f"shard delta-refresh speedup {summary['delta_speedup']:.2f}x "
             f"fell below the {SHARD_DELTA_SPEEDUP_FLOOR:.0f}x floor over "
-            f"the full rebuild (baseline {baseline['delta_speedup']:.2f}x) "
+            f"the fresh full build (baseline "
+            f"{baseline['delta_speedup']:.2f}x) "
             "— incremental compilation regression"
         )
     return failures
@@ -631,12 +624,9 @@ def main(argv: list[str] | None = None) -> int:
     if not args.skip_two_stage:
         two_stage_summary = run_two_stage_benchmark(args.mdb_scale, args.seed)
         print(
-            "two-stage: fast {0:.2f}x, lossless {1:.2f}x "
-            "({2} queries, lossless identical={3})".format(
+            "two-stage: fast {0:.2f}x ({1} queries)".format(
                 two_stage_summary["fast_speedup"],
-                two_stage_summary["lossless_speedup"],
                 two_stage_summary["n_queries"],
-                two_stage_summary["lossless_identical"],
             )
         )
 

@@ -8,9 +8,10 @@ the Fig. 7(b)-scale MDB:
   from the raw slice list (``SlidingWindowSearch(precompute=True)``
   over ``list(mdb.slices())``);
 * **plane** — the same engine over a compiled
-  :class:`~repro.cloud.plane.SearchPlane`: samples compiled once,
-  window norms cached per frame length, the skip walk replayed over
-  the batched correlation arrays.
+  :class:`~repro.cloud.shards.ShardedSearchPlane` (the serving plane,
+  default shard width): samples compiled once, window norms cached per
+  frame length, the skip walk replayed over the batched correlation
+  arrays.
 
 Both arms run the identical Algorithm 1 walk, and the harness verifies
 request-by-request that matches and ``correlations_evaluated`` are
@@ -24,10 +25,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.cloud.plane import SearchPlane
 from repro.cloud.search import SearchConfig, SlidingWindowSearch
+from repro.cloud.shards import ShardedSearchPlane
 from repro.eval.experiments.common import ExperimentFixture, filtered_frame
 from repro.signals.generator import EEGGenerator
 
@@ -102,7 +101,7 @@ def run_throughput(
     legacy_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    plane = SearchPlane(fixture.mdb)
+    plane = ShardedSearchPlane(fixture.mdb)
     engine.search(frames[0], plane)
     warmup_s = time.perf_counter() - started
 

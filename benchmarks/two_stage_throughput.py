@@ -1,16 +1,10 @@
 """Shared measurement for the two-stage search throughput bench.
 
 Serves the same request stream over the same compiled
-:class:`~repro.cloud.plane.SearchPlane` three ways:
+:class:`~repro.cloud.shards.ShardedSearchPlane` two ways:
 
 * **single** — the single-stage plane path (``two_stage="off"``), the
   baseline the earlier plane-throughput gate certifies;
-* **lossless** — coarse screening with the provable prune ceiling.
-  Verified request-by-request to be **bit-identical** to the single
-  arm (matches *and* ``correlations_evaluated``); its speedup is
-  reported but not gated — on correlated EEG at the paper's defaults
-  the provable ceiling is tight enough that few slices certify, which
-  is an honest property of the data, not a regression;
 * **fast** — coarse ranking keeps only ``keep_fraction`` of the plane
   per query.  This is the throughput arm the regression gate floors
   (≥ 2x over the single-stage plane path at the Fig. 7(b) MDB scale);
@@ -26,35 +20,27 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.cloud.plane import SearchPlane
 from repro.cloud.search import SearchConfig, SlidingWindowSearch
+from repro.cloud.shards import ShardedSearchPlane
 from repro.eval.experiments.common import ExperimentFixture, filtered_frame
 from repro.signals.generator import EEGGenerator
 
 
 @dataclass
 class TwoStageResult:
-    """All three arms' wall time over the same request stream."""
+    """Both arms' wall time over the same request stream."""
 
     n_slices: int
     n_queries: int
     keep_fraction: float
     single_s: float
-    lossless_s: float
     fast_s: float
-    lossless_identical: bool
     fast_pruned_per_query: list[int] = field(default_factory=list)
     fast_matches_per_query: list[int] = field(default_factory=list)
 
     @property
     def fast_speedup(self) -> float:
         return self.single_s / self.fast_s if self.fast_s > 0 else float("inf")
-
-    @property
-    def lossless_speedup(self) -> float:
-        if self.lossless_s <= 0:
-            return float("inf")
-        return self.single_s / self.lossless_s
 
     @property
     def fast_prune_rate(self) -> float:
@@ -67,9 +53,6 @@ class TwoStageResult:
             f"  MDB: {self.n_slices} signal-sets, {self.n_queries} requests, "
             f"keep fraction {self.keep_fraction:.2f}",
             f"  single-stage: {self.single_s:.3f}s total",
-            f"  lossless:     {self.lossless_s:.3f}s total "
-            f"({self.lossless_speedup:.2f}x, bit-identical: "
-            f"{self.lossless_identical})",
             f"  fast:         {self.fast_s:.3f}s total "
             f"({self.fast_speedup:.2f}x, prune rate "
             f"{self.fast_prune_rate:.0%})",
@@ -79,20 +62,13 @@ class TwoStageResult:
         return "\n".join(lines)
 
 
-def _result_key(result) -> list[tuple[str, int, float]]:
-    return [
-        (match.sig_slice.slice_id, match.offset, match.omega)
-        for match in result.matches
-    ]
-
-
 def run_two_stage(
     fixture: ExperimentFixture,
     n_queries: int = 12,
     seed: int = 7,
     keep_fraction: float = 0.25,
 ) -> TwoStageResult:
-    """Serve ``n_queries`` frames through all three arms and time them.
+    """Serve ``n_queries`` frames through both arms and time them.
 
     Every arm is warmed with one untimed request first (plane compile,
     norm cache, coarse index — one-off costs a persistent server pays
@@ -102,11 +78,8 @@ def run_two_stage(
     frames = [
         filtered_frame(recording, second) for second in range(1, n_queries + 1)
     ]
-    plane = SearchPlane(fixture.mdb)
+    plane = ShardedSearchPlane(fixture.mdb)
     single = SlidingWindowSearch(SearchConfig(), precompute=True)
-    lossless = SlidingWindowSearch(
-        SearchConfig(two_stage="lossless"), precompute=True
-    )
     fast = SlidingWindowSearch(
         SearchConfig(two_stage="fast", coarse_keep_fraction=keep_fraction),
         precompute=True,
@@ -118,24 +91,14 @@ def run_two_stage(
         results = [engine.search(frame, plane) for frame in frames]
         return results, time.perf_counter() - started
 
-    single_results, single_s = timed(single)
-    lossless_results, lossless_s = timed(lossless)
+    _, single_s = timed(single)
     fast_results, fast_s = timed(fast)
-
-    lossless_identical = all(
-        _result_key(a) == _result_key(b)
-        and a.correlations_evaluated == b.correlations_evaluated
-        and a.candidates_above_threshold == b.candidates_above_threshold
-        for a, b in zip(single_results, lossless_results)
-    )
     return TwoStageResult(
         n_slices=fixture.n_slices,
         n_queries=n_queries,
         keep_fraction=keep_fraction,
         single_s=single_s,
-        lossless_s=lossless_s,
         fast_s=fast_s,
-        lossless_identical=lossless_identical,
         fast_pruned_per_query=[
             result.slices_pruned for result in fast_results
         ],
@@ -156,9 +119,6 @@ def summarize(result: TwoStageResult, mdb_scale: float, seed: int) -> dict:
         "fast_pruned_per_query": result.fast_pruned_per_query,
         "fast_matches_per_query": result.fast_matches_per_query,
         "single_s": result.single_s,
-        "lossless_s": result.lossless_s,
         "fast_s": result.fast_s,
         "fast_speedup": result.fast_speedup,
-        "lossless_speedup": result.lossless_speedup,
-        "lossless_identical": result.lossless_identical,
     }

@@ -49,10 +49,10 @@ _EXPERIMENTS: dict[str, str] = {
 def _add_two_stage(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--two-stage",
-        choices=["off", "lossless", "fast"],
+        choices=["off", "fast"],
         default="off",
-        help="coarse-then-exact cloud search (lossless = provable "
-        "pruning, bit-identical; fast = tunable candidate cut)",
+        help="coarse-then-exact cloud search (fast = walk only the "
+        "best-ranked slices)",
     )
 
 

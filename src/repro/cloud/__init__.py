@@ -1,20 +1,23 @@
 """Cloud Search stage: cross-correlation search over the MDB (§V-B).
 
 * :mod:`repro.cloud.results` — match/result containers and statistics.
-* :mod:`repro.cloud.plane` — the compiled search plane: the MDB as
-  contiguous arrays with cached window statistics and a shared-memory
-  export for worker pools.
+* :mod:`repro.cloud.plane` — the compiled plane core: a run of slices
+  as contiguous arrays with cached window statistics, rebuildable from
+  shared memory by pool workers.
+* :mod:`repro.cloud.coarse` — the optional coarse screen
+  (``two_stage="fast"``) that ranks slices before the exact walk.
+* :mod:`repro.cloud.shards` — the one compiled plane type: independently
+  compiled, content-addressed shards with incremental (delta-shard)
+  recompilation behind immutable per-generation epochs.
 * :mod:`repro.cloud.search` — the search engine with pluggable skip
   policies: Algorithm 1's exponential sliding window and the
-  exhaustive (β = 1) baseline it is compared against in Figs. 7 & 11.
-* :mod:`repro.cloud.shards` — the sharded plane: independently
-  compiled, content-addressed segments with incremental (delta-shard)
-  recompilation behind immutable per-generation epochs.
-* :mod:`repro.cloud.parallel` — sample-balanced partitioning plus the
-  persistent shared-memory worker pool.
+  exhaustive (β = 1) baseline it is compared against in Figs. 7 & 11,
+  over a plain slice list (the scalar reference) or the sharded plane.
+* :mod:`repro.cloud.parallel` — sample-balanced shard partitioning
+  plus the persistent shared-memory worker pool.
 * :mod:`repro.cloud.server` — the CloudServer facade used by the
-  closed-loop framework, combining the plane, a search engine and the
-  timing model.
+  closed-loop framework, combining the sharded plane, a search engine
+  and the timing model.
 * :mod:`repro.cloud.client` — the resilient call path the runtime
   loops dispatch through: per-call deadlines, seeded retries with
   exponential backoff, payload validation, and a circuit breaker.
@@ -34,7 +37,7 @@ from repro.cloud.parallel import (
     partition_indices,
     partition_slices,
 )
-from repro.cloud.plane import PlaneCore, SearchPlane
+from repro.cloud.plane import PlaneCore
 from repro.cloud.results import SearchMatch, SearchResult
 from repro.cloud.search import (
     CorrelationSearch,
@@ -67,7 +70,6 @@ __all__ = [
     "ResilientCloudClient",
     "SearchConfig",
     "SearchMatch",
-    "SearchPlane",
     "SearchResult",
     "ShardEpoch",
     "ShardedSearchPlane",

@@ -2,46 +2,26 @@
 
 The exact skip-walk (:class:`~repro.cloud.search.PlaneWalker`) prices
 every slice at its full dot products even when the slice plainly cannot
-contribute a match.  The coarse pass screens slices first with a
+contribute a match.  The coarse pass ranks slices first with a
 **decimated block-sum (PAA) correlation**: each slice is summarised on
-a fixed stride-``D`` grid (block sums, block energies, block
-residuals), compiled **once per MDB generation** next to the exact norm
-caches, and a single ``np.correlate`` over the zero-padded concatenated
-block sums then scores every candidate window of every slice at
-``1/D²`` of the exact per-phase cost.
+a fixed stride-``D`` grid of centred block sums, compiled **once per
+shard core** next to the exact norm caches, and a single
+``np.correlate`` over the zero-padded concatenated block sums then
+scores every grid-aligned window (offsets ``o ≡ 0 mod D``) of every
+slice at ``1/D²`` of the exact cost.
 
-Offsets are split by phase ``p = o mod D``.  For phase ``p`` the query
-decomposes into a partial *head* (aligning the rest to the grid), a
-grid-aligned *core* of full ``D``-blocks, and a partial *tail*; with
-``q̃`` the core's block sums, ``S`` the slice's block sums, ``R²`` the
-slice's per-block residual energies and ``B`` the full-extent block
-norms, the exact centred dot at offset ``o`` obeys::
+Each slice's score is its best grid-aligned ``⟨q̃, S⟩/D`` (``q̃`` the
+query's block sums, ``S`` the slice's) normalised by the exact cached
+window norm.  Only the best ``keep_fraction`` of slices (never fewer
+than the caller's ``min_keep``) are walked exactly.  This is a
+heuristic, not a proof: its quality is gated by the Fig. 11
+search-quality benchmark.
 
-    dot(o) ≤ ⟨q̃, S⟩/D + ‖q⊥‖·√(ΣR²_core) + ‖q_head‖·B_head + ‖q_tail‖·B_tail
-
-— the first term is the dot of the block-mean projections, the second
-Cauchy–Schwarz on the orthogonal remainders, the edge terms
-Cauchy–Schwarz against the enclosing grid blocks.  Two screening modes
-build on this:
-
-* **lossless** — the bound above, normalised by the exact cached
-  window norms, is a provable upper bound on ω at every offset (up to
-  an explicit ``BOUND_SLACK`` absorbing float rounding).  A slice whose
-  best bound stays below the caller's *prune ceiling* provably yields
-  no hit **and** walks with a constant stride (see
-  ``lossless_walk_params`` in ``search.py``), so its exact walk
-  collapses to a closed-form evaluation count — results stay
-  bit-identical to the single-stage engines.
-* **fast** — phase-0 coarse *scores* (no error terms) rank the slices
-  and only the best ``keep_fraction`` (never fewer than the caller's
-  ``min_keep``) are walked exactly.  Quality is gated by the Fig. 11
-  search-quality benchmark, not by a proof.
-
-Everything query-independent (grids, gather indices, per-phase window
-norms, residual prefixes) lives in :class:`CoarseIndex`, cached on the
-:class:`~repro.cloud.plane.PlaneCore` it was compiled from — a
-generation bump rebuilds the core, which drops these caches exactly as
-it drops the exact-pass norm caches.
+Everything query-independent (grid, gather indices, window norms)
+lives in :class:`CoarseIndex`, cached on the
+:class:`~repro.cloud.plane.PlaneCore` it was compiled from — a shard
+recompiled by a plane refresh is a fresh core, which drops these caches
+exactly as it drops the exact-pass norm caches.
 """
 
 from __future__ import annotations
@@ -60,14 +40,6 @@ if TYPE_CHECKING:  # runtime import would be circular (plane builds us)
 #: Denominators below this are treated as flat (zero-variance) windows,
 #: matching the exact engines' epsilon.
 _NORM_EPSILON = 1e-12
-
-#: Normalised slack added to every lossless upper bound.  The bound and
-#: the exact engine evaluate mathematically comparable quantities with
-#: different IEEE-754 summation orders (blockwise vs ``np.correlate``
-#: vs rFFT); at the O(1) magnitudes of normalised correlations their
-#: disagreement is ~1e-13, so 1e-9 covers it with margin to spare while
-#: costing no observable prune power.
-BOUND_SLACK = 1e-9
 
 
 def _segment_max(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -88,106 +60,28 @@ def _segment_max(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _PhaseIndex:
-    """Precompiled slice-side arrays for one offset phase ``p``.
-
-    All arrays are concatenated across slices in plane order;
-    ``bounds`` (``n_slices + 1`` entries) delimits each slice's run.
-    ``corr_pos`` indexes the shared padded-correlate output at each
-    candidate's first core block; ``core_resid`` is the precomputed
-    ``√(ΣR²)`` of the core blocks; ``head_norms``/``tail_norms`` are
-    the enclosing-block norms for the partial edges (``None`` when the
-    phase has no head/tail); ``window_norms`` are the *exact* centred
-    window norms at this phase's offsets, gathered from the plane's
-    norm cache.
-    """
-
-    head_len: int
-    n_core: int
-    tail_len: int
-    corr_pos: np.ndarray
-    core_resid: np.ndarray
-    head_norms: np.ndarray | None
-    tail_norms: np.ndarray | None
-    window_norms: np.ndarray
-    bounds: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        total = (
-            self.corr_pos.nbytes
-            + self.core_resid.nbytes
-            + self.window_norms.nbytes
-            + self.bounds.nbytes
-        )
-        if self.head_norms is not None:
-            total += self.head_norms.nbytes
-        if self.tail_norms is not None:
-            total += self.tail_norms.nbytes
-        return total
-
-
-@dataclass(frozen=True)
 class ScreenOutcome:
     """One query's coarse screening verdict over the whole plane.
 
-    ``keep`` flags the slices the exact stage must walk; ``synthetic``
-    holds, per slice, the closed-form evaluation count the exact walk
-    *would* have spent on it if pruned (non-zero only in lossless mode,
-    where the constant-stride walk length is provable).  ``margin`` is
-    the mode's tightness observable: lossless reports the median slice
-    bound minus the prune ceiling (≤ 0 means typical slices prune),
-    fast reports the coarse score of the weakest kept slice.
+    ``keep`` flags the slices the exact stage must walk; ``keep_floor``
+    is the coarse score of the weakest kept slice (0 when everything
+    is kept), the screen's tightness observable.
     """
 
-    mode: str
     keep: np.ndarray
-    synthetic: np.ndarray
-    margin: float
+    keep_floor: float
     elapsed_s: float
 
-    def apply(
-        self, scan: Sequence[int] | range
-    ) -> tuple[np.ndarray, int, int]:
+    def apply(self, scan: Sequence[int] | range) -> tuple[np.ndarray, int]:
         """Restrict the verdict to ``scan``'s slice ids.
 
-        Returns ``(kept_ids, pruned_count, synthetic_evaluated)`` —
-        per-slice verdicts are global, so any partition of the plane
-        (chunked workers included) reaches identical decisions.
+        Returns ``(kept_ids, pruned_count)`` — per-slice verdicts are
+        global, so any partition of the plane (shards, chunked workers)
+        reaches identical decisions.
         """
         ids = np.asarray(scan, dtype=np.int64)
-        mask = self.keep[ids]
-        kept = ids[mask]
-        pruned = ids[~mask]
-        return kept, int(pruned.size), int(self.synthetic[pruned].sum())
-
-
-def assemble_lossless(
-    slice_ub: np.ndarray,
-    n_offsets: np.ndarray,
-    ceiling: float,
-    stride: int,
-    elapsed_s: float,
-) -> ScreenOutcome:
-    """Turn per-slice ω bounds into a lossless screening verdict.
-
-    Split out of :meth:`CoarseIndex.screen_lossless` so the sharded
-    plane can concatenate each shard's :meth:`CoarseIndex.lossless_bounds`
-    and assemble one global verdict with the identical operations.
-    """
-    keep = ~(slice_ub < ceiling)
-    synthetic = np.where(
-        n_offsets > 0, (n_offsets - 1) // stride + 1, 0
-    ).astype(np.int64)
-    finite = slice_ub[np.isfinite(slice_ub)]
-    margin = float(np.median(finite) - ceiling) if finite.size else 0.0
-    return ScreenOutcome(
-        mode="lossless",
-        keep=keep,
-        synthetic=synthetic,
-        margin=margin,
-        elapsed_s=elapsed_s,
-    )
+        kept = ids[self.keep[ids]]
+        return kept, int(ids.size - kept.size)
 
 
 def assemble_fast(
@@ -200,37 +94,30 @@ def assemble_fast(
 
     The keep count and the lexsort tie-break run over the *global*
     score vector, so sharded scans (which concatenate per-shard
-    :meth:`CoarseIndex.fast_scores`) select exactly the slices the
-    monolithic screen would.
+    :meth:`CoarseIndex.fast_scores`) select exactly the slices a
+    one-shard screen would.
     """
     n = scores.size
     n_keep = min(n, max(min_keep, int(np.ceil(keep_fraction * n))))
     keep = np.zeros(n, dtype=bool)
     if n_keep >= n:
         keep[:] = True
-        margin = 0.0
+        floor = 0.0
     else:
         order = np.lexsort((np.arange(n), -scores))
         keep[order[:n_keep]] = True
-        floor = scores[order[n_keep - 1]] if n_keep else -np.inf
-        margin = float(floor) if np.isfinite(floor) else 0.0
-    return ScreenOutcome(
-        mode="fast",
-        keep=keep,
-        synthetic=np.zeros(n, dtype=np.int64),
-        margin=margin,
-        elapsed_s=elapsed_s,
-    )
+        weakest = scores[order[n_keep - 1]] if n_keep else -np.inf
+        floor = float(weakest) if np.isfinite(weakest) else 0.0
+    return ScreenOutcome(keep=keep, keep_floor=floor, elapsed_s=elapsed_s)
 
 
 class CoarseIndex:
     """The compiled coarse screen for one ``(frame length, D)`` pair.
 
     Construction walks every slice once, building the stride-``D``
-    block summaries and, per phase, the gather indices and precomputed
-    error terms that make a screen call pure vector work: one padded
-    ``np.correlate`` per phase plus O(candidates) arithmetic, with no
-    per-slice Python loop on the query path.
+    block sums and the gather indices that make a screen call pure
+    vector work: one padded ``np.correlate`` plus O(candidates)
+    arithmetic, with no per-slice Python loop on the query path.
     """
 
     def __init__(
@@ -253,262 +140,80 @@ class CoarseIndex:
         self.decimation = decimation
         self.n_slices = core.n_slices
         m, d = frame_samples, decimation
-        kernel_len = m // d
-        self._kernel_len = kernel_len
-        pad = kernel_len  # isolates slices in the shared correlate
-        n_slices = core.n_slices
-
-        # -- slice-side grid (query independent) ----------------------
-        padded_parts: list[np.ndarray] = []
-        resid_parts: list[np.ndarray] = []
-        bnorm_parts: list[np.ndarray] = []
-        padded_starts = np.zeros(n_slices, dtype=np.int64)
-        block_starts = np.zeros(n_slices + 1, dtype=np.int64)
-        n_offsets = np.zeros(n_slices, dtype=np.int64)
+        self._kernel_len = m // d
+        pad = self._kernel_len  # isolates slices in the shared correlate
         zeros_pad = np.zeros(pad)
+        padded_parts: list[np.ndarray] = []
+        pos_parts: list[np.ndarray] = []
+        wnorm_parts: list[np.ndarray] = []
+        n_offsets = np.zeros(self.n_slices, dtype=np.int64)
+        bounds = np.zeros(self.n_slices + 1, dtype=np.int64)
         position = 0
-        for index in range(n_slices):
+        for index in range(self.n_slices):
             data = core.slice_data(index)
             n = data.size
             n_offsets[index] = max(0, n - m + 1)
             centered = data - data.mean()
             n_full = n // d
-            blocks = centered[: n_full * d].reshape(n_full, d)
-            sums = blocks.sum(axis=1)
-            sq_sums = np.einsum("ij,ij->i", blocks, blocks)
-            resid = np.maximum(sq_sums - sums * sums / d, 0.0)
-            bnorm = np.sqrt(sq_sums)
-            remainder = n - n_full * d
-            if remainder:
-                tail = centered[n_full * d :]
-                sums = np.append(sums, tail.sum())
-                # The partial block is never a core block, only an
-                # edge; its residual entry is padding for alignment.
-                resid = np.append(resid, 0.0)
-                bnorm = np.append(bnorm, float(np.linalg.norm(tail)))
-            padded_starts[index] = position
+            sums = centered[: n_full * d].reshape(n_full, d).sum(axis=1)
+            if n > n_full * d:
+                # The partial trailing block never starts a grid-aligned
+                # window; it only keeps the padded layout uniform.
+                sums = np.append(sums, centered[n_full * d :].sum())
+            count = (int(n_offsets[index]) - 1) // d + 1  # 0 if no offset
+            bounds[index + 1] = bounds[index] + count
+            if count:
+                pos_parts.append(position + np.arange(count, dtype=np.int64))
+                wnorm_parts.append(norms.slice_norms(index)[::d])
             position += sums.size + pad
-            block_starts[index + 1] = block_starts[index] + sums.size
             padded_parts.append(sums)
             padded_parts.append(zeros_pad)
-            resid_parts.append(resid)
-            bnorm_parts.append(bnorm)
         self._padded = (
             np.concatenate(padded_parts) if padded_parts else np.zeros(0)
         )
-        resid_all = (
-            np.concatenate(resid_parts) if resid_parts else np.zeros(0)
+        self._corr_pos = (
+            np.concatenate(pos_parts)
+            if pos_parts
+            else np.zeros(0, dtype=np.int64)
         )
-        resid_prefix = np.concatenate(([0.0], np.cumsum(resid_all)))
-        bnorm_all = (
-            np.concatenate(bnorm_parts) if bnorm_parts else np.zeros(0)
+        self._window_norms = (
+            np.concatenate(wnorm_parts) if wnorm_parts else np.zeros(0)
         )
+        self._bounds = bounds
         self._n_offsets = n_offsets
-
-        # -- per-phase gather tables ----------------------------------
-        phases: list[_PhaseIndex] = []
-        for p in range(d):
-            head = 0 if p == 0 else d - p
-            core_first = 0 if p == 0 else 1
-            n_core = (m - head) // d
-            tail = m - head - n_core * d
-            pos_parts: list[np.ndarray] = []
-            core_parts: list[np.ndarray] = []
-            head_parts: list[np.ndarray] = []
-            tail_parts: list[np.ndarray] = []
-            wnorm_parts: list[np.ndarray] = []
-            bounds = np.zeros(n_slices + 1, dtype=np.int64)
-            for index in range(n_slices):
-                n_off = int(n_offsets[index])
-                count = (n_off - 1 - p) // d + 1 if n_off > p else 0
-                bounds[index + 1] = bounds[index] + count
-                if count == 0:
-                    continue
-                ks = np.arange(count, dtype=np.int64)
-                local = ks + core_first
-                pos_parts.append(padded_starts[index] + local)
-                first_block = block_starts[index] + local
-                core_parts.append(
-                    np.sqrt(
-                        resid_prefix[first_block + n_core]
-                        - resid_prefix[first_block]
-                    )
-                )
-                if head:
-                    head_parts.append(bnorm_all[block_starts[index] + ks])
-                if tail:
-                    tail_parts.append(bnorm_all[first_block + n_core])
-                wnorm_parts.append(norms.slice_norms(index)[p::d])
-            phases.append(
-                _PhaseIndex(
-                    head_len=head,
-                    n_core=n_core,
-                    tail_len=tail,
-                    corr_pos=(
-                        np.concatenate(pos_parts)
-                        if pos_parts
-                        else np.zeros(0, dtype=np.int64)
-                    ),
-                    core_resid=(
-                        np.concatenate(core_parts)
-                        if core_parts
-                        else np.zeros(0)
-                    ),
-                    head_norms=(
-                        np.concatenate(head_parts) if head_parts else None
-                    ),
-                    tail_norms=(
-                        np.concatenate(tail_parts) if tail_parts else None
-                    ),
-                    window_norms=(
-                        np.concatenate(wnorm_parts)
-                        if wnorm_parts
-                        else np.zeros(0)
-                    ),
-                    bounds=bounds,
-                )
-            )
-        self._phases = phases
 
     @property
     def nbytes(self) -> int:
         """Bytes of the compiled coarse arrays."""
         return (
             self._padded.nbytes
+            + self._corr_pos.nbytes
+            + self._window_norms.nbytes
+            + self._bounds.nbytes
             + self._n_offsets.nbytes
-            + sum(phase.nbytes for phase in self._phases)
         )
-
-    @property
-    def slice_offset_counts(self) -> np.ndarray:
-        """Per-slice candidate-offset counts (``max(0, n - m + 1)``)."""
-        return self._n_offsets
-
-    # -- query-side decomposition ------------------------------------
-
-    def _query_parts(
-        self, centered: np.ndarray, phase: _PhaseIndex
-    ) -> tuple[np.ndarray, float, float, float]:
-        """Kernel + error coefficients of the query at one phase.
-
-        Returns ``(kernel, q_perp, head_norm, tail_norm)`` where
-        ``kernel`` is the core's block sums zero-padded to the shared
-        correlate length and ``q_perp`` the norm of the core's
-        block-mean-orthogonal remainder.
-        """
-        d = self.decimation
-        head = phase.head_len
-        core = centered[head : head + phase.n_core * d]
-        kernel = np.zeros(self._kernel_len)
-        if phase.n_core:
-            block_sums = core.reshape(phase.n_core, d).sum(axis=1)
-            kernel[: phase.n_core] = block_sums
-            q_perp = float(
-                np.sqrt(
-                    max(
-                        float(np.dot(core, core))
-                        - float(np.dot(block_sums, block_sums)) / d,
-                        0.0,
-                    )
-                )
-            )
-        else:
-            q_perp = 0.0
-        head_norm = float(np.linalg.norm(centered[:head])) if head else 0.0
-        tail_norm = (
-            float(np.linalg.norm(centered[head + phase.n_core * d :]))
-            if phase.tail_len
-            else 0.0
-        )
-        return kernel, q_perp, head_norm, tail_norm
 
     # -- screening ----------------------------------------------------
 
-    def lossless_bounds(
-        self, centered: np.ndarray, norm: float
-    ) -> np.ndarray:
-        """Per-slice upper bounds on ω (``-inf`` for offset-less slices).
+    def fast_scores(self, centered: np.ndarray, norm: float) -> np.ndarray:
+        """Per-slice grid-aligned coarse scores (``-inf`` for slices
+        with no candidate offset).
 
-        The producer half of :meth:`screen_lossless`.  Each slice's
-        bound depends only on that slice's compiled summaries, so a
-        sharded plane concatenates per-shard bound vectors and gets the
-        monolithic vector bit-for-bit.
+        A pure per-slice function, so a sharded plane concatenating
+        per-shard score vectors gets the one-shard vector exactly.
         """
-        d = self.decimation
-        slice_ub = np.full(self.n_slices, -np.inf)
-        if norm < _NORM_EPSILON:
-            # A flat query correlates to exactly 0 everywhere; the
-            # zero bound is tight and certifies every slice at once.
-            slice_ub[:] = 0.0
-            return slice_ub
-        for phase in self._phases:
-            kernel, q_perp, head_norm, tail_norm = self._query_parts(
-                centered, phase
-            )
-            dots = np.correlate(self._padded, kernel, mode="valid")
-            estimate = dots[phase.corr_pos] / d
-            error = q_perp * phase.core_resid
-            if phase.head_norms is not None:
-                error = error + head_norm * phase.head_norms
-            if phase.tail_norms is not None:
-                error = error + tail_norm * phase.tail_norms
-            denominator = norm * phase.window_norms
-            flat = denominator < _NORM_EPSILON
-            safe = np.where(flat, 1.0, denominator)
-            bound = (estimate + error) / safe + BOUND_SLACK
-            bound[flat] = 0.0  # exact ω of a flat window is 0
-            np.maximum(
-                slice_ub,
-                _segment_max(bound, phase.bounds),
-                out=slice_ub,
-            )
-        return slice_ub
-
-    def screen_lossless(
-        self, centered: np.ndarray, norm: float, ceiling: float, stride: int
-    ) -> ScreenOutcome:
-        """Certify slices whose best ω bound stays below ``ceiling``.
-
-        ``ceiling``/``stride`` come from
-        ``lossless_walk_params``: below the ceiling a slice provably
-        yields no hit and its walk advances by the constant ``stride``,
-        so its exact evaluation count is ``⌈n_offsets / stride⌉`` —
-        recorded in ``synthetic`` so merged statistics stay
-        bit-identical to the single-stage engines.
-        """
-        started = time.perf_counter()
-        slice_ub = self.lossless_bounds(centered, norm)
-        return assemble_lossless(
-            slice_ub,
-            self._n_offsets,
-            ceiling,
-            stride,
-            time.perf_counter() - started,
-        )
-
-    def fast_scores(
-        self, centered: np.ndarray, norm: float
-    ) -> np.ndarray:
-        """Per-slice phase-0 coarse scores (``-inf`` for offset-less).
-
-        The producer half of :meth:`screen_fast`; like
-        :meth:`lossless_bounds` the scores are a pure per-slice
-        function, so sharded concatenation reproduces the monolithic
-        vector exactly.
-        """
-        d = self.decimation
-        phase = self._phases[0]
         if norm < _NORM_EPSILON:
             return np.where(self._n_offsets > 0, 0.0, -np.inf)
-        kernel, _, _, _ = self._query_parts(centered, phase)
+        d = self.decimation
+        kernel = centered[: self._kernel_len * d].reshape(-1, d).sum(axis=1)
         dots = np.correlate(self._padded, kernel, mode="valid")
-        estimate = dots[phase.corr_pos] / d
-        denominator = norm * phase.window_norms
+        estimate = dots[self._corr_pos] / d
+        denominator = norm * self._window_norms
         flat = denominator < _NORM_EPSILON
         safe = np.where(flat, 1.0, denominator)
         score = estimate / safe
         score[flat] = 0.0
-        return _segment_max(score, phase.bounds)
+        return _segment_max(score, self._bounds)
 
     def screen_fast(
         self,
@@ -517,12 +222,12 @@ class CoarseIndex:
         keep_fraction: float,
         min_keep: int,
     ) -> ScreenOutcome:
-        """Rank slices by phase-0 coarse score; keep the best fraction.
+        """Rank slices by coarse score; keep the best fraction.
 
         Keeps ``max(min_keep, ⌈keep_fraction · n_slices⌉)`` slices
         (all of them when that reaches the plane size).  Ties break on
         the lower slice id, so the selection is deterministic and
-        identical across whole-plane and chunked scans.
+        identical across whole-plane and sharded scans.
         """
         started = time.perf_counter()
         scores = self.fast_scores(centered, norm)

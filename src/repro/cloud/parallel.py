@@ -1,19 +1,20 @@
-"""Partitioned / parallel cloud search over the compiled plane.
+"""Partitioned / parallel cloud search over the sharded plane.
 
 The paper slices each signal "to enable the search algorithm to quickly
 search through the complete database in parallel" (§V-B).  This module
-provides that execution strategy: the signal-set space is partitioned
-into chunks balanced by **total sample count** (variable-length slices
+provides that execution strategy: the shards of a
+:class:`~repro.cloud.shards.ShardedSearchPlane` are partitioned into
+chunks balanced by **total sample count** (variable-length slices
 would skew workers under round-robin), each chunk is searched
 independently (serially or on a process pool), and the per-chunk top-K
 sets are merged into the global signal correlation set.
 
-The pool is **persistent**: workers attach to the plane's
-shared-memory segment in their initializer and keep their own window
+The pool is **persistent**: workers attach to the shards'
+shared-memory segments in their initializer and keep their own window
 norm caches alive across requests, so a search request ships only the
-256-sample frame and the chunk's slice ids — never pickled slice data.
+256-sample frame and the chunk's shard ids — never pickled slice data.
 The pool is rebuilt automatically when the plane's generation moves
-(an MDB insert invalidated the compiled arrays); ``close()`` or the
+(an MDB insert installed a new epoch); ``close()`` or the
 context-manager protocol releases workers and shared memory.
 
 Merging is exact: each chunk returns its own top-K, and the global
@@ -34,17 +35,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.cloud.plane import PlaneCore, PlaneShareSpec, SearchPlane
+from repro.cloud.plane import PlaneCore
 from repro.cloud.results import SearchMatch, SearchResult
 from repro.cloud.search import (
     CorrelationSearch,
     ExponentialSkipPolicy,
     SearchConfig,
     SkipPolicy,
-    PlaneWalker,
     TopK,
-    screen_plane,
     screen_shard_cores,
+    shard_walker,
 )
 from repro.cloud.shards import ShardedSearchPlane, ShardedShareSpec
 from repro.errors import SearchError
@@ -141,88 +141,16 @@ class _ChunkOutcome:
     coarse_elapsed_s: float = 0.0
 
 
-class _WorkerPlane:
-    """Per-worker-process search state over the attached shared plane.
-
-    Lives for the worker's whole lifetime: the plane core (and its
-    per-frame-length norm caches) persist across requests, which is
-    where the pool amortises the query-independent work.
-    """
-
-    def __init__(
-        self, spec: PlaneShareSpec, config: SearchConfig, policy: SkipPolicy
-    ) -> None:
-        self.core: PlaneCore | None
-        self.core, self._segment = spec.attach()
-        self.config = config
-        self.policy = policy
-
-    def search_chunk(
-        self, frame: np.ndarray, chunk_ids: Sequence[int]
-    ) -> _ChunkOutcome:
-        if self.core is None:
-            raise SearchError("worker plane already released")
-        started = time.perf_counter()
-        query = np.asarray(frame, dtype=np.float64)
-        centered = query - query.mean()
-        norm = float(np.linalg.norm(centered))
-        cache = self.core.ensure_norms(self.config.frame_samples)
-        top: TopK[tuple[int, float, int]] = TopK(self.config.top_k)
-        # Two-stage screening in the worker: per-slice verdicts are a
-        # global pure function of (plane, query, config), so every
-        # chunk reaches the same decisions the single-engine path does
-        # and the merged results stay identical.
-        walk_ids: Sequence[int] = chunk_ids
-        n_pruned = 0
-        synthetic = 0
-        coarse_s = 0.0
-        outcome = screen_plane(
-            self.core, self.config, self.policy, centered, norm
-        )
-        if outcome is not None:
-            walk_ids, n_pruned, synthetic = outcome.apply(chunk_ids)
-            coarse_s = outcome.elapsed_s
-        walker = PlaneWalker(
-            self.core,
-            centered,
-            norm,
-            cache,
-            self.policy,
-            self.config.delta,
-            self.config.dedupe_per_slice,
-            indices=walk_ids,
-        )
-        hits, evaluated, above = walker.walk_all()
-        for index, omega, offset in hits:
-            top.offer(omega, (index, omega, offset))
-        return _ChunkOutcome(
-            correlations_evaluated=evaluated + synthetic,
-            slices_searched=len(chunk_ids),
-            candidates_above_threshold=above,
-            heap_admissions=top.admissions,
-            elapsed_s=time.perf_counter() - started,
-            hits=top.sorted_items(),
-            slices_pruned=n_pruned,
-            coarse_elapsed_s=coarse_s,
-        )
-
-    def release(self) -> None:
-        """Drop array views, then close the shared-memory mapping."""
-        self.core = None
-        try:
-            self._segment.close()
-        except BufferError:  # pragma: no cover - exports still alive
-            pass
-
-
 class _ShardWorkerPlane:
-    """Per-worker search state over an attached *sharded* plane.
+    """Per-worker-process search state over the attached sharded plane.
 
-    Attaches every shard's segment once at pool construction; a chunk
-    request then names the **shard ids** to walk.  Screening stays
-    global (all shard cores) so the per-slice verdicts match the
-    in-process path exactly; hits come back keyed by global slice
-    index, rebased from each shard's ``bases`` entry.
+    Lives for the worker's whole lifetime: every shard's segment is
+    attached once at pool construction, and the shard cores (with
+    their per-frame-length norm caches) persist across requests, which
+    is where the pool amortises the query-independent work.  A chunk
+    request names the **shard ids** to walk.  Screening stays global
+    (all shard cores) so the per-slice verdicts match the in-process
+    path exactly; hits come back keyed by global slice index.
     """
 
     def __init__(
@@ -247,51 +175,30 @@ class _ShardWorkerPlane:
         query = np.asarray(frame, dtype=np.float64)
         centered = query - query.mean()
         norm = float(np.linalg.norm(centered))
-        top: TopK[tuple[int, float, int]] = TopK(self.config.top_k)
-        outcome = screen_shard_cores(
-            self.cores, self.config, self.policy, centered, norm
+        outcome = screen_shard_cores(self.cores, self.config, centered, norm)
+        walker, n_pruned = shard_walker(
+            self.cores,
+            self.bases,
+            chunk_ids,
+            outcome,
+            self.config,
+            self.policy,
+            centered,
+            norm,
         )
-        coarse_s = outcome.elapsed_s if outcome is not None else 0.0
-        n_pruned = 0
-        synthetic_total = 0
-        evaluated_total = 0
-        above_total = 0
-        slices_searched = 0
-        for k in chunk_ids:
-            core = self.cores[k]
-            base = self.bases[k]
-            scan = range(base, base + core.n_slices)
-            walk_ids: Sequence[int] | None = None
-            if outcome is not None:
-                kept, pruned, synthetic = outcome.apply(scan)
-                n_pruned += pruned
-                synthetic_total += synthetic
-                walk_ids = kept - base
-            walker = PlaneWalker(
-                core,
-                centered,
-                norm,
-                core.ensure_norms(self.config.frame_samples),
-                self.policy,
-                self.config.delta,
-                self.config.dedupe_per_slice,
-                indices=walk_ids,
-            )
-            hits, evaluated, above = walker.walk_all()
-            evaluated_total += evaluated
-            above_total += above
-            slices_searched += len(scan)
-            for index, omega, offset in hits:
-                top.offer(omega, (base + index, omega, offset))
+        hits, evaluated, above = walker.walk_all()
+        top: TopK[tuple[int, float, int]] = TopK(self.config.top_k)
+        for hit in hits:
+            top.offer(hit[1], hit)
         return _ChunkOutcome(
-            correlations_evaluated=evaluated_total + synthetic_total,
-            slices_searched=slices_searched,
-            candidates_above_threshold=above_total,
+            correlations_evaluated=evaluated,
+            slices_searched=sum(self.cores[k].n_slices for k in chunk_ids),
+            candidates_above_threshold=above,
             heap_admissions=top.admissions,
             elapsed_s=time.perf_counter() - started,
             hits=top.sorted_items(),
             slices_pruned=n_pruned,
-            coarse_elapsed_s=coarse_s,
+            coarse_elapsed_s=outcome.elapsed_s if outcome is not None else 0.0,
         )
 
     def release(self) -> None:
@@ -306,7 +213,7 @@ class _ShardWorkerPlane:
 
 #: The attached plane state of this worker process (set by the pool
 #: initializer; ``None`` in the parent).
-_WORKER_STATE: _WorkerPlane | _ShardWorkerPlane | None = None
+_WORKER_STATE: _ShardWorkerPlane | None = None
 
 
 def _worker_cleanup() -> None:  # pragma: no cover - runs in workers
@@ -317,15 +224,12 @@ def _worker_cleanup() -> None:  # pragma: no cover - runs in workers
 
 
 def _pool_initializer(
-    spec: PlaneShareSpec | ShardedShareSpec,
+    spec: ShardedShareSpec,
     config: SearchConfig,
     policy: SkipPolicy,
 ) -> None:  # pragma: no cover - runs in workers
     global _WORKER_STATE
-    if isinstance(spec, ShardedShareSpec):
-        _WORKER_STATE = _ShardWorkerPlane(spec, config, policy)
-    else:
-        _WORKER_STATE = _WorkerPlane(spec, config, policy)
+    _WORKER_STATE = _ShardWorkerPlane(spec, config, policy)
     atexit.register(_worker_cleanup)
 
 
@@ -338,16 +242,20 @@ def _pool_search_chunk(
 
 
 class ParallelSearch:
-    """Chunked Algorithm 1 over a compiled search plane.
+    """Chunked Algorithm 1 over a sharded search plane.
 
-    ``n_workers=1`` (the default) runs chunks serially in-process —
-    useful to bound peak memory and to test the merge path.  With
-    ``n_workers > 1`` chunks run on a **persistent** process pool:
-    workers attach to the plane's shared-memory segment once, at pool
-    construction, and repeated :meth:`search` calls reuse both the
-    pool and the workers' cached window statistics.  The engine may be
-    bound to a plane up front (``plane=``), fed one per call, or given
-    a plain slice list (compiled into an owned plane on first use).
+    The plane's shards are partitioned into ``n_chunks`` chunks
+    balanced on per-shard sample counts; chunk boundaries therefore
+    coincide with independently compiled cores, so every chunk walks
+    whole shards and reuses the shard-local caches.  ``n_workers=1``
+    (the default) runs chunks serially in-process — useful to bound
+    peak memory and to test the merge path.  With ``n_workers > 1``
+    chunks run on a **persistent** process pool: workers attach to the
+    shards' shared-memory segments once, at pool construction, and
+    repeated :meth:`search` calls reuse both the pool and the workers'
+    cached window statistics.  The engine may be bound to a plane up
+    front (``plane=``), fed one per call, or given a plain slice list
+    (compiled into an owned plane of ``n_chunks`` shards on first use).
     """
 
     def __init__(
@@ -355,7 +263,7 @@ class ParallelSearch:
         config: SearchConfig | None = None,
         n_chunks: int = 4,
         n_workers: int = 1,
-        plane: SearchPlane | ShardedSearchPlane | None = None,
+        plane: ShardedSearchPlane | None = None,
         policy: SkipPolicy | None = None,
     ) -> None:
         if n_chunks < 1:
@@ -384,16 +292,17 @@ class ParallelSearch:
     # -- plane binding -----------------------------------------------
 
     def bind(
-        self,
-        source: SearchPlane | ShardedSearchPlane | Sequence[SignalSlice],
-    ) -> SearchPlane | ShardedSearchPlane:
+        self, source: ShardedSearchPlane | Sequence[SignalSlice]
+    ) -> ShardedSearchPlane:
         """Make ``source`` the engine's current plane (compiling it if
         it is a plain slice list).
 
+        A slice list compiles into ``n_chunks`` equal-width shards, so
+        the shard partition yields one chunk per requested chunk.
         Rebinding retires the previous binding deterministically: the
         worker pool (whose workers hold attachments to the previous
         plane's shared-memory segments) is shut down, and a previous
-        plane the engine compiled itself is closed so its segment is
+        plane the engine compiled itself is closed so its segments are
         released now rather than at interpreter exit.  Binding also
         revives a closed engine — the pool and shared segments are
         rebuilt lazily on the next pooled search.
@@ -403,23 +312,21 @@ class ParallelSearch:
             self._shutdown_pool()
             if self._owns_plane:
                 previous.close()
-        if isinstance(source, (SearchPlane, ShardedSearchPlane)):
+        if isinstance(source, ShardedSearchPlane):
             self.plane = source
             self._owns_plane = False
             self._adhoc_source_id = None
         else:
-            self.plane = SearchPlane(source)
+            width = max(1, -(-len(source) // self.n_chunks))
+            self.plane = ShardedSearchPlane(source, shard_slices=width)
             self._owns_plane = True
             self._adhoc_source_id = id(source)
         self._closed = False
         return self.plane
 
     def _resolve_plane(
-        self,
-        slices: (
-            SearchPlane | ShardedSearchPlane | Sequence[SignalSlice] | None
-        ),
-    ) -> SearchPlane | ShardedSearchPlane:
+        self, slices: ShardedSearchPlane | Sequence[SignalSlice] | None
+    ) -> ShardedSearchPlane:
         plane = self.plane
         if slices is None:
             if plane is None:
@@ -428,7 +335,7 @@ class ParallelSearch:
                     "or bind() one up front"
                 )
             return plane
-        if isinstance(slices, (SearchPlane, ShardedSearchPlane)):
+        if isinstance(slices, ShardedSearchPlane):
             if slices is not plane:
                 return self.bind(slices)
             return slices
@@ -445,9 +352,7 @@ class ParallelSearch:
     def search(
         self,
         frame: np.ndarray,
-        slices: (
-            SearchPlane | ShardedSearchPlane | Sequence[SignalSlice] | None
-        ) = None,
+        slices: ShardedSearchPlane | Sequence[SignalSlice] | None = None,
     ) -> SearchResult:
         """Global top-K search, identical in output to a single engine.
 
@@ -457,11 +362,10 @@ class ParallelSearch:
         + merge), and ``chunk_elapsed_s`` keeps every chunk's own
         latency so skew between workers stays visible.
 
-        A sharded plane is partitioned **by shard** (chunks balanced on
-        per-shard sample counts) instead of slicing one monolithic
-        layout — chunk boundaries then coincide with independently
-        compiled cores, so workers walk whole shards and reuse the
-        shard-local caches.
+        The epoch is pinned once for the whole scatter-gather, so a
+        concurrent ``refresh`` cannot hand different chunks different
+        generations; merging per-chunk top-Ks is exact because the
+        global top-K is a subset of the union of chunk top-Ks.
         """
         if self._closed:
             raise SearchError(
@@ -472,45 +376,6 @@ class ParallelSearch:
         plane.refresh()
         query = np.asarray(frame, dtype=np.float64)
         self._engine.prepare_query(query)
-        if isinstance(plane, ShardedSearchPlane):
-            return self._search_sharded(query, plane)
-        with obs.trace.span(
-            "cloud.parallel_search",
-            n_chunks=self.n_chunks,
-            n_workers=self.n_workers,
-        ) as span:
-            chunks = partition_indices(plane.slice_lengths(), self.n_chunks)
-            if self.n_workers == 1:
-                partials = [
-                    self._engine.search_plane(query, plane, chunk)
-                    for chunk in chunks
-                ]
-            else:
-                pool = self._ensure_pool(plane)
-                futures = [
-                    pool.submit(_pool_search_chunk, query, chunk)
-                    for chunk in chunks
-                ]
-                partials = [
-                    self._outcome_to_result(future.result(), plane.slices)
-                    for future in futures
-                ]
-            merged = merge_results(partials, self.config.top_k)
-        merged.elapsed_s = span.elapsed_s
-        self._publish_parallel(merged)
-        return merged
-
-    def _search_sharded(
-        self, query: np.ndarray, plane: ShardedSearchPlane
-    ) -> SearchResult:
-        """Partition one pinned epoch's shards across chunks and merge.
-
-        The epoch is pinned once for the whole scatter-gather, so a
-        concurrent ``refresh`` cannot hand different chunks different
-        generations; merging per-chunk top-Ks is exact for the same
-        reason it is in the monolithic path (the global top-K is a
-        subset of the union of chunk top-Ks).
-        """
         epoch = plane.pin()
         with obs.trace.span(
             "cloud.parallel_search",
@@ -571,9 +436,7 @@ class ParallelSearch:
 
     # -- pool lifecycle ----------------------------------------------
 
-    def _ensure_pool(
-        self, plane: SearchPlane | ShardedSearchPlane
-    ) -> ProcessPoolExecutor:
+    def _ensure_pool(self, plane: ShardedSearchPlane) -> ProcessPoolExecutor:
         """The persistent worker pool for ``plane``'s current build.
 
         Reused across requests; torn down and rebuilt only when the

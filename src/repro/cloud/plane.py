@@ -1,24 +1,20 @@
-"""The compiled MDB search plane.
+"""The compiled core of the MDB search plane.
 
 ``CloudServer.handle_frame`` used to recompute every slice's prefix
 sums and window norms from scratch on each request; at production
 request rates that query-independent work dominates serving latency.
-The plane amortises it: the whole MDB is compiled **once** into two
-contiguous NumPy arrays (concatenated samples plus an ``int64`` slice
-offset table), and each frame length's centred window norms are
-precomputed for *all* slices in one pass and cached behind the MDB's
-generation counter.  A query then only pays for its own dot products.
+A :class:`PlaneCore` amortises it: a run of slices is compiled **once**
+into two contiguous NumPy arrays (concatenated samples plus an
+``int64`` slice offset table), and each frame length's centred window
+norms are precomputed for *all* its slices in one pass and cached for
+the core's lifetime.  A query then only pays for its own dot products.
 
-Two layers:
-
-* :class:`PlaneCore` — the arrays plus the correlation math.  This is
-  all a search worker needs, so it is what pool workers reconstruct
-  from shared memory (see :mod:`repro.cloud.parallel`); it carries no
-  slice metadata and no references back to the MDB.
-* :class:`SearchPlane` — the parent-side handle: the compiled core,
-  the :class:`~repro.signals.types.SignalSlice` objects (for building
-  matches), rebuild-on-generation-change, and the shared-memory
-  export/lifecycle.
+Every compiled core is one shard of a
+:class:`~repro.cloud.shards.ShardedSearchPlane`, which owns the slice
+metadata, the refresh-on-insert lifecycle and the shared-memory
+exports; a core carries no slice metadata and no reference back to the
+MDB.  That is all a search worker needs, so :class:`PlaneShareSpec` is
+what pool workers rebuild a core from (see :mod:`repro.cloud.parallel`).
 
 Correlation values are **bit-identical** to the scalar engine on the
 direct path: norms use the same ``sqrt(max(Σx² − (Σx)²/m, 0))``
@@ -35,16 +31,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from types import TracebackType
-from typing import Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.cloud.coarse import CoarseIndex
 from repro.errors import SearchError
-from repro.mdb.mdb import MegaDatabase
-from repro.signals.types import SignalSlice
 
 #: Slices shorter than this always use direct ``np.correlate``; the
 #: default keeps the standard 1000-sample signal-sets on the
@@ -128,9 +120,6 @@ class PlaneCore:
         """Bytes of the compiled arrays (norm caches excluded)."""
         return self.samples.nbytes + self.offsets.nbytes
 
-    def slice_length(self, index: int) -> int:
-        return int(self.offsets[index + 1] - self.offsets[index])
-
     def slice_data(self, index: int) -> np.ndarray:
         """Contiguous view of slice ``index``'s samples."""
         return self.samples[self.offsets[index] : self.offsets[index + 1]]
@@ -199,9 +188,9 @@ class PlaneCore:
         decimation)``, compiling it on miss.
 
         Lives beside the norm caches with the same lifecycle: keyed on
-        this core, so a generation-driven plane rebuild (which creates
-        a fresh core) drops stale coarse grids exactly as it drops
-        stale norms.
+        this core, so a refresh that recompiles the shard (a fresh
+        core) drops stale coarse grids exactly as it drops stale
+        norms.
         """
         key = (frame_samples, decimation)
         cached = self._coarse_caches.get(key)
@@ -276,7 +265,7 @@ class PlaneCore:
 
 @dataclass(frozen=True)
 class PlaneShareSpec:
-    """Everything a worker needs to attach to a shared plane.
+    """Everything a worker needs to attach to one shared shard core.
 
     Small and cheaply picklable: the samples live in the named
     shared-memory segment, never in the spec.
@@ -286,7 +275,6 @@ class PlaneShareSpec:
     n_samples: int
     offsets: tuple[int, ...]
     fft_min_samples: int
-    generation: int
 
     def attach(self) -> tuple[PlaneCore, shared_memory.SharedMemory]:
         """Attach to the segment and rebuild a :class:`PlaneCore`.
@@ -323,174 +311,3 @@ class PlaneShareSpec:
         )
         return core, segment
 
-
-class SearchPlane:
-    """The parent-side compiled MDB: core + metadata + lifecycle.
-
-    Built from a :class:`~repro.mdb.mdb.MegaDatabase` (tracking its
-    generation counter, so :meth:`refresh` picks up later inserts) or
-    from a plain slice list (static).  Supports the context-manager
-    protocol; :meth:`close` releases the shared-memory segment if one
-    was exported.
-    """
-
-    def __init__(
-        self,
-        source: MegaDatabase | Sequence[SignalSlice],
-        fft_min_samples: int = DEFAULT_FFT_MIN_SAMPLES,
-    ) -> None:
-        self._mdb = source if isinstance(source, MegaDatabase) else None
-        self._static_slices = (
-            None if self._mdb is not None else tuple(source)
-        )
-        self.fft_min_samples = fft_min_samples
-        self.generation = 0
-        self.source_generation = -1
-        self._shm: shared_memory.SharedMemory | None = None
-        self._share_spec: PlaneShareSpec | None = None
-        self.slices: tuple[SignalSlice, ...] = ()
-        self.core: PlaneCore | None = None
-        self._rebuild()
-
-    # -- building ----------------------------------------------------
-
-    def _rebuild(self) -> None:
-        with obs.trace.span("cloud.plane.build") as span:
-            if self._mdb is not None:
-                source_generation = self._mdb.generation
-                slices = tuple(self._mdb.slices())
-            else:
-                source_generation = 0
-                slices = self._static_slices
-            if not slices:
-                raise SearchError(
-                    "cannot compile a search plane over an empty signal-set store"
-                )
-            offsets = np.zeros(len(slices) + 1, dtype=np.int64)
-            for index, sig_slice in enumerate(slices):
-                offsets[index + 1] = offsets[index] + len(sig_slice)
-            samples = np.concatenate([s.data for s in slices])
-            self.slices = slices
-            self.core = PlaneCore(
-                samples=samples,
-                offsets=offsets,
-                fft_min_samples=self.fft_min_samples,
-            )
-            self.source_generation = source_generation
-            self.generation += 1
-            self._release_shm()
-        registry = obs.metrics()
-        if registry.enabled:
-            registry.inc("cloud.plane.builds")
-            registry.observe("cloud.plane.build_s", span.elapsed_s)
-            registry.set_gauge("cloud.plane.slices", len(self.slices))
-            registry.set_gauge("cloud.plane.compiled_bytes", self.core.nbytes)
-
-    def refresh(self) -> bool:
-        """Rebuild iff the backing MDB's generation moved; True if so."""
-        if self._mdb is None:
-            return False
-        if self._mdb.generation == self.source_generation:
-            return False
-        self._rebuild()
-        return True
-
-    # -- delegation to the core --------------------------------------
-
-    @property
-    def n_slices(self) -> int:
-        return len(self.slices)
-
-    @property
-    def n_samples(self) -> int:
-        return self.core.n_samples
-
-    @property
-    def nbytes(self) -> int:
-        return self.core.nbytes
-
-    def slice_length(self, index: int) -> int:
-        return self.core.slice_length(index)
-
-    def slice_lengths(self) -> list[int]:
-        return [self.core.slice_length(i) for i in range(self.n_slices)]
-
-    def ensure_norms(self, frame_samples: int) -> PlaneNorms:
-        return self.core.ensure_norms(frame_samples)
-
-    def ensure_coarse(
-        self, frame_samples: int, decimation: int
-    ) -> CoarseIndex:
-        return self.core.ensure_coarse(frame_samples, decimation)
-
-    def correlations(
-        self,
-        index: int,
-        centered: np.ndarray,
-        norm: float,
-        cache: PlaneNorms | None = None,
-    ) -> np.ndarray:
-        return self.core.correlations(index, centered, norm, cache)
-
-    # -- shared-memory lifecycle -------------------------------------
-
-    def share(self) -> PlaneShareSpec:
-        """Export the compiled samples into shared memory (idempotent).
-
-        Returns the spec pool workers attach with; the segment belongs
-        to this plane and is released on :meth:`close` or rebuild.
-        """
-        if self._share_spec is not None:
-            return self._share_spec
-        samples = self.core.samples
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=samples.nbytes
-        )
-        shared = np.frombuffer(
-            self._shm.buf, dtype=np.float64, count=samples.size
-        )
-        shared[:] = samples
-        self._share_spec = PlaneShareSpec(
-            shm_name=self._shm.name,
-            n_samples=samples.size,
-            offsets=tuple(int(v) for v in self.core.offsets),
-            fft_min_samples=self.fft_min_samples,
-            generation=self.generation,
-        )
-        obs.metrics().set_gauge("cloud.plane.shared_bytes", samples.nbytes)
-        return self._share_spec
-
-    def _release_shm(self) -> None:
-        if self._shm is None:
-            return
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        self._shm = None
-        self._share_spec = None
-
-    def close(self) -> None:
-        """Release the shared-memory segment (the arrays stay usable)."""
-        self._release_shm()
-
-    def __enter__(self) -> "SearchPlane":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self._release_shm()
-        except Exception:
-            pass
-
-    def __len__(self) -> int:
-        return self.n_slices

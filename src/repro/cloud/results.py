@@ -49,10 +49,9 @@ class SearchResult:
     Two-stage searches additionally report ``slices_pruned`` (slices
     the coarse pass removed before the exact walk; still counted in
     ``slices_searched``) and ``coarse_elapsed_s`` (stage-1 screening
-    time, included in ``elapsed_s``).  In lossless mode the pruned
-    slices' provable walk costs stay folded into
-    ``correlations_evaluated``, so the statistic is bit-identical to a
-    single-stage search.
+    time, included in ``elapsed_s``).  ``correlations_evaluated``
+    counts only the exact walk, so a screened search reports what it
+    actually evaluated.
     """
 
     matches: list[SearchMatch] = field(default_factory=list)

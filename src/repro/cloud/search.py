@@ -14,6 +14,13 @@ Both share the identical inner loop, so their wall-clock ratio reflects
 the *algorithmic* saving (number of correlations evaluated), which is
 what the paper's ~6.8× claim is about.
 
+The engine runs two ways over the same walk: over a plain slice
+iterable (the scalar or precompute reference path) and over the
+compiled :class:`~repro.cloud.shards.ShardedSearchPlane`, one query at
+a time or a whole gateway batch in one joint walk.  The compiled path
+is bit-identical to the scalar reference; the optional coarse screen
+(``two_stage="fast"``) is the one deliberate exception.
+
 Two interpretation notes (also in DESIGN.md):
 
 * ω is the *normalised* cross-correlation — the raw dot product of
@@ -34,8 +41,8 @@ from typing import Callable, Generic, Iterable, Protocol, Sequence, TypeVar
 import numpy as np
 
 from repro import obs
-from repro.cloud.coarse import ScreenOutcome, assemble_fast, assemble_lossless
-from repro.cloud.plane import PlaneCore, PlaneNorms, SearchPlane
+from repro.cloud.coarse import ScreenOutcome, assemble_fast
+from repro.cloud.plane import PlaneCore
 from repro.cloud.results import SearchMatch, SearchResult
 from repro.cloud.shards import ShardEpoch, ShardedSearchPlane
 from repro.errors import SearchError
@@ -71,16 +78,12 @@ class SearchConfig:
     every-offset pseudocode behaviour.
 
     ``two_stage`` engages the coarse screening pass on compiled-plane
-    searches (``"off"`` | ``"lossless"`` | ``"fast"`` — see
-    :mod:`repro.cloud.coarse`): ``"lossless"`` prunes only slices whose
-    coarse upper bound provably cannot reach a hit (results stay
-    bit-identical; prune rate is data-dependent and surfaced via the
-    ``cloud.plane.coarse.*`` metrics), ``"fast"`` keeps only the
-    ``coarse_keep_fraction`` best-scoring slices (never fewer than
-    ``top_k``), trading a Fig. 11-gated sliver of quality for
-    throughput.  ``coarse_decimation`` is the block size ``D`` of the
-    decimated grid.  Raw-iterable searches (no compiled plane) ignore
-    the setting.
+    searches (``"off"`` | ``"fast"`` — see :mod:`repro.cloud.coarse`):
+    ``"fast"`` walks only the ``coarse_keep_fraction`` best-scoring
+    slices (never fewer than ``top_k``), trading a Fig. 11-gated sliver
+    of quality for throughput.  ``coarse_decimation`` is the block size
+    ``D`` of the decimated grid.  Raw-iterable searches (no compiled
+    plane) ignore the setting.
     """
 
     frame_samples: int = FRAME_SAMPLES
@@ -110,10 +113,9 @@ class SearchConfig:
             raise SearchError(f"max skip must be >= 1, got {self.max_skip}")
         if self.top_k <= 0:
             raise SearchError(f"top_k must be positive, got {self.top_k}")
-        if self.two_stage not in ("off", "lossless", "fast"):
+        if self.two_stage not in ("off", "fast"):
             raise SearchError(
-                "two_stage must be 'off', 'lossless' or 'fast', got "
-                f"{self.two_stage!r}"
+                f"two_stage must be 'off' or 'fast', got {self.two_stage!r}"
             )
         if self.two_stage != "off":
             if not (2 <= self.coarse_decimation <= self.frame_samples):
@@ -199,107 +201,33 @@ class ExponentialSkipPolicy:
         return effective.astype(np.int64)
 
 
-def lossless_walk_params(
-    policy: SkipPolicy, delta: float
-) -> tuple[float, int] | None:
-    """The coarse pass's lossless ``(prune ceiling, constant stride)``.
-
-    A slice may be pruned losslessly only when two things are provable
-    from its coarse upper bound ``u`` alone: it yields no hit, and its
-    skip walk visits a closed-form set of offsets.  For
-    :class:`FixedSkipPolicy` the trajectory never depends on ω, so the
-    ceiling is ``δ`` itself.  For :class:`ExponentialSkipPolicy`, every
-    visited ω lies in ``[0, u]``; with ``k₀ = skip(0)``, the rounded
-    clamp ``skip(ω) = clamp(round(Sα/max(ω, ε)), 1, max_skip)`` stays
-    exactly ``k₀`` for all ``ω < Sα/(k₀ − ½)`` (strict — round half to
-    even makes the boundary itself unsafe), so the ceiling is
-    ``min(δ, Sα/(k₀ − ½))`` and the stride ``k₀``; when ``k₀ = 1`` the
-    skip is 1 for *every* ω (it only shrinks as ω grows), leaving
-    ``δ`` as the ceiling.  Policies this module doesn't know return
-    ``None`` — lossless screening then keeps everything.
-    """
-    if isinstance(policy, FixedSkipPolicy):
-        return delta, policy.step
-    if isinstance(policy, ExponentialSkipPolicy):
-        stride = policy.skip(0.0)
-        if stride <= 1:
-            return delta, 1
-        theta = policy.skip_scale * policy.alpha / (stride - 0.5)
-        return min(delta, theta), stride
-    return None
-
-
-def screen_plane(
-    core: PlaneCore,
-    config: SearchConfig,
-    policy: SkipPolicy,
-    centered: np.ndarray,
-    norm: float,
-) -> ScreenOutcome | None:
-    """Run the configured coarse screen over a plane core.
-
-    Returns ``None`` when two-stage search is off or (lossless mode)
-    the policy admits no provable prune ceiling.  Shared by the
-    in-process engine and the pool workers so every execution mode
-    reaches identical per-slice verdicts.
-    """
-    mode = config.two_stage
-    if mode == "off":
-        return None
-    index = core.ensure_coarse(config.frame_samples, config.coarse_decimation)
-    if mode == "lossless":
-        params = lossless_walk_params(policy, config.delta)
-        if params is None:
-            return None
-        ceiling, stride = params
-        return index.screen_lossless(centered, norm, ceiling, stride)
-    return index.screen_fast(
-        centered, norm, config.coarse_keep_fraction, config.top_k
-    )
-
-
 def screen_shard_cores(
     cores: Sequence[PlaneCore],
     config: SearchConfig,
-    policy: SkipPolicy,
     centered: np.ndarray,
     norm: float,
 ) -> ScreenOutcome | None:
     """One *global* coarse verdict over the shard cores of one epoch.
 
-    Per-slice bounds/scores are pure per-slice functions, so each
-    shard's coarse index produces exactly the values the monolithic
-    index would (:meth:`CoarseIndex.lossless_bounds` /
-    :meth:`~CoarseIndex.fast_scores`); concatenating them in shard
-    order and assembling the verdict globally therefore reaches the
-    identical keep set — critically, fast mode's keep *count* and
-    lexsort tie-break see the whole plane, never one shard.
+    ``None`` when two-stage search is off.  Per-slice scores are pure
+    per-slice functions, so concatenating each shard's
+    :meth:`~repro.cloud.coarse.CoarseIndex.fast_scores` in shard order
+    and assembling the verdict globally reaches the same keep set for
+    every shard width — critically, the keep *count* and the lexsort
+    tie-break see the whole plane, never one shard.  Shared by the
+    in-process engine and the pool workers so every execution mode
+    reaches identical per-slice verdicts.
     """
-    mode = config.two_stage
-    if mode == "off":
+    if config.two_stage == "off":
         return None
-    indexes = [
-        core.ensure_coarse(config.frame_samples, config.coarse_decimation)
-        for core in cores
-    ]
-    if mode == "lossless":
-        params = lossless_walk_params(policy, config.delta)
-        if params is None:
-            return None
-        ceiling, stride = params
-        started = time.perf_counter()
-        bounds = np.concatenate(
-            [index.lossless_bounds(centered, norm) for index in indexes]
-        )
-        counts = np.concatenate(
-            [index.slice_offset_counts for index in indexes]
-        )
-        return assemble_lossless(
-            bounds, counts, ceiling, stride, time.perf_counter() - started
-        )
     started = time.perf_counter()
     scores = np.concatenate(
-        [index.fast_scores(centered, norm) for index in indexes]
+        [
+            core.ensure_coarse(
+                config.frame_samples, config.coarse_decimation
+            ).fast_scores(centered, norm)
+            for core in cores
+        ]
     )
     return assemble_fast(
         scores,
@@ -402,8 +330,12 @@ class PlaneWalker:
     and every float op (dots, norms, rounding, clamps) is the same
     IEEE-754 operation, merely batched.
 
-    ``indices`` restricts the bulk work to a chunk of the plane — the
-    partitioned execution path builds one walker per chunk.
+    ``parts`` lists ``(core, base, indices)`` triples: the slices
+    ``indices`` of ``core`` (all of them when ``None``) join the layout
+    in order and report hits under the global id ``base + index``.  One
+    walker therefore spans every shard of a plane (or the shards of one
+    worker chunk), so the walk over a sharded plane runs exactly the
+    rounds the one-shard walk would.
     """
 
     __slots__ = (
@@ -425,67 +357,78 @@ class PlaneWalker:
 
     def __init__(
         self,
-        core: PlaneCore,
+        parts: Sequence[tuple[PlaneCore, int, np.ndarray | None]],
         centered: np.ndarray,
         norm: float,
-        cache: PlaneNorms,
         policy: SkipPolicy,
         delta: float,
         dedupe_per_slice: bool,
-        indices: Sequence[int] | None = None,
     ) -> None:
         self._policy = policy
         self._delta = delta
         self._dedupe = dedupe_per_slice
         self._step = getattr(policy, "step", None)
-        offsets = cache.offsets
-        if indices is None or len(indices) == core.n_slices:
-            # The norm cache's concatenated layout IS the walk layout.
-            ids = np.arange(core.n_slices, dtype=np.int64)
-            starts = offsets[:-1]
-            stops = offsets[1:]
-            lengths = stops - starts
-            norms = cache.norms
-            min_norm = cache.min_norm
-        else:
-            ids = np.asarray(indices, dtype=np.int64)
-            lengths = offsets[ids + 1] - offsets[ids]
-            stops = np.cumsum(lengths)
-            starts = stops - lengths
-            parts = [
-                cache.slice_norms(int(index))
-                for index, length in zip(ids, lengths)
-                if length > 0
-            ]
-            norms = np.concatenate(parts) if parts else np.zeros(0)
-            min_norm = float(norms.min()) if norms.size else 0.0
-        self._ids = ids
-        self._starts = starts
-        self._stops = stops
-        total = int(norms.size)
-        if norm < 1e-12 or total == 0:
-            self._clamped = np.zeros(total)
-        else:
-            dots = np.concatenate(
-                [
-                    core.dots(int(index), centered)
-                    for index, length in zip(ids, lengths)
+        id_parts: list[np.ndarray] = []
+        length_parts: list[np.ndarray] = []
+        # (core, local ids, lengths, window norms, min norm) per part.
+        layout: list[tuple[PlaneCore, np.ndarray, np.ndarray, np.ndarray, float]] = []
+        for core, base, indices in parts:
+            cache = core.ensure_norms(centered.size)
+            offsets = cache.offsets
+            if indices is None or len(indices) == core.n_slices:
+                # The norm cache's concatenated layout IS the walk layout.
+                local = np.arange(core.n_slices, dtype=np.int64)
+                lengths = np.diff(offsets)
+                norms = cache.norms
+                min_norm = cache.min_norm
+            else:
+                local = np.asarray(indices, dtype=np.int64)
+                lengths = offsets[local + 1] - offsets[local]
+                pieces = [
+                    cache.slice_norms(int(index))
+                    for index, length in zip(local, lengths)
                     if length > 0
                 ]
-            )
-            denominator = norm * norms
-            if norm * min_norm >= 1e-12:
-                # No flat window anywhere (the cached minimum norm
-                # proves it), so skip the per-offset flat masking.
-                values = np.divide(dots, denominator, out=dots)
-            else:
-                flat = denominator < 1e-12
-                denominator[flat] = 1.0
-                values = np.divide(dots, denominator, out=dots)
-                values[flat] = 0.0
-            # clip(x, -1, 1) then max(·, 0) — Algorithm 1 lines 9-11 —
-            # collapses to one clip into [0, 1].
-            self._clamped = np.clip(values, 0.0, 1.0, out=values)
+                norms = np.concatenate(pieces) if pieces else np.zeros(0)
+                min_norm = float(norms.min()) if norms.size else 0.0
+            id_parts.append(local + base)
+            length_parts.append(lengths)
+            if norms.size:
+                layout.append((core, local, lengths, norms, min_norm))
+        lengths = np.concatenate(length_parts)
+        self._ids = np.concatenate(id_parts)
+        self._stops = np.cumsum(lengths)
+        self._starts = self._stops - lengths
+        total = int(self._stops[-1]) if lengths.size else 0
+        if norm < 1e-12:
+            self._clamped = np.zeros(total)
+        else:
+            # Normalise part by part, so each part's temporaries stay
+            # cache-sized, straight into its slot of the layout.
+            self._clamped = np.empty(total)
+            stop = 0
+            for core, local, lengths, norms, min_norm in layout:
+                start, stop = stop, stop + norms.size
+                dots = np.concatenate(
+                    [
+                        core.dots(int(index), centered)
+                        for index, length in zip(local, lengths)
+                        if length > 0
+                    ]
+                )
+                denominator = norm * norms
+                if norm * min_norm >= 1e-12:
+                    # No flat window in this part (the cached minimum
+                    # norm proves it), so skip the per-offset masking.
+                    values = np.divide(dots, denominator, out=dots)
+                else:
+                    flat = denominator < 1e-12
+                    denominator[flat] = 1.0
+                    values = np.divide(dots, denominator, out=dots)
+                    values[flat] = 0.0
+                # clip(x, -1, 1) then max(·, 0) — Algorithm 1 lines
+                # 9-11 — collapses to one clip into [0, 1].
+                np.clip(values, 0.0, 1.0, out=self._clamped[start:stop])
         self._nxt = None
 
     @property
@@ -777,6 +720,54 @@ def _joint_visit(walkers: Sequence[PlaneWalker]) -> list[np.ndarray]:
     return out
 
 
+def shard_walker(
+    cores: Sequence[PlaneCore],
+    bases: Sequence[int],
+    shard_ids: Iterable[int],
+    outcome: ScreenOutcome | None,
+    config: SearchConfig,
+    policy: SkipPolicy,
+    centered: np.ndarray,
+    norm: float,
+) -> tuple[PlaneWalker, int]:
+    """One query's exact-walk walker over the shards ``shard_ids``.
+
+    ``bases[k]`` is shard ``k``'s first global slice index, which maps
+    the global coarse verdict ``outcome`` (``None`` = walk every
+    slice) onto each shard.  Returns the walker plus the number of
+    slices the screen pruned from those shards.  Shared by the
+    in-process engine and the pool workers.
+    """
+    parts: list[tuple[PlaneCore, int, np.ndarray | None]] = []
+    pruned = 0
+    for k in shard_ids:
+        core = cores[k]
+        base = bases[k]
+        walk_ids: np.ndarray | None = None
+        if outcome is not None:
+            kept, n_pruned = outcome.apply(range(base, base + core.n_slices))
+            walk_ids = kept - base
+            pruned += n_pruned
+        parts.append((core, base, walk_ids))
+    walker = PlaneWalker(
+        parts, centered, norm, policy, config.delta, config.dedupe_per_slice
+    )
+    return walker, pruned
+
+
+def _offer_hits(
+    top: TopK[SearchMatch],
+    slices: Sequence[SignalSlice],
+    hits: Iterable[tuple[int, float, int]],
+) -> None:
+    """Admit walker hits ``(slice_index, ω, offset)`` as matches."""
+    for index, omega, offset in hits:
+        top.offer(
+            omega,
+            SearchMatch(sig_slice=slices[index], omega=omega, offset=offset),
+        )
+
+
 class ScalarWindowEvaluator:
     """Per-offset O(1) correlation evaluator over one slice.
 
@@ -814,11 +805,11 @@ class CorrelationSearch:
     wall-clock honestly tracks the number of correlations a device
     would evaluate.
 
-    Passing a :class:`~repro.cloud.plane.SearchPlane` instead of a
-    slice iterable (or calling :meth:`search_plane`) reuses the plane's
-    compiled arrays and cached window norms, amortising all
-    query-independent work across requests while replaying the same
-    walk.
+    Passing a :class:`~repro.cloud.shards.ShardedSearchPlane` instead
+    of a slice iterable (or calling :meth:`search_shards` /
+    :meth:`search_batch`) reuses the plane's compiled arrays and cached
+    window norms, amortising all query-independent work across
+    requests while replaying the same walk.
     """
 
     def __init__(
@@ -832,7 +823,13 @@ class CorrelationSearch:
         self.precompute = precompute
 
     def prepare_query(self, frame: np.ndarray) -> tuple[np.ndarray, float]:
-        """Validate and centre the query frame; returns (centred, norm)."""
+        """Validate and centre the query frame; returns (centred, norm).
+
+        Every search path (scalar, sharded, batched, and the
+        ``ParallelSearch`` parent) goes through here, so this is where a
+        corrupt frame is turned away with a :class:`SearchError` before
+        a NaN can reach the skip tables.
+        """
         query = np.asarray(frame, dtype=np.float64)
         if query.ndim != 1:
             raise SearchError(f"input frame must be 1-D, got shape {query.shape}")
@@ -841,25 +838,25 @@ class CorrelationSearch:
                 f"input frame must have {self.config.frame_samples} samples, "
                 f"got {query.size}"
             )
+        if not np.isfinite(query).all():
+            raise SearchError("input frame holds non-finite samples")
         centered = query - query.mean()
         return centered, float(np.linalg.norm(centered))
 
     def search(
         self,
         frame: np.ndarray,
-        slices: Iterable[SignalSlice] | SearchPlane | ShardedSearchPlane,
+        slices: Iterable[SignalSlice] | ShardedSearchPlane | ShardEpoch,
     ) -> SearchResult:
         """Return the top-K correlation set for ``frame`` over ``slices``.
 
         The frame must be the bandpass-filtered one-second input
         ``B_N`` (256 samples by default).  ``slices`` may be a plain
-        iterable of signal-sets, a compiled
-        :class:`~repro.cloud.plane.SearchPlane`, or a
-        :class:`~repro.cloud.shards.ShardedSearchPlane`.
+        iterable of signal-sets (the scalar / precompute reference
+        path), a compiled :class:`~repro.cloud.shards.ShardedSearchPlane`
+        or one of its pinned epochs (:meth:`search_shards`).
         """
-        if isinstance(slices, SearchPlane):
-            return self.search_plane(frame, slices)
-        if isinstance(slices, ShardedSearchPlane):
+        if isinstance(slices, (ShardedSearchPlane, ShardEpoch)):
             return self.search_shards(frame, slices)
         centered, norm = self.prepare_query(frame)
         result = SearchResult()
@@ -869,64 +866,6 @@ class CorrelationSearch:
                 result.slices_searched += 1
                 for match in self._scan_slice(sig_slice, centered, norm, result):
                     top.offer(match.omega, match)
-        self._finish(result, top, span)
-        return result
-
-    def search_plane(
-        self,
-        frame: np.ndarray,
-        plane: SearchPlane,
-        indices: Sequence[int] | None = None,
-    ) -> SearchResult:
-        """Top-K search over (a subset of) a compiled plane.
-
-        ``indices`` restricts the scan to those plane slices — the
-        partitioned execution path ships only chunk ids to workers.
-        Matches and statistics are bit-identical to :meth:`search` over
-        the same signal-sets.
-        """
-        centered, norm = self.prepare_query(frame)
-        cache = plane.ensure_norms(self.config.frame_samples)
-        result = SearchResult()
-        top: TopK[SearchMatch] = TopK(self.config.top_k)
-        with obs.trace.span("cloud.search") as span:
-            scan: Sequence[int] | range = (
-                indices if indices is not None else range(plane.n_slices)
-            )
-            walk_ids: Sequence[int] | range = scan
-            outcome = screen_plane(
-                plane.core, self.config, self.policy, centered, norm
-            )
-            if outcome is not None:
-                walk_ids, n_pruned, synthetic = outcome.apply(scan)
-                result.slices_pruned += n_pruned
-                result.correlations_evaluated += synthetic
-                result.coarse_elapsed_s += outcome.elapsed_s
-                self._publish_screen(outcome, len(scan), n_pruned)
-            walker = PlaneWalker(
-                plane.core,
-                centered,
-                norm,
-                cache,
-                self.policy,
-                self.config.delta,
-                self.config.dedupe_per_slice,
-                indices=walk_ids,
-            )
-            hits, evaluated, above = walker.walk_all()
-            result.slices_searched += len(scan)
-            result.correlations_evaluated += evaluated
-            result.candidates_above_threshold += above
-            slices = plane.slices
-            for index, omega, offset in hits:
-                top.offer(
-                    omega,
-                    SearchMatch(
-                        sig_slice=slices[index],
-                        omega=omega,
-                        offset=offset,
-                    ),
-                )
         self._finish(result, top, span)
         return result
 
@@ -943,10 +882,9 @@ class CorrelationSearch:
         shard cores, then scatters the exact walk across the shards in
         ascending order and merges their hits into one heap.  Ascending
         shard order concatenated with each walker's scan-order hits *is*
-        the monolithic admission order, so heap tie-breaks — and with
-        them matches, ω values, offsets and statistics — are
-        bit-identical to :meth:`search_plane` over the equivalent
-        monolithic plane.
+        the sequential scan's admission order, so heap tie-breaks — and
+        with them matches, ω values, offsets and statistics — are
+        bit-identical to :meth:`search` over the plain slice list.
 
         ``shard_ids`` restricts the walk to those shards — the
         shard-partitioned execution path ships only shard ids to
@@ -956,60 +894,33 @@ class CorrelationSearch:
         centered, norm = self.prepare_query(frame)
         result = SearchResult()
         top: TopK[SearchMatch] = TopK(self.config.top_k)
-        merge_s = 0.0
         with obs.trace.span("cloud.search") as span:
             cores = [shard.core for shard in epoch.shards]
-            scan_shards: Sequence[int] | range = (
-                shard_ids if shard_ids is not None else range(len(cores))
+            scan = range(len(cores)) if shard_ids is None else shard_ids
+            outcome = screen_shard_cores(cores, self.config, centered, norm)
+            walker, result.slices_pruned = shard_walker(
+                cores,
+                epoch.bases,
+                scan,
+                outcome,
+                self.config,
+                self.policy,
+                centered,
+                norm,
             )
-            outcome = screen_shard_cores(
-                cores, self.config, self.policy, centered, norm
-            )
-            scanned = 0
-            hits_global: list[tuple[int, float, int]] = []
-            for k in scan_shards:
-                core = cores[k]
-                base = epoch.bases[k]
-                scan = range(base, base + core.n_slices)
-                walk_ids: Sequence[int] | None = None
-                if outcome is not None:
-                    kept, n_pruned, synthetic = outcome.apply(scan)
-                    result.slices_pruned += n_pruned
-                    result.correlations_evaluated += synthetic
-                    walk_ids = kept - base
-                walker = PlaneWalker(
-                    core,
-                    centered,
-                    norm,
-                    core.ensure_norms(self.config.frame_samples),
-                    self.policy,
-                    self.config.delta,
-                    self.config.dedupe_per_slice,
-                    indices=walk_ids,
-                )
-                hits, evaluated, above = walker.walk_all()
-                result.correlations_evaluated += evaluated
-                result.candidates_above_threshold += above
-                scanned += len(scan)
-                hits_global.extend(
-                    (base + index, omega, offset)
-                    for index, omega, offset in hits
-                )
-            result.slices_searched += scanned
+            (
+                hits,
+                result.correlations_evaluated,
+                result.candidates_above_threshold,
+            ) = walker.walk_all()
+            result.slices_searched = sum(cores[k].n_slices for k in scan)
             if outcome is not None:
-                result.coarse_elapsed_s += outcome.elapsed_s
-                self._publish_screen(outcome, scanned, result.slices_pruned)
-            merge_started = time.perf_counter()
-            slices = epoch.slices
-            for index, omega, offset in hits_global:
-                top.offer(
-                    omega,
-                    SearchMatch(
-                        sig_slice=slices[index],
-                        omega=omega,
-                        offset=offset,
-                    ),
+                result.coarse_elapsed_s = outcome.elapsed_s
+                self._publish_screen(
+                    outcome, result.slices_searched, result.slices_pruned
                 )
+            merge_started = time.perf_counter()
+            _offer_hits(top, epoch.slices, hits)
             merge_s = time.perf_counter() - merge_started
         self._finish(result, top, span)
         registry = obs.metrics()
@@ -1020,179 +931,55 @@ class CorrelationSearch:
     def search_batch(
         self,
         frames: Sequence[np.ndarray],
-        plane: SearchPlane | ShardedSearchPlane | ShardEpoch,
-    ) -> list[SearchResult]:
-        """Serve many queries over one compiled plane in a single walk.
-
-        The per-query vectorised preparation (dots, normalisation,
-        successor tables) still runs once per frame — it depends on the
-        query — but the skip walks of *all* queries advance together in
-        one level-synchronous loop (:func:`_joint_visit`), so the
-        per-round vector-op overhead is paid once per batch instead of
-        once per request.  Each returned :class:`SearchResult` is
-        bit-identical to :meth:`search_plane` over the same frame:
-        identical matches, offsets, ω values and statistics.
-
-        Policies without a successor table (no ``step``/``skip_table``)
-        fall back to independent per-query walks.
-        """
-        if not frames:
-            return []
-        if isinstance(plane, (ShardedSearchPlane, ShardEpoch)):
-            return self._search_batch_shards(frames, plane)
-        prepared = [self.prepare_query(frame) for frame in frames]
-        cache = plane.ensure_norms(self.config.frame_samples)
-        results: list[SearchResult] = []
-        tops: list[TopK[SearchMatch]] = []
-        with obs.trace.span("cloud.search_batch", queries=len(frames)) as span:
-            walkers: list[PlaneWalker] = []
-            # Per-query (pruned, synthetic evaluations, stage-1 time):
-            # each query is screened before its layout is built, so the
-            # joint walk stacks only surviving slices.
-            screened: list[tuple[int, int, float]] = []
-            for centered, norm in prepared:
-                outcome = screen_plane(
-                    plane.core, self.config, self.policy, centered, norm
-                )
-                walk_ids: Sequence[int] | None = None
-                if outcome is None:
-                    screened.append((0, 0, 0.0))
-                else:
-                    kept, n_pruned, synthetic = outcome.apply(
-                        range(plane.n_slices)
-                    )
-                    walk_ids = kept
-                    screened.append(
-                        (n_pruned, synthetic, outcome.elapsed_s)
-                    )
-                    self._publish_screen(outcome, plane.n_slices, n_pruned)
-                walkers.append(
-                    PlaneWalker(
-                        plane.core,
-                        centered,
-                        norm,
-                        cache,
-                        self.policy,
-                        self.config.delta,
-                        self.config.dedupe_per_slice,
-                        indices=walk_ids,
-                    )
-                )
-            stacked = sum(walker.total_positions for walker in walkers)
-            if (
-                len(walkers) > 1
-                and stacked <= _JOINT_POSITION_BUDGET
-                and getattr(self.policy, "step", None) is None
-                and getattr(self.policy, "skip_table", None) is not None
-            ):
-                visited = _joint_visit(walkers)
-                walked = [
-                    walker.classify_visited(positions)
-                    for walker, positions in zip(walkers, visited)
-                ]
-            else:
-                walked = [walker.walk_all() for walker in walkers]
-            slices = plane.slices
-            for (hits, evaluated, above), (n_pruned, synthetic, coarse_s) in zip(
-                walked, screened
-            ):
-                result = SearchResult()
-                result.slices_searched = plane.n_slices
-                result.correlations_evaluated = evaluated + synthetic
-                result.candidates_above_threshold = above
-                result.slices_pruned = n_pruned
-                result.coarse_elapsed_s = coarse_s
-                top: TopK[SearchMatch] = TopK(self.config.top_k)
-                for index, omega, offset in hits:
-                    top.offer(
-                        omega,
-                        SearchMatch(
-                            sig_slice=slices[index],
-                            omega=omega,
-                            offset=offset,
-                        ),
-                    )
-                results.append(result)
-                tops.append(top)
-        for result, top in zip(results, tops):
-            self._finish(result, top, span)
-        registry = obs.metrics()
-        if registry.enabled:
-            registry.inc("cloud.search.batches")
-            registry.observe("cloud.search.batch_size", float(len(frames)))
-        return results
-
-    def _search_batch_shards(
-        self,
-        frames: Sequence[np.ndarray],
         source: ShardedSearchPlane | ShardEpoch,
     ) -> list[SearchResult]:
-        """The sharded twin of :meth:`search_batch`.
+        """Serve many queries over one sharded plane in a single walk.
 
         Pins one epoch for the *whole* batch — the per-batch
         generation-pinning contract the gateway relies on: a refresh
         landing mid-batch cannot swap cores under queries already
-        prepared against the pinned epoch.  Every query's ``(query,
-        shard)`` walkers are stacked into the same joint
-        level-synchronous walk the monolithic batch path uses (a
-        walker's layout interval is disjoint regardless of which query
-        or shard it serves), then each query's per-shard hits are
-        merged in ascending shard order — the monolithic admission
-        order — so batched sharded results stay bit-identical to
-        :meth:`search_plane` per frame.
+        prepared against the pinned epoch.  The per-query vectorised
+        preparation (dots, normalisation) still runs once per frame —
+        it depends on the query — but every query's walker (spanning all
+        shards) advances together in one level-synchronous loop
+        (:func:`_joint_visit`; each walker's layout interval is
+        disjoint), so the per-round vector-op overhead is paid once per
+        batch instead of once per request.  Every returned
+        :class:`SearchResult` is bit-identical to :meth:`search` over
+        the same frame.
+
+        Fixed-step and table-less policies (no ``skip_table``), and
+        stacks past the position budget, walk one query at a time.
         """
+        if not frames:
+            return []
         epoch = source.pin() if isinstance(source, ShardedSearchPlane) else source
         prepared = [self.prepare_query(frame) for frame in frames]
         cores = [shard.core for shard in epoch.shards]
-        caches = [
-            core.ensure_norms(self.config.frame_samples) for core in cores
-        ]
-        n_shards = len(cores)
+        every_shard = range(len(cores))
         results: list[SearchResult] = []
         tops: list[TopK[SearchMatch]] = []
-        merge_s = 0.0
         with obs.trace.span("cloud.search_batch", queries=len(frames)) as span:
-            walkers: list[PlaneWalker] = []  # query-major, shard-minor
-            screened: list[tuple[int, int, float]] = []
+            walkers: list[PlaneWalker] = []
+            screened: list[tuple[int, float]] = []  # (pruned, stage-1 s)
             for centered, norm in prepared:
-                outcome = screen_shard_cores(
-                    cores, self.config, self.policy, centered, norm
+                outcome = screen_shard_cores(cores, self.config, centered, norm)
+                walker, pruned = shard_walker(
+                    cores,
+                    epoch.bases,
+                    every_shard,
+                    outcome,
+                    self.config,
+                    self.policy,
+                    centered,
+                    norm,
                 )
-                per_shard_ids: list[np.ndarray | None]
+                walkers.append(walker)
                 if outcome is None:
-                    screened.append((0, 0, 0.0))
-                    per_shard_ids = [None] * n_shards
+                    screened.append((0, 0.0))
                 else:
-                    per_shard_ids = []
-                    pruned_total = 0
-                    synthetic_total = 0
-                    for k, core in enumerate(cores):
-                        base = epoch.bases[k]
-                        kept, n_pruned, synthetic = outcome.apply(
-                            range(base, base + core.n_slices)
-                        )
-                        per_shard_ids.append(kept - base)
-                        pruned_total += n_pruned
-                        synthetic_total += synthetic
-                    screened.append(
-                        (pruned_total, synthetic_total, outcome.elapsed_s)
-                    )
-                    self._publish_screen(
-                        outcome, epoch.n_slices, pruned_total
-                    )
-                walkers.extend(
-                    PlaneWalker(
-                        core,
-                        centered,
-                        norm,
-                        caches[k],
-                        self.policy,
-                        self.config.delta,
-                        self.config.dedupe_per_slice,
-                        indices=per_shard_ids[k],
-                    )
-                    for k, core in enumerate(cores)
-                )
+                    screened.append((pruned, outcome.elapsed_s))
+                    self._publish_screen(outcome, epoch.n_slices, pruned)
             stacked = sum(walker.total_positions for walker in walkers)
             if (
                 len(walkers) > 1
@@ -1208,32 +995,18 @@ class CorrelationSearch:
             else:
                 walked = [walker.walk_all() for walker in walkers]
             merge_started = time.perf_counter()
-            slices = epoch.slices
-            for q in range(len(frames)):
-                n_pruned, synthetic, coarse_s = screened[q]
-                result = SearchResult()
-                result.slices_searched = epoch.n_slices
-                result.slices_pruned = n_pruned
-                result.coarse_elapsed_s = coarse_s
-                evaluated_total = 0
-                above_total = 0
+            for (hits, evaluated, above), (pruned, coarse_s) in zip(
+                walked, screened
+            ):
+                result = SearchResult(
+                    correlations_evaluated=evaluated,
+                    slices_searched=epoch.n_slices,
+                    candidates_above_threshold=above,
+                    slices_pruned=pruned,
+                    coarse_elapsed_s=coarse_s,
+                )
                 top: TopK[SearchMatch] = TopK(self.config.top_k)
-                for k in range(n_shards):
-                    hits, evaluated, above = walked[q * n_shards + k]
-                    evaluated_total += evaluated
-                    above_total += above
-                    base = epoch.bases[k]
-                    for index, omega, offset in hits:
-                        top.offer(
-                            omega,
-                            SearchMatch(
-                                sig_slice=slices[base + index],
-                                omega=omega,
-                                offset=offset,
-                            ),
-                        )
-                result.correlations_evaluated = evaluated_total + synthetic
-                result.candidates_above_threshold = above_total
+                _offer_hits(top, epoch.slices, hits)
                 results.append(result)
                 tops.append(top)
             merge_s = time.perf_counter() - merge_started
@@ -1299,14 +1072,7 @@ class CorrelationSearch:
             registry.observe(
                 "cloud.plane.coarse.prune_rate", pruned / scanned
             )
-        if outcome.mode == "lossless":
-            registry.observe(
-                "cloud.plane.coarse.bound_margin", outcome.margin
-            )
-        else:
-            registry.observe(
-                "cloud.plane.coarse.keep_floor", outcome.margin
-            )
+        registry.observe("cloud.plane.coarse.keep_floor", outcome.keep_floor)
         registry.observe("cloud.search.stage1_s", outcome.elapsed_s)
 
     def _scan_slice(

@@ -9,9 +9,9 @@ Unlike the old materialise-at-construction snapshot, the server is
 never stale: every :meth:`handle_frame` (and an explicit
 :meth:`refresh`) compares the MDB's generation counter against the
 plane's and recompiles when signal-sets were inserted or removed —
-a cheap integer comparison on the no-change path.  With the default
-:class:`~repro.cloud.shards.ShardedSearchPlane` a refresh recompiles
-**only the delta shards** (content-addressed reuse), so an
+a cheap integer comparison on the no-change path.  The
+:class:`~repro.cloud.shards.ShardedSearchPlane` recompiles **only the
+delta shards** on a refresh (content-addressed reuse), so an
 online-growing MDB adopts new slices without a serving pause, and the
 plane reference is pinned once per request/batch so a refresh racing an
 in-flight gateway batch can never mix generations within one batch.
@@ -24,7 +24,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from repro import obs
-from repro.cloud.plane import SearchPlane
 from repro.cloud.results import SearchResult
 from repro.cloud.search import SearchConfig, SlidingWindowSearch
 from repro.cloud.shards import DEFAULT_SHARD_SLICES, ShardedSearchPlane
@@ -43,9 +42,7 @@ class SearchEngine(Protocol):
     """
 
     def search(
-        self,
-        frame: np.ndarray,
-        slices: SearchPlane | ShardedSearchPlane | Sequence[SignalSlice],
+        self, frame: np.ndarray, slices: ShardedSearchPlane
     ) -> SearchResult:
         ...
 
@@ -55,24 +52,19 @@ class CloudServer:
 
     An MDB or slice list is compiled into a
     :class:`~repro.cloud.shards.ShardedSearchPlane` (``shard_slices``
-    slices per content-addressed shard); a pre-built plane — sharded or
-    monolithic — is served as-is.
+    slices per content-addressed shard); a pre-built plane is served
+    as-is.
     """
 
     def __init__(
         self,
-        mdb: (
-            MegaDatabase
-            | list[SignalSlice]
-            | SearchPlane
-            | ShardedSearchPlane
-        ),
+        mdb: MegaDatabase | list[SignalSlice] | ShardedSearchPlane,
         search: SearchEngine | None = None,
         timing: TimingModel | None = None,
         shard_slices: int = DEFAULT_SHARD_SLICES,
     ) -> None:
-        self.plane: SearchPlane | ShardedSearchPlane
-        if isinstance(mdb, (SearchPlane, ShardedSearchPlane)):
+        self.plane: ShardedSearchPlane
+        if isinstance(mdb, ShardedSearchPlane):
             self.plane = mdb
         else:
             if not len(mdb):

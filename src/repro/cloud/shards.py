@@ -1,11 +1,9 @@
 """The sharded MDB search plane with incremental compilation.
 
-:class:`~repro.cloud.plane.SearchPlane` recompiles the **whole** MDB on
-every generation bump: one monolithic :class:`PlaneCore` whose norm and
-coarse caches are dropped wholesale, so an online-growing MDB (the
-paper's implied clinical workflow — new labelled slices adopted at
-runtime) pays a serving pause proportional to the *entire* store on
-every insert.  This module shards the compiled plane instead:
+This is the one compiled plane type: every search over compiled arrays
+— in-process, batched or pooled — runs over a
+:class:`ShardedSearchPlane`.  A monolithic plane is simply the
+one-shard case (``shard_slices >= n_slices``).
 
 * slices are grouped into fixed-size runs (``shard_slices`` per shard)
   and each run is compiled into its own independent
@@ -14,9 +12,12 @@ every insert.  This module shards the compiled plane instead:
 * shards are **content-addressed** (the slice-dedup pattern of
   :mod:`repro.edge.fleet`): a shard's identity is a digest over its
   member slices' identity metadata, kept in a registry keyed by that
-  digest.  A refresh recompiles only the shards whose content changed —
-  for an append-only MDB that is the trailing shard — and *reuses* the
-  untouched shards, caches and all;
+  digest.  A refresh after an MDB insert recompiles only the shards
+  whose content changed — for an append-only MDB that is the trailing
+  shard — and *reuses* the untouched shards, caches and all, so an
+  online-growing MDB (the paper's implied clinical workflow — new
+  labelled slices adopted at runtime) never pays a whole-store
+  recompile;
 * every refresh builds a fresh immutable :class:`ShardEpoch` and
   installs it with a single attribute assignment.  Readers ``pin()``
   the epoch once per request/batch, so an insert arriving mid-batch
@@ -26,11 +27,13 @@ every insert.  This module shards the compiled plane instead:
 Search engines scatter queries across the shard cores and merge the
 per-shard top-K with deterministic lower-slice-id tie-breaks (shards
 are walked in ascending order, so the global admission sequence is
-exactly the monolithic scan order).  Results are **bit-identical** to
-the monolithic plane: every per-slice quantity (dots, norms, walks) is
-a pure function of that slice's samples, and the screening/merge
-passes apply the same global selections over concatenated per-shard
-arrays (``tests/test_cloud_shards.py`` asserts it under hypothesis).
+exactly the sequential scan order).  Results are therefore
+**bit-identical** for every shard width and, single-stage, equal to
+the scalar reference engines: every per-slice quantity (dots, norms, walks) is a
+pure function of that slice's samples, and the screening/merge passes
+apply the same global selections over concatenated per-shard arrays
+(``tests/test_cloud_differential.py`` and ``tests/test_cloud_shards.py``
+assert both under hypothesis).
 """
 
 from __future__ import annotations
@@ -160,7 +163,6 @@ class PlaneShard:
             n_samples=samples.size,
             offsets=tuple(int(v) for v in self.core.offsets),
             fft_min_samples=self.core.fft_min_samples,
-            generation=0,
         )
         return self._spec
 
@@ -225,9 +227,6 @@ class ShardEpoch:
     def nbytes(self) -> int:
         return sum(shard.core.nbytes for shard in self.shards)
 
-    def slice_lengths(self) -> list[int]:
-        return [len(sig_slice) for sig_slice in self.slices]
-
     def shard_sample_counts(self) -> list[int]:
         """Per-shard total sample counts (the partitioning weights)."""
         return [shard.core.n_samples for shard in self.shards]
@@ -236,11 +235,13 @@ class ShardEpoch:
 class ShardedSearchPlane:
     """The sharded, incrementally compiled MDB plane.
 
-    Drop-in for :class:`~repro.cloud.plane.SearchPlane` wherever the
-    consumer goes through a search engine (``CorrelationSearch``,
-    ``ParallelSearch``, ``CloudServer``): same ``refresh``/``close``/
-    context-manager lifecycle, same delegation surface.  Differs in
-    the two properties that matter at fleet scale:
+    Built from a :class:`~repro.mdb.mdb.MegaDatabase` (tracking its
+    generation counter, so :meth:`refresh` picks up later inserts) or
+    from a plain slice list (static).  Consumed through a search engine
+    (``CorrelationSearch``, ``ParallelSearch``, ``CloudServer``);
+    supports the context-manager protocol, and :meth:`close` releases
+    the shards' shared-memory segments.  Two properties matter at
+    fleet scale:
 
     * :meth:`refresh` compiles **only the delta shards** — content
       hashes decide reuse, so an append-only insert recompiles one
@@ -407,9 +408,6 @@ class ShardedSearchPlane:
     def registry_size(self) -> int:
         """Content-addressed shards currently held for reuse."""
         return len(self._registry)
-
-    def slice_lengths(self) -> list[int]:
-        return self._epoch.slice_lengths()
 
     # -- shared-memory lifecycle -------------------------------------
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cloud.plane import SearchPlane
 from repro.cloud.search import ExhaustiveSearch, SearchConfig, SlidingWindowSearch
+from repro.cloud.shards import ShardedSearchPlane
 from repro.errors import EMAPError
 from repro.eval.experiments.common import (
     ExperimentFixture,
@@ -98,8 +98,8 @@ def run(
     algorithm1 = SlidingWindowSearch(
         SearchConfig(two_stage=two_stage), precompute=True
     )
-    store: SearchPlane | list[SignalSlice] = (
-        SearchPlane(fix.slices) if two_stage != "off" else fix.slices
+    store: ShardedSearchPlane | list[SignalSlice] = (
+        ShardedSearchPlane(fix.slices) if two_stage != "off" else fix.slices
     )
     result = SearchQualityResult()
 

@@ -69,8 +69,8 @@ class SoakConfig:
     max_queue_high_water: int = 1024
     n_frames: int = 32
     seed: int = 0
-    #: Two-stage search mode for the soaked server ("off", "lossless",
-    #: or "fast") — lets the soak lane exercise the coarse screen under
+    #: Two-stage search mode for the soaked server ("off" or "fast") —
+    #: lets the soak lane exercise the coarse screen under
     #: chaos without changing the gate semantics.
     two_stage: str = "off"
 
@@ -79,10 +79,9 @@ class SoakConfig:
             raise GatewayError(
                 f"mdb scale must be in (0, 1], got {self.mdb_scale}"
             )
-        if self.two_stage not in ("off", "lossless", "fast"):
+        if self.two_stage not in ("off", "fast"):
             raise GatewayError(
-                f"two-stage mode must be off/lossless/fast, got "
-                f"{self.two_stage!r}"
+                f"two-stage mode must be off/fast, got {self.two_stage!r}"
             )
         if not (0.0 <= self.max_faulted_failure_ratio <= 1.0):
             raise GatewayError(

@@ -15,6 +15,7 @@ import numpy as np
 from repro.errors import MDBError
 from repro.mdb.schema import SLICE_COLLECTION, slice_from_document
 from repro.signals.types import AnomalyType, SignalSlice
+from repro.storage.documents import ID_FIELD
 from repro.storage.persistence import load_store, save_store
 from repro.storage.store import Collection, DocumentStore
 
@@ -28,6 +29,12 @@ class MegaDatabase:
         for fieldname in ("label", "dataset", "anomalous"):
             if fieldname not in collection.indexed_fields:
                 collection.create_index(fieldname)
+        # Decoded signal-sets by document id, valid while the collection
+        # is at ``_decoded_version``: inserts through this facade keep
+        # it valid (documents are immutable once inserted), any other
+        # write moves the version and drops it.
+        self._decoded: dict[Any, SignalSlice] = {}
+        self._decoded_version = collection.data_version
 
     @property
     def _slices(self) -> Collection:
@@ -53,7 +60,10 @@ class MegaDatabase:
         samples = document.get("samples")
         if samples is None or np.asarray(samples).ndim != 1:
             raise MDBError("slice document must carry a 1-D 'samples' array")
+        in_sync = self._decoded_version == self._slices.data_version
         self._slices.insert_one(document)
+        if in_sync:
+            self._decoded_version = self._slices.data_version
 
     def clear(self) -> None:
         """Remove every signal-set."""
@@ -67,14 +77,27 @@ class MegaDatabase:
         dataset: str | None = None,
         limit: int | None = None,
     ) -> Iterator[SignalSlice]:
-        """Iterate signal-sets, optionally filtered by label or dataset."""
+        """Iterate signal-sets, optionally filtered by label or dataset.
+
+        Each document is decoded once and the slice reused by later
+        calls, so a compiled plane refreshing after an insert pays only
+        for the new documents.
+        """
         query: dict[str, Any] = {}
         if label is not None:
             query["label"] = label.value
         if dataset is not None:
             query["dataset"] = dataset
-        for document in self._slices.find(query, limit=limit):
-            yield slice_from_document(document)
+        collection = self._slices
+        if self._decoded_version != collection.data_version:
+            self._decoded.clear()
+            self._decoded_version = collection.data_version
+        for document in collection.find(query, limit=limit):
+            key = document[ID_FIELD]
+            sig_slice = self._decoded.get(key)
+            if sig_slice is None:
+                sig_slice = self._decoded[key] = slice_from_document(document)
+            yield sig_slice
 
     def subset(self, n_slices: int, seed: int = 0) -> list[SignalSlice]:
         """A deterministic random subset of ``n_slices`` signal-sets.

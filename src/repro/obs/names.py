@@ -48,7 +48,6 @@ METRIC_NAMES: dict[str, str] = {
     "cloud.plane.coarse.screens": "counter",
     "cloud.plane.coarse.slices_pruned": "counter",
     "cloud.plane.coarse.prune_rate": "histogram",
-    "cloud.plane.coarse.bound_margin": "histogram",
     "cloud.plane.coarse.keep_floor": "histogram",
     "cloud.plane.shard.count": "gauge",
     "cloud.plane.shard.compiled": "counter",

@@ -1,30 +1,20 @@
 """Tests for the coarse screening pass of the two-stage plane search.
 
-Covers the lossless bound's soundness (a pruned slice provably holds
-no hit), the ceiling/stride math per skip policy, fast-mode
-determinism, coarse-cache accounting and generation-driven
-invalidation (a document inserted mid-run must never be screened
-against stale coarse summaries), and the config surface.
+Covers fast-mode determinism and keep-count rules, coarse-cache
+accounting and generation-driven invalidation (a document inserted
+mid-run must never be screened against stale coarse summaries), and
+the config surface.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.cloud.coarse import BOUND_SLACK, CoarseIndex, _segment_max
-from repro.cloud.plane import SearchPlane
-from repro.cloud.search import (
-    ExhaustiveSearch,
-    ExponentialSkipPolicy,
-    FixedSkipPolicy,
-    SearchConfig,
-    _full_correlations,
-    lossless_walk_params,
-    screen_plane,
-)
+from repro.cloud.coarse import CoarseIndex, _segment_max
+from repro.cloud.plane import PlaneCore
+from repro.cloud.search import ExhaustiveSearch, SearchConfig
+from repro.cloud.shards import ShardedSearchPlane
 from repro.errors import SearchError
 from repro.mdb.mdb import MegaDatabase
 from repro.mdb.schema import slice_to_document
@@ -52,9 +42,10 @@ def _centered(frame: np.ndarray) -> tuple[np.ndarray, float]:
     return centered, float(np.linalg.norm(centered))
 
 
-def _exact_max_omega(sig_slice: SignalSlice, frame: np.ndarray) -> float:
-    centered, norm = _centered(frame)
-    return float(_full_correlations(centered, norm, sig_slice.data).max())
+def _core(slices: list[SignalSlice]) -> PlaneCore:
+    """The single compiled core of a one-shard plane over ``slices``."""
+    plane = ShardedSearchPlane(slices, shard_slices=len(slices))
+    return plane.pin().shards[0].core
 
 
 class TestSegmentMax:
@@ -69,117 +60,18 @@ class TestSegmentMax:
         np.testing.assert_array_equal(out, [-np.inf, -np.inf])
 
 
-class TestLosslessBound:
-    """Soundness: a pruned slice's exact best ω is below the ceiling."""
-
-    @given(
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        decimation=st.sampled_from([2, 5, 8, 13, 32]),
-        samples=st.sampled_from([96, 256, 300]),
-    )
-    @settings(max_examples=12, deadline=None)
-    def test_pruned_slices_hold_no_hit(self, seed, decimation, samples):
-        slices = _random_slices(seed, n=10)
-        plane = SearchPlane(slices)
-        index = plane.ensure_coarse(samples, decimation)
-        frame = np.random.default_rng(seed + 5).standard_normal(samples)
-        centered, norm = _centered(frame)
-        for ceiling in (0.05, 0.2, 0.5, 0.9):
-            outcome = index.screen_lossless(centered, norm, ceiling, stride=3)
-            for i, sig_slice in enumerate(slices):
-                if len(sig_slice) < samples or outcome.keep[i]:
-                    continue
-                assert _exact_max_omega(sig_slice, frame) < ceiling
-                # Pruned slices carry their provable walk cost.
-                n_off = len(sig_slice) - samples + 1
-                assert outcome.synthetic[i] == (n_off - 1) // 3 + 1
-
-    def test_planted_window_is_never_pruned(self):
-        """ω = 1 beats any ceiling ≤ 1, so the slice must be kept."""
-        slices = _random_slices(3, n=8, min_len=600, max_len=800)
-        frame = slices[5].data[211 : 211 + 256].copy()
-        plane = SearchPlane(slices)
-        index = plane.ensure_coarse(256, 8)
-        centered, norm = _centered(frame)
-        outcome = index.screen_lossless(centered, norm, ceiling=0.999, stride=1)
-        assert outcome.keep[5]
-
-    def test_flat_query_prunes_everything(self):
-        """A zero-variance frame correlates to exactly 0 everywhere."""
-        plane = SearchPlane(_random_slices(4, n=6, min_len=300))
-        index = plane.ensure_coarse(256, 8)
-        frame = np.full(256, 2.5)
-        centered, norm = _centered(frame)
-        outcome = index.screen_lossless(centered, norm, ceiling=0.5, stride=2)
-        assert not outcome.keep.any()
-
-    def test_bound_dominates_exact_best(self):
-        """A ceiling just below a slice's exact best ω must keep it —
-        the coarse bound really is an upper bound, not a heuristic."""
-        slices = _random_slices(6, n=6, min_len=400, max_len=700)
-        plane = SearchPlane(slices)
-        index = plane.ensure_coarse(256, 8)
-        frame = np.random.default_rng(61).standard_normal(256)
-        centered, norm = _centered(frame)
-        for i, sig_slice in enumerate(slices):
-            best = _exact_max_omega(sig_slice, frame)
-            below = index.screen_lossless(
-                centered, norm, best - 1e-6, stride=1
-            )
-            assert below.keep[i]  # ub >= exact best >= ceiling
-        assert BOUND_SLACK > 0
-
-
-class TestLosslessWalkParams:
-    def test_fixed_policy_uses_delta(self):
-        assert lossless_walk_params(FixedSkipPolicy(4), 0.8) == (0.8, 4)
-
-    def test_exponential_unit_skip_keeps_delta(self):
-        policy = ExponentialSkipPolicy(alpha=0.004, skip_scale=135.0, max_skip=1)
-        assert policy.skip(0.0) == 1
-        assert lossless_walk_params(policy, 0.7) == (0.7, 1)
-
-    def test_exponential_ceiling_is_stride_safe(self):
-        """Every ω strictly below the ceiling rounds to the same skip."""
-        policy = ExponentialSkipPolicy(alpha=0.004, skip_scale=135.0, max_skip=250)
-        params = lossless_walk_params(policy, 0.8)
-        assert params is not None
-        ceiling, stride = params
-        assert stride == policy.skip(0.0)
-        for omega in np.linspace(0.0, ceiling, 500, endpoint=False):
-            assert policy.skip(float(omega)) == stride
-
-    def test_unknown_policy_disables_pruning(self):
-        class Weird:
-            def skip(self, omega: float) -> int:
-                return 2
-
-        assert lossless_walk_params(Weird(), 0.8) is None
-        slices = _random_slices(7, n=4, min_len=300)
-        plane = SearchPlane(slices)
-        frame = np.random.default_rng(70).standard_normal(256)
-        centered, norm = _centered(frame)
-        config = SearchConfig(two_stage="lossless")
-        assert (
-            screen_plane(plane.core, config, Weird(), centered, norm) is None
-        )
-
-
 class TestFastScreen:
     def test_deterministic_and_floor_respected(self):
-        plane = SearchPlane(_random_slices(8, n=20, min_len=300))
-        index = plane.ensure_coarse(256, 8)
+        index = _core(_random_slices(8, n=20, min_len=300)).ensure_coarse(256, 8)
         frame = np.random.default_rng(80).standard_normal(256)
         centered, norm = _centered(frame)
         first = index.screen_fast(centered, norm, keep_fraction=0.3, min_keep=2)
         second = index.screen_fast(centered, norm, keep_fraction=0.3, min_keep=2)
         np.testing.assert_array_equal(first.keep, second.keep)
         assert first.keep.sum() == max(2, int(np.ceil(0.3 * 20)))
-        assert not first.synthetic.any()  # fast mode never fakes stats
 
     def test_min_keep_wins_over_tiny_fraction(self):
-        plane = SearchPlane(_random_slices(9, n=10, min_len=300))
-        index = plane.ensure_coarse(256, 8)
+        index = _core(_random_slices(9, n=10, min_len=300)).ensure_coarse(256, 8)
         centered, norm = _centered(
             np.random.default_rng(90).standard_normal(256)
         )
@@ -189,8 +81,7 @@ class TestFastScreen:
         assert outcome.keep.sum() == 7
 
     def test_full_fraction_keeps_all(self):
-        plane = SearchPlane(_random_slices(10, n=5, min_len=300))
-        index = plane.ensure_coarse(256, 8)
+        index = _core(_random_slices(10, n=5, min_len=300)).ensure_coarse(256, 8)
         centered, norm = _centered(
             np.random.default_rng(100).standard_normal(256)
         )
@@ -201,28 +92,27 @@ class TestFastScreen:
 
     def test_chunked_verdict_matches_whole_plane(self):
         """apply() over any partition reproduces the global decision."""
-        plane = SearchPlane(_random_slices(11, n=16, min_len=300))
-        index = plane.ensure_coarse(256, 8)
+        index = _core(_random_slices(11, n=16, min_len=300)).ensure_coarse(256, 8)
         centered, norm = _centered(
             np.random.default_rng(110).standard_normal(256)
         )
         outcome = index.screen_fast(
             centered, norm, keep_fraction=0.25, min_keep=2
         )
-        whole, _, _ = outcome.apply(range(16))
+        whole, _ = outcome.apply(range(16))
         parts = [outcome.apply(range(0, 7))[0], outcome.apply(range(7, 16))[0]]
         np.testing.assert_array_equal(whole, np.concatenate(parts))
 
 
 class TestCoarseCacheLifecycle:
     def test_hit_miss_accounting(self):
-        plane = SearchPlane(_random_slices(12, n=5, min_len=300))
-        assert plane.core.coarse_cache_misses == 0
-        plane.ensure_coarse(256, 8)
-        plane.ensure_coarse(256, 8)
-        plane.ensure_coarse(128, 8)
-        assert plane.core.coarse_cache_misses == 2
-        assert plane.core.coarse_cache_hits == 1
+        core = _core(_random_slices(12, n=5, min_len=300))
+        assert core.coarse_cache_misses == 0
+        core.ensure_coarse(256, 8)
+        core.ensure_coarse(256, 8)
+        core.ensure_coarse(128, 8)
+        assert core.coarse_cache_misses == 2
+        assert core.coarse_cache_hits == 1
 
     def test_mid_run_insert_invalidates_coarse_cache(self):
         """Satellite: a document inserted mid-run must be screened
@@ -278,8 +168,9 @@ class TestCoarseCacheLifecycle:
 
 class TestConfigSurface:
     def test_rejects_unknown_mode(self):
-        with pytest.raises(SearchError, match="two_stage"):
-            SearchConfig(two_stage="turbo")
+        for mode in ("turbo", "lossless"):
+            with pytest.raises(SearchError, match="two_stage"):
+                SearchConfig(two_stage=mode)
 
     @pytest.mark.parametrize("decimation", [1, 0, 257])
     def test_rejects_bad_decimation_when_enabled(self, decimation):
@@ -299,14 +190,13 @@ class TestConfigSurface:
         SearchConfig(two_stage="off", coarse_decimation=1)
 
     def test_coarse_index_rejects_bad_decimation(self):
-        plane = SearchPlane(_random_slices(14, n=3, min_len=300))
-        norms = plane.ensure_norms(256)
+        core = _core(_random_slices(14, n=3, min_len=300))
+        norms = core.ensure_norms(256)
         with pytest.raises(SearchError, match="decimation"):
-            CoarseIndex(plane.core, norms, 256, 1)
+            CoarseIndex(core, norms, 256, 1)
         with pytest.raises(SearchError, match="exceeds"):
-            CoarseIndex(plane.core, norms, 256, 300)
+            CoarseIndex(core, norms, 256, 300)
 
     def test_nbytes_reported(self):
-        plane = SearchPlane(_random_slices(15, n=4, min_len=300))
-        index = plane.ensure_coarse(256, 8)
+        index = _core(_random_slices(15, n=4, min_len=300)).ensure_coarse(256, 8)
         assert index.nbytes > 0

@@ -9,9 +9,9 @@ from repro.cloud.parallel import (
     partition_indices,
     partition_slices,
 )
-from repro.cloud.plane import SearchPlane
 from repro.cloud.results import SearchMatch, SearchResult
 from repro.cloud.search import SearchConfig, SlidingWindowSearch
+from repro.cloud.shards import ShardedSearchPlane
 from repro.errors import SearchError
 from repro.eval.experiments.common import filtered_frame
 from repro.signals.types import AnomalyType, SignalSlice
@@ -25,6 +25,11 @@ def _match(omega, slice_id="s"):
         omega=omega,
         offset=0,
     )
+
+
+def _shared(plane):
+    """Whether every shard of ``plane`` holds a shared-memory export."""
+    return all(shard._shm is not None for shard in plane.pin().shards)
 
 
 class TestPartition:
@@ -136,30 +141,30 @@ class TestBindLifecycle:
         engine = ParallelSearch(SearchConfig(), n_chunks=2)
         first = engine.bind(mdb_slices[:8])
         first.share()
-        assert first._shm is not None
+        assert _shared(first)
         second = engine.bind(mdb_slices[8:16])
-        assert first._shm is None
+        assert not any(shard._shm for shard in first.pin().shards)
         assert engine.plane is second
         engine.close()
 
     def test_rebind_keeps_borrowed_plane_alive(self, mdb_slices):
-        plane = SearchPlane(mdb_slices[:8])
+        plane = ShardedSearchPlane(mdb_slices[:8])
         plane.share()
         engine = ParallelSearch(SearchConfig(), n_chunks=2)
         engine.bind(plane)
         engine.bind(mdb_slices[8:16])
         # The caller owns `plane`; rebinding must not close it.
-        assert plane._shm is not None
+        assert _shared(plane)
         plane.close()
         engine.close()
 
     def test_rebind_same_plane_is_noop(self, mdb_slices):
-        plane = SearchPlane(mdb_slices[:8])
+        plane = ShardedSearchPlane(mdb_slices[:8])
         plane.share()
         engine = ParallelSearch(SearchConfig(), n_chunks=2)
         engine.bind(plane)
         engine.bind(plane)
-        assert plane._shm is not None
+        assert _shared(plane)
         plane.close()
         engine.close()
 

@@ -141,6 +141,13 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("command", ["fig11", "monitor", "obs", "serve"])
+    @pytest.mark.parametrize("mode", ["turbo", "lossless"])
+    def test_rejects_unknown_two_stage_mode(self, command, mode):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--two-stage", mode])
+        assert excinfo.value.code == 2  # argparse usage error
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])

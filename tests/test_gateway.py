@@ -294,6 +294,49 @@ class TestResilientSemantics:
         finally:
             server.close()
 
+    def test_non_finite_frame_fails_only_its_batch(self):
+        """A tenant's NaN frame fails the riders of its own batch with a
+        classified search error; the dispatcher survives, so a request
+        already queued behind that batch and later requests from other
+        tenants are served normally."""
+        frames = _frames(9, n=2)
+        corrupt = frames[0].copy()
+        corrupt[17] = np.nan
+        server = CloudServer(_random_slices(9, n=6))
+        gateway = ServingGateway(
+            server,
+            GatewayConfig(
+                max_batch=2,
+                resilience=ResilienceConfig(max_retries=0, seed=3),
+            ),
+        )
+
+        async def scenario():
+            try:
+                # All three land in one loop tick: the first two share
+                # a batch, the third waits in the queue behind it.
+                first = await asyncio.gather(
+                    gateway.submit("corrupt", corrupt, now_s=0.0),
+                    gateway.submit("rider", frames[1], now_s=0.0),
+                    gateway.submit("queued", frames[1], now_s=0.0),
+                )
+                later = await asyncio.gather(
+                    gateway.submit("healthy", frames[0], now_s=1.0),
+                    gateway.submit("rider", frames[1], now_s=1.0),
+                )
+                return first, later
+            finally:
+                await gateway.aclose()
+
+        try:
+            (corrupt_out, rider, queued), later = asyncio.run(scenario())
+            assert corrupt_out.failure == rider.failure == "search_error"
+            assert queued.ok
+            assert all(o.ok for o in later)
+            assert gateway.batches_served == 3
+        finally:
+            server.close()
+
     def test_rejects_empty_tenant_name(self):
         server = CloudServer(_random_slices(8, n=4))
         try:

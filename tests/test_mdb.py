@@ -7,7 +7,11 @@ from repro.datasets.registry import scaled_registry
 from repro.errors import MDBError
 from repro.mdb.builder import BuildReport, MDBBuilder
 from repro.mdb.mdb import MegaDatabase
-from repro.mdb.schema import slice_from_document, slice_to_document
+from repro.mdb.schema import (
+    SLICE_COLLECTION,
+    slice_from_document,
+    slice_to_document,
+)
 from repro.signals.generator import EEGGenerator
 from repro.signals.types import BASE_SAMPLE_RATE_HZ, AnomalyType, SignalSlice
 
@@ -131,6 +135,52 @@ class TestMegaDatabase:
         assert loaded.label_counts() == small_mdb.label_counts()
         one = next(loaded.slices())
         assert len(one) == 1000
+
+    def test_decoded_slices_reused_across_inserts(self):
+        """Inserts through the facade keep earlier decodes valid, so a
+        refresh after one insert decodes only the new document."""
+        rng = np.random.default_rng(3)
+        mdb = MegaDatabase()
+
+        def insert(slice_id):
+            mdb.insert_document(
+                slice_to_document(
+                    SignalSlice(
+                        data=rng.standard_normal(300),
+                        label=AnomalyType.NONE,
+                        slice_id=slice_id,
+                    ),
+                    dataset="test",
+                    channel="Fp1",
+                )
+            )
+
+        insert("a")
+        first = list(mdb.slices())
+        insert("b")
+        second = list(mdb.slices())
+        assert second[0] is first[0]
+        assert [s.slice_id for s in second] == ["a", "b"]
+
+    def test_out_of_band_write_drops_decoded_slices(self):
+        mdb = MegaDatabase()
+        mdb.insert_document(
+            slice_to_document(
+                SignalSlice(
+                    data=np.arange(300.0), label=AnomalyType.NONE, slice_id="a"
+                ),
+                dataset="test",
+                channel="Fp1",
+            )
+        )
+        before = next(mdb.slices())
+        # A write that bypasses the facade moves the generation.
+        mdb.store.collection(SLICE_COLLECTION).update_many(
+            {}, {"$set": {"label": AnomalyType.SEIZURE.value}}
+        )
+        after = next(mdb.slices())
+        assert after is not before
+        assert after.label is AnomalyType.SEIZURE
 
     def test_slices_are_base_rate_length(self, small_mdb):
         for sig_slice in small_mdb.slices(limit=20):

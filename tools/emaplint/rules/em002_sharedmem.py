@@ -10,7 +10,7 @@ when one of these holds:
   lifetime),
 * the enclosing class also contains a ``.close()`` call — plus a
   ``.unlink()`` call if the segment was *created* (``create=True``) —
-  i.e. the class owns the lifecycle (``SearchPlane._release_shm``),
+  i.e. the class owns the lifecycle (``PlaneShard.release``),
 * the enclosing function returns the segment (ownership transfer to
   the caller, as in ``PlaneShareSpec.attach``), or
 * for module/function scope without a class, the same function (or

@@ -22,7 +22,7 @@ gateway scope covers the async serving surface
 step driver coalescing sessions into fused fleet steps), where an
 ``Any`` on the coalescing path would silently untype every tenant's
 resilient call.  The cloud scope includes the two-stage coarse screen
-(``repro/cloud/coarse.py``) — its bound arithmetic decides which
+(``repro/cloud/coarse.py``) — its score ranking decides which
 slices are never exactly searched, so an untyped boundary there risks
 silent result corruption rather than a crash.  Every
 parameter (except ``self``/``cls``) needs an annotation and the
