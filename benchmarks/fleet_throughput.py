@@ -7,11 +7,11 @@ shape: heavy cross-session slice sharing) — through the same frames
 two ways:
 
 * **sequential** — ``FleetTracker(fused=False)``: the historical
-  session-major loop, one ``abs_diff_row_sums`` dispatch per
-  (session, candidate) pair per frame;
+  session-major loop, one single-query ``abs_diff_rect_sums`` dispatch
+  per (session, candidate) pair per frame;
 * **fused** — ``FleetTracker(fused=True)``: the slice-major megabatch
-  planner, one multi-query ``abs_diff_rect_sums`` dispatch per unique
-  compiled slice per frame, cells spread over the kernel thread pool.
+  planner, one ragged ``abs_diff_argmin`` call per frame covering every
+  unique compiled slice, its work units spread over one thread team.
 
 Both arms run the identical Algorithm 2 arithmetic, and the harness
 verifies frame by frame that every session's tracking steps are

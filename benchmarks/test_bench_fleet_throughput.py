@@ -2,7 +2,7 @@
 
 The acceptance bar for the fused megabatch planner: stepping a
 1000-session x 10-candidate fleet through the slice-grouped
-``abs_diff_rect_sums`` path beats the sequential session-major loop by
+``abs_diff_argmin`` path beats the sequential session-major loop by
 at least 4x on a multi-core runner — with bit-identical tracking steps
 for every session at every frame.  On a single-core host the dispatch
 amortisation alone must still clear 2.5x (the thread pool contributes

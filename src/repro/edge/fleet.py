@@ -14,17 +14,17 @@ reference-counted and evicted as soon as no session tracks them.
 
 :meth:`FleetTracker.step` advances every session supplied in one
 batched call.  The default **fused** path is *slice-major*: a step
-planner groups every (session, candidate) evaluation by its
-deduplicated compiled slice (the content-addressed cache entry already
-identifies sharing), stacks the queries of all sessions tracking that
-slice into one contiguous matrix, and evaluates each unique slice's
-window tensor against all of its queries in a single
-:func:`repro.edge._kernels.abs_diff_rect_sums` call — one kernel
-dispatch per unique slice instead of one per (session, candidate)
-pair, with the kernel spreading the independent cells over a pthread
-pool (ctypes releases the GIL, so the megabatch runs truly
-multi-core).  Results are committed back per session in submission
-order, so per-session outcomes — areas, offsets, removals,
+planner normalises every session's frame once into one
+``(sessions, m)`` query matrix and groups every (session, candidate)
+pair by its deduplicated compiled slice (the content-addressed cache
+entry already identifies sharing); each group records only its pairs'
+query rows.  The whole step is then a single
+:func:`repro.edge._kernels.abs_diff_argmin` call over all groups: the
+kernel returns every pair's best offset and area directly, tiling a
+group's pairs so each window-row load serves several queries and
+running one thread team per call (ctypes releases the GIL, so the
+step runs truly multi-core).  Results are committed back per session
+in submission order, so per-session outcomes — areas, offsets, removals,
 ``area_evaluations``, PA — stay **bit-identical** both to the
 sequential session-major path (``fused=False``) and to an independent
 :class:`~repro.edge.tracker.SignalTracker` stepping the same frames
@@ -32,7 +32,10 @@ sequential session-major path (``fused=False``) and to an independent
 
 Slices with an empty ``slice_id`` cannot be content-addressed and are
 compiled privately per candidate (correct, just unshared — each
-becomes its own single-query group under the fused planner).
+becomes its own single-pair group under the fused planner).
+
+Every frame is checked (shape, finite samples, known session) by
+:meth:`FleetTracker.check_frame` before any state changes.
 """
 
 from __future__ import annotations
@@ -46,13 +49,18 @@ import numpy as np
 from repro import obs
 from repro.cloud.results import SearchMatch, SearchResult
 from repro.edge._kernels import (
+    abs_diff_argmin,
     abs_diff_rect_sums,
-    abs_diff_row_sums,
     kernel_backend,
     kernel_threads,
 )
 from repro.edge.plane import CompiledSliceWindows, compile_slice_windows
-from repro.edge.tracker import TrackedSignal, TrackerConfig, TrackingStep
+from repro.edge.tracker import (
+    TrackedSignal,
+    TrackerConfig,
+    TrackingStep,
+    checked_frame,
+)
 from repro.errors import TrackingError
 from repro.signals.metrics import normalized_query
 
@@ -77,19 +85,18 @@ class _FleetSession:
 
 @dataclass
 class _SliceGroup:
-    """One unique compiled slice's megabatch for a fused step.
+    """One unique compiled slice's share of a fused step.
 
-    ``queries``/``worsts`` collect, in plan order, the (normalised)
-    query and worst-case area of every (session, candidate) pair that
-    tracks this slice this step; after evaluation ``best``/``best_areas``
-    hold each pair's argmin offset index and its area (as plain Python
+    ``rows`` holds, in plan order, the query-matrix row (the session's
+    index in the step) of every (session, candidate) pair that tracks
+    this slice this step.  After evaluation ``best``/``best_areas`` hold
+    each pair's argmin offset index and its area as plain Python
     ints/floats — one bulk ``tolist`` beats 10k per-pair numpy-scalar
-    conversions in the commit loop, with identical values).
+    conversions in the commit loop, with identical values.
     """
 
     windows: CompiledSliceWindows
-    queries: list[np.ndarray] = field(default_factory=list)
-    worsts: list[float] = field(default_factory=list)
+    rows: list[int] = field(default_factory=list)
     best: list[int] | None = None
     best_areas: list[float] | None = None
 
@@ -257,6 +264,16 @@ class FleetTracker:
 
     # -- batched stepping ----------------------------------------------
 
+    def check_frame(self, session_id: str, frame: np.ndarray) -> np.ndarray:
+        """``frame`` as a float64 vector if ``session_id`` can step on it.
+
+        Raises :class:`TrackingError` for an unknown session or a frame
+        :func:`~repro.edge.tracker.checked_frame` rejects (wrong shape,
+        non-finite samples).  Touches no state.
+        """
+        self._session(session_id)
+        return checked_frame(frame, self.config.frame_samples, session_id)
+
     def step(self, frames: Mapping[str, np.ndarray]) -> dict[str, TrackingStep]:
         """Advance every supplied session by one frame, in one call.
 
@@ -264,17 +281,11 @@ class FleetTracker:
         sessions not present simply do not advance this round (their
         amplifier delivered no complete frame yet).
         """
-        size = self.config.frame_samples
-        queries: dict[str, np.ndarray] = {}
-        for session_id, frame in frames.items():
-            self._session(session_id)  # validate before mutating any state
-            data = np.asarray(frame, dtype=np.float64)
-            if data.ndim != 1 or data.size != size:
-                raise TrackingError(
-                    f"tracking frame must be 1-D with {size} samples, "
-                    f"got shape {data.shape} for session {session_id!r}"
-                )
-            queries[session_id] = data
+        # Validate every frame before mutating any state.
+        queries = {
+            session_id: self.check_frame(session_id, frame)
+            for session_id, frame in frames.items()
+        }
         steps: dict[str, TrackingStep] = {}
         with obs.trace.span("edge.fleet.step", sessions=len(queries)) as span:
             if self.fused:
@@ -317,7 +328,7 @@ class FleetTracker:
                 removed.append(signal)
                 to_release.append(entry)
                 continue
-            areas = abs_diff_row_sums(compiled.windows, query)
+            areas = abs_diff_rect_sums(compiled.windows, query[None])[0]
             areas[compiled.flat] = worst
             evaluations += areas.size
             best = int(np.argmin(areas))
@@ -356,32 +367,35 @@ class FleetTracker:
     def _step_fused(
         self, queries: Mapping[str, np.ndarray]
     ) -> dict[str, TrackingStep]:
-        """Slice-major megabatch step: plan → fused evaluate → commit.
+        """Slice-major megabatch step: plan → one kernel call → commit.
 
-        Planning walks sessions in submission order and groups every
-        (session, candidate) pair by the *identity* of its shared cache
-        entry, so two sessions tracking the same MDB slice land in the
-        same group and are answered by one kernel call.  Evaluation runs
-        one :func:`abs_diff_rect_sums` per group — all state mutation is
-        deferred to the commit phase, so a slice being evicted as a
-        result of this step can never invalidate a tensor another group
-        still has to read.  Commit then replays each session in the
-        exact order (and with the exact arithmetic) of
-        :meth:`_step_session`.
+        Planning normalises every session's frame once into one
+        ``(sessions, m)`` query matrix, then walks sessions in
+        submission order and groups every (session, candidate) pair by
+        the *identity* of its shared cache entry, so two sessions
+        tracking the same MDB slice land in the same group.  Evaluation
+        is a single :func:`abs_diff_argmin` call over all groups, which
+        returns each pair's best offset and area without materialising
+        any area rectangle.  All state mutation is deferred to the
+        commit phase, so a slice being evicted as a result of this step
+        can never invalidate a tensor the kernel still has to read.
+        Commit then replays each session in the exact order (and with
+        the exact arithmetic) of :meth:`_step_session`.
         """
         started = time.perf_counter()
         # -- plan ------------------------------------------------------
-        prepared = {
-            session_id: self._prepare_query(data)
-            for session_id, data in queries.items()
-        }
+        prepared = [self._prepare_query(data) for data in queries.values()]
+        if prepared:
+            matrix = np.stack([query for query, _ in prepared])
+        else:
+            matrix = np.empty((0, self.config.frame_samples))
+        worst = np.array([bound for _, bound in prepared], dtype=np.float64)
         groups: dict[int, _SliceGroup] = {}
-        # Per session: one slot per candidate — (group, row index) for
+        # Per session: one slot per candidate — (group, pair index) for
         # evaluable candidates, None for slices shorter than a frame.
         slots: dict[str, list[tuple[_SliceGroup, int] | None]] = {}
-        for session_id in queries:
+        for row, session_id in enumerate(queries):
             session = self._sessions[session_id]
-            query, worst = prepared[session_id]
             rows: list[tuple[_SliceGroup, int] | None] = []
             for entry in session.entries:
                 if entry.windows is None:
@@ -391,28 +405,36 @@ class FleetTracker:
                 if group is None:
                     group = _SliceGroup(windows=entry.windows)
                     groups[id(entry)] = group
-                group.queries.append(query)
-                group.worsts.append(worst)
-                rows.append((group, len(group.queries) - 1))
+                group.rows.append(row)
+                rows.append((group, len(group.rows) - 1))
             slots[session_id] = rows
 
-        # -- fused evaluate --------------------------------------------
+        # -- fused evaluate: one kernel call ---------------------------
+        plan = list(groups.values())
+        counts = [len(group.rows) for group in plan]
+        pairs = sum(counts)
+        pair_query = np.fromiter(
+            (row for group in plan for row in group.rows),
+            dtype=np.int64,
+            count=pairs,
+        )
         threads = kernel_threads() if kernel_backend() == "c" else 1
-        for group in groups.values():
-            stacked = np.stack(group.queries)
-            areas = abs_diff_rect_sums(
-                group.windows.windows, stacked, threads=threads
-            )
-            flat = group.windows.flat
-            if flat.any():
-                # Same override `_step_session` applies per pair, as one
-                # broadcast assignment: each pair's own worst-case area.
-                areas[:, flat] = np.asarray(group.worsts)[:, None]
-            # np.argmin along the offset axis keeps the sequential
-            # path's first-index tie-break per pair.
-            best = np.argmin(areas, axis=1)
-            group.best = best.tolist()
-            group.best_areas = areas[np.arange(areas.shape[0]), best].tolist()
+        best, areas = abs_diff_argmin(
+            [group.windows.windows for group in plan],
+            [group.windows.flat for group in plan],
+            counts,
+            matrix,
+            worst,
+            pair_query,
+            threads=threads,
+        )
+        best_list = best.tolist()
+        area_list = areas.tolist()
+        start = 0
+        for group, count in zip(plan, counts):
+            group.best = best_list[start : start + count]
+            group.best_areas = area_list[start : start + count]
+            start += count
 
         # -- per-session commit, in submission order -------------------
         steps = {
@@ -420,20 +442,16 @@ class FleetTracker:
             for session_id in queries
         }
 
-        self.last_fused_groups = len(groups)
-        self.last_fused_pairs = sum(len(g.queries) for g in groups.values())
-        self.last_fused_max_group = max(
-            (len(g.queries) for g in groups.values()), default=0
-        )
+        self.last_fused_groups = len(plan)
+        self.last_fused_pairs = pairs
+        self.last_fused_max_group = max(counts, default=0)
         self.last_fused_step_s = time.perf_counter() - started
         registry = obs.metrics()
         if registry.enabled:
             registry.observe("edge.fleet.fused_step_s", self.last_fused_step_s)
-            registry.observe("edge.fleet.fused_groups", len(groups))
-            for group in groups.values():
-                registry.observe(
-                    "edge.fleet.fused_queries_per_group", len(group.queries)
-                )
+            registry.observe("edge.fleet.fused_groups", len(plan))
+            for count in counts:
+                registry.observe("edge.fleet.fused_queries_per_group", count)
             registry.set_gauge("edge.fleet.fused_kernel_threads", threads)
         return steps
 

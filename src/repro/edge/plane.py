@@ -12,9 +12,10 @@ strided slice windows are stacked into one contiguous
 longest slice, normalised at compile time in reference-RMS mode), and a
 whole tracking step becomes a single vectorised reduction
 ``|W_norm − query|.sum(axis=-1)`` plus mask-based pruning.  The
-reduction itself runs through :func:`repro.edge._kernels.abs_diff_row_sums`
-— one fused pass over the tensor instead of numpy's three (subtract,
-abs, sum), which matters because the tensor is far larger than cache.
+reduction itself runs through :func:`repro.edge._kernels.abs_diff_rect_sums`
+with one query — one fused pass over the tensor instead of numpy's
+three (subtract, abs, sum), which matters because the tensor is far
+larger than cache.
 
 Bit-identity: the compile step uses the same
 :func:`~repro.signals.metrics.sliding_window_stats` /

@@ -49,6 +49,29 @@ DEFAULT_AREA_THRESHOLD = 900.0
 TRACKING_REFERENCE_RMS = 7.0
 
 
+def checked_frame(
+    frame: Frame | np.ndarray, frame_samples: int, owner: str = ""
+) -> np.ndarray:
+    """``frame`` as a float64 vector, or :class:`TrackingError`.
+
+    A tracking frame must be 1-D with ``frame_samples`` samples, all
+    finite: one NaN makes every area NaN, a NaN area never exceeds δ_A,
+    so the step would keep every candidate and score PA as if the frame
+    matched.  ``owner`` names the session in the error.  Touches no
+    state, so callers check before they mutate.
+    """
+    data = frame.data if isinstance(frame, Frame) else np.asarray(frame, dtype=np.float64)
+    where = f" for session {owner!r}" if owner else ""
+    if data.ndim != 1 or data.size != frame_samples:
+        raise TrackingError(
+            f"tracking frame must be 1-D with {frame_samples} samples, "
+            f"got shape {data.shape}{where}"
+        )
+    if not np.isfinite(data).all():
+        raise TrackingError(f"tracking frame{where} has non-finite samples")
+    return data
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
     """Parameters of the edge tracking stage.
@@ -285,12 +308,7 @@ class SignalTracker:
         minimum exceeds δ_A, otherwise advance its offset to the best
         window.
         """
-        data = frame.data if isinstance(frame, Frame) else np.asarray(frame, dtype=np.float64)
-        if data.ndim != 1 or data.size != self.config.frame_samples:
-            raise TrackingError(
-                f"tracking frame must be 1-D with {self.config.frame_samples} "
-                f"samples, got shape {data.shape}"
-            )
+        data = checked_frame(frame, self.config.frame_samples)
         self._iteration += 1
         tracked_before = len(self._tracked)
         with obs.trace.span("edge.track_step", tracked=tracked_before) as span:

@@ -240,16 +240,24 @@ class EdgeStepDriver:
         await self._run(self.tracker.close_session, session_id)
 
     async def step(self, session_id: str, frame: np.ndarray) -> TrackingStep:
-        """One tracking iteration, riding the next fused fleet step."""
+        """One tracking iteration, riding the next fused fleet step.
+
+        Raises :class:`~repro.errors.TrackingError` at once for an
+        unknown session or a frame of the wrong shape or with
+        non-finite samples.
+        """
         if self._closed:
             raise GatewayError("edge driver is closed; create a new one")
         if session_id in self._pending:
             raise GatewayError(
                 f"session {session_id!r} already has a frame in flight"
             )
+        # Checked per caller, before the frame joins a fused step: a bad
+        # frame fails only its own caller, never its batch-mates.
+        data = self.tracker.check_frame(session_id, frame)
         loop = asyncio.get_running_loop()
         future: asyncio.Future[TrackingStep] = loop.create_future()
-        self._pending[session_id] = (np.asarray(frame, dtype=np.float64), future)
+        self._pending[session_id] = (data, future)
         if self._wake is None:
             self._wake = asyncio.Event()
         self._wake.set()

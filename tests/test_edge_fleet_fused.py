@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.cloud.results import SearchMatch
+from repro.edge import fleet as fleet_module
 from repro.edge.fleet import FleetTracker
 from repro.edge.tracker import SignalTracker, TrackerConfig
 from repro.signals.types import AnomalyType, SignalSlice
@@ -163,12 +164,33 @@ class TestFusedPlanStats:
         for sid in ("a", "b", "c"):
             fleet.open_session(sid, shared)
         fleet.step({sid: np.zeros(256) for sid in ("a", "b", "c")})
-        # 5 shared slices -> 5 kernel calls for 15 (session, candidate)
+        # 5 shared slices -> 5 groups for 15 (session, candidate)
         # pairs, every group carrying all 3 sessions' queries.
         assert fleet.last_fused_groups == 5
         assert fleet.last_fused_pairs == 15
         assert fleet.last_fused_max_group == 3
         assert fleet.last_fused_step_s > 0.0
+
+    def test_one_kernel_call_per_step(self, monkeypatch):
+        pool = _pool(48)
+        fleet = FleetTracker(TrackerConfig(area_threshold=1e9))
+        fleet.open_session("a", _matches(pool, [0, 1, 2]))
+        fleet.open_session("b", _matches(pool, [2, 3, 4, 5]))
+        calls: list[int] = []
+        real = fleet_module.abs_diff_argmin
+
+        def counting(windows, *args, **kwargs):
+            calls.append(len(windows))
+            return real(windows, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fused step must not call the rectangle kernel")
+
+        monkeypatch.setattr(fleet_module, "abs_diff_argmin", counting)
+        monkeypatch.setattr(fleet_module, "abs_diff_rect_sums", forbidden)
+        for _ in range(3):
+            fleet.step({"a": np.zeros(256), "b": np.zeros(256)})
+        assert calls == [6, 6, 6]  # one call per step, all groups in it
 
     def test_short_slices_never_reach_the_planner(self):
         pool = _pool(46)

@@ -2,10 +2,13 @@
 
 Covers the multi-query rectangle kernel's bit-identity contract (every
 cell equal to ``np.abs(rows - q).sum(axis=1)`` on every backend and at
-every thread count), input validation, the numpy fallback's per-shape
-scratch reuse, the ``EMAP_KERNEL`` / ``EMAP_KERNEL_THREADS`` overrides
-(including the forced-``c``-must-not-degrade error path), and the
-cross-process ``.so`` cache keyed by the C source hash.
+every thread count), the ragged argmin entry point's contract (every
+pair's offset and area equal to ``np.argmin`` over those cells after
+the flat override — ties, ±inf and NaN included), input validation,
+the numpy fallback's per-shape scratch reuse, the ``EMAP_KERNEL`` /
+``EMAP_KERNEL_THREADS`` overrides (including the
+forced-``c``-must-not-degrade error path), and the cross-process
+``.so`` cache keyed by source, compiler flags and CPU identity.
 
 Backend selection is process-global state; every test here runs under
 a fixture that snapshots and restores it, so forcing backends or
@@ -14,20 +17,27 @@ pointing the cache at a tmpdir cannot leak into other tests.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.edge import _kernels
 from repro.edge._kernels import (
+    _BASE_FLAGS,
+    TILE,
+    _compile_flags,
+    _cpu_identity,
+    _library_path,
     _numpy_rect_sums,
     _reset_backend_selection,
     _scratch,
-    _source_digest,
+    abs_diff_argmin,
     abs_diff_rect_sums,
-    abs_diff_row_sums,
     kernel_backend,
     kernel_threads,
 )
@@ -39,21 +49,30 @@ HAS_COMPILER = any(shutil.which(name) for name in ("cc", "gcc", "clang"))
 @pytest.fixture(autouse=True)
 def restore_backend_selection():
     """Snapshot the lazily-selected backend and restore it afterwards."""
-    saved = (
-        _kernels._backend,
-        _kernels._c_row_kernel,
-        _kernels._c_rect_kernel,
-    )
+    saved = (_kernels._backend, _kernels._c_kernels)
     yield
-    (
-        _kernels._backend,
-        _kernels._c_row_kernel,
-        _kernels._c_rect_kernel,
-    ) = saved
+    _kernels._backend, _kernels._c_kernels = saved
 
 
 def _rect_reference(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.stack([np.abs(rows - q).sum(axis=1) for q in queries])
+
+
+def _argmin_reference(windows, flats, counts, queries, worst, pair_query):
+    """Pair by pair: the numpy areas, the flat override, ``np.argmin``."""
+    best: list[int] = []
+    area: list[float] = []
+    start = 0
+    for rows, flat, count in zip(windows, flats, counts):
+        for pair in range(start, start + count):
+            owner = pair_query[pair]
+            areas = np.abs(rows - queries[owner]).sum(axis=1)
+            areas[flat] = worst[owner]
+            picked = int(np.argmin(areas))
+            best.append(picked)
+            area.append(areas[picked])
+        start += count
+    return np.array(best, dtype=np.int64), np.array(area, dtype=np.float64)
 
 
 class TestRectKernel:
@@ -67,14 +86,17 @@ class TestRectKernel:
         np.testing.assert_array_equal(produced, _rect_reference(rows, queries))
 
     def test_cells_match_single_query_kernel(self):
-        """Each rectangle row is exactly the single-query reduction."""
+        """Each rectangle row is exactly numpy's single-query reduction."""
         rng = np.random.default_rng(9)
         rows = np.ascontiguousarray(rng.standard_normal((13, 300)))
         queries = np.ascontiguousarray(rng.standard_normal((4, 300)))
         rect = abs_diff_rect_sums(rows, queries)
         for index in range(queries.shape[0]):
             np.testing.assert_array_equal(
-                rect[index], abs_diff_row_sums(rows, queries[index])
+                rect[index], np.abs(rows - queries[index]).sum(axis=1)
+            )
+            np.testing.assert_array_equal(
+                rect[index], abs_diff_rect_sums(rows, queries[index : index + 1])[0]
             )
 
     def test_more_threads_than_cells_is_safe(self):
@@ -129,6 +151,101 @@ class TestRectKernel:
             )
 
 
+_SPECIALS = (np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def _ragged_steps(draw):
+    """A random fused step: ragged groups, flat rows, ties, ±inf, NaN."""
+    m = draw(st.sampled_from([1, 7, 8, 127, 128, 129, 256, 1000]))
+    sessions = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    queries = rng.standard_normal((sessions, m)) * 10.0 ** draw(st.integers(0, 6))
+    worst = np.abs(queries).sum(axis=1)
+    if draw(st.booleans()):
+        worst[0] = np.inf  # raw mode: flat rows carry an infinite worst
+    windows, flats, counts = [], [], []
+    for _ in range(draw(st.integers(0, 5))):
+        n_rows = draw(st.integers(1, 12))
+        rows = rng.standard_normal((n_rows, m)) * 1e3
+        if n_rows > 1 and draw(st.booleans()):
+            rows[-1] = rows[0]  # an exact tie the first index must win
+        for _ in range(draw(st.integers(0, 2))):
+            rows[rng.integers(n_rows), rng.integers(m)] = draw(
+                st.sampled_from(_SPECIALS)
+            )
+        windows.append(np.ascontiguousarray(rows))
+        flats.append(rng.random(n_rows) < draw(st.sampled_from([0.0, 0.3, 1.0])))
+        # Pair counts that are and are not multiples of the tile.
+        counts.append(draw(st.integers(0, 2 * TILE + 1)))
+    if draw(st.booleans()):
+        queries[rng.integers(sessions), rng.integers(m)] = draw(
+            st.sampled_from(_SPECIALS)
+        )
+    pair_query = rng.integers(0, sessions, size=sum(counts)).astype(np.int64)
+    threads = draw(st.sampled_from([1, 2, 3, 7]))
+    return windows, flats, counts, np.ascontiguousarray(queries), worst, pair_query, threads
+
+
+class TestArgminKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(step=_ragged_steps())
+    def test_matches_numpy_argmin_over_the_areas(self, step):
+        windows, flats, counts, queries, worst, pair_query, threads = step
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN cell here
+            best, area = abs_diff_argmin(
+                windows, flats, counts, queries, worst, pair_query, threads=threads
+            )
+            expected_best, expected_area = _argmin_reference(
+                windows, flats, counts, queries, worst, pair_query
+            )
+        np.testing.assert_array_equal(best, expected_best)
+        np.testing.assert_array_equal(area, expected_area)  # NaN == NaN here
+        assert best.dtype == np.int64 and area.dtype == np.float64
+
+    def test_empty_step(self):
+        queries = np.zeros((0, 16))
+        best, area = abs_diff_argmin([], [], [], queries, np.zeros(0),
+                                     np.zeros(0, dtype=np.int64))
+        assert best.shape == area.shape == (0,)
+        # Groups with no pairs evaluate nothing.
+        rows = np.ones((3, 16))
+        best, area = abs_diff_argmin(
+            [rows], [np.zeros(3, dtype=bool)], [0], np.zeros((2, 16)),
+            np.zeros(2), np.zeros(0, dtype=np.int64),
+        )
+        assert best.shape == area.shape == (0,)
+
+    def test_rejects_bad_inputs(self):
+        rows = np.zeros((3, 8))
+        flat = np.zeros(3, dtype=bool)
+        queries = np.zeros((2, 8))
+        worst = np.zeros(2)
+        one = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError, match="window groups"):
+            abs_diff_argmin([rows], [], [1], queries, worst, one)
+        with pytest.raises(ValueError, match="worst"):
+            abs_diff_argmin([rows], [flat], [1], queries, np.zeros(3), one)
+        with pytest.raises(ValueError, match="pair_query"):
+            abs_diff_argmin([rows], [flat], [2], queries, worst, one)
+        with pytest.raises(ValueError, match="pair_query"):
+            abs_diff_argmin([rows], [flat], [1], queries, worst, one.astype(np.int32))
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            abs_diff_argmin([rows], [flat], [1], queries, worst, one + 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            abs_diff_argmin([rows], [flat], [-1], queries, worst, one[:0])
+        with pytest.raises(ValueError, match="row length"):
+            abs_diff_argmin([np.zeros((3, 4))], [flat], [1], queries, worst, one)
+        with pytest.raises(ValueError, match="row length"):
+            abs_diff_argmin([np.zeros((0, 8))], [flat[:0]], [1], queries, worst, one)
+        with pytest.raises(ValueError, match="flat mask"):
+            abs_diff_argmin([rows], [flat.astype(np.uint8)], [1], queries, worst, one)
+        with pytest.raises(ValueError, match="contiguous"):
+            abs_diff_argmin([np.zeros((3, 16))[:, ::2]], [flat], [1], queries, worst, one)
+        with pytest.raises(ValueError, match="float64"):
+            abs_diff_argmin([rows.astype(np.float32)], [flat], [1], queries, worst, one)
+
+
 class TestFallbackScratchReuse:
     def test_same_shape_reuses_the_buffer(self):
         first = _scratch((37, 129))
@@ -148,6 +265,9 @@ class TestFallbackScratchReuse:
 
 
 class TestBackendOverride:
+    def test_backend_is_known(self):
+        assert kernel_backend() in ("c", "numpy")
+
     def test_forced_numpy_wins_even_with_a_compiler(self, monkeypatch):
         monkeypatch.setenv("EMAP_KERNEL", "numpy")
         _reset_backend_selection()
@@ -220,7 +340,9 @@ class TestSharedLibraryCache:
             assert kernel_backend() == "c"
         finally:
             tempfile.tempdir = None
-        cached = tmp_path / "cache" / f"area-kernel-{_source_digest()}.so"
+        cached = tmp_path / "cache" / os.path.basename(
+            _library_path(_compile_flags(_cpu_identity()), _cpu_identity())
+        )
         assert cached.exists()
         # The mkdtemp build directory is removed (the historical leak).
         assert not any(
@@ -234,7 +356,7 @@ class TestSharedLibraryCache:
         _reset_backend_selection()
         assert kernel_backend() == "c"  # first selection populates the cache
 
-        def boom(workdir: str) -> str | None:
+        def boom(workdir: str, flags: tuple[str, ...]) -> str | None:
             raise AssertionError("cache hit must not invoke the compiler")
 
         monkeypatch.setattr(_kernels, "_compile_library", boom)
@@ -251,7 +373,56 @@ class TestSharedLibraryCache:
     def test_corrupt_cache_entry_triggers_rebuild(self, tmp_path, monkeypatch):
         monkeypatch.delenv("EMAP_KERNEL", raising=False)
         monkeypatch.setenv("EMAP_KERNEL_CACHE", str(tmp_path))
-        cached = tmp_path / f"area-kernel-{_source_digest()}.so"
-        cached.write_bytes(b"not a shared library")
+        cached = _library_path(_compile_flags(_cpu_identity()), _cpu_identity())
+        with open(cached, "wb") as handle:
+            handle.write(b"not a shared library")
         _reset_backend_selection()
         assert kernel_backend() == "c"  # rebuilt past the corrupt entry
+
+    def test_library_under_another_key_is_never_loaded(self, tmp_path, monkeypatch):
+        """A cache entry built for another CPU is never dlopen'd here."""
+        monkeypatch.delenv("EMAP_KERNEL", raising=False)
+        monkeypatch.setenv("EMAP_KERNEL_CACHE", str(tmp_path))
+        _reset_backend_selection()
+        assert kernel_backend() == "c"  # populates the cache for this CPU
+        here = _library_path(_compile_flags(_cpu_identity()), _cpu_identity())
+        assert os.path.exists(here)
+
+        monkeypatch.setattr(_kernels, "_cpu_identity", lambda: "another-host")
+        loaded: list[str] = []
+        real_cdll = ctypes.CDLL
+
+        def recording_cdll(path, *args, **kwargs):
+            loaded.append(path)
+            return real_cdll(path, *args, **kwargs)
+
+        monkeypatch.setattr(_kernels.ctypes, "CDLL", recording_cdll)
+        _reset_backend_selection()
+        assert kernel_backend() == "c"
+        assert here not in loaded
+        assert loaded == [
+            _library_path(_compile_flags("another-host"), "another-host")
+        ]
+
+
+class TestCacheKey:
+    def test_flag_list_changes_the_cache_path(self):
+        cpu = "cpu-a"
+        assert _library_path(("-O3",), cpu) != _library_path(("-O2",), cpu)
+        assert _library_path(_BASE_FLAGS, cpu) != _library_path(
+            _compile_flags(cpu), cpu
+        )
+
+    def test_cpu_identity_changes_the_cache_path(self):
+        flags = _compile_flags("cpu-a")
+        assert _library_path(flags, "cpu-a") != _library_path(flags, "cpu-b")
+
+    def test_native_build_only_with_a_known_cpu(self):
+        assert "-march=native" not in _compile_flags(None)
+        assert "-march=native" in _compile_flags("cpu-a")
+        for flags in (_compile_flags(None), _compile_flags("cpu-a")):
+            assert "-ffp-contract=off" in flags and "-O3" in flags
+
+    def test_cpu_identity_is_memoised(self):
+        assert _cpu_identity() == _cpu_identity()
+        assert _cpu_identity.cache_info().hits >= 1

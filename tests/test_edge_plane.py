@@ -1,7 +1,6 @@
 """Tests for the compiled edge tracking plane and fleet batching.
 
-Covers the fused area kernel (bitwise against numpy on every backend),
-the plane's compile/compaction mechanics, the short-slice removal
+Covers the plane's compile/compaction mechanics, the short-slice removal
 contract, and the cross-engine equivalence property: the scalar
 tracker, the compiled plane and the fleet must produce bit-identical
 ``TrackingStep`` sequences — areas, offsets, removals, evaluation
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.cloud.results import SearchMatch
 from repro.cloud.server import CloudServer
-from repro.edge._kernels import _numpy_row_sums, abs_diff_row_sums, kernel_backend
 from repro.edge.fleet import FleetTracker
 from repro.edge.plane import TrackingPlane, compile_slice_windows
 from repro.edge.tracker import (
@@ -94,54 +92,6 @@ def _run_fleet(matches, frames, fused=True, **overrides):
         step = fleet.step({"s": frame})["s"]
         keys.append(_step_key(step, fleet.tracked("s")))
     return keys
-
-
-class TestAreaKernel:
-    def test_backend_is_known(self):
-        assert kernel_backend() in ("c", "numpy")
-
-    @pytest.mark.parametrize("m", [1, 7, 64, 100, 131, 256, 1000])
-    def test_selected_backend_bitwise_equals_numpy(self, m):
-        rng = np.random.default_rng(m)
-        rows = np.ascontiguousarray(rng.standard_normal((13, m)) * 1e3)
-        query = rng.standard_normal(m)
-        expected = np.abs(rows - query).sum(axis=1)
-        np.testing.assert_array_equal(abs_diff_row_sums(rows, query), expected)
-
-    @pytest.mark.parametrize("m", [1, 7, 256, 1000])
-    def test_numpy_fallback_bitwise_equals_numpy(self, m):
-        rng = np.random.default_rng(m + 1)
-        rows = np.ascontiguousarray(rng.standard_normal((700, m)))
-        query = rng.standard_normal(m)
-        out = np.empty(rows.shape[0])
-        _numpy_row_sums(rows, query, out)
-        np.testing.assert_array_equal(out, np.abs(rows - query).sum(axis=1))
-
-    def test_writes_into_out(self):
-        rng = np.random.default_rng(0)
-        rows = np.ascontiguousarray(rng.standard_normal((4, 32)))
-        query = rng.standard_normal(32)
-        out = np.empty(4)
-        returned = abs_diff_row_sums(rows, query, out=out)
-        assert returned is out
-
-    def test_empty_rows_ok(self):
-        out = abs_diff_row_sums(np.empty((0, 16)), np.zeros(16))
-        assert out.shape == (0,)
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError, match="2-D"):
-            abs_diff_row_sums(np.zeros(8), np.zeros(8))
-        with pytest.raises(ValueError, match="match row length"):
-            abs_diff_row_sums(np.zeros((2, 8)), np.zeros(4))
-        with pytest.raises(ValueError, match="match"):
-            abs_diff_row_sums(np.zeros((2, 8)), np.zeros(8), out=np.empty(3))
-        with pytest.raises(ValueError, match="contiguous"):
-            abs_diff_row_sums(np.zeros((4, 16))[:, ::2], np.zeros(8))
-        with pytest.raises(ValueError, match="float64"):
-            abs_diff_row_sums(
-                np.zeros((2, 8), dtype=np.float32), np.zeros(8, dtype=np.float32)
-            )
 
 
 class TestTrackerConfigEngine:
@@ -352,6 +302,21 @@ class TestFleetMechanics:
             fleet.step({"a": np.zeros(256), "b": np.zeros(13)})
         # Validation happens up front: session "a" did not advance.
         assert fleet.step({"a": np.zeros(256)})["a"].iteration == 1
+
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_rejected_before_any_session_steps(self, fused, bad):
+        matches = _random_matches(24, n=4, short_every=0)
+        fleet = FleetTracker(fused=fused)
+        fleet.open_session("a", matches)
+        fleet.open_session("b", matches)
+        frame = np.zeros(256)
+        frame[100] = bad
+        with pytest.raises(TrackingError, match="non-finite"):
+            fleet.step({"a": np.zeros(256), "b": frame})
+        step = fleet.step({"a": np.zeros(256), "b": np.zeros(256)})
+        assert step["a"].iteration == step["b"].iteration == 1
+        assert fleet.tracked("b") == fleet.tracked("a")
 
     def test_absent_sessions_do_not_advance(self):
         matches = _random_matches(24, n=4, short_every=0)

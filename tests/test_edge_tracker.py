@@ -142,6 +142,16 @@ class TestStep:
         with pytest.raises(TrackingError, match="256"):
             tracker.step(np.ones(100))
 
+    @pytest.mark.parametrize("engine", ["scalar", "plane"])
+    def test_rejects_non_finite_frame_without_stepping(self, rng, engine):
+        tracker = SignalTracker(TrackerConfig(engine=engine))
+        tracker.load([match_for(rng.standard_normal(1000)) for _ in range(3)])
+        frame = rng.standard_normal(256)
+        frame[17] = np.nan
+        with pytest.raises(TrackingError, match="non-finite"):
+            tracker.step(frame)
+        assert tracker.iteration == 0 and len(tracker.tracked) == 3
+
     def test_probability_tracks_composition(self, rng):
         frame = rng.standard_normal(256)
         similar = rng.standard_normal(1000) * 0.05

@@ -22,7 +22,7 @@ from repro.cloud.client import BreakerState, ResilienceConfig
 from repro.cloud.results import SearchMatch
 from repro.cloud.server import CloudServer
 from repro.edge.fleet import FleetTracker
-from repro.edge.tracker import TrackerConfig
+from repro.edge.tracker import TrackerConfig, TrackingStep
 from repro.errors import GatewayError, TrackingError
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.gateway import (
@@ -546,21 +546,72 @@ class TestEdgeStepDriver:
         async def scenario():
             driver = EdgeStepDriver(TrackerConfig(area_threshold=1e9))
             await driver.adopt("a", matches)
-            results = await asyncio.gather(
-                driver.step("a", np.zeros(256)),
-                driver.step("ghost", np.zeros(256)),
-                return_exceptions=True,
-            )
-            # The fleet validates the batch up front, so both riders of
-            # the poisoned fused step fail together — and the driver
-            # keeps serving afterwards.
-            step = await driver.step("a", np.zeros(256))
+            await driver.adopt("b", matches)
+            riders = [
+                asyncio.ensure_future(driver.step(sid, np.zeros(256)))
+                for sid in ("a", "b")
+            ]
+            await asyncio.sleep(0)  # both frames parked, both checked
+            # Closing "a" on the tracker's worker thread before the
+            # stepper runs makes the fused step itself raise.
+            await driver.close_session("a")
+            results = await asyncio.gather(*riders, return_exceptions=True)
+            # A fused step that raises fails every rider — and the
+            # driver keeps serving afterwards.
+            step = await driver.step("b", np.zeros(256))
             await driver.aclose()
             return results, step
 
         results, step = asyncio.run(scenario())
         assert all(isinstance(result, TrackingError) for result in results)
-        assert step.iteration == 1  # the failed batch never advanced "a"
+        assert step.iteration == 1  # the failed batch never advanced "b"
+
+    @pytest.mark.parametrize(
+        "bad_frame",
+        [np.zeros(100), np.where(np.arange(256) == 7, np.nan, 0.0)],
+        ids=["short", "nan"],
+    )
+    def test_bad_frame_fails_only_its_caller(self, bad_frame):
+        matches = _edge_matches(36, n=3)
+
+        async def scenario():
+            driver = EdgeStepDriver(TrackerConfig(area_threshold=1e9))
+            for sid in ("a", "b", "c"):
+                await driver.adopt(sid, matches)
+            results = await asyncio.gather(
+                driver.step("a", np.zeros(256)),
+                driver.step("b", bad_frame),
+                driver.step("c", np.zeros(256)),
+                return_exceptions=True,
+            )
+            retry = await driver.step("b", np.zeros(256))
+            await driver.aclose()
+            return results, retry
+
+        (first, bad, third), retry = asyncio.run(scenario())
+        assert isinstance(bad, TrackingError)
+        for step in (first, third):
+            assert isinstance(step, TrackingStep)
+            assert step.iteration == 1 and step.tracked_before == 3
+        assert retry.iteration == 1  # the rejected frame never stepped "b"
+
+    def test_unknown_session_fails_only_its_caller(self):
+        matches = _edge_matches(37, n=3)
+
+        async def scenario():
+            driver = EdgeStepDriver(TrackerConfig(area_threshold=1e9))
+            await driver.adopt("a", matches)
+            results = await asyncio.gather(
+                driver.step("a", np.zeros(256)),
+                driver.step("ghost", np.zeros(256)),
+                return_exceptions=True,
+            )
+            await driver.aclose()
+            return results
+
+        step, ghost = asyncio.run(scenario())
+        assert isinstance(ghost, TrackingError)
+        assert isinstance(step, TrackingStep) and step.iteration == 1
 
     def test_fleet_edge_leg_counts_and_report(self):
         slices = _random_slices(34, n=10)

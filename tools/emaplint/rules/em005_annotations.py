@@ -15,7 +15,8 @@ batcher (``repro/edge/plane.py``, ``repro/edge/fleet.py``, and the
 ``repro/edge/_kernels.py`` public surface) — the per-step reduction is
 the hottest loop on the device, so its boundary types must stay
 exact; that now includes the multi-query ``abs_diff_rect_sums``
-rectangle and the fused fleet planner, where a loose boundary type
+rectangle, the ragged ``abs_diff_argmin`` step and the fused fleet
+planner, where a loose boundary type
 would let a mis-shaped megabatch reach the threaded C kernel.  The
 gateway scope covers the async serving surface
 (``submit``/``handle_batch``, the fleet/soak drivers and the edge
