@@ -7,7 +7,8 @@ identical MDBs:
   plane walk (the coalescing machinery runs but never shares a batch);
 * **coalesced** — the production configuration: concurrent requests
   ride shared :meth:`~repro.cloud.server.CloudServer.handle_batch`
-  walks (one multi-query gather per batch).
+  calls (one plane refresh and one pinned epoch per batch, each query
+  walked in turn).
 
 Requests are submitted in waves of ``concurrency`` so the coalesced
 arm has real batches to form.  Each arm is timed ``rounds`` times and

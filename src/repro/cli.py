@@ -90,12 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--mdb-scale", type=float, default=0.3)
     monitor.add_argument("--seed", type=int, default=0)
     monitor.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="search worker processes (>1 uses the shared-memory pool)",
-    )
-    monitor.add_argument(
         "--engine",
         choices=["scalar", "plane"],
         default="scalar",
@@ -124,12 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
     obs_cmd.add_argument("--duration", type=float, default=40.0)
     obs_cmd.add_argument("--mdb-scale", type=float, default=0.2)
     obs_cmd.add_argument("--seed", type=int, default=0)
-    obs_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="search worker processes (>1 uses the shared-memory pool)",
-    )
     obs_cmd.add_argument(
         "--engine",
         choices=["scalar", "plane"],
@@ -359,28 +347,26 @@ def _cmd_monitor(args: argparse.Namespace) -> str:
         recording = make_anomalous_signal(generator, args.duration, spec)
     else:
         recording = generator.record(args.duration)
-    with build_pipeline(
+    pipeline = build_pipeline(
         PipelineConfig(
             mdb_scale=args.mdb_scale,
             seed=args.seed,
             with_artifacts=False,
             search=SearchConfig(two_stage=args.two_stage),
-            search_workers=args.workers,
             tracker=TrackerConfig(engine=args.engine),
         )
-    ) as pipeline:
-        session = pipeline.framework.run(recording)
-        lines = [
-            f"input: {args.kind}, {args.duration:.0f}s "
-            f"(MDB: {len(pipeline.mdb)} signal-sets, "
-            f"{args.workers} search worker(s))",
-            f"iterations: {session.iterations}, cloud calls: {session.cloud_calls}",
-            f"initial latency: {session.initial_latency_s:.2f}s",
-            f"peak anomaly probability: {session.peak_probability:.2f}",
-            f"anomaly predicted: {session.final_prediction}",
-            "PA series (every 5th): "
-            + " ".join(f"{p:.2f}" for p in session.pa_series[::5]),
-        ]
+    )
+    session = pipeline.framework.run(recording)
+    lines = [
+        f"input: {args.kind}, {args.duration:.0f}s "
+        f"(MDB: {len(pipeline.mdb)} signal-sets)",
+        f"iterations: {session.iterations}, cloud calls: {session.cloud_calls}",
+        f"initial latency: {session.initial_latency_s:.2f}s",
+        f"peak anomaly probability: {session.peak_probability:.2f}",
+        f"anomaly predicted: {session.final_prediction}",
+        "PA series (every 5th): "
+        + " ".join(f"{p:.2f}" for p in session.pa_series[::5]),
+    ]
     return "\n".join(lines)
 
 
@@ -416,25 +402,24 @@ def _cmd_obs(args: argparse.Namespace) -> str:
 
     obs.reset()
     obs.enable(profiling=args.profile)
-    with build_pipeline(
+    pipeline = build_pipeline(
         PipelineConfig(
             mdb_scale=args.mdb_scale,
             seed=args.seed,
             with_artifacts=False,
             search=SearchConfig(two_stage=args.two_stage),
-            search_workers=args.workers,
         )
-    ) as pipeline:
-        recording = _obs_recording(args)
-        monitor = StreamingMonitor(
-            pipeline.cloud,
-            StreamingConfig(tracker=TrackerConfig(engine=args.engine)),
-        )
-        chunk = max(1, args.chunk_samples)
-        with profile_block("obs.streaming_run", obs.profiles()):
-            for start in range(0, len(recording.data), chunk):
-                monitor.push(recording.data[start : start + chunk])
-        document = obs.export()
+    )
+    recording = _obs_recording(args)
+    monitor = StreamingMonitor(
+        pipeline.cloud,
+        StreamingConfig(tracker=TrackerConfig(engine=args.engine)),
+    )
+    chunk = max(1, args.chunk_samples)
+    with profile_block("obs.streaming_run", obs.profiles()):
+        for start in range(0, len(recording.data), chunk):
+            monitor.push(recording.data[start : start + chunk])
+    document = obs.export()
     if args.json:
         import json
 
@@ -513,29 +498,26 @@ def _cmd_serve(args: argparse.Namespace) -> str | tuple[str, int]:
             else DEFAULT_SHARD_SLICES
         ),
     )
-    try:
-        frames = build_frame_pool(
-            fixture.slices, n_frames=args.frames, seed=args.seed
-        )
-        tenant_plans = None
-        if args.fault_tenant is not None:
-            from repro.faults.plan import FaultPlan
+    frames = build_frame_pool(
+        fixture.slices, n_frames=args.frames, seed=args.seed
+    )
+    tenant_plans = None
+    if args.fault_tenant is not None:
+        from repro.faults.plan import FaultPlan
 
-            per_tenant_calls = (
-                args.sessions / max(1, args.tenants) * args.mean_requests
-            )
-            tenant_plans = {
-                args.fault_tenant: FaultPlan.generate(
-                    seed=args.fault_seed,
-                    horizon_calls=max(10, int(per_tenant_calls * 4)),
-                    fault_rate=args.fault_rate,
-                )
-            }
-        report = run_fleet(
-            server, frames, fleet_config, gateway_config, tenant_plans
+        per_tenant_calls = (
+            args.sessions / max(1, args.tenants) * args.mean_requests
         )
-    finally:
-        server.close()
+        tenant_plans = {
+            args.fault_tenant: FaultPlan.generate(
+                seed=args.fault_seed,
+                horizon_calls=max(10, int(per_tenant_calls * 4)),
+                fault_rate=args.fault_rate,
+            )
+        }
+    report = run_fleet(
+        server, frames, fleet_config, gateway_config, tenant_plans
+    )
     header = (
         f"fleet: {args.sessions} sessions over {args.tenants} tenant(s) "
         f"(MDB: {len(fixture.mdb)} signal-sets, max batch {args.max_batch})\n"

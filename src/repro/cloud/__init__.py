@@ -2,8 +2,7 @@
 
 * :mod:`repro.cloud.results` — match/result containers and statistics.
 * :mod:`repro.cloud.plane` — the compiled plane core: a run of slices
-  as contiguous arrays with cached window statistics, rebuildable from
-  shared memory by pool workers.
+  as contiguous arrays with cached window statistics.
 * :mod:`repro.cloud.coarse` — the optional coarse screen
   (``two_stage="fast"``) that ranks slices before the exact walk.
 * :mod:`repro.cloud.shards` — the one compiled plane type: independently
@@ -13,8 +12,6 @@
   policies: Algorithm 1's exponential sliding window and the
   exhaustive (β = 1) baseline it is compared against in Figs. 7 & 11,
   over a plain slice list (the scalar reference) or the sharded plane.
-* :mod:`repro.cloud.parallel` — sample-balanced shard partitioning
-  plus the persistent shared-memory worker pool.
 * :mod:`repro.cloud.server` — the CloudServer facade used by the
   closed-loop framework, combining the sharded plane, a search engine
   and the timing model.
@@ -30,12 +27,6 @@ from repro.cloud.client import (
     ResilienceConfig,
     ResilientCloudClient,
     validate_payload,
-)
-from repro.cloud.parallel import (
-    ParallelSearch,
-    merge_results,
-    partition_indices,
-    partition_slices,
 )
 from repro.cloud.plane import PlaneCore
 from repro.cloud.results import SearchMatch, SearchResult
@@ -63,7 +54,6 @@ __all__ = [
     "ExhaustiveSearch",
     "ExponentialSkipPolicy",
     "FixedSkipPolicy",
-    "ParallelSearch",
     "PlaneCore",
     "PlaneShard",
     "ResilienceConfig",
@@ -74,8 +64,5 @@ __all__ = [
     "ShardEpoch",
     "ShardedSearchPlane",
     "SlidingWindowSearch",
-    "merge_results",
-    "partition_indices",
-    "partition_slices",
     "validate_payload",
 ]

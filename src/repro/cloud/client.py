@@ -146,6 +146,9 @@ class CloudCallOutcome:
     breaker_state: BreakerState
     #: Breaker transitions this call caused, in order (event-log fodder).
     transitions: tuple[BreakerState, ...] = ()
+    #: The error that stopped the call before any attempt (a frame the
+    #: serving gateway refused at submit); ``None`` otherwise.
+    error: EMAPError | None = None
 
 
 def validate_payload(result: SearchResult, frame_samples: int) -> None:

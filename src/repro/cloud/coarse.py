@@ -76,8 +76,7 @@ class ScreenOutcome:
         """Restrict the verdict to ``scan``'s slice ids.
 
         Returns ``(kept_ids, pruned_count)`` — per-slice verdicts are
-        global, so any partition of the plane (shards, chunked workers)
-        reaches identical decisions.
+        global, so every shard width reaches identical decisions.
         """
         ids = np.asarray(scan, dtype=np.int64)
         kept = ids[self.keep[ids]]

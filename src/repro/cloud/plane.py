@@ -11,10 +11,8 @@ the core's lifetime.  A query then only pays for its own dot products.
 
 Every compiled core is one shard of a
 :class:`~repro.cloud.shards.ShardedSearchPlane`, which owns the slice
-metadata, the refresh-on-insert lifecycle and the shared-memory
-exports; a core carries no slice metadata and no reference back to the
-MDB.  That is all a search worker needs, so :class:`PlaneShareSpec` is
-what pool workers rebuild a core from (see :mod:`repro.cloud.parallel`).
+metadata and the refresh-on-insert lifecycle; a core carries no slice
+metadata and no reference back to the MDB.
 
 Correlation values are **bit-identical** to the scalar engine on the
 direct path: norms use the same ``sqrt(max(Σx² − (Σx)²/m, 0))``
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -76,9 +73,8 @@ class PlaneNorms:
 class PlaneCore:
     """Contiguous sample arrays plus the per-slice correlation math.
 
-    Deliberately metadata-free: workers rebuild one of these from
-    shared memory and never see labels, ids, or ``SignalSlice``
-    objects.  Norm caches are keyed by frame length and persist for the
+    Deliberately metadata-free: it never sees labels, ids, or
+    ``SignalSlice`` objects.  Norm caches are keyed by frame length and persist for the
     core's lifetime, so repeated queries amortise all
     query-independent work.
     """
@@ -261,53 +257,4 @@ class PlaneCore:
         values = self._dots(data, centered) / denominator
         values[flat] = 0.0
         return np.clip(values, -1.0, 1.0)
-
-
-@dataclass(frozen=True)
-class PlaneShareSpec:
-    """Everything a worker needs to attach to one shared shard core.
-
-    Small and cheaply picklable: the samples live in the named
-    shared-memory segment, never in the spec.
-    """
-
-    shm_name: str
-    n_samples: int
-    offsets: tuple[int, ...]
-    fft_min_samples: int
-
-    def attach(self) -> tuple[PlaneCore, shared_memory.SharedMemory]:
-        """Attach to the segment and rebuild a :class:`PlaneCore`.
-
-        The caller owns the returned segment handle and must keep it
-        alive as long as the core's arrays are in use.
-        """
-        segment = shared_memory.SharedMemory(name=self.shm_name)
-        try:
-            # Under ``spawn`` the attaching process runs its own
-            # resource tracker, which would unlink the (parent-owned)
-            # segment when this process exits; unregister so ownership
-            # stays with the plane that created it.  Under ``fork`` the
-            # tracker is shared with the parent and must keep its
-            # registration (the parent unlinks on plane close).
-            import multiprocessing
-
-            if multiprocessing.get_start_method(allow_none=False) != "fork":
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(segment._name, "shared_memory")
-        # The tracker is a CPython implementation detail with no stable
-        # API; failing to unregister only risks a harmless early-unlink
-        # warning, so this guard is allowed to swallow.
-        except Exception:  # pragma: no cover - emaplint: disable=EM006
-            pass
-        samples = np.frombuffer(
-            segment.buf, dtype=np.float64, count=self.n_samples
-        )
-        core = PlaneCore(
-            samples=samples,
-            offsets=np.asarray(self.offsets, dtype=np.int64),
-            fft_min_samples=self.fft_min_samples,
-        )
-        return core, segment
 

@@ -41,10 +41,9 @@ class SearchResult:
     """The signal correlation set ``T`` plus search statistics.
 
     ``heap_admissions`` counts top-K heap entries (pushes + replaces)
-    during the scan.  For a merged parallel search, ``chunk_elapsed_s``
-    holds each chunk's own wall time while ``elapsed_s`` is the true
-    end-to-end latency of the whole partitioned search (both measured
-    by the ``repro.obs`` tracer).
+    during the scan.  ``elapsed_s`` is the search's wall time, measured
+    by the ``repro.obs`` tracer (for a batched search, the whole
+    batch's).
 
     Two-stage searches additionally report ``slices_pruned`` (slices
     the coarse pass removed before the exact walk; still counted in
@@ -60,7 +59,6 @@ class SearchResult:
     candidates_above_threshold: int = 0
     heap_admissions: int = 0
     elapsed_s: float = 0.0
-    chunk_elapsed_s: list[float] = field(default_factory=list)
     slices_pruned: int = 0
     coarse_elapsed_s: float = 0.0
 

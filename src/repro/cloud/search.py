@@ -16,10 +16,11 @@ what the paper's ~6.8× claim is about.
 
 The engine runs two ways over the same walk: over a plain slice
 iterable (the scalar or precompute reference path) and over the
-compiled :class:`~repro.cloud.shards.ShardedSearchPlane`, one query at
-a time or a whole gateway batch in one joint walk.  The compiled path
-is bit-identical to the scalar reference; the optional coarse screen
-(``two_stage="fast"``) is the one deliberate exception.
+compiled :class:`~repro.cloud.shards.ShardedSearchPlane`, where a
+single search is a batch of one and each query walks every shard in
+one pass.  The compiled path is bit-identical to the scalar reference;
+the optional coarse screen (``two_stage="fast"``) is the one
+deliberate exception.
 
 Two interpretation notes (also in DESIGN.md):
 
@@ -137,6 +138,10 @@ class SkipPolicy(Protocol):
         """Samples to advance given the (clamped) correlation ω."""
         ...
 
+    def skip_table(self, omegas: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`skip`: ``int64`` advances for every ω."""
+        ...
+
 
 class FixedSkipPolicy:
     """Constant advance; ``FixedSkipPolicy(1)`` is the exhaustive search."""
@@ -201,7 +206,7 @@ class ExponentialSkipPolicy:
         return effective.astype(np.int64)
 
 
-def screen_shard_cores(
+def _screen(
     cores: Sequence[PlaneCore],
     config: SearchConfig,
     centered: np.ndarray,
@@ -214,9 +219,7 @@ def screen_shard_cores(
     :meth:`~repro.cloud.coarse.CoarseIndex.fast_scores` in shard order
     and assembling the verdict globally reaches the same keep set for
     every shard width — critically, the keep *count* and the lexsort
-    tie-break see the whole plane, never one shard.  Shared by the
-    in-process engine and the pool workers so every execution mode
-    reaches identical per-slice verdicts.
+    tie-break see the whole plane, never one shard.
     """
     if config.two_stage == "off":
         return None
@@ -283,8 +286,7 @@ def replay_skip_walk(
     offset — either a scalar evaluator or indexing into a precomputed
     correlation array; the admitted ``(omega, offset)`` hits and the
     evaluation counts are identical either way, which is what keeps
-    every execution mode (scalar, precompute, plane, pooled workers)
-    bit-identical.
+    every execution mode (scalar, precompute, plane) bit-identical.
 
     Returns ``(hits, evaluated, above_threshold)``.
     """
@@ -316,11 +318,10 @@ class PlaneWalker:
     """One query's batched skip-policy replay over a compiled plane.
 
     Construction does all per-query vectorised work in bulk: the
-    per-slice dot products, one normalisation pass over the
-    concatenated correlation array, and (for policies exposing
-    ``skip_table``) a successor table ``nxt[o] = o + skip(ω_o)``.
-    :meth:`walk_all` then runs every slice's walk level-synchronously —
-    one vectorised gather advances all still-walking slices a hop per
+    per-slice dot products and one normalisation pass over the
+    concatenated correlation array.  :meth:`walk_all` then runs every
+    slice's walk level-synchronously — one vectorised gather and one
+    ``skip_table`` call advance all still-walking slices a hop per
     round — and classifies the visited offsets against the threshold
     in a single pass afterwards, so no per-offset Python loop remains.
 
@@ -333,9 +334,8 @@ class PlaneWalker:
     ``parts`` lists ``(core, base, indices)`` triples: the slices
     ``indices`` of ``core`` (all of them when ``None``) join the layout
     in order and report hits under the global id ``base + index``.  One
-    walker therefore spans every shard of a plane (or the shards of one
-    worker chunk), so the walk over a sharded plane runs exactly the
-    rounds the one-shard walk would.
+    walker therefore spans every shard of a plane, so the walk over a
+    sharded plane runs exactly the rounds the one-shard walk would.
     """
 
     __slots__ = (
@@ -343,7 +343,6 @@ class PlaneWalker:
         "_dedupe",
         "_delta",
         "_ids",
-        "_nxt",
         "_policy",
         "_starts",
         "_step",
@@ -429,28 +428,6 @@ class PlaneWalker:
                 # clip(x, -1, 1) then max(·, 0) — Algorithm 1 lines
                 # 9-11 — collapses to one clip into [0, 1].
                 np.clip(values, 0.0, 1.0, out=self._clamped[start:stop])
-        self._nxt = None
-
-    @property
-    def total_positions(self) -> int:
-        """Size of this walker's concatenated correlation layout."""
-        return int(self._clamped.size)
-
-    def _ensure_successors(self) -> np.ndarray | None:
-        """Build (once) ``nxt[o] = o + skip(ω_o)`` over the layout.
-
-        Only the single-query walk materialises the table; the joint
-        multi-query walk evaluates skips lazily per round instead, so
-        batched queries never pay this full-layout pass.  Returns
-        ``None`` for policies without a vectorised ``skip_table``.
-        """
-        if self._nxt is None and self._step is None:
-            table = getattr(self._policy, "skip_table", None)
-            if table is not None:
-                nxt = table(self._clamped)
-                nxt += np.arange(self.total_positions, dtype=np.int64)
-                self._nxt = nxt
-        return self._nxt
 
     def walk_all(self) -> tuple[list[tuple[int, float, int]], int, int]:
         """Replay every slice's walk over the compiled layout.
@@ -463,53 +440,54 @@ class PlaneWalker:
         """
         if self._step is not None:
             return self._walk_all_strided()
-        if self._ensure_successors() is None:  # no vectorised skip table
-            return self._walk_all_replay()
-        return self.classify_visited(self._visit_positions())
+        return self._classify_visited(self._visit_positions())
 
     def _visit_positions(self) -> np.ndarray:
         """Level-synchronous walk over all slices at once.
 
-        Each round gathers the successor of every still-walking slice's
-        position in one vectorised ``take``; finished slices drop out.
+        Each round gathers the correlation at every still-walking
+        slice's position in one vectorised ``take`` and hops by the
+        policy's ``skip_table`` of those values; finished slices drop
+        out.  Skips are computed only at visited offsets, never for the
+        whole layout.
         The visited set is identical to running the scalar walk per
         slice because each hop depends only on the (precomputed)
-        correlation at the current offset.  Positions are returned in
-        round-major order; :meth:`classify_visited` does not depend on
-        the order.
+        correlation at the current offset, and ``skip_table`` applied
+        to any subset of values is the same elementwise IEEE-754
+        computation as ``skip``.  Positions are returned in round-major
+        order; :meth:`_classify_visited` does not depend on the order.
         """
+        values = self._clamped
+        table = self._policy.skip_table
         starts = self._starts
         live = starts < self._stops
         pos = starts[live]
         stop = self._stops[live]
-        nxt = self._nxt
         buf: list[np.ndarray] = []
         while pos.size > self._STRAGGLER_CUTOFF:
             buf.append(pos)
-            pos = nxt.take(pos)
+            pos = pos + table(values.take(pos))
             alive = pos < stop
             pos = pos[alive]
             stop = stop[alive]
         if pos.size:
+            skip = self._policy.skip
             tail: list[int] = []
             for position, bound in zip(pos.tolist(), stop.tolist()):
                 while position < bound:
                     tail.append(position)
-                    position = int(nxt[position])
+                    position += skip(float(values[position]))
             buf.append(np.asarray(tail, dtype=np.int64))
         if not buf:
             return np.zeros(0, dtype=np.int64)
         return np.concatenate(buf)
 
-    def classify_visited(
+    def _classify_visited(
         self, visited: np.ndarray
     ) -> tuple[list[tuple[int, float, int]], int, int]:
         """Threshold + dedupe + scan-order restore over visited positions.
 
-        Pure function of the visited set (order-insensitive): both the
-        single-query walk and the multi-query joint walk feed it, which
-        is what keeps gateway-batched results bit-identical to the
-        per-request path.
+        Pure function of the visited set (order-insensitive).
         """
         evaluated = int(visited.size)
         if not evaluated:
@@ -595,165 +573,6 @@ class PlaneWalker:
                 )
         return hits, evaluated, above
 
-    def _walk_all_replay(self) -> tuple[list[tuple[int, float, int]], int, int]:
-        """Per-slice scalar replay for policies without a skip table."""
-        hits: list[tuple[int, float, int]] = []
-        evaluated = 0
-        above = 0
-        for row in range(self._ids.size):
-            start = int(self._starts[row])
-            stop = int(self._stops[row])
-            if stop <= start:
-                continue
-            segment = self._clamped[start:stop]
-            slice_hits, n_evaluated, n_above = replay_skip_walk(
-                segment.__getitem__,
-                stop - start - 1,
-                self._policy,
-                self._delta,
-                self._dedupe,
-            )
-            evaluated += n_evaluated
-            above += n_above
-            index = int(self._ids[row])
-            hits.extend(
-                (index, omega, offset) for omega, offset in slice_hits
-            )
-        return hits, evaluated, above
-
-
-#: Stacked-layout size (positions) beyond which the joint multi-query
-#: walk loses its cache locality — each round's gather then touches a
-#: working set far larger than L3 and DRAM latency eats the round
-#: amortisation, so ``search_batch`` falls back to per-query walks
-#: (still vectorised, each over an L2-resident layout).  8M positions
-#: ≈ 64 MB of stacked float64 correlations.
-_JOINT_POSITION_BUDGET = 1 << 23
-
-
-def _joint_visit(walkers: Sequence[PlaneWalker]) -> list[np.ndarray]:
-    """Run every walker's skip walk in ONE level-synchronous loop.
-
-    The per-query correlation layouts are stacked into a single virtual
-    layout (query ``q``'s position ``o`` becomes ``base_q + o``) and
-    each round advances *every* still-walking slice of *every* query
-    with one vectorised gather of the correlations at the current
-    positions — this is the cross-request coalescing the serving
-    gateway batches on.  Skips are evaluated **lazily** on each round's
-    gathered ω values (``policy.skip_table`` on a round-sized array),
-    so batched queries never build the full per-layout successor table
-    the single-query walk materialises — the per-round vector ops are
-    amortised across the whole batch instead.
-
-    Returns each walker's visited positions (local coordinates).  The
-    visited sets are identical to walking each query alone: a hop
-    depends only on that query's precomputed correlation at the current
-    offset, and ``skip_table`` applied to any subset of ω values is the
-    same elementwise IEEE-754 computation.
-
-    Every walker must share one policy exposing ``skip_table`` (the
-    caller routes fixed-step and table-less policies to the per-query
-    paths instead).
-    """
-    policy = walkers[0]._policy
-    table = getattr(policy, "skip_table", None)
-    if table is None:
-        raise SearchError("joint walk needs a policy with a skip table")
-    bases: list[int] = []
-    starts_parts: list[np.ndarray] = []
-    stops_parts: list[np.ndarray] = []
-    base = 0
-    for walker in walkers:
-        bases.append(base)
-        starts_parts.append(walker._starts + base)
-        stops_parts.append(walker._stops + base)
-        base += walker.total_positions
-    values = np.concatenate([walker._clamped for walker in walkers])
-    starts = np.concatenate(starts_parts)
-    stops = np.concatenate(stops_parts)
-    live = starts < stops
-    pos = starts[live]
-    stop = stops[live]
-    buf: list[np.ndarray] = []
-    while pos.size > PlaneWalker._STRAGGLER_CUTOFF:
-        buf.append(pos)
-        pos = pos + table(values.take(pos))
-        alive = pos < stop
-        pos = pos[alive]
-        stop = stop[alive]
-    tail_parts: list[list[int]] = [[] for _ in walkers]
-    if pos.size:
-        boundaries = np.asarray(bases[1:] + [base], dtype=np.int64)
-        owners = np.searchsorted(boundaries, pos, side="right")
-        skip = policy.skip
-        for position, bound, owner in zip(
-            pos.tolist(), stop.tolist(), owners.tolist()
-        ):
-            part = tail_parts[owner]
-            while position < bound:
-                part.append(position)
-                position += skip(float(values[position]))
-    # Attribute each round's positions back to their queries.  Within a
-    # round the positions are strictly ascending (every slice stays
-    # inside its own disjoint layout interval), so one ``searchsorted``
-    # against the layout bases splits the whole round — no per-query
-    # mask over the full visited set.
-    cuts = np.asarray(bases + [base], dtype=np.int64)
-    per_query: list[list[np.ndarray]] = [[] for _ in walkers]
-    for round_pos in buf:
-        edges = np.searchsorted(round_pos, cuts, side="left")
-        for index in range(len(walkers)):
-            begin, end = int(edges[index]), int(edges[index + 1])
-            if end > begin:
-                per_query[index].append(round_pos[begin:end])
-    out: list[np.ndarray] = []
-    for index, walker_base in enumerate(bases):
-        parts = per_query[index]
-        if tail_parts[index]:
-            parts.append(np.asarray(tail_parts[index], dtype=np.int64))
-        if not parts:
-            out.append(np.zeros(0, dtype=np.int64))
-        elif walker_base:
-            out.append(np.concatenate(parts) - walker_base)
-        else:
-            out.append(np.concatenate(parts))
-    return out
-
-
-def shard_walker(
-    cores: Sequence[PlaneCore],
-    bases: Sequence[int],
-    shard_ids: Iterable[int],
-    outcome: ScreenOutcome | None,
-    config: SearchConfig,
-    policy: SkipPolicy,
-    centered: np.ndarray,
-    norm: float,
-) -> tuple[PlaneWalker, int]:
-    """One query's exact-walk walker over the shards ``shard_ids``.
-
-    ``bases[k]`` is shard ``k``'s first global slice index, which maps
-    the global coarse verdict ``outcome`` (``None`` = walk every
-    slice) onto each shard.  Returns the walker plus the number of
-    slices the screen pruned from those shards.  Shared by the
-    in-process engine and the pool workers.
-    """
-    parts: list[tuple[PlaneCore, int, np.ndarray | None]] = []
-    pruned = 0
-    for k in shard_ids:
-        core = cores[k]
-        base = bases[k]
-        walk_ids: np.ndarray | None = None
-        if outcome is not None:
-            kept, n_pruned = outcome.apply(range(base, base + core.n_slices))
-            walk_ids = kept - base
-            pruned += n_pruned
-        parts.append((core, base, walk_ids))
-    walker = PlaneWalker(
-        parts, centered, norm, policy, config.delta, config.dedupe_per_slice
-    )
-    return walker, pruned
-
 
 def _offer_hits(
     top: TopK[SearchMatch],
@@ -805,11 +624,12 @@ class CorrelationSearch:
     wall-clock honestly tracks the number of correlations a device
     would evaluate.
 
-    Passing a :class:`~repro.cloud.shards.ShardedSearchPlane` instead
-    of a slice iterable (or calling :meth:`search_shards` /
-    :meth:`search_batch`) reuses the plane's compiled arrays and cached
-    window norms, amortising all query-independent work across
-    requests while replaying the same walk.
+    Passing a :class:`~repro.cloud.shards.ShardedSearchPlane` (or one
+    of its pinned epochs) instead of a slice iterable reuses the
+    plane's compiled arrays and cached window norms, amortising all
+    query-independent work across requests while replaying the same
+    walk; :meth:`search_batch` is that path, and :meth:`search` over a
+    plane is a batch of one.
     """
 
     def __init__(
@@ -825,10 +645,11 @@ class CorrelationSearch:
     def prepare_query(self, frame: np.ndarray) -> tuple[np.ndarray, float]:
         """Validate and centre the query frame; returns (centred, norm).
 
-        Every search path (scalar, sharded, batched, and the
-        ``ParallelSearch`` parent) goes through here, so this is where a
-        corrupt frame is turned away with a :class:`SearchError` before
-        a NaN can reach the skip tables.
+        Every search path (scalar, single and batched plane searches)
+        goes through here, and the serving gateway calls it at submit,
+        so a corrupt frame is turned away with a :class:`SearchError`
+        before a NaN can reach the skip tables or another tenant's
+        batch.
         """
         query = np.asarray(frame, dtype=np.float64)
         if query.ndim != 1:
@@ -854,10 +675,10 @@ class CorrelationSearch:
         ``B_N`` (256 samples by default).  ``slices`` may be a plain
         iterable of signal-sets (the scalar / precompute reference
         path), a compiled :class:`~repro.cloud.shards.ShardedSearchPlane`
-        or one of its pinned epochs (:meth:`search_shards`).
+        or one of its pinned epochs (:meth:`search_batch` of one frame).
         """
         if isinstance(slices, (ShardedSearchPlane, ShardEpoch)):
-            return self.search_shards(frame, slices)
+            return self.search_batch([frame], slices)[0]
         centered, norm = self.prepare_query(frame)
         result = SearchResult()
         top: TopK[SearchMatch] = TopK(self.config.top_k)
@@ -869,147 +690,70 @@ class CorrelationSearch:
         self._finish(result, top, span)
         return result
 
-    def search_shards(
-        self,
-        frame: np.ndarray,
-        source: ShardedSearchPlane | ShardEpoch,
-        shard_ids: Sequence[int] | None = None,
-    ) -> SearchResult:
-        """Top-K search over (a subset of the shards of) a sharded plane.
-
-        Pins one epoch up front (a concurrent ``refresh`` cannot mix
-        generations mid-search), screens once *globally* across all
-        shard cores, then scatters the exact walk across the shards in
-        ascending order and merges their hits into one heap.  Ascending
-        shard order concatenated with each walker's scan-order hits *is*
-        the sequential scan's admission order, so heap tie-breaks — and
-        with them matches, ω values, offsets and statistics — are
-        bit-identical to :meth:`search` over the plain slice list.
-
-        ``shard_ids`` restricts the walk to those shards — the
-        shard-partitioned execution path ships only shard ids to
-        workers (screening verdicts are global either way).
-        """
-        epoch = source.pin() if isinstance(source, ShardedSearchPlane) else source
-        centered, norm = self.prepare_query(frame)
-        result = SearchResult()
-        top: TopK[SearchMatch] = TopK(self.config.top_k)
-        with obs.trace.span("cloud.search") as span:
-            cores = [shard.core for shard in epoch.shards]
-            scan = range(len(cores)) if shard_ids is None else shard_ids
-            outcome = screen_shard_cores(cores, self.config, centered, norm)
-            walker, result.slices_pruned = shard_walker(
-                cores,
-                epoch.bases,
-                scan,
-                outcome,
-                self.config,
-                self.policy,
-                centered,
-                norm,
-            )
-            (
-                hits,
-                result.correlations_evaluated,
-                result.candidates_above_threshold,
-            ) = walker.walk_all()
-            result.slices_searched = sum(cores[k].n_slices for k in scan)
-            if outcome is not None:
-                result.coarse_elapsed_s = outcome.elapsed_s
-                self._publish_screen(
-                    outcome, result.slices_searched, result.slices_pruned
-                )
-            merge_started = time.perf_counter()
-            _offer_hits(top, epoch.slices, hits)
-            merge_s = time.perf_counter() - merge_started
-        self._finish(result, top, span)
-        registry = obs.metrics()
-        if registry.enabled:
-            registry.observe("cloud.plane.shard.merge_s", merge_s)
-        return result
-
     def search_batch(
         self,
         frames: Sequence[np.ndarray],
         source: ShardedSearchPlane | ShardEpoch,
     ) -> list[SearchResult]:
-        """Serve many queries over one sharded plane in a single walk.
+        """Top-K search of every frame over one sharded plane.
 
         Pins one epoch for the *whole* batch — the per-batch
         generation-pinning contract the gateway relies on: a refresh
         landing mid-batch cannot swap cores under queries already
-        prepared against the pinned epoch.  The per-query vectorised
-        preparation (dots, normalisation) still runs once per frame —
-        it depends on the query — but every query's walker (spanning all
-        shards) advances together in one level-synchronous loop
-        (:func:`_joint_visit`; each walker's layout interval is
-        disjoint), so the per-round vector-op overhead is paid once per
-        batch instead of once per request.  Every returned
-        :class:`SearchResult` is bit-identical to :meth:`search` over
-        the same frame.
-
-        Fixed-step and table-less policies (no ``skip_table``), and
-        stacks past the position budget, walk one query at a time.
+        prepared against the pinned epoch.  Each query then screens
+        once *globally* across all shard cores and walks every shard in
+        one :class:`PlaneWalker`.  Shards are laid out in ascending
+        order and each walker returns its hits in scan order, so heap
+        tie-breaks — and with them matches, ω values, offsets and
+        statistics — are bit-identical to :meth:`search` over the plain
+        slice list.
         """
         if not frames:
             return []
         epoch = source.pin() if isinstance(source, ShardedSearchPlane) else source
         prepared = [self.prepare_query(frame) for frame in frames]
         cores = [shard.core for shard in epoch.shards]
-        every_shard = range(len(cores))
         results: list[SearchResult] = []
         tops: list[TopK[SearchMatch]] = []
-        with obs.trace.span("cloud.search_batch", queries=len(frames)) as span:
-            walkers: list[PlaneWalker] = []
-            screened: list[tuple[int, float]] = []  # (pruned, stage-1 s)
+        merge_s = 0.0
+        with obs.trace.span("cloud.search", queries=len(frames)) as span:
             for centered, norm in prepared:
-                outcome = screen_shard_cores(cores, self.config, centered, norm)
-                walker, pruned = shard_walker(
-                    cores,
-                    epoch.bases,
-                    every_shard,
-                    outcome,
-                    self.config,
-                    self.policy,
+                result = SearchResult(slices_searched=epoch.n_slices)
+                outcome = _screen(cores, self.config, centered, norm)
+                parts: list[tuple[PlaneCore, int, np.ndarray | None]] = []
+                for core, base in zip(cores, epoch.bases):
+                    walk_ids: np.ndarray | None = None
+                    if outcome is not None:
+                        kept, pruned = outcome.apply(
+                            range(base, base + core.n_slices)
+                        )
+                        walk_ids = kept - base
+                        result.slices_pruned += pruned
+                    parts.append((core, base, walk_ids))
+                if outcome is not None:
+                    result.coarse_elapsed_s = outcome.elapsed_s
+                    self._publish_screen(
+                        outcome, epoch.n_slices, result.slices_pruned
+                    )
+                walker = PlaneWalker(
+                    parts,
                     centered,
                     norm,
+                    self.policy,
+                    self.config.delta,
+                    self.config.dedupe_per_slice,
                 )
-                walkers.append(walker)
-                if outcome is None:
-                    screened.append((0, 0.0))
-                else:
-                    screened.append((pruned, outcome.elapsed_s))
-                    self._publish_screen(outcome, epoch.n_slices, pruned)
-            stacked = sum(walker.total_positions for walker in walkers)
-            if (
-                len(walkers) > 1
-                and stacked <= _JOINT_POSITION_BUDGET
-                and getattr(self.policy, "step", None) is None
-                and getattr(self.policy, "skip_table", None) is not None
-            ):
-                visited = _joint_visit(walkers)
-                walked = [
-                    walker.classify_visited(positions)
-                    for walker, positions in zip(walkers, visited)
-                ]
-            else:
-                walked = [walker.walk_all() for walker in walkers]
-            merge_started = time.perf_counter()
-            for (hits, evaluated, above), (pruned, coarse_s) in zip(
-                walked, screened
-            ):
-                result = SearchResult(
-                    correlations_evaluated=evaluated,
-                    slices_searched=epoch.n_slices,
-                    candidates_above_threshold=above,
-                    slices_pruned=pruned,
-                    coarse_elapsed_s=coarse_s,
-                )
+                (
+                    hits,
+                    result.correlations_evaluated,
+                    result.candidates_above_threshold,
+                ) = walker.walk_all()
+                merge_started = time.perf_counter()
                 top: TopK[SearchMatch] = TopK(self.config.top_k)
                 _offer_hits(top, epoch.slices, hits)
+                merge_s += time.perf_counter() - merge_started
                 results.append(result)
                 tops.append(top)
-            merge_s = time.perf_counter() - merge_started
         for result, top in zip(results, tops):
             self._finish(result, top, span)
         registry = obs.metrics()

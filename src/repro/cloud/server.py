@@ -19,32 +19,22 @@ in-flight gateway batch can never mix generations within one batch.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.cloud.results import SearchResult
-from repro.cloud.search import SearchConfig, SlidingWindowSearch
+from repro.cloud.search import (
+    CorrelationSearch,
+    SearchConfig,
+    SlidingWindowSearch,
+)
 from repro.cloud.shards import DEFAULT_SHARD_SLICES, ShardedSearchPlane
 from repro.errors import SearchError
 from repro.mdb.mdb import MegaDatabase
 from repro.runtime.timing import TimingBreakdown, TimingModel
 from repro.signals.types import Frame, SignalSlice
-
-
-class SearchEngine(Protocol):
-    """Anything that can run a top-K search over a plane.
-
-    Satisfied by :class:`~repro.cloud.search.CorrelationSearch` (and
-    its subclasses) as well as
-    :class:`~repro.cloud.parallel.ParallelSearch`.
-    """
-
-    def search(
-        self, frame: np.ndarray, slices: ShardedSearchPlane
-    ) -> SearchResult:
-        ...
 
 
 class CloudServer:
@@ -59,7 +49,7 @@ class CloudServer:
     def __init__(
         self,
         mdb: MegaDatabase | list[SignalSlice] | ShardedSearchPlane,
-        search: SearchEngine | None = None,
+        search: CorrelationSearch | None = None,
         timing: TimingModel | None = None,
         shard_slices: int = DEFAULT_SHARD_SLICES,
     ) -> None:
@@ -124,15 +114,13 @@ class CloudServer:
     def handle_batch(
         self, frames: Sequence[Frame | np.ndarray]
     ) -> list[tuple[SearchResult, TimingBreakdown]]:
-        """Serve many coalesced search requests in one batched walk.
+        """Serve many coalesced search requests as one batch.
 
         The serving gateway's dispatch path: one plane refresh, one
-        multi-query :meth:`~repro.cloud.search.CorrelationSearch.search_batch`
-        walk, then the per-request Eq. 4 breakdowns.  Every returned
-        ``(result, breakdown)`` pair is bit-identical to calling
-        :meth:`handle_frame` with the same frame (engines without a
-        ``search_batch`` fall back to per-request searches, so any
-        :class:`SearchEngine` still serves correctly).
+        :meth:`~repro.cloud.search.CorrelationSearch.search_batch` call
+        over one pinned epoch, then the per-request Eq. 4 breakdowns.
+        Every returned ``(result, breakdown)`` pair is bit-identical to
+        calling :meth:`handle_frame` with the same frame.
 
         The plane reference is pinned once for the whole batch — a
         ``refresh()`` racing an in-flight batch (an MDB insert landing
@@ -154,14 +142,7 @@ class CloudServer:
         with obs.trace.span(
             "cloud.handle_batch", requests=len(datas), slices=plane.n_slices
         ):
-            batcher = getattr(self.search_engine, "search_batch", None)
-            if batcher is not None:
-                results = batcher(datas, plane)
-            else:
-                results = [
-                    self.search_engine.search(data, plane)
-                    for data in datas
-                ]
+            results = self.search_engine.search_batch(datas, plane)
             served = [
                 (
                     result,
@@ -197,9 +178,8 @@ class CloudServer:
         registry.observe("cloud.server.phase.initial_s", breakdown.initial_s)
 
     def close(self) -> None:
-        """Release the engine's worker pool (if any) and the plane's
-        shared-memory segments."""
-        closer = getattr(self.search_engine, "close", None)
-        if closer is not None:
-            closer()
-        self.plane.close()
+        """A no-op: the server holds only in-process arrays.
+
+        Kept so that callers written against an open/close lifecycle
+        keep working; nothing needs releasing.
+        """

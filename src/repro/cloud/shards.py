@@ -1,14 +1,14 @@
 """The sharded MDB search plane with incremental compilation.
 
 This is the one compiled plane type: every search over compiled arrays
-— in-process, batched or pooled — runs over a
-:class:`ShardedSearchPlane`.  A monolithic plane is simply the
-one-shard case (``shard_slices >= n_slices``).
+— single or batched — runs over a :class:`ShardedSearchPlane`.  A
+monolithic plane is simply the one-shard case
+(``shard_slices >= n_slices``).
 
 * slices are grouped into fixed-size runs (``shard_slices`` per shard)
   and each run is compiled into its own independent
   :class:`PlaneShard` — a :class:`~repro.cloud.plane.PlaneCore` with
-  its *own* norm and coarse caches plus its own shared-memory export;
+  its *own* norm and coarse caches;
 * shards are **content-addressed** (the slice-dedup pattern of
   :mod:`repro.edge.fleet`): a shard's identity is a digest over its
   member slices' identity metadata, kept in a registry keyed by that
@@ -24,9 +24,9 @@ one-shard case (``shard_slices >= n_slices``).
   can never mix generations inside one batch — the in-flight batch
   keeps walking the epoch it pinned while new requests see the new one.
 
-Search engines scatter queries across the shard cores and merge the
-per-shard top-K with deterministic lower-slice-id tie-breaks (shards
-are walked in ascending order, so the global admission sequence is
+The search engine walks one query across every shard core at once and
+merges the hits with deterministic lower-slice-id tie-breaks (shards
+are laid out in ascending order, so the global admission sequence is
 exactly the sequential scan order).  Results are therefore
 **bit-identical** for every shard width and, single-stage, equal to
 the scalar reference engines: every per-slice quantity (dots, norms, walks) is a
@@ -40,18 +40,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-from types import TracebackType
 from typing import Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.cloud.plane import (
-    DEFAULT_FFT_MIN_SAMPLES,
-    PlaneCore,
-    PlaneShareSpec,
-)
+from repro.cloud.plane import DEFAULT_FFT_MIN_SAMPLES, PlaneCore
 from repro.errors import SearchError
 from repro.mdb.mdb import MegaDatabase
 from repro.signals.types import SignalSlice
@@ -113,12 +107,10 @@ class PlaneShard:
 
     Owns its :class:`~repro.cloud.plane.PlaneCore` (and therefore its
     norm and coarse caches — warmed once, they survive every refresh
-    that reuses the shard) plus an optional per-shard shared-memory
-    export for pooled workers.  Immutable after construction except
-    for the lazily created segment.
+    that reuses the shard).  Immutable after construction.
     """
 
-    __slots__ = ("shard_id", "slices", "core", "_shm", "_spec")
+    __slots__ = ("shard_id", "slices", "core")
 
     def __init__(
         self,
@@ -139,59 +131,10 @@ class PlaneShard:
             offsets=offsets,
             fft_min_samples=fft_min_samples,
         )
-        self._shm: shared_memory.SharedMemory | None = None
-        self._spec: PlaneShareSpec | None = None
 
     @property
     def n_slices(self) -> int:
         return len(self.slices)
-
-    def share(self) -> PlaneShareSpec:
-        """Export this shard's samples into shared memory (idempotent)."""
-        if self._spec is not None:
-            return self._spec
-        samples = self.core.samples
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=samples.nbytes
-        )
-        shared = np.frombuffer(
-            self._shm.buf, dtype=np.float64, count=samples.size
-        )
-        shared[:] = samples
-        self._spec = PlaneShareSpec(
-            shm_name=self._shm.name,
-            n_samples=samples.size,
-            offsets=tuple(int(v) for v in self.core.offsets),
-            fft_min_samples=self.core.fft_min_samples,
-        )
-        return self._spec
-
-    def release(self) -> None:
-        """Release the shared-memory segment (arrays stay usable)."""
-        if self._shm is None:
-            return
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        self._shm = None
-        self._spec = None
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.release()
-        except Exception:
-            pass
-
-
-@dataclass(frozen=True)
-class ShardedShareSpec:
-    """Everything a pool worker needs to attach to a sharded plane."""
-
-    specs: tuple[PlaneShareSpec, ...]
-    bases: tuple[int, ...]
-    generation: int
 
 
 @dataclass(frozen=True)
@@ -227,21 +170,15 @@ class ShardEpoch:
     def nbytes(self) -> int:
         return sum(shard.core.nbytes for shard in self.shards)
 
-    def shard_sample_counts(self) -> list[int]:
-        """Per-shard total sample counts (the partitioning weights)."""
-        return [shard.core.n_samples for shard in self.shards]
-
 
 class ShardedSearchPlane:
     """The sharded, incrementally compiled MDB plane.
 
     Built from a :class:`~repro.mdb.mdb.MegaDatabase` (tracking its
     generation counter, so :meth:`refresh` picks up later inserts) or
-    from a plain slice list (static).  Consumed through a search engine
-    (``CorrelationSearch``, ``ParallelSearch``, ``CloudServer``);
-    supports the context-manager protocol, and :meth:`close` releases
-    the shards' shared-memory segments.  Two properties matter at
-    fleet scale:
+    from a plain slice list (static) and consumed through
+    :class:`~repro.cloud.search.CorrelationSearch` (directly or behind a
+    ``CloudServer``).  Two properties matter at fleet scale:
 
     * :meth:`refresh` compiles **only the delta shards** — content
       hashes decide reuse, so an append-only insert recompiles one
@@ -327,13 +264,6 @@ class ShardedSearchPlane:
                 generation=(previous.generation + 1) if previous else 1,
                 source_generation=source_generation,
             )
-        # Retire shards the new epoch no longer references (their
-        # shared-memory exports would otherwise leak until GC).
-        if previous is not None:
-            alive = {id(shard) for shard in shards}
-            for shard in previous.shards:
-                if id(shard) not in alive:
-                    shard.release()
         self._registry = registry
         self.last_refresh_compiled = compiled
         self.last_refresh_reused = reused
@@ -409,44 +339,12 @@ class ShardedSearchPlane:
         """Content-addressed shards currently held for reuse."""
         return len(self._registry)
 
-    # -- shared-memory lifecycle -------------------------------------
-
-    def share(self) -> ShardedShareSpec:
-        """Export every shard into shared memory (idempotent per shard).
-
-        Reused shards keep their existing segments across refreshes, so
-        a delta refresh also delta-exports.
-        """
-        epoch = self._epoch
-        spec = ShardedShareSpec(
-            specs=tuple(shard.share() for shard in epoch.shards),
-            bases=epoch.bases,
-            generation=epoch.generation,
-        )
-        obs.metrics().set_gauge(
-            "cloud.plane.shared_bytes",
-            sum(spec.n_samples * 8 for spec in spec.specs),
-        )
-        return spec
-
     def close(self) -> None:
-        """Release every shard's shared-memory segment (the compiled
-        arrays stay usable)."""
-        for shard in self._epoch.shards:
-            shard.release()
-        for shard in self._registry.values():
-            shard.release()
+        """A no-op: the plane holds only in-process arrays.
 
-    def __enter__(self) -> "ShardedSearchPlane":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        self.close()
+        Kept so that callers written against an open/close lifecycle
+        keep working; nothing needs releasing.
+        """
 
     def __len__(self) -> int:
         return self.n_slices

@@ -13,9 +13,7 @@ so a downstream user gets a running EMAP in three lines::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import TracebackType
 
-from repro.cloud.parallel import ParallelSearch
 from repro.cloud.search import SearchConfig, SlidingWindowSearch
 from repro.cloud.server import CloudServer
 from repro.datasets.registry import scaled_registry
@@ -36,9 +34,6 @@ class PipelineConfig:
 
     ``mdb_scale`` scales the five corpora's record counts (1.0 ≈ 1400
     signal-sets); ``platform`` picks the Fig. 4 radio link.
-    ``search_workers > 1`` serves searches on the persistent
-    shared-memory worker pool (``search_chunks`` partitions per
-    request); the default stays in-process.
     """
 
     mdb_scale: float = 1.0
@@ -46,8 +41,6 @@ class PipelineConfig:
     with_artifacts: bool = True
     platform: str = "LTE"
     search: SearchConfig = field(default_factory=SearchConfig)
-    search_workers: int = 1
-    search_chunks: int = 4
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     policy: CloudCallPolicy = field(default_factory=CloudCallPolicy)
@@ -57,14 +50,6 @@ class PipelineConfig:
         if self.mdb_scale <= 0:
             raise ConfigurationError(
                 f"MDB scale must be positive, got {self.mdb_scale}"
-            )
-        if self.search_workers < 1:
-            raise ConfigurationError(
-                f"search worker count must be >= 1, got {self.search_workers}"
-            )
-        if self.search_chunks < 1:
-            raise ConfigurationError(
-                f"search chunk count must be >= 1, got {self.search_chunks}"
             )
 
 
@@ -78,21 +63,6 @@ class Pipeline:
     cloud: CloudServer
     framework: EMAPFramework
 
-    def close(self) -> None:
-        """Release cloud resources (worker pool, shared memory)."""
-        self.cloud.close()
-
-    def __enter__(self) -> "Pipeline":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        self.close()
-
 
 def build_pipeline(config: PipelineConfig | None = None) -> Pipeline:
     """Build corpora, MDB, cloud server and framework from one config."""
@@ -105,15 +75,11 @@ def build_pipeline(config: PipelineConfig | None = None) -> Pipeline:
     timing = TimingModel(
         link=NetworkLink.for_platform(cfg.platform), costs=cfg.costs
     )
-    if cfg.search_workers > 1:
-        search_engine = ParallelSearch(
-            cfg.search,
-            n_chunks=cfg.search_chunks,
-            n_workers=cfg.search_workers,
-        )
-    else:
-        search_engine = SlidingWindowSearch(cfg.search, precompute=True)
-    cloud = CloudServer(builder.mdb, search=search_engine, timing=timing)
+    cloud = CloudServer(
+        builder.mdb,
+        search=SlidingWindowSearch(cfg.search, precompute=True),
+        timing=timing,
+    )
     framework = EMAPFramework(
         cloud,
         FrameworkConfig(

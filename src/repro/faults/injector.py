@@ -16,6 +16,7 @@ a given ``(recording, plan)`` pair.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -112,15 +113,7 @@ class FaultInjector:
     @staticmethod
     def _drop_payload(result: SearchResult) -> SearchResult:
         """The payload is lost in transit; search statistics survive."""
-        return SearchResult(
-            matches=[],
-            correlations_evaluated=result.correlations_evaluated,
-            slices_searched=result.slices_searched,
-            candidates_above_threshold=result.candidates_above_threshold,
-            heap_admissions=result.heap_admissions,
-            elapsed_s=result.elapsed_s,
-            chunk_elapsed_s=list(result.chunk_elapsed_s),
-        )
+        return replace(result, matches=[])
 
     def _corrupt_payload(
         self, result: SearchResult, window: FaultWindow
@@ -144,15 +137,7 @@ class FaultInjector:
                     sig_slice=match.sig_slice, omega=match.omega, offset=bad_offset
                 )
             corrupted.append(match)
-        return SearchResult(
-            matches=corrupted,
-            correlations_evaluated=result.correlations_evaluated,
-            slices_searched=result.slices_searched,
-            candidates_above_threshold=result.candidates_above_threshold,
-            heap_admissions=result.heap_admissions,
-            elapsed_s=result.elapsed_s,
-            chunk_elapsed_s=list(result.chunk_elapsed_s),
-        )
+        return replace(result, matches=corrupted)
 
     @staticmethod
     def _spike_latency(

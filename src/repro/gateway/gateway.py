@@ -3,8 +3,8 @@
 :class:`ServingGateway` fronts one :class:`~repro.cloud.server.CloudServer`
 for many concurrent edge sessions.  In-flight search requests are
 coalesced by a dispatcher task into single
-:meth:`~repro.cloud.server.CloudServer.handle_batch` calls — one
-multi-query plane walk serves the whole batch — while every request
+:meth:`~repro.cloud.server.CloudServer.handle_batch` calls — one pinned
+plane epoch serves the whole batch — while every request
 still passes through its **tenant's own**
 :class:`~repro.cloud.client.ResilientCloudClient`, so deadlines,
 retries and the circuit breaker act per tenant, never globally.
@@ -17,6 +17,12 @@ endpoint inline).  Per-tenant fault plans (:mod:`repro.faults`) stack
 between the driver and the batch results exactly as a
 :class:`~repro.faults.injector.FaultInjector` stacks under the
 synchronous client.
+
+Every frame is validated once, at :meth:`ServingGateway.submit`, with
+the search engine's own ``prepare_query``: a corrupt frame (non-finite
+or the wrong length) fails at once with the typed
+:class:`~repro.errors.SearchError` and never joins a queue, so it can
+neither fail the other riders of a coalesced batch nor spend retries.
 
 Admission control is two bounded queues deep: a global in-flight bound
 and a per-tenant bound.  A request arriving over either limit is
@@ -49,7 +55,7 @@ from repro.cloud.client import (
     ResilientCallDriver,
     ResilientCloudClient,
 )
-from repro.errors import EMAPError, GatewayError
+from repro.errors import EMAPError, GatewayError, SearchError
 from repro.faults.injector import FaultInjector
 from repro.obs.sanitize import sanitize_enabled
 from repro.faults.plan import FaultPlan
@@ -233,11 +239,14 @@ class ServingGateway:
     ) -> CloudCallOutcome:
         """One resilient search request for ``tenant`` at ``now_s``.
 
-        Runs the full per-tenant resilient call (admission → breaker →
-        attempts → classified outcome); each attempt rides the next
-        coalesced batch.  Never raises for a failed call — like the
-        synchronous client, failures come back as a classified
-        :class:`~repro.cloud.client.CloudCallOutcome`.
+        Runs the full per-tenant resilient call (validation → admission
+        → breaker → attempts → classified outcome); each attempt rides
+        the next coalesced batch.  Never raises for a failed call — like
+        the synchronous client, failures come back as a classified
+        :class:`~repro.cloud.client.CloudCallOutcome`.  A frame the
+        search engine refuses fails with ``failure="search_error"`` and
+        the :class:`~repro.errors.SearchError` in ``error``, without an
+        attempt and without touching the tenant's breaker.
         """
         if self._closed:
             raise GatewayError("gateway is closed; create a new one")
@@ -246,6 +255,13 @@ class ServingGateway:
         registry = obs.metrics()
         if registry.enabled:
             registry.inc("gateway.requests")
+        try:
+            self.server.search_engine.prepare_query(getattr(frame, "data", frame))
+        except SearchError as error:
+            state.served_failure += 1
+            if registry.enabled:
+                registry.inc("gateway.failures")
+            return self._refuse(state, "search_error", error)
         if (
             self._pending_total >= self.config.max_pending
             or len(state.queue) >= self.config.max_queue_per_tenant
@@ -346,6 +362,13 @@ class ServingGateway:
         registry = obs.metrics()
         if registry.enabled:
             registry.inc("gateway.rejected")
+        return self._refuse(state, "rejected")
+
+    @staticmethod
+    def _refuse(
+        state: _TenantState, failure: str, error: EMAPError | None = None
+    ) -> CloudCallOutcome:
+        """A failed outcome for a request that made no attempt."""
         return CloudCallOutcome(
             ok=False,
             result=None,
@@ -353,8 +376,9 @@ class ServingGateway:
             attempts=0,
             retries=0,
             penalty_s=0.0,
-            failure="rejected",
+            failure=failure,
             breaker_state=state.client.breaker_state,
+            error=error,
         )
 
     def _ensure_dispatcher(self) -> None:

@@ -151,16 +151,13 @@ def run_soak(config: SoakConfig | None = None) -> SoakReport:
         horizon_calls=_estimate_faulted_calls(config),
         fault_rate=config.fault_rate,
     )
-    try:
-        fleet = run_fleet(
-            server,
-            frames,
-            config.fleet,
-            config.gateway,
-            tenant_plans={config.faulted_tenant: plan},
-        )
-    finally:
-        server.close()
+    fleet = run_fleet(
+        server,
+        frames,
+        config.fleet,
+        config.gateway,
+        tenant_plans={config.faulted_tenant: plan},
+    )
 
     violations: list[str] = []
     if fleet.sessions_dropped:

@@ -12,12 +12,12 @@ Design constraints, in order:
 * **Cheap when disabled.**  Every mutating method checks one boolean
   before doing anything; no locks, no allocation.
 * **Thread-safe when enabled.**  A single lock guards the instrument
-  maps and every update; :class:`ParallelSearch` worker threads and
-  the streaming monitor can record concurrently.
+  maps and every update; the gateway's executor threads and the
+  streaming monitor can record concurrently.
 * **Machine-readable.**  ``as_dict`` / ``to_json`` export everything
   (histograms with count/sum/min/max/mean/p50/p95/p99) for the CI
   benchmark-regression gate; ``merge_dict`` folds an exported document
-  back in, which is how per-process worker metrics are aggregated.
+  back in.
 """
 
 from __future__ import annotations

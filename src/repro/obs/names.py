@@ -37,7 +37,6 @@ METRIC_NAMES: dict[str, str] = {
     "cloud.plane.build_s": "histogram",
     "cloud.plane.slices": "gauge",
     "cloud.plane.compiled_bytes": "gauge",
-    "cloud.plane.shared_bytes": "gauge",
     "cloud.plane.cache_hits": "counter",
     "cloud.plane.cache_misses": "counter",
     "cloud.plane.norm_cache_build_s": "histogram",
@@ -55,11 +54,6 @@ METRIC_NAMES: dict[str, str] = {
     "cloud.plane.shard.delta_compile_s": "histogram",
     "cloud.plane.shard.full_compile_s": "histogram",
     "cloud.plane.shard.merge_s": "histogram",
-    # -- partitioned / pooled search ----------------------------------
-    "cloud.parallel.elapsed_s": "histogram",
-    "cloud.parallel.chunk_elapsed_s": "histogram",
-    "cloud.parallel.pool_builds": "counter",
-    "cloud.parallel.pool_reuse": "counter",
     # -- cloud server + resilient client ------------------------------
     "cloud.server.refreshes": "counter",
     "cloud.server.batches": "counter",
@@ -144,7 +138,6 @@ METRIC_NAMES: dict[str, str] = {
     "obs.sanitize.stalls": "counter",
     "obs.sanitize.stall_s": "histogram",
     "obs.sanitize.leaked_tasks": "counter",
-    "obs.sanitize.leaked_segments": "counter",
     "obs.sanitize.memory_growth_bytes": "gauge",
 }
 

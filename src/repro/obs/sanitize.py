@@ -16,9 +16,6 @@ suite runs:
   exactly the bug EM008 flags statically.
 * **Memory growth** — a :mod:`tracemalloc` before/after delta (after a
   forced GC) over ``memory_growth_limit_bytes`` fails the run.
-* **SharedMemory leaks** — segments created during the run and never
-  unlinked.  Leaked segments outlive the process and poison later runs
-  on the same host.
 
 Everything is opt-in: when ``EMAP_SANITIZE`` is unset,
 :func:`run_sanitized` is a plain ``asyncio.run`` and no instrumentation
@@ -36,7 +33,6 @@ import os
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import Any, Coroutine
 
 from repro import obs
@@ -65,7 +61,6 @@ class SanitizerReport:
 
     stalls: list[float] = field(default_factory=list)
     leaked_tasks: list[str] = field(default_factory=list)
-    leaked_segments: list[str] = field(default_factory=list)
     memory_growth_bytes: int = 0
     violations: list[str] = field(default_factory=list)
 
@@ -87,7 +82,7 @@ class Sanitizer:
     Lifecycle: :meth:`install` inside the running loop,
     :meth:`finalize` after the entry coroutine returns (still inside
     the loop, so pending tasks are observable), :meth:`close` after the
-    loop is torn down (memory and segment verdicts).
+    loop is torn down (memory verdict).
     """
 
     def __init__(
@@ -108,8 +103,6 @@ class Sanitizer:
         self._registry: MetricsRegistry = obs.metrics()
         self._baseline_tasks: set[asyncio.Task] = set()
         self._monitor_task: asyncio.Task | None = None
-        self._segments: dict[str, bool] = {}  #: name -> created here
-        self._saved_shm: tuple[Any, Any] | None = None
         self._started_tracing = False
         self._memory_baseline = 0
         self._finalized = False
@@ -120,7 +113,6 @@ class Sanitizer:
         loop.slow_callback_duration = self.stall_threshold_s
         loop.set_debug(True)
         self._baseline_tasks = set(asyncio.all_tasks(loop))
-        self._patch_shared_memory()
         if self.track_memory:
             if not tracemalloc.is_tracing():
                 tracemalloc.start()
@@ -152,10 +144,6 @@ class Sanitizer:
 
     def close(self) -> SanitizerReport:
         """Judge the run after the loop has been torn down."""
-        self._unpatch_shared_memory()
-        self.report.leaked_segments.extend(
-            sorted(name for name, created in self._segments.items() if created)
-        )
         if self.track_memory:
             gc.collect()
             current = tracemalloc.get_traced_memory()[0]
@@ -194,34 +182,6 @@ class Sanitizer:
         target = getattr(coro, "__qualname__", repr(coro))
         return f"{task.get_name()} ({target})"
 
-    def _patch_shared_memory(self) -> None:
-        if self._saved_shm is not None:
-            return
-        original_init = shared_memory.SharedMemory.__init__
-        original_unlink = shared_memory.SharedMemory.unlink
-        segments = self._segments
-
-        def tracking_init(self_, name=None, create=False, size=0):
-            original_init(self_, name=name, create=create, size=size)
-            if create:
-                segments[self_.name] = True
-
-        def tracking_unlink(self_):
-            segments[self_.name] = False
-            original_unlink(self_)
-
-        shared_memory.SharedMemory.__init__ = tracking_init
-        shared_memory.SharedMemory.unlink = tracking_unlink
-        self._saved_shm = (original_init, original_unlink)
-
-    def _unpatch_shared_memory(self) -> None:
-        if self._saved_shm is None:
-            return
-        original_init, original_unlink = self._saved_shm
-        shared_memory.SharedMemory.__init__ = original_init
-        shared_memory.SharedMemory.unlink = original_unlink
-        self._saved_shm = None
-
     # -- verdicts -------------------------------------------------------
 
     def _judge(self) -> None:
@@ -238,11 +198,6 @@ class Sanitizer:
             report.violations.append(
                 f"{len(report.leaked_tasks)} task(s) still pending at "
                 f"exit: {names}; await, cancel, or scope them"
-            )
-        if report.leaked_segments:
-            names = ", ".join(report.leaked_segments)
-            report.violations.append(
-                f"SharedMemory segment(s) never unlinked: {names}"
             )
         if (
             self.track_memory
@@ -263,9 +218,6 @@ class Sanitizer:
             self._registry.observe("obs.sanitize.stall_s", drift)
         self._registry.inc(
             "obs.sanitize.leaked_tasks", len(report.leaked_tasks)
-        )
-        self._registry.inc(
-            "obs.sanitize.leaked_segments", len(report.leaked_segments)
         )
         self._registry.set_gauge(
             "obs.sanitize.memory_growth_bytes",

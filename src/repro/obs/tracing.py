@@ -7,8 +7,8 @@ A span measures one region of interest::
     print(span.elapsed_s)
 
 Spans nest: a span opened while another is active on the same thread
-becomes its child, so one ``cloud.parallel_search`` root can show its
-per-chunk ``cloud.search_chunk`` children.  Every finished span feeds
+becomes its child, so one ``cloud.handle_batch`` root can show its
+``cloud.search`` child.  Every finished span feeds
 an ``obs.span.<name>.s`` histogram in the metrics registry, and the
 tracer keeps the most recent root spans (with their trees) for the
 ``emap obs`` report and JSON export.

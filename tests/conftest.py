@@ -20,9 +20,9 @@ from repro.signals.types import AnomalyType
 @pytest.fixture(autouse=True)
 def _sanitized_event_loops(monkeypatch, request):
     """``EMAP_SANITIZE=1``: route every ``asyncio.run`` in the suite
-    through the runtime sanitizer (loop stalls, task leaks, SharedMemory
-    leaks become hard failures).  The CI ``sanitize`` lane sets the gate;
-    tier-1 runs see a no-op fixture.
+    through the runtime sanitizer (loop stalls, task leaks and memory
+    growth become hard failures).  The CI ``sanitize`` lane sets the
+    gate; tier-1 runs see a no-op fixture.
     """
     from repro.obs import sanitize
 

@@ -3,9 +3,9 @@
 Covers the plane's memory layout and caches (one-shard planes expose
 their single :class:`PlaneCore`), CloudServer freshness
 (generation-driven refresh) and non-finite frame rejection, and the
-cross-mode equivalence property: scalar mode, precompute mode,
-plane-backed mode and ``ParallelSearch`` (serial and pooled) must admit
-identical matches and evaluate the same number of correlations.
+cross-mode equivalence property: scalar mode, precompute mode and
+plane-backed mode must admit identical matches and evaluate the same
+number of correlations.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.parallel import ParallelSearch
 from repro.cloud.plane import PlaneCore
 from repro.cloud.search import (
     ExhaustiveSearch,
-    FixedSkipPolicy,
     SearchConfig,
     SlidingWindowSearch,
     _full_correlations,
@@ -155,26 +153,6 @@ class TestSearchPlane:
         plane = _one_shard(_random_slices(5, n=4))
         assert plane.refresh() is False
 
-    def test_share_attach_round_trip(self):
-        slices = _random_slices(6, n=6)
-        with _one_shard(slices) as plane:
-            spec = plane.share().specs[0]
-            assert plane.share().specs[0] is spec  # idempotent
-            core, segment = spec.attach()
-            try:
-                assert isinstance(core, PlaneCore)
-                np.testing.assert_array_equal(core.samples, _core(plane).samples)
-                np.testing.assert_array_equal(core.offsets, _core(plane).offsets)
-            finally:
-                core = None
-                segment.close()
-
-    def test_close_is_idempotent(self):
-        plane = _one_shard(_random_slices(7, n=3))
-        plane.share()
-        plane.close()
-        plane.close()
-
 
 class TestCloudServerRefresh:
     def test_post_insert_frames_search_new_slices(self):
@@ -227,7 +205,6 @@ class TestNonFiniteFrames:
         server = CloudServer(_random_slices(12, n=6))
         with pytest.raises(SearchError, match="non-finite"):
             server.handle_frame(frame)
-        server.close()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_handle_batch_rejects(self, bad):
@@ -239,14 +216,6 @@ class TestNonFiniteFrames:
         # The server stays usable for clean frames.
         clean, _ = server.handle_frame(frames[0])
         assert clean.slices_searched == 6
-        server.close()
-
-    def test_parallel_parent_rejects(self):
-        frame = _query(15)
-        frame[0] = np.nan
-        with ParallelSearch(SearchConfig(), n_chunks=2) as engine:
-            with pytest.raises(SearchError, match="non-finite"):
-                engine.search(frame, _random_slices(15, n=4))
 
 
 class TestModeEquivalence:
@@ -264,12 +233,10 @@ class TestModeEquivalence:
             return (
                 ExhaustiveSearch(self.CONFIG),
                 ExhaustiveSearch(self.CONFIG, precompute=True),
-                FixedSkipPolicy(1),
             )
         return (
             SlidingWindowSearch(self.CONFIG),
             SlidingWindowSearch(self.CONFIG, precompute=True),
-            None,
         )
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1), exhaustive=st.booleans())
@@ -277,16 +244,13 @@ class TestModeEquivalence:
     def test_all_modes_identical(self, seed, exhaustive):
         slices = _random_slices(seed, n=14, min_len=200, max_len=900)
         frame = _query(seed)
-        scalar_engine, fast_engine, policy = self._engines(exhaustive)
+        scalar_engine, fast_engine = self._engines(exhaustive)
         scalar = scalar_engine.search(frame, slices)
         precomputed = fast_engine.search(frame, slices)
         plane = ShardedSearchPlane(slices, shard_slices=4)
         planed = fast_engine.search(frame, plane)
-        parallel = ParallelSearch(
-            self.CONFIG, n_chunks=3, n_workers=1, policy=policy
-        ).search(frame, slices)
         reference = _match_key(scalar)
-        for result in (precomputed, planed, parallel):
+        for result in (precomputed, planed):
             assert _match_key(result) == reference
             assert result.correlations_evaluated == scalar.correlations_evaluated
             assert result.slices_searched == scalar.slices_searched
@@ -294,39 +258,3 @@ class TestModeEquivalence:
                 result.candidates_above_threshold
                 == scalar.candidates_above_threshold
             )
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("exhaustive", [False, True])
-    def test_pooled_workers_identical_and_pool_reused(self, seed, exhaustive):
-        slices = _random_slices(seed, n=20)
-        frame = _query(seed)
-        scalar_engine, _, policy = self._engines(exhaustive)
-        scalar = scalar_engine.search(frame, slices)
-        with ParallelSearch(
-            self.CONFIG, n_chunks=4, n_workers=2, policy=policy
-        ) as pooled:
-            first = pooled.search(frame, slices)
-            second = pooled.search(frame, slices)
-            assert pooled.pool_builds == 1
-            assert pooled.pool_reuses == 1
-        for result in (first, second):
-            assert _match_key(result) == _match_key(scalar)
-            assert result.correlations_evaluated == scalar.correlations_evaluated
-
-    def test_pool_rebuilds_when_mdb_generation_moves(self):
-        slices = _random_slices(11, n=12, min_len=1000, max_len=1001)
-        frame = _query(11)
-        mdb = _mdb_from(slices[:10])
-        plane = ShardedSearchPlane(mdb, shard_slices=4)
-        with ParallelSearch(
-            self.CONFIG, n_chunks=3, n_workers=2, plane=plane
-        ) as pooled:
-            pooled.search(frame)
-            assert pooled.pool_builds == 1
-            for sig_slice in slices[10:]:
-                mdb.insert_document(
-                    slice_to_document(sig_slice, dataset="test", channel="Fp1")
-                )
-            result = pooled.search(frame)
-            assert pooled.pool_builds == 2  # generation moved -> new pool
-            assert result.slices_searched == 12

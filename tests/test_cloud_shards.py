@@ -6,9 +6,9 @@ scalar reference, so it is held here to **shard-width invariance**:
 scattering a query across independently compiled shards and merging
 the per-shard top-K must equal searching the one-shard (monolithic)
 layout of the same slices — same matches, same admission order, same
-statistics including ``slices_pruned`` — for single, batched and
-pooled searches.  The rest of the file covers shard layout, delta
-compilation, epoch pinning and shared-memory lifecycle.
+statistics including ``slices_pruned`` — for single and batched
+searches.  The rest of the file covers shard layout, delta compilation
+and epoch pinning.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.parallel import ParallelSearch
 from repro.cloud.search import (
     ExhaustiveSearch,
     SearchConfig,
@@ -254,7 +253,7 @@ class TestIncrementalCompile:
         engine = SlidingWindowSearch(SearchConfig(), precompute=True)
         frame = _query(8)
         pinned = plane.pin()
-        before = engine.search_shards(frame, pinned)
+        before = engine.search(frame, pinned)
         mdb.insert_document(
             slice_to_document(
                 _random_slices(88, n=1, max_len=400)[0],
@@ -264,75 +263,8 @@ class TestIncrementalCompile:
         )
         assert plane.refresh()
         # The pinned epoch is frozen at 6 slices; the plane moved on.
-        assert _key(engine.search_shards(frame, pinned)) == _key(before)
+        assert _key(engine.search(frame, pinned)) == _key(before)
         assert pinned.n_slices == 6
         assert plane.n_slices == 7
         assert engine.search(frame, plane).slices_searched >= before.slices_searched
         plane.close()
-
-
-class TestShareLifecycle:
-    def test_share_is_idempotent_and_delta_aware(self):
-        slices = _random_slices(11, n=8, max_len=300)
-        mdb = _mdb_from(slices)
-        plane = ShardedSearchPlane(mdb, shard_slices=4)
-        first = plane.share()
-        assert len(first.specs) == 2
-        assert first.bases == (0, 4)
-        mdb.insert_document(
-            slice_to_document(
-                _random_slices(99, n=1, max_len=300)[0],
-                dataset="test",
-                channel="Fp1",
-            )
-        )
-        assert plane.refresh()
-        second = plane.share()
-        # Reused shards keep their existing segments: a delta refresh
-        # is also a delta export.
-        assert second.specs[0] is first.specs[0]
-        assert second.specs[1] is first.specs[1]
-        assert len(second.specs) == 3
-        plane.close()
-
-    def test_close_is_idempotent_and_releases_segments(self):
-        plane = ShardedSearchPlane(
-            _random_slices(12, n=5, max_len=300), shard_slices=2
-        )
-        plane.share()
-        assert all(shard._shm is not None for shard in plane.pin().shards)
-        plane.close()
-        assert all(shard._shm is None for shard in plane.pin().shards)
-        plane.close()
-
-
-class TestParallelSharded:
-    def test_serial_chunks_match_monolithic(self):
-        slices = _random_slices(13, n=12, min_len=200, max_len=600)
-        frame = _query(13)
-        mono = SlidingWindowSearch(SearchConfig(), precompute=True).search(
-            frame, _one_shard(slices)
-        )
-        sharded = ShardedSearchPlane(slices, shard_slices=5)
-        engine = ParallelSearch(SearchConfig(), n_chunks=3)
-        engine.bind(sharded)
-        _assert_identical(engine.search(frame, None), mono)
-        engine.close()
-        sharded.close()
-
-    def test_pooled_workers_match_monolithic(self):
-        slices = _random_slices(14, n=12, min_len=200, max_len=600)
-        frame = _query(14)
-        mono = SlidingWindowSearch(FAST, precompute=True).search(
-            frame, _one_shard(slices)
-        )
-        sharded = ShardedSearchPlane(slices, shard_slices=4)
-        engine = ParallelSearch(FAST, n_chunks=3, n_workers=2)
-        engine.bind(sharded)
-        pooled = engine.search(frame, None)
-        # The pool reaches the same global fast-mode verdicts.
-        assert _key(pooled) == _key(mono)
-        assert pooled.correlations_evaluated == mono.correlations_evaluated
-        assert pooled.slices_pruned == mono.slices_pruned > 0
-        engine.close()
-        sharded.close()

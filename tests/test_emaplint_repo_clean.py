@@ -24,9 +24,6 @@ LINTED_TREES = ("src", "tests", "benchmarks", "tools", "examples")
 #: (path-relative-to-repo-root, rule id) pairs.  Adding one here is a
 #: reviewed decision, not a drive-by comment.
 SUPPRESSION_ALLOWLIST = {
-    # Unregistering from multiprocessing's resource tracker uses a
-    # private CPython API; the except guard around it may swallow.
-    ("src/repro/cloud/plane.py", "EM006"),
     # The inline (non-offloaded) batched plane walk deliberately
     # blocks the loop: it is the as-fast-as-possible simulation path,
     # and ``GatewayConfig.offload_batches`` is the sanctioned escape.

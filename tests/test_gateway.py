@@ -23,7 +23,7 @@ from repro.cloud.results import SearchMatch
 from repro.cloud.server import CloudServer
 from repro.edge.fleet import FleetTracker
 from repro.edge.tracker import TrackerConfig, TrackingStep
-from repro.errors import GatewayError, TrackingError
+from repro.errors import GatewayError, SearchError, TrackingError
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.gateway import (
     EdgeStepDriver,
@@ -294,11 +294,10 @@ class TestResilientSemantics:
         finally:
             server.close()
 
-    def test_non_finite_frame_fails_only_its_batch(self):
-        """A tenant's NaN frame fails the riders of its own batch with a
-        classified search error; the dispatcher survives, so a request
-        already queued behind that batch and later requests from other
-        tenants are served normally."""
+    def test_non_finite_frame_fails_only_its_own_request(self):
+        """A tenant's NaN frame is turned away at submit with a typed
+        search error: it never joins a batch, so the requests that
+        would have shared its batch, and later ones, are all served."""
         frames = _frames(9, n=2)
         corrupt = frames[0].copy()
         corrupt[17] = np.nan
@@ -313,8 +312,8 @@ class TestResilientSemantics:
 
         async def scenario():
             try:
-                # All three land in one loop tick: the first two share
-                # a batch, the third waits in the queue behind it.
+                # All three land in one loop tick; without the check at
+                # submit the first two would share a batch.
                 first = await asyncio.gather(
                     gateway.submit("corrupt", corrupt, now_s=0.0),
                     gateway.submit("rider", frames[1], now_s=0.0),
@@ -328,14 +327,34 @@ class TestResilientSemantics:
             finally:
                 await gateway.aclose()
 
-        try:
-            (corrupt_out, rider, queued), later = asyncio.run(scenario())
-            assert corrupt_out.failure == rider.failure == "search_error"
-            assert queued.ok
-            assert all(o.ok for o in later)
-            assert gateway.batches_served == 3
-        finally:
-            server.close()
+        (corrupt_out, rider, queued), later = asyncio.run(scenario())
+        assert corrupt_out.failure == "search_error"
+        assert isinstance(corrupt_out.error, SearchError)
+        assert "non-finite" in str(corrupt_out.error)
+        assert corrupt_out.attempts == 0
+        assert gateway.tenant_client("corrupt").calls == 0
+        assert rider.ok and queued.ok
+        assert all(o.ok for o in later)
+        # Only the clean requests rode batches: 2 + 2.
+        assert gateway.attempts_served == 4
+
+    @pytest.mark.parametrize("samples", [255, 257])
+    def test_wrong_length_frame_never_queues(self, samples):
+        server = CloudServer(_random_slices(10, n=4))
+        gateway = ServingGateway(server)
+
+        async def scenario():
+            try:
+                return await gateway.submit(
+                    "short", np.zeros(samples), now_s=0.0
+                )
+            finally:
+                await gateway.aclose()
+
+        outcome = asyncio.run(scenario())
+        assert outcome.failure == "search_error"
+        assert isinstance(outcome.error, SearchError)
+        assert gateway.batches_served == 0
 
     def test_rejects_empty_tenant_name(self):
         server = CloudServer(_random_slices(8, n=4))

@@ -2,7 +2,8 @@
 
 One tenant's injected outage must open *that tenant's* circuit breaker
 only — every other tenant keeps serving successfully through the same
-coalesced batch path, with its breaker closed.  This is the
+coalesced batch path, with its breaker closed.  Likewise one tenant's
+corrupt frames fail only that tenant's requests.  This is the
 multi-tenant counterpart of :mod:`tests.test_faults_chaos` and runs in
 the same dedicated CI job (``pytest -m chaos``).
 """
@@ -16,6 +17,7 @@ import pytest
 
 from repro.cloud.client import BreakerState, ResilienceConfig
 from repro.cloud.server import CloudServer
+from repro.errors import SearchError
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.gateway import GatewayConfig, ServingGateway
 from repro.signals.types import AnomalyType, SignalSlice
@@ -140,3 +142,64 @@ class TestTenantFaultIsolation:
             gateway.tenant_client("shaky").breaker_state
             is BreakerState.CLOSED
         )
+
+
+class TestCorruptTenantIsolation:
+    def test_nan_frames_mid_soak_fail_only_their_tenant(self):
+        """tenant-0 sends NaN frames for rounds 4-7 of a 12-round soak
+        while every tenant's requests share coalesced batches; the other
+        tenants must finish with zero failures."""
+        server = CloudServer(_slices(2, n=12))
+        rng = np.random.default_rng(40_002)
+        frames = [rng.standard_normal(256) for _ in range(4)]
+        corrupt = frames[0].copy()
+        corrupt[::32] = np.nan
+        tenants = [f"tenant-{i}" for i in range(5)]
+        bad_rounds = range(4, 8)
+        gateway = ServingGateway(
+            server, GatewayConfig(max_batch=8, resilience=GATEWAY_RESILIENCE)
+        )
+
+        async def session(index, name):
+            outcomes = []
+            for round_index in range(12):
+                bad = index == 0 and round_index in bad_rounds
+                frame = (
+                    corrupt if bad else frames[(round_index + index) % 4]
+                )
+                outcome = await gateway.submit(
+                    name, frame, now_s=float(round_index)
+                )
+                outcomes.append((bad, outcome))
+            return outcomes
+
+        async def run():
+            try:
+                return await asyncio.gather(
+                    *(session(i, name) for i, name in enumerate(tenants))
+                )
+            finally:
+                await gateway.aclose()
+
+        per_tenant = dict(zip(tenants, asyncio.run(run())))
+
+        # The soak really coalesced tenants into shared batches.
+        assert gateway.attempts_served > gateway.batches_served
+        assert gateway.dispatcher_crash is None
+        for bad, outcome in per_tenant["tenant-0"]:
+            if bad:
+                assert outcome.failure == "search_error"
+                assert isinstance(outcome.error, SearchError)
+                assert outcome.attempts == 0
+            else:
+                assert outcome.ok
+        # Bad input is not a cloud fault: the breaker never moved.
+        assert (
+            gateway.tenant_client("tenant-0").breaker_state
+            is BreakerState.CLOSED
+        )
+        for name in tenants[1:]:
+            assert all(outcome.ok for _, outcome in per_tenant[name]), name
+            client = gateway.tenant_client(name)
+            assert client.failures == 0
+            assert client.breaker_state is BreakerState.CLOSED

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cloud.parallel import ParallelSearch
-from repro.cloud.search import SearchConfig
+from repro.cloud.search import SearchConfig, SlidingWindowSearch
+from repro.cloud.shards import ShardedSearchPlane
 from repro.errors import ObservabilityError
 from repro.obs.metrics import (
     HISTOGRAM_MAX_SAMPLES,
@@ -175,7 +175,7 @@ class TestRegistry:
 
 class TestRegistryUnderSearch:
     def test_concurrent_parallel_searches_record_consistent_totals(self):
-        """Two ParallelSearch runs on separate threads share the registry."""
+        """Two plane searches on separate threads share the registry."""
         rng = np.random.default_rng(11)
         slices = [
             SignalSlice(
@@ -186,7 +186,8 @@ class TestRegistryUnderSearch:
             for i in range(24)
         ]
         frame = rng.standard_normal(256)
-        engine = ParallelSearch(SearchConfig(top_k=5), n_chunks=3, n_workers=1)
+        plane = ShardedSearchPlane(slices, shard_slices=8)
+        engine = SlidingWindowSearch(SearchConfig(top_k=5), precompute=True)
 
         obs.reset()
         obs.enable()
@@ -194,7 +195,7 @@ class TestRegistryUnderSearch:
             results = [None, None]
 
             def run(index):
-                results[index] = engine.search(frame, slices)
+                results[index] = engine.search(frame, plane)
 
             threads = [
                 threading.Thread(target=run, args=(i,)) for i in range(2)
@@ -210,9 +211,9 @@ class TestRegistryUnderSearch:
                 registry.counter_value("cloud.search.correlations_evaluated")
                 == expected
             )
-            assert registry.counter_value("cloud.search.requests") == 6  # 2 × 3 chunks
-            assert registry.histogram("cloud.parallel.elapsed_s").count == 2
-            assert registry.histogram("cloud.parallel.chunk_elapsed_s").count == 6
+            assert registry.counter_value("cloud.search.requests") == 2
+            assert registry.counter_value("cloud.search.batches") == 2
+            assert registry.histogram("cloud.search.elapsed_s").count == 2
         finally:
             obs.disable()
             obs.reset()

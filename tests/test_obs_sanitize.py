@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from multiprocessing import shared_memory
 
 import pytest
 
@@ -111,36 +110,6 @@ class TestDetectors:
 
         run_sanitized(main(), sanitizer=sanitizer)
         assert sanitizer.report.leaked_tasks == []
-
-    def test_unlinked_shared_memory_is_a_violation(self):
-        sanitizer = Sanitizer(track_memory=False)
-        names: list[str] = []
-
-        async def main():
-            segment = shared_memory.SharedMemory(create=True, size=128)
-            names.append(segment.name)
-            segment.close()  # closed but never unlinked
-
-        try:
-            with pytest.raises(SanitizerError, match="never unlinked"):
-                run_sanitized(main(), sanitizer=sanitizer)
-            assert sanitizer.report.leaked_segments == names
-        finally:
-            for name in names:
-                leaked = shared_memory.SharedMemory(name=name)
-                leaked.close()
-                leaked.unlink()
-
-    def test_unlinked_segments_are_clean(self):
-        sanitizer = Sanitizer(track_memory=False)
-
-        async def main():
-            segment = shared_memory.SharedMemory(create=True, size=128)
-            segment.close()
-            segment.unlink()
-
-        run_sanitized(main(), sanitizer=sanitizer)
-        assert sanitizer.report.leaked_segments == []
 
     def test_memory_growth_over_limit_is_a_violation(self):
         sanitizer = Sanitizer(memory_growth_limit_bytes=256 * 1024)

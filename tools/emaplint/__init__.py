@@ -1,9 +1,10 @@
 """emaplint: EMAP's project-specific static-analysis pass.
 
 The repository's correctness story rests on invariants no generic
-linter knows about: bit-identical results across the four search
-execution modes, deterministic seeded EEG synthesis, and a shared-memory
-serving plane whose segments must not outlive their generation.  Each
+linter knows about: compiled search and tracking paths bit-identical to
+their scalar references, deterministic seeded EEG synthesis, and an
+async serving gateway that never blocks its event loop or leaks a
+task.  Each
 :class:`~emaplint.registry.Rule` encodes one such invariant as an AST
 check; the :class:`~emaplint.engine.LintEngine` runs every registered
 rule over a file set in a single parse per file.

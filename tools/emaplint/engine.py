@@ -2,7 +2,7 @@
 
 Pass 1 parses every target file once and (when any project-wide rule is
 active) builds the :class:`~emaplint.project.ProjectModel` — symbol
-table, import graph, call graph, async/worker context maps.  Pass 2
+table, import graph, call graph, async context map.  Pass 2
 runs the per-file rules over each tree and the project rules over the
 model.
 
@@ -14,10 +14,10 @@ silences **nothing** is itself an error (:data:`STALE_RULE_ID`): dead
 
 Results are cached per file, keyed by content hash:
 
-* **Per-file rules** (EM001–EM006, EM008, EM012) depend only on the
+* **Per-file rules** (EM001, EM004–EM006, EM008, EM012) depend only on the
   file's own text, so their raw findings are reused whenever the hash
   matches.
-* **Project rules** (EM007, EM009, EM010, EM011) may attribute a
+* **Project rules** (EM007, EM009, EM010) may attribute a
   finding in file ``A`` to context in file ``B`` — including *reverse*
   dependencies (an async caller of ``A`` living in ``B``), which no
   per-file import-closure key can capture soundly.  Their findings are

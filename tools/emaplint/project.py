@@ -20,17 +20,14 @@ It holds four linked tables:
   calls.  Unresolvable receivers simply contribute no edge — the model
   is deliberately *under*-approximate, so rules built on it stay
   low-noise.
-* **Context maps** — which functions are coroutines, which are
+* **Context maps** — which functions are coroutines and which are
   transitively reachable from a coroutine (they run on the event
-  loop), and which are reachable from process-pool worker entry points
-  (they run post-fork).
+  loop).
 
 Functions passed *by reference* (``loop.run_in_executor(None, fn)``,
-``asyncio.to_thread(fn)``, ``pool.submit(fn, ...)``) are not call
-edges: the reference does not execute in the referencing context.
-That single property is what lets EM007 bless executor offload and
-EM011 distinguish worker entry points from parent-side code, without
-either rule special-casing syntax.
+``asyncio.to_thread(fn)``) are not call edges: the reference does not
+execute in the referencing context.  That single property is what lets
+EM007 bless executor offload without special-casing syntax.
 """
 
 from __future__ import annotations
@@ -49,19 +46,6 @@ if TYPE_CHECKING:
 #: file under ``tools/emaplint/rules/x.py`` becomes
 #: ``emaplint.rules.x``; everything else falls back to its stem.
 _SOURCE_ROOTS = ("src", "tools")
-
-#: Pool-dispatch attributes whose first positional argument names a
-#: function that will run in a worker process (mirrors EM003).
-WORKER_DISPATCH_METHODS = frozenset(
-    {"submit", "map", "apply_async", "imap", "starmap"}
-)
-
-#: Keywords naming a function that runs in another process.  The
-#: ``initializer`` entry point is tracked separately from task entry
-#: points: mutating module state *there* is the sanctioned
-#: rebuild-in-the-worker pattern.
-WORKER_INITIALIZER_KEYWORDS = frozenset({"initializer"})
-WORKER_TARGET_KEYWORDS = frozenset({"target"})
 
 
 def module_name_for(path_parts: Sequence[str]) -> str:
@@ -130,8 +114,6 @@ class ModuleInfo:
     project_imports: set[str] = field(default_factory=set)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-    #: Every module-level binding -> first line (EM011 mutation checks).
-    module_globals: dict[str, int] = field(default_factory=dict)
 
     @property
     def tree(self) -> ast.Module:
@@ -198,18 +180,7 @@ class ProjectModel:
 
     def _link_module(self, info: ModuleInfo) -> None:
         for statement in info.tree.body:
-            if isinstance(statement, (ast.Assign, ast.AnnAssign)):
-                targets = (
-                    statement.targets
-                    if isinstance(statement, ast.Assign)
-                    else [statement.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        info.module_globals.setdefault(
-                            target.id, statement.lineno
-                        )
-            elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._register_function(info, statement, owner=None)
             elif isinstance(statement, ast.ClassDef):
                 self._register_class(info, statement)
@@ -258,7 +229,6 @@ class ProjectModel:
         cls = ClassInfo(qname=qname, module=info.name, node=node)
         info.classes[node.name] = cls
         self.classes[qname] = cls
-        info.module_globals.setdefault(node.name, node.lineno)
         for statement in node.body:
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._register_function(info, statement, owner=cls)
@@ -562,47 +532,6 @@ class ProjectModel:
             for qname, function in self.functions.items()
             if function.is_async
         ]
-
-    def worker_entries(self) -> tuple[set[str], set[str]]:
-        """Pool entry points: ``(task_roots, initializer_roots)``.
-
-        Task roots are functions shipped per-request to pool workers
-        (``pool.submit(fn, ...)`` and friends, ``target=fn``);
-        initializer roots run once at worker start and are the
-        sanctioned place to rebuild worker-process state.
-        """
-        task_roots: set[str] = set()
-        initializer_roots: set[str] = set()
-
-        def resolve(info: ModuleInfo, node: ast.AST) -> str | None:
-            name = dotted_name(node)
-            if name is None:
-                return None
-            function = self.resolve_function_name(info, name)
-            return function.qname if function is not None else None
-
-        for info in self.modules.values():
-            for node in ast.walk(info.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                if (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in WORKER_DISPATCH_METHODS
-                    and node.args
-                ):
-                    qname = resolve(info, node.args[0])
-                    if qname is not None:
-                        task_roots.add(qname)
-                for keyword in node.keywords:
-                    if keyword.arg in WORKER_TARGET_KEYWORDS:
-                        qname = resolve(info, keyword.value)
-                        if qname is not None:
-                            task_roots.add(qname)
-                    elif keyword.arg in WORKER_INITIALIZER_KEYWORDS:
-                        qname = resolve(info, keyword.value)
-                        if qname is not None:
-                            initializer_roots.add(qname)
-        return task_roots, initializer_roots
 
     # -- cache support --------------------------------------------------
 

@@ -48,8 +48,7 @@ class Rule(ast.NodeVisitor):
     Subclasses set ``id`` (``EMnnn``), ``name`` and ``rationale``, and
     implement ``visit_*`` methods that call :meth:`report`.  ``finish``
     runs after the whole tree has been visited — rules that need
-    whole-file context (reachability of a ``close()`` call, the set of
-    worker functions) collect during visitation and report there.
+    whole-file context collect during visitation and report there.
 
     Path scoping: ``include_parts``, when non-empty, restricts the rule
     to files whose path contains at least one of those directory

@@ -10,8 +10,6 @@ rule fires on the bad twin and stays silent on the good one.
 
 from emaplint.rules import (  # noqa: F401  (registration side effects)
     em001_rng,
-    em002_sharedmem,
-    em003_worker_state,
     em004_float_eq,
     em005_annotations,
     em006_exceptions,
@@ -19,6 +17,5 @@ from emaplint.rules import (  # noqa: F401  (registration side effects)
     em008_task_leak,
     em009_generation_cache,
     em010_metric_names,
-    em011_postfork_mutation,
     em012_await_lock,
 )

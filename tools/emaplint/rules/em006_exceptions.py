@@ -1,8 +1,7 @@
 """EM006: no bare ``except:`` and no swallowed broad exceptions.
 
-Server and pool code that catches everything and does nothing turns a
-crashed worker or a failed shared-memory attach into silent wrong
-answers.  Two shapes are flagged:
+Server code that catches everything and does nothing turns a crashed
+dispatcher or a failed kernel build into silent wrong answers.  Two shapes are flagged:
 
 * a bare ``except:`` handler, anywhere — it even eats
   ``KeyboardInterrupt``/``SystemExit``;
@@ -13,7 +12,7 @@ Narrow handlers that swallow (``except FileNotFoundError: pass``) are
 allowed — naming the exception is the evidence the author considered
 the case.  Handlers inside ``__del__`` are exempt: raising during
 garbage collection is itself a bug, so a broad guard there is the
-correct idiom (the plane/pool GC safety nets).
+correct idiom (GC safety nets).
 """
 
 from __future__ import annotations

@@ -138,32 +138,10 @@ def test_async_roots_lists_every_coroutine():
     }
 
 
-def test_worker_entries_split_tasks_from_initializers():
-    model = _model(
-        (
-            "src/repro/mod.py",
-            "import multiprocessing as mp\n"
-            "\n"
-            "def _task(x):\n    return x\n"
-            "def _init():\n    pass\n"
-            "def _thread_main():\n    pass\n"
-            "\n"
-            "def main(pool, thread_cls):\n"
-            "    pool = mp.Pool(2, initializer=_init)\n"
-            "    pool.map(_task, [1, 2])\n"
-            "    thread_cls(target=_thread_main).start()\n",
-        )
-    )
-    task_roots, initializer_roots = model.worker_entries()
-    assert task_roots == {"repro.mod:_task", "repro.mod:_thread_main"}
-    assert initializer_roots == {"repro.mod:_init"}
-
-
 def test_by_reference_handoff_creates_no_call_edge():
     """``run_in_executor(None, fn)`` passes ``fn`` without calling it.
 
-    No edge means EM007 blesses executor offload and EM011 sees pool
-    entry points only through ``worker_entries``.
+    No edge means EM007 blesses executor offload.
     """
     model = _model(
         (
