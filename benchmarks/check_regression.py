@@ -64,17 +64,6 @@ when:
 * batches stop forming under concurrent load (mean batch size
   collapses toward 1).
 
-**Two-stage gate** — serves the same request stream over the same
-compiled plane single-stage and with fast coarse screening
-(``benchmarks/baselines/two_stage_throughput.json``).  It fails when:
-
-* ``fast_pruned_per_query`` drifts from the baseline (the coarse
-  screen is deterministic, so drift is an algorithmic change);
-* the fast-mode speedup falls below the **2x absolute floor** over the
-  single-stage plane path — self-normalising, both arms share the
-  host.  Fast-mode *quality* is gated separately by the Fig. 11 bench
-  (``test_bench_two_stage_throughput.py``).
-
 **Shard gate** — adopts the same single-document insert stream by
 compiling a fresh plane from the whole MDB and by one plane's delta
 refresh (``benchmarks/baselines/shard_throughput.json``).  It fails
@@ -140,9 +129,6 @@ DEFAULT_EDGE_PLANE_BASELINE = (
 DEFAULT_GATEWAY_BASELINE = (
     REPO_ROOT / "benchmarks" / "baselines" / "gateway_throughput.json"
 )
-DEFAULT_TWO_STAGE_BASELINE = (
-    REPO_ROOT / "benchmarks" / "baselines" / "two_stage_throughput.json"
-)
 DEFAULT_SHARD_BASELINE = (
     REPO_ROOT / "benchmarks" / "baselines" / "shard_throughput.json"
 )
@@ -162,8 +148,6 @@ EDGE_PLANE_SPEEDUP_FLOOR = 3.0
 EDGE_FLEET_SPEEDUP_FLOOR = 2.0
 EDGE_PLANE_CANDIDATES = 100
 EDGE_PLANE_N_FRAMES = 12
-TWO_STAGE_SPEEDUP_FLOOR = 2.0
-TWO_STAGE_N_QUERIES = 12
 SHARD_DELTA_SPEEDUP_FLOOR = 5.0
 SHARD_SLICES_PER_SHARD = 16
 SHARD_N_INSERTS = 4
@@ -219,17 +203,6 @@ def run_edge_plane_benchmark(seed: int) -> dict:
         seed=seed,
     )
     return edge_plane_throughput.summarize(result, seed=seed)
-
-
-def run_two_stage_benchmark(mdb_scale: float, seed: int) -> dict:
-    """One two-stage throughput run, summarised for baseline/compare."""
-    import two_stage_throughput
-
-    fixture = build_fixture(mdb_scale=mdb_scale, seed=seed)
-    result = two_stage_throughput.run_two_stage(
-        fixture, n_queries=TWO_STAGE_N_QUERIES
-    )
-    return two_stage_throughput.summarize(result, mdb_scale=mdb_scale, seed=seed)
 
 
 def run_shard_benchmark(mdb_scale: float, seed: int) -> dict:
@@ -415,26 +388,6 @@ def compare_gateway(summary: dict, baseline: dict) -> list[str]:
     return failures
 
 
-def compare_two_stage(summary: dict, baseline: dict) -> list[str]:
-    """Gate failures for the two-stage search bench (empty = pass)."""
-    failures: list[str] = []
-    if summary["fast_pruned_per_query"] != baseline["fast_pruned_per_query"]:
-        failures.append(
-            "fast_pruned_per_query drifted from baseline "
-            f"({summary['fast_pruned_per_query']} vs "
-            f"{baseline['fast_pruned_per_query']}) — the coarse screen is "
-            "deterministic, so this is an algorithmic change"
-        )
-    if summary["fast_speedup"] < TWO_STAGE_SPEEDUP_FLOOR:
-        failures.append(
-            f"fast two-stage speedup {summary['fast_speedup']:.2f}x fell "
-            f"below the {TWO_STAGE_SPEEDUP_FLOOR:.0f}x floor over the "
-            f"single-stage plane path (baseline "
-            f"{baseline['fast_speedup']:.2f}x) — screening regression"
-        )
-    return failures
-
-
 def compare_shards(summary: dict, baseline: dict) -> list[str]:
     """Gate failures for the sharded-plane adoption bench (empty = pass)."""
     failures: list[str] = []
@@ -518,14 +471,6 @@ def main(argv: list[str] | None = None) -> int:
         "--skip-gateway",
         action="store_true",
         help="skip the serving-gateway throughput gate",
-    )
-    parser.add_argument(
-        "--two-stage-baseline", type=Path, default=DEFAULT_TWO_STAGE_BASELINE
-    )
-    parser.add_argument(
-        "--skip-two-stage",
-        action="store_true",
-        help="skip the two-stage search throughput gate",
     )
     parser.add_argument(
         "--shard-baseline", type=Path, default=DEFAULT_SHARD_BASELINE
@@ -620,16 +565,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         )
 
-    two_stage_summary = None
-    if not args.skip_two_stage:
-        two_stage_summary = run_two_stage_benchmark(args.mdb_scale, args.seed)
-        print(
-            "two-stage: fast {0:.2f}x ({1} queries)".format(
-                two_stage_summary["fast_speedup"],
-                two_stage_summary["n_queries"],
-            )
-        )
-
     fleet_summary = None
     if not args.skip_fleet:
         fleet_summary = run_fleet_benchmark(args.seed)
@@ -681,12 +616,6 @@ def main(argv: list[str] | None = None) -> int:
                 json.dumps(gateway_summary, indent=2) + "\n"
             )
             print(f"baseline updated: {args.gateway_baseline}")
-        if two_stage_summary is not None:
-            args.two_stage_baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.two_stage_baseline.write_text(
-                json.dumps(two_stage_summary, indent=2) + "\n"
-            )
-            print(f"baseline updated: {args.two_stage_baseline}")
         if shard_summary is not None:
             args.shard_baseline.parent.mkdir(parents=True, exist_ok=True)
             args.shard_baseline.write_text(
@@ -708,11 +637,6 @@ def main(argv: list[str] | None = None) -> int:
             + ([args.plane_baseline] if plane_summary is not None else [])
             + ([args.edge_plane_baseline] if edge_summary is not None else [])
             + ([args.gateway_baseline] if gateway_summary is not None else [])
-            + (
-                [args.two_stage_baseline]
-                if two_stage_summary is not None
-                else []
-            )
             + ([args.shard_baseline] if shard_summary is not None else [])
             + ([args.fleet_baseline] if fleet_summary is not None else [])
         )
@@ -737,9 +661,6 @@ def main(argv: list[str] | None = None) -> int:
     if gateway_summary is not None:
         gateway_baseline = json.loads(args.gateway_baseline.read_text())
         failures += compare_gateway(gateway_summary, gateway_baseline)
-    if two_stage_summary is not None:
-        two_stage_baseline = json.loads(args.two_stage_baseline.read_text())
-        failures += compare_two_stage(two_stage_summary, two_stage_baseline)
     if shard_summary is not None:
         shard_baseline = json.loads(args.shard_baseline.read_text())
         failures += compare_shards(shard_summary, shard_baseline)
@@ -769,12 +690,6 @@ def main(argv: list[str] | None = None) -> int:
             f", {GATEWAY_SPEEDUP_FLOOR:.2f}x gateway floor vs "
             f"{args.gateway_baseline.name}"
             if gateway_summary is not None
-            else ""
-        )
-        + (
-            f", {TWO_STAGE_SPEEDUP_FLOOR:.0f}x two-stage floor vs "
-            f"{args.two_stage_baseline.name}"
-            if two_stage_summary is not None
             else ""
         )
         + (

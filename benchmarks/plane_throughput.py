@@ -4,14 +4,13 @@ Compares two ways of serving the same stream of search requests over
 the Fig. 7(b)-scale MDB:
 
 * **legacy** — the pre-plane ``CloudServer`` behaviour: each request
-  recomputes every slice's prefix sums, window norms and dot products
-  from the raw slice list (``SlidingWindowSearch(precompute=True)``
-  over ``list(mdb.slices())``);
+  recompiles the raw slice list, every slice's window norms included
+  (``SlidingWindowSearch(precompute=True)`` over
+  ``list(mdb.slices())``, which compiles a one-shard plane per call);
 * **plane** — the same engine over a compiled
   :class:`~repro.cloud.shards.ShardedSearchPlane` (the serving plane,
   default shard width): samples compiled once, window norms cached per
-  frame length, the skip walk replayed over the batched correlation
-  arrays.
+  frame length, so a request pays only for the walk.
 
 Both arms run the identical Algorithm 1 walk, and the harness verifies
 request-by-request that matches and ``correlations_evaluated`` are

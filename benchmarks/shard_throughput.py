@@ -6,15 +6,14 @@ by adopting the same insert stream two ways:
 
 * **full rebuild** — a fresh :class:`~repro.cloud.shards.ShardedSearchPlane`
   compiled from the whole MDB after every insert (concatenate,
-  offsets, norm and coarse caches from scratch);
+  offsets and norm caches from scratch);
 * **delta refresh** — one long-lived plane's ``refresh()``:
   content-addressed reuse recompiles only the trailing delta shard and
   re-warms only its caches; every untouched shard keeps its compiled
-  core, norms and coarse index.
+  core and norms.
 
-Both arms time the compile **plus** the norm and coarse-index warm-up
-(the coarse screen serves ``two_stage="fast"``), i.e. the full cost
-until the next request can be served at steady state.  Query cost is
+Both arms time the compile **plus** the norm warm-up, i.e. the full
+cost until the next request can be served at steady state.  Query cost is
 deliberately excluded — it is identical by the bit-identity contract
 (checked here after every insert) and would only dilute the
 adoption-cost signal.
@@ -109,10 +108,9 @@ def run_shard_throughput(
     def warm(plane: ShardedSearchPlane) -> None:
         for shard in plane.pin().shards:
             shard.core.ensure_norms(frame_samples)
-            shard.core.ensure_coarse(frame_samples, config.coarse_decimation)
 
-    # A steady-state server has a compiled plane plus norm and coarse
-    # caches before the first online insert arrives.
+    # A steady-state server has a compiled plane plus norm caches
+    # before the first online insert arrives.
     warm(sharded)
 
     full_s = 0.0

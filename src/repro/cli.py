@@ -46,16 +46,6 @@ _EXPERIMENTS: dict[str, str] = {
 }
 
 
-def _add_two_stage(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--two-stage",
-        choices=["off", "fast"],
-        default="off",
-        help="coarse-then-exact cloud search (fast = walk only the "
-        "best-ranked slices)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emap",
@@ -76,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--no-baselines", action="store_true")
         if name == "fig11":
             sub.add_argument("--inputs", type=int, default=20)
-            _add_two_stage(sub)
 
     monitor = subparsers.add_parser(
         "monitor", help="run one closed-loop monitoring session"
@@ -95,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="scalar",
         help="edge tracking engine (plane = compiled set, fused stepping)",
     )
-    _add_two_stage(monitor)
 
     obs_cmd = subparsers.add_parser(
         "obs",
@@ -130,7 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=96,
         help="raw samples per streaming push (exercises partial frames)",
     )
-    _add_two_stage(obs_cmd)
 
     serve = subparsers.add_parser(
         "serve",
@@ -224,7 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "plane's built-in width); smaller shards make online inserts "
         "cheaper to adopt, larger ones amortise per-shard overheads",
     )
-    _add_two_stage(serve)
     return parser
 
 
@@ -307,7 +293,6 @@ def _cmd_fig11(args: argparse.Namespace) -> str:
         _fixture(args),
         n_inputs_per_class=args.inputs,
         seed=args.seed,
-        two_stage=args.two_stage,
     ).report()
 
 
@@ -326,7 +311,6 @@ def _cmd_table1(args: argparse.Namespace) -> str:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> str:
-    from repro.cloud.search import SearchConfig
     from repro.config import PipelineConfig, build_pipeline
     from repro.edge.tracker import TrackerConfig
     from repro.signals.anomalies import AnomalySpec, make_anomalous_signal
@@ -352,7 +336,6 @@ def _cmd_monitor(args: argparse.Namespace) -> str:
             mdb_scale=args.mdb_scale,
             seed=args.seed,
             with_artifacts=False,
-            search=SearchConfig(two_stage=args.two_stage),
             tracker=TrackerConfig(engine=args.engine),
         )
     )
@@ -394,7 +377,6 @@ def _obs_recording(args: argparse.Namespace) -> Signal:
 def _cmd_obs(args: argparse.Namespace) -> str:
     """End-to-end streaming run with the observability layer enabled."""
     from repro import obs
-    from repro.cloud.search import SearchConfig
     from repro.config import PipelineConfig, build_pipeline
     from repro.edge.tracker import TrackerConfig
     from repro.obs.profiling import profile_block
@@ -407,7 +389,6 @@ def _cmd_obs(args: argparse.Namespace) -> str:
             mdb_scale=args.mdb_scale,
             seed=args.seed,
             with_artifacts=False,
-            search=SearchConfig(two_stage=args.two_stage),
         )
     )
     recording = _obs_recording(args)
@@ -470,7 +451,6 @@ def _cmd_serve(args: argparse.Namespace) -> str | tuple[str, int]:
                 fault_rate=args.fault_rate,
                 n_frames=args.frames,
                 seed=args.seed,
-                two_stage=args.two_stage,
                 **overrides,
             )
         )
@@ -489,9 +469,7 @@ def _cmd_serve(args: argparse.Namespace) -> str | tuple[str, int]:
     fixture = build_fixture(mdb_scale=args.mdb_scale, seed=args.seed)
     server = CloudServer(
         fixture.slices,
-        search=SlidingWindowSearch(
-            SearchConfig(two_stage=args.two_stage), precompute=True
-        ),
+        search=SlidingWindowSearch(SearchConfig(), precompute=True),
         shard_slices=(
             args.shard_slices
             if args.shard_slices is not None

@@ -2,9 +2,8 @@
 
 * :mod:`repro.cloud.results` — match/result containers and statistics.
 * :mod:`repro.cloud.plane` — the compiled plane core: a run of slices
-  as contiguous arrays with cached window statistics.
-* :mod:`repro.cloud.coarse` — the optional coarse screen
-  (``two_stage="fast"``) that ranks slices before the exact walk.
+  as contiguous arrays with cached window norms, and Algorithm 1's
+  skip walk over them, computing correlations only where it visits.
 * :mod:`repro.cloud.shards` — the one compiled plane type: independently
   compiled, content-addressed shards with incremental (delta-shard)
   recompilation behind immutable per-generation epochs.

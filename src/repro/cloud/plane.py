@@ -1,51 +1,84 @@
-"""The compiled core of the MDB search plane.
+"""The compiled core of the MDB search plane, and its skip walk.
 
-``CloudServer.handle_frame`` used to recompute every slice's prefix
-sums and window norms from scratch on each request; at production
-request rates that query-independent work dominates serving latency.
-A :class:`PlaneCore` amortises it: a run of slices is compiled **once**
-into two contiguous NumPy arrays (concatenated samples plus an
-``int64`` slice offset table), and each frame length's centred window
-norms are precomputed for *all* its slices in one pass and cached for
-the core's lifetime.  A query then only pays for its own dot products.
+A :class:`PlaneCore` compiles a run of slices **once** into two
+contiguous NumPy arrays (concatenated samples plus an ``int64`` slice
+offset table) and caches, per frame length, the centred norm of every
+window of every slice.  A query then pays only for Algorithm 1's walk:
+:meth:`PlaneCore.walk` visits each slice's offsets by the skip rule
+and computes the correlation **only at the offsets it visits** — the
+β = αω⁻¹ skip exists so the cloud evaluates fewer correlations, and
+the walk's cost now follows the ``correlations_evaluated`` count the
+Eq. 4 model prices.
 
 Every compiled core is one shard of a
 :class:`~repro.cloud.shards.ShardedSearchPlane`, which owns the slice
 metadata and the refresh-on-insert lifecycle; a core carries no slice
 metadata and no reference back to the MDB.
 
-Correlation values are **bit-identical** to the scalar engine on the
-direct path: norms use the same ``sqrt(max(Σx² − (Σx)²/m, 0))``
-prefix-sum formula and dots the same ``np.correlate`` call, so the
-skip-policy walk replayed over a plane-backed correlation array visits
-exactly the offsets the per-offset scalar loop would.  For slices long
-enough that ``O(N·M)`` direct correlation loses (``fft_min_samples``,
-default 8192 — well above the standard 1000-sample signal-sets), dots
-switch to an rFFT product, equal to the direct path within ~1e-12.
+The walk is **bit-identical** to the scalar engine
+(:func:`~repro.cloud.search.replay_skip_walk` over
+:meth:`~repro.signals.windows.WindowedStats.normalized_correlation_with`):
+norms come from the same :func:`~repro.signals.windows.centered_window_norms`,
+dot products replay numpy's pairwise ``np.multiply(c, w).sum()``, and
+the hop is the same IEEE-754 ``rint``/``clip`` of the same ω.  It runs
+on the backend :mod:`repro.kernels` selects: the compiled
+``cloud_walk`` (one call per shard core and query, no threads), or a
+numpy fallback that advances every slice's walk one hop per
+level-synchronous round, gathering dot products only at the visited
+windows.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro import obs
-from repro.cloud.coarse import CoarseIndex
 from repro.errors import SearchError
+from repro.kernels import compiled_kernels
+from repro.signals.metrics import NORM_EPSILON
+from repro.signals.windows import centered_window_norms
 
-#: Slices shorter than this always use direct ``np.correlate``; the
-#: default keeps the standard 1000-sample signal-sets on the
-#: bit-identical direct path (np.correlate's C loop beats rFFT overhead
-#: until slices are several thousand samples long).
-DEFAULT_FFT_MIN_SAMPLES = 8192
 
-#: FFT never pays for very short query frames regardless of slice size.
-FFT_MIN_FRAME_SAMPLES = 64
+class SkipRule(NamedTuple):
+    """Algorithm 1's hop as the four numbers both walk backends read.
 
-#: Denominators below this are treated as flat (zero-variance) windows.
-_NORM_EPSILON = 1e-12
+    After a correlation ω the walk advances
+    ``clip(rint(scale / max(ω, floor)), low, high)`` samples: the
+    exponential policy is ``(skip_scale·α, ε, 1, max_skip)``, a fixed
+    step ``k`` is ``(0, 1, k, k)``.
+    """
+
+    scale: float
+    floor: float
+    low: int
+    high: int
+
+    def table(self, omegas: np.ndarray) -> np.ndarray:
+        """``int64`` hops for every ω (the same ``rint`` as ``round``)."""
+        hops = np.maximum(omegas, self.floor)
+        np.divide(self.scale, hops, out=hops)
+        np.rint(hops, out=hops)
+        np.clip(hops, self.low, self.high, out=hops)
+        return hops.astype(np.int64)
+
+
+class WalkHits(NamedTuple):
+    """One query's walk over one core.
+
+    Hits are in scan order (slices ascending, offsets ascending):
+    ``slices`` holds core-local slice indices, ``omegas`` the admitted
+    correlations and ``offsets`` their offsets within the slice.
+    """
+
+    slices: np.ndarray
+    omegas: np.ndarray
+    offsets: np.ndarray
+    evaluated: int
+    above_threshold: int
 
 
 @dataclass(frozen=True)
@@ -57,51 +90,30 @@ class PlaneNorms:
     frame contributes zero entries.
     """
 
-    frame_samples: int
     norms: np.ndarray
     offsets: np.ndarray
-    #: Smallest window norm across all slices; lets a query prove "no
-    #: flat window anywhere" with one scalar compare instead of a
-    #: per-offset mask.
-    min_norm: float = 0.0
-
-    def slice_norms(self, index: int) -> np.ndarray:
-        """The centred window norms of slice ``index`` at every offset."""
-        return self.norms[self.offsets[index] : self.offsets[index + 1]]
 
 
 class PlaneCore:
-    """Contiguous sample arrays plus the per-slice correlation math.
+    """Contiguous sample arrays, cached window norms and the walk.
 
     Deliberately metadata-free: it never sees labels, ids, or
-    ``SignalSlice`` objects.  Norm caches are keyed by frame length and persist for the
-    core's lifetime, so repeated queries amortise all
+    ``SignalSlice`` objects.  Norm caches are keyed by frame length and
+    persist for the core's lifetime, so repeated queries amortise all
     query-independent work.
     """
 
-    def __init__(
-        self,
-        samples: np.ndarray,
-        offsets: np.ndarray,
-        fft_min_samples: int = DEFAULT_FFT_MIN_SAMPLES,
-    ) -> None:
+    def __init__(self, samples: np.ndarray, offsets: np.ndarray) -> None:
         if samples.ndim != 1:
             raise SearchError(f"plane samples must be 1-D, got {samples.shape}")
         if offsets.ndim != 1 or offsets.size < 2:
             raise SearchError("plane offset table must have >= 2 entries")
-        if fft_min_samples < 1:
-            raise SearchError(
-                f"fft_min_samples must be >= 1, got {fft_min_samples}"
-            )
-        self.samples = samples
-        self.offsets = offsets
-        self.fft_min_samples = fft_min_samples
+        # The compiled walk reads these buffers raw.
+        self.samples = np.ascontiguousarray(samples, dtype=np.float64)
+        self.offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         self._norm_caches: dict[int, PlaneNorms] = {}
-        self._coarse_caches: dict[tuple[int, int], CoarseIndex] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        self.coarse_cache_hits = 0
-        self.coarse_cache_misses = 0
 
     @property
     def n_slices(self) -> int:
@@ -120,15 +132,12 @@ class PlaneCore:
         """Contiguous view of slice ``index``'s samples."""
         return self.samples[self.offsets[index] : self.offsets[index + 1]]
 
-    # -- per-frame-length norm cache ---------------------------------
-
     def ensure_norms(self, frame_samples: int) -> PlaneNorms:
         """The norm cache for ``frame_samples``, building it on miss.
 
         A miss computes the centred norms of **every** slice in one
-        pass (per-slice prefix sums, exactly the scalar engine's
-        formula) so later queries of this frame length are pure dot
-        products.
+        pass, with the scalar engine's own
+        :func:`~repro.signals.windows.centered_window_norms`.
         """
         if frame_samples <= 0:
             raise SearchError(
@@ -141,31 +150,13 @@ class PlaneCore:
             return cached
         self.cache_misses += 1
         started = time.perf_counter()
-        per_slice: list[np.ndarray] = []
+        per_slice = [
+            centered_window_norms(self.slice_data(index), frame_samples)
+            for index in range(self.n_slices)
+        ]
         norm_offsets = np.zeros(self.n_slices + 1, dtype=np.int64)
-        for index in range(self.n_slices):
-            data = self.slice_data(index)
-            n_offsets = data.size - frame_samples + 1
-            if n_offsets <= 0:
-                norm_offsets[index + 1] = norm_offsets[index]
-                continue
-            prefix = np.concatenate(([0.0], np.cumsum(data)))
-            prefix_sq = np.concatenate(([0.0], np.cumsum(data * data)))
-            sums = prefix[frame_samples:] - prefix[:-frame_samples]
-            sq_sums = prefix_sq[frame_samples:] - prefix_sq[:-frame_samples]
-            per_slice.append(
-                np.sqrt(np.maximum(sq_sums - sums * sums / frame_samples, 0.0))
-            )
-            norm_offsets[index + 1] = norm_offsets[index] + n_offsets
-        norms = (
-            np.concatenate(per_slice) if per_slice else np.zeros(0)
-        )
-        cache = PlaneNorms(
-            frame_samples=frame_samples,
-            norms=norms,
-            offsets=norm_offsets,
-            min_norm=float(norms.min()) if norms.size else 0.0,
-        )
+        np.cumsum([norms.size for norms in per_slice], out=norm_offsets[1:])
+        cache = PlaneNorms(norms=np.concatenate(per_slice), offsets=norm_offsets)
         self._norm_caches[frame_samples] = cache
         registry = obs.metrics()
         if registry.enabled:
@@ -175,86 +166,98 @@ class PlaneCore:
             )
         return cache
 
-    # -- per-(frame length, decimation) coarse screen cache ----------
-
-    def ensure_coarse(
-        self, frame_samples: int, decimation: int
-    ) -> CoarseIndex:
-        """The coarse screening index for ``(frame_samples,
-        decimation)``, compiling it on miss.
-
-        Lives beside the norm caches with the same lifecycle: keyed on
-        this core, so a refresh that recompiles the shard (a fresh
-        core) drops stale coarse grids exactly as it drops stale
-        norms.
-        """
-        key = (frame_samples, decimation)
-        cached = self._coarse_caches.get(key)
-        if cached is not None:
-            self.coarse_cache_hits += 1
-            obs.metrics().inc("cloud.plane.coarse.cache_hits")
-            return cached
-        self.coarse_cache_misses += 1
-        norms = self.ensure_norms(frame_samples)
-        started = time.perf_counter()
-        index = CoarseIndex(self, norms, frame_samples, decimation)
-        self._coarse_caches[key] = index
-        registry = obs.metrics()
-        if registry.enabled:
-            registry.inc("cloud.plane.coarse.cache_misses")
-            registry.observe(
-                "cloud.plane.coarse.build_s", time.perf_counter() - started
-            )
-            registry.set_gauge(
-                "cloud.plane.coarse.compiled_bytes", index.nbytes
-            )
-        return index
-
-    # -- correlation evaluation --------------------------------------
-
-    def _dots(self, data: np.ndarray, centered: np.ndarray) -> np.ndarray:
-        """Valid-mode cross-correlation dot products, direct or FFT."""
-        if (
-            data.size < self.fft_min_samples
-            or centered.size < FFT_MIN_FRAME_SAMPLES
-        ):
-            return np.correlate(data, centered, mode="valid")
-        n = 1
-        while n < data.size + centered.size - 1:
-            n <<= 1
-        spectrum = np.fft.rfft(data, n) * np.conj(np.fft.rfft(centered, n))
-        return np.fft.irfft(spectrum, n)[: data.size - centered.size + 1]
-
-    def dots(self, index: int, centered: np.ndarray) -> np.ndarray:
-        """Valid-mode dot products of a precentred query against slice
-        ``index`` (the query-dependent half of the correlation)."""
-        return self._dots(self.slice_data(index), centered)
-
-    def correlations(
+    def walk(
         self,
-        index: int,
         centered: np.ndarray,
         norm: float,
-        cache: PlaneNorms | None = None,
-    ) -> np.ndarray:
-        """Normalised correlation of a precentred query at every offset.
+        rule: SkipRule,
+        delta: float,
+        dedupe_per_slice: bool,
+    ) -> WalkHits:
+        """Algorithm 1 over every slice of this core for one query.
 
-        Output-identical to the scalar engine's
-        :meth:`~repro.signals.windows.WindowedStats.normalized_correlation_with`
-        evaluated at every offset of slice ``index``.
+        ``centered`` is the mean-subtracted query frame and ``norm`` its
+        L2 norm.  Returns exactly what :func:`~repro.cloud.search.replay_skip_walk`
+        over the scalar evaluator would for each slice in turn: the
+        same hits, in the same order, and the same counts.
         """
-        data = self.slice_data(index)
-        n_offsets = data.size - centered.size + 1
-        if n_offsets <= 0:
-            return np.zeros(0)
-        if norm < _NORM_EPSILON:
-            return np.zeros(n_offsets)
-        if cache is None or cache.frame_samples != centered.size:
-            cache = self.ensure_norms(centered.size)
-        denominator = norm * cache.slice_norms(index)
-        flat = denominator < _NORM_EPSILON
-        denominator[flat] = 1.0
-        values = self._dots(data, centered) / denominator
-        values[flat] = 0.0
-        return np.clip(values, -1.0, 1.0)
+        cache = self.ensure_norms(centered.size)
+        kernels = compiled_kernels()
+        if kernels is None:
+            return self._walk_rounds(cache, centered, norm, rule, delta, dedupe_per_slice)
+        capacity = self.n_slices if dedupe_per_slice else cache.norms.size
+        hit_slices = np.empty(capacity, dtype=np.int64)
+        hit_offsets = np.empty(capacity, dtype=np.int64)
+        hit_omegas = np.empty(capacity)
+        hits, evaluated, above = kernels.walk(
+            self.samples,
+            self.offsets,
+            cache.norms,
+            cache.offsets,
+            np.ascontiguousarray(centered, dtype=np.float64),
+            norm,
+            delta,
+            rule,
+            dedupe_per_slice,
+            hit_slices,
+            hit_offsets,
+            hit_omegas,
+        )
+        return WalkHits(
+            hit_slices[:hits], hit_omegas[:hits], hit_offsets[:hits], evaluated, above
+        )
 
+    def _walk_rounds(
+        self,
+        cache: PlaneNorms,
+        centered: np.ndarray,
+        norm: float,
+        rule: SkipRule,
+        delta: float,
+        dedupe_per_slice: bool,
+    ) -> WalkHits:
+        """The numpy walk: every slice advances one hop per round.
+
+        Each round gathers the still-walking slices' current windows,
+        takes their dot products as ``(windows[pos] * centered).sum(axis=1)``
+        (the reference's pairwise sum, row by row) and hops by the rule;
+        finished slices drop out.  Threshold, dedupe and scan order are
+        then one pass over everything visited.
+        """
+        norm_starts = cache.offsets[:-1]
+        lengths = np.diff(cache.offsets)
+        rows = np.flatnonzero(lengths)
+        if not rows.size:
+            nothing = np.zeros(0, dtype=np.int64)
+            return WalkHits(nothing, np.zeros(0), nothing, 0, 0)
+        windows = np.lib.stride_tricks.sliding_window_view(self.samples, centered.size)
+        positions = np.zeros(rows.size, dtype=np.int64)
+        visited: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        while rows.size:
+            denominator = norm * cache.norms[norm_starts[rows] + positions]
+            flat = denominator < NORM_EPSILON
+            denominator[flat] = 1.0
+            dots = (windows[self.offsets[rows] + positions] * centered).sum(axis=1)
+            omegas = np.clip(dots / denominator, 0.0, 1.0)
+            omegas[flat] = 0.0
+            visited.append((rows, positions, omegas))
+            positions = positions + rule.table(omegas)
+            walking = positions < lengths[rows]
+            rows = rows[walking]
+            positions = positions[walking]
+        rows, positions, omegas = (np.concatenate(part) for part in zip(*visited))
+        evaluated = rows.size
+        above = omegas > delta
+        rows, positions, omegas = rows[above], positions[above], omegas[above]
+        if dedupe_per_slice:
+            # Each slice's first maximum, as the scalar walk's strict
+            # improvement keeps it.
+            order = np.lexsort((positions, -omegas, rows))
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = rows[order[1:]] != rows[order[:-1]]
+            order = order[first]
+        else:
+            order = np.lexsort((positions, rows))
+        return WalkHits(
+            rows[order], omegas[order], positions[order], evaluated, int(above.sum())
+        )

@@ -44,13 +44,6 @@ class SearchResult:
     during the scan.  ``elapsed_s`` is the search's wall time, measured
     by the ``repro.obs`` tracer (for a batched search, the whole
     batch's).
-
-    Two-stage searches additionally report ``slices_pruned`` (slices
-    the coarse pass removed before the exact walk; still counted in
-    ``slices_searched``) and ``coarse_elapsed_s`` (stage-1 screening
-    time, included in ``elapsed_s``).  ``correlations_evaluated``
-    counts only the exact walk, so a screened search reports what it
-    actually evaluated.
     """
 
     matches: list[SearchMatch] = field(default_factory=list)
@@ -59,8 +52,6 @@ class SearchResult:
     candidates_above_threshold: int = 0
     heap_admissions: int = 0
     elapsed_s: float = 0.0
-    slices_pruned: int = 0
-    coarse_elapsed_s: float = 0.0
 
     def __len__(self) -> int:
         return len(self.matches)

@@ -8,7 +8,7 @@ monolithic plane is simply the one-shard case
 * slices are grouped into fixed-size runs (``shard_slices`` per shard)
   and each run is compiled into its own independent
   :class:`PlaneShard` — a :class:`~repro.cloud.plane.PlaneCore` with
-  its *own* norm and coarse caches;
+  its *own* norm caches;
 * shards are **content-addressed** (the slice-dedup pattern of
   :mod:`repro.edge.fleet`): a shard's identity is a digest over its
   member slices' identity metadata, kept in a registry keyed by that
@@ -24,14 +24,13 @@ monolithic plane is simply the one-shard case
   can never mix generations inside one batch — the in-flight batch
   keeps walking the epoch it pinned while new requests see the new one.
 
-The search engine walks one query across every shard core at once and
+The search engine walks one query over every shard core in turn and
 merges the hits with deterministic lower-slice-id tie-breaks (shards
 are laid out in ascending order, so the global admission sequence is
 exactly the sequential scan order).  Results are therefore
-**bit-identical** for every shard width and, single-stage, equal to
-the scalar reference engines: every per-slice quantity (dots, norms, walks) is a
-pure function of that slice's samples, and the screening/merge passes
-apply the same global selections over concatenated per-shard arrays
+**bit-identical** for every shard width and equal to the scalar
+reference engines: every per-slice quantity (dots, norms, walks) is a
+pure function of that slice's samples
 (``tests/test_cloud_differential.py`` and ``tests/test_cloud_shards.py``
 assert both under hypothesis).
 """
@@ -45,15 +44,15 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.cloud.plane import DEFAULT_FFT_MIN_SAMPLES, PlaneCore
+from repro.cloud.plane import PlaneCore
 from repro.errors import SearchError
 from repro.mdb.mdb import MegaDatabase
 from repro.signals.types import SignalSlice
 
 #: Slices per shard.  Small enough that a single-document insert
 #: recompiles a sliver of the store, large enough that the per-shard
-#: fixed costs (one ``np.correlate`` per coarse phase, one walker
-#: layout) stay amortised across many slices.
+#: fixed costs (one walk call per query, one norm cache per frame
+#: length) stay amortised across many slices.
 DEFAULT_SHARD_SLICES = 64
 
 
@@ -106,8 +105,8 @@ class PlaneShard:
     """One independently compiled segment of the sharded plane.
 
     Owns its :class:`~repro.cloud.plane.PlaneCore` (and therefore its
-    norm and coarse caches — warmed once, they survive every refresh
-    that reuses the shard).  Immutable after construction.
+    norm caches — warmed once, they survive every refresh that reuses
+    the shard).  Immutable after construction.
     """
 
     __slots__ = ("shard_id", "slices", "core")
@@ -116,7 +115,6 @@ class PlaneShard:
         self,
         shard_id: str | None,
         slices: Sequence[SignalSlice],
-        fft_min_samples: int = DEFAULT_FFT_MIN_SAMPLES,
     ) -> None:
         if not slices:
             raise SearchError("cannot compile an empty plane shard")
@@ -126,11 +124,7 @@ class PlaneShard:
         for index, sig_slice in enumerate(self.slices):
             offsets[index + 1] = offsets[index] + len(sig_slice)
         samples = np.concatenate([s.data for s in self.slices])
-        self.core = PlaneCore(
-            samples=samples,
-            offsets=offsets,
-            fft_min_samples=fft_min_samples,
-        )
+        self.core = PlaneCore(samples=samples, offsets=offsets)
 
     @property
     def n_slices(self) -> int:
@@ -183,7 +177,7 @@ class ShardedSearchPlane:
     * :meth:`refresh` compiles **only the delta shards** — content
       hashes decide reuse, so an append-only insert recompiles one
       trailing shard while every other shard keeps its compiled core
-      *and its warmed norm/coarse caches*;
+      *and its warmed norm caches*;
     * the compiled state lives in an immutable :class:`ShardEpoch`
       swapped by single assignment, so readers that :meth:`pin` an
       epoch never observe a mid-batch generation mix.
@@ -193,7 +187,6 @@ class ShardedSearchPlane:
         self,
         source: MegaDatabase | Sequence[SignalSlice],
         shard_slices: int = DEFAULT_SHARD_SLICES,
-        fft_min_samples: int = DEFAULT_FFT_MIN_SAMPLES,
     ) -> None:
         if shard_slices < 1:
             raise SearchError(
@@ -204,7 +197,6 @@ class ShardedSearchPlane:
             None if self._mdb is not None else tuple(source)
         )
         self.shard_slices = shard_slices
-        self.fft_min_samples = fft_min_samples
         self._registry: dict[str, PlaneShard] = {}
         self.last_refresh_compiled = 0
         self.last_refresh_reused = 0
@@ -247,9 +239,7 @@ class ShardedSearchPlane:
                     shard = existing
                     reused += 1
                 else:
-                    shard = PlaneShard(
-                        shard_id, group, self.fft_min_samples
-                    )
+                    shard = PlaneShard(shard_id, group)
                     compiled += 1
                 if shard_id is not None:
                     registry[shard_id] = shard

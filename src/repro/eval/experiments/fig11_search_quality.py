@@ -24,7 +24,7 @@ from repro.eval.experiments.common import (
 from repro.eval.reporting import format_table
 from repro.signals.anomalies import AnomalySpec, make_anomalous_signal
 from repro.signals.generator import EEGGenerator
-from repro.signals.types import AnomalyType, SignalSlice
+from repro.signals.types import AnomalyType
 
 
 @dataclass
@@ -81,13 +81,10 @@ def run(
     fixture: ExperimentFixture | None = None,
     n_inputs_per_class: int = 100,
     seed: int = 0,
-    two_stage: str = "off",
 ) -> SearchQualityResult:
     """Search with both engines for every input; collect top-set quality.
 
-    ``two_stage`` runs the Algorithm-1 arm through the coarse-then-exact
-    screen over the compiled plane, so the same quality gap that gates
-    the paper's sliding window also gates the fast pruning mode.
+    Both engines walk one compiled plane of the fixture's slices.
     """
     if n_inputs_per_class < 1:
         raise EMAPError(
@@ -95,19 +92,15 @@ def run(
         )
     fix = fixture or build_fixture()
     exhaustive = ExhaustiveSearch(SearchConfig(), precompute=True)
-    algorithm1 = SlidingWindowSearch(
-        SearchConfig(two_stage=two_stage), precompute=True
-    )
-    store: ShardedSearchPlane | list[SignalSlice] = (
-        ShardedSearchPlane(fix.slices) if two_stage != "off" else fix.slices
-    )
+    algorithm1 = SlidingWindowSearch(SearchConfig(), precompute=True)
+    store = ShardedSearchPlane(fix.slices)
     result = SearchQualityResult()
 
     for index in range(n_inputs_per_class):
         normal = EEGGenerator(seed=seed * 7919 + index).record(2.0)
         frame = filtered_frame(normal, 1)
         result.normal_exhaustive.append(
-            exhaustive.search(frame, fix.slices).mean_omega
+            exhaustive.search(frame, store).mean_omega
         )
         result.normal_algorithm1.append(
             algorithm1.search(frame, store).mean_omega
@@ -120,7 +113,7 @@ def run(
         )
         frame = filtered_frame(patient, 5)  # ictal window
         result.anomalous_exhaustive.append(
-            exhaustive.search(frame, fix.slices).mean_omega
+            exhaustive.search(frame, store).mean_omega
         )
         result.anomalous_algorithm1.append(
             algorithm1.search(frame, store).mean_omega

@@ -69,19 +69,11 @@ class SoakConfig:
     max_queue_high_water: int = 1024
     n_frames: int = 32
     seed: int = 0
-    #: Two-stage search mode for the soaked server ("off" or "fast") —
-    #: lets the soak lane exercise the coarse screen under
-    #: chaos without changing the gate semantics.
-    two_stage: str = "off"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.mdb_scale <= 1.0):
             raise GatewayError(
                 f"mdb scale must be in (0, 1], got {self.mdb_scale}"
-            )
-        if self.two_stage not in ("off", "fast"):
-            raise GatewayError(
-                f"two-stage mode must be off/fast, got {self.two_stage!r}"
             )
         if not (0.0 <= self.max_faulted_failure_ratio <= 1.0):
             raise GatewayError(
@@ -139,9 +131,7 @@ def run_soak(config: SoakConfig | None = None) -> SoakReport:
     fixture = build_fixture(mdb_scale=config.mdb_scale, seed=config.seed)
     server = CloudServer(
         fixture.slices,
-        search=SlidingWindowSearch(
-            SearchConfig(two_stage=config.two_stage), precompute=True
-        ),
+        search=SlidingWindowSearch(SearchConfig(), precompute=True),
     )
     frames = build_frame_pool(
         fixture.slices, n_frames=config.n_frames, seed=config.seed

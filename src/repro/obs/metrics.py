@@ -16,8 +16,7 @@ Design constraints, in order:
   streaming monitor can record concurrently.
 * **Machine-readable.**  ``as_dict`` / ``to_json`` export everything
   (histograms with count/sum/min/max/mean/p50/p95/p99) for the CI
-  benchmark-regression gate; ``merge_dict`` folds an exported document
-  back in.
+  benchmark-regression gate.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import json
 import threading
 from bisect import insort
-from typing import Any, Mapping, TypedDict
+from typing import TypedDict
 
 from repro.errors import ObservabilityError
 
@@ -254,34 +253,6 @@ class MetricsRegistry:
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent)
-
-    def merge_dict(self, document: MetricsDocument | Mapping[str, Any]) -> None:
-        """Fold an exported metrics document into this registry.
-
-        Counters add, gauges take the incoming value, histogram
-        summaries are folded as exact min/max plus ``count - 2``
-        interior samples sized so count/sum/min/max/mean all stay
-        exact; percentile fidelity is approximate — good enough for
-        aggregating short-lived worker processes.
-        """
-        if not self.enabled:
-            return
-        for name, value in document.get("counters", {}).items():
-            self.inc(name, int(value))
-        for name, value in document.get("gauges", {}).items():
-            self.set_gauge(name, value)
-        for name, summary in document.get("histograms", {}).items():
-            count = int(summary.get("count", 0))
-            if count <= 0:
-                continue
-            total = summary.get("sum", summary.get("mean", 0.0) * count)
-            self.observe(name, summary["min"])
-            if count > 1:
-                self.observe(name, summary["max"])
-            if count > 2:
-                interior = (total - summary["min"] - summary["max"]) / (count - 2)
-                for _ in range(count - 2):
-                    self.observe(name, interior)
 
     def reset(self) -> None:
         """Drop every instrument (new session)."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 #: metric name -> instrument kind ("counter" | "gauge" | "histogram").
 METRIC_NAMES: dict[str, str] = {
-    # -- cloud search (Algorithm 1 + two-stage screen) ----------------
+    # -- cloud search (Algorithm 1) -----------------------------------
     "cloud.search.requests": "counter",
     "cloud.search.batches": "counter",
     "cloud.search.batch_size": "histogram",
@@ -30,8 +30,6 @@ METRIC_NAMES: dict[str, str] = {
     "cloud.search.candidates_above_threshold": "counter",
     "cloud.search.heap_admissions": "counter",
     "cloud.search.elapsed_s": "histogram",
-    "cloud.search.stage1_s": "histogram",
-    "cloud.search.stage2_s": "histogram",
     # -- compiled search plane ----------------------------------------
     "cloud.plane.builds": "counter",
     "cloud.plane.build_s": "histogram",
@@ -40,14 +38,6 @@ METRIC_NAMES: dict[str, str] = {
     "cloud.plane.cache_hits": "counter",
     "cloud.plane.cache_misses": "counter",
     "cloud.plane.norm_cache_build_s": "histogram",
-    "cloud.plane.coarse.cache_hits": "counter",
-    "cloud.plane.coarse.cache_misses": "counter",
-    "cloud.plane.coarse.build_s": "histogram",
-    "cloud.plane.coarse.compiled_bytes": "gauge",
-    "cloud.plane.coarse.screens": "counter",
-    "cloud.plane.coarse.slices_pruned": "counter",
-    "cloud.plane.coarse.prune_rate": "histogram",
-    "cloud.plane.coarse.keep_floor": "histogram",
     "cloud.plane.shard.count": "gauge",
     "cloud.plane.shard.compiled": "counter",
     "cloud.plane.shard.reused": "counter",

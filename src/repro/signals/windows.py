@@ -3,7 +3,10 @@
 The sliding-window search (Algorithm 1) needs the mean and centred norm
 of arbitrary windows of each 1000-sample MDB slice.  Recomputing them
 per offset would cost O(m) each; :class:`WindowedStats` precomputes two
-prefix-sum arrays per slice so any window's statistics come out in O(1).
+prefix-sum arrays per slice so any window's sums come out in O(1), and
+:func:`centered_window_norms` derives every window's centred norm in
+one vectorised pass.  That one function is the norm of both the scalar
+reference and the compiled search plane, so the two read the same bits.
 """
 
 from __future__ import annotations
@@ -12,6 +15,48 @@ import numpy as np
 
 from repro.errors import SignalError
 from repro.signals.metrics import NORM_EPSILON
+
+#: A window whose prefix-sum variance ``Σx² − (Σx)²/m`` is below this
+#: share of the running ``Σx²`` at its end has lost most of its digits
+#: to cancellation (a quiet window after a loud stretch, or a large DC
+#: offset); it is recomputed two-pass.  The prefix error is at most
+#: about ``N·ε`` of that running sum, so a kept window's variance is
+#: accurate to about ``N·ε / 1e-6`` relative (2e-7 for the 1000-sample
+#: MDB slices).
+_CANCELLATION_SHARE = 1e-6
+
+_EPSILON = float(np.finfo(np.float64).eps)
+
+
+def centered_window_norms(series: np.ndarray, length: int) -> np.ndarray:
+    """The L2 norm of every mean-subtracted ``length``-window of ``series``.
+
+    Entry ``k`` covers ``series[k : k + length]``; a series shorter than
+    the window has no entries.  Computed as ``sqrt(Σx² − (Σx)²/m)`` from
+    prefix sums, tiny negatives clamped to zero, except where that
+    difference cancels (see :data:`_CANCELLATION_SHARE`): those windows
+    are centred and summed directly, and a window whose centred values
+    are only its mean's rounding error has norm 0.
+    """
+    n_windows = series.size - length + 1
+    if n_windows <= 0:
+        return np.zeros(0)
+    prefix = np.concatenate(([0.0], np.cumsum(series)))
+    prefix_sq = np.concatenate(([0.0], np.cumsum(series * series)))
+    sums = prefix[length:] - prefix[:-length]
+    centered_sq = prefix_sq[length:] - prefix_sq[:-length]
+    centered_sq -= sums * sums / length
+    lossy = np.flatnonzero(centered_sq < _CANCELLATION_SHARE * prefix_sq[length:])
+    if lossy.size:
+        windows = np.lib.stride_tricks.sliding_window_view(series, length)[lossy]
+        means = windows.mean(axis=1)
+        windows = windows - means[:, None]
+        direct = (windows * windows).sum(axis=1)
+        # A constant window centres to the rounding error of its mean,
+        # at most about m·ε·|mean| per sample: below that it is flat.
+        direct[direct <= length * (length * _EPSILON * means) ** 2] = 0.0
+        centered_sq[lossy] = direct
+    return np.sqrt(np.maximum(centered_sq, 0.0))
 
 
 class WindowedStats:
@@ -26,6 +71,7 @@ class WindowedStats:
         self._data = series
         self._prefix = np.concatenate(([0.0], np.cumsum(series)))
         self._prefix_sq = np.concatenate(([0.0], np.cumsum(series * series)))
+        self._norms: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self._data.size
@@ -63,13 +109,14 @@ class WindowedStats:
     def centered_norm(self, offset: int, length: int) -> float:
         """L2 norm of the mean-subtracted window.
 
-        Computed as sqrt(Σx² − n·mean²); tiny negative intermediate
-        values from floating-point cancellation are clamped to zero.
+        Read from :func:`centered_window_norms` of the whole series,
+        computed once per window length.
         """
-        total = self.window_sum(offset, length)
-        sq_total = self.window_sq_sum(offset, length)
-        centered_sq = sq_total - total * total / length
-        return float(np.sqrt(max(centered_sq, 0.0)))
+        self._check_window(offset, length)
+        norms = self._norms.get(length)
+        if norms is None:
+            norms = self._norms[length] = centered_window_norms(self._data, length)
+        return float(norms[offset])
 
     def is_flat(self, offset: int, length: int) -> bool:
         """Whether the window has (numerically) zero variance."""
@@ -98,7 +145,9 @@ class WindowedStats:
         if denominator < NORM_EPSILON:
             return 0.0
         segment = self._data[offset : offset + length]
-        # Window mean cancels against Σ window_centered = 0.
-        dot = float(np.dot(window_centered, segment))
+        # Window mean cancels against Σ window_centered = 0.  numpy's
+        # pairwise sum, not BLAS ``np.dot``: its summation order is the
+        # one the compiled cloud walk replays bit for bit.
+        dot = float(np.multiply(window_centered, segment).sum())
         value = dot / denominator
         return min(1.0, max(-1.0, value))

@@ -20,7 +20,6 @@ from repro.cloud.search import (
     ExhaustiveSearch,
     SearchConfig,
     SlidingWindowSearch,
-    _full_correlations,
 )
 from repro.cloud.server import CloudServer
 from repro.cloud.shards import ShardedSearchPlane
@@ -89,20 +88,6 @@ class TestSearchPlane:
         with pytest.raises(SearchError, match="empty"):
             ShardedSearchPlane([])
 
-    def test_correlations_bit_identical_to_precompute(self):
-        slices = _random_slices(1, n=8)
-        core = _core(_one_shard(slices))
-        frame = _query(1)
-        centered = frame - frame.mean()
-        norm = float(np.linalg.norm(centered))
-        for index, sig_slice in enumerate(slices):
-            if len(sig_slice) < 256:
-                continue
-            reference = _full_correlations(centered, norm, sig_slice.data)
-            np.testing.assert_array_equal(
-                core.correlations(index, centered, norm), reference
-            )
-
     def test_norm_cache_hit_miss_accounting(self):
         core = _core(_one_shard(_random_slices(2, n=6)))
         assert core.cache_misses == 0
@@ -111,28 +96,6 @@ class TestSearchPlane:
         core.ensure_norms(128)
         assert core.cache_misses == 2
         assert core.cache_hits == 1
-
-    def test_fft_path_matches_direct(self):
-        rng = np.random.default_rng(3)
-        slices = [
-            SignalSlice(
-                data=rng.standard_normal(9000),
-                label=AnomalyType.NONE,
-                slice_id=f"long{i}",
-            )
-            for i in range(2)
-        ]
-        frame = _query(3)
-        centered = frame - frame.mean()
-        norm = float(np.linalg.norm(centered))
-        direct = _core(_one_shard(slices, fft_min_samples=10**9))
-        fft = _core(_one_shard(slices, fft_min_samples=4096))
-        for index in range(2):
-            np.testing.assert_allclose(
-                fft.correlations(index, centered, norm),
-                direct.correlations(index, centered, norm),
-                atol=1e-10,
-            )
 
     def test_refresh_tracks_mdb_generation(self):
         slices = _random_slices(4, n=8)

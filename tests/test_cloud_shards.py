@@ -1,14 +1,13 @@
 """Shard-width invariance and lifecycle tests for the sharded MDB plane.
 
-Single-stage search is checked against the scalar reference engines in
-``tests/test_cloud_differential.py``.  Fast two-stage mode has no
-scalar reference, so it is held here to **shard-width invariance**:
-scattering a query across independently compiled shards and merging
-the per-shard top-K must equal searching the one-shard (monolithic)
+Search is checked against the scalar reference engines in
+``tests/test_cloud_differential.py``.  Here it is also held to
+**shard-width invariance** at a small top-K, where the merge decides
+what survives: scattering a query across independently compiled shards
+and merging their hits must equal searching the one-shard (monolithic)
 layout of the same slices — same matches, same admission order, same
-statistics including ``slices_pruned`` — for single and batched
-searches.  The rest of the file covers shard layout, delta compilation
-and epoch pinning.
+statistics — for single and batched searches.  The rest of the file
+covers shard layout, delta compilation and epoch pinning.
 """
 
 from __future__ import annotations
@@ -77,12 +76,11 @@ def _assert_identical(sharded_result, mono_result):
         == mono_result.candidates_above_threshold
     )
     assert sharded_result.slices_searched == mono_result.slices_searched
-    assert sharded_result.slices_pruned == mono_result.slices_pruned
     assert sharded_result.heap_admissions == mono_result.heap_admissions
 
 
-#: A small top-K so the screen really prunes the test-sized planes.
-FAST = SearchConfig(two_stage="fast", top_k=3)
+#: A small top-K so the merge really drops hits on the test-sized planes.
+SMALL_TOP = SearchConfig(top_k=3)
 
 
 class TestBitIdentity:
@@ -97,8 +95,7 @@ class TestBitIdentity:
         self, seed, shard_slices, split, samples
     ):
         """Grow an MDB after the initial compile, delta-refresh, and
-        demand fast-mode bit-identity with a from-scratch one-shard
-        plane."""
+        demand bit-identity with a from-scratch one-shard plane."""
         slices = _random_slices(seed, n=16)
         mdb = _mdb_from(slices[:split])
         sharded = ShardedSearchPlane(mdb, shard_slices=shard_slices)
@@ -109,7 +106,7 @@ class TestBitIdentity:
         if split < len(slices):
             assert sharded.refresh()
         engine = SlidingWindowSearch(
-            SearchConfig(two_stage="fast", frame_samples=samples, top_k=3),
+            SearchConfig(frame_samples=samples, top_k=3),
             precompute=True,
         )
         frame = _query(seed, samples)
@@ -120,10 +117,10 @@ class TestBitIdentity:
     @given(seed=st.integers(0, 10_000), shard_slices=st.integers(1, 5))
     @settings(max_examples=8, deadline=None)
     def test_batch_path_equals_monolithic(self, seed, shard_slices):
-        """Fast-mode batch equals single search on the one-shard plane."""
+        """Batch equals single search on the one-shard plane."""
         slices = _random_slices(seed, n=10)
         sharded = ShardedSearchPlane(slices, shard_slices=shard_slices)
-        engine = SlidingWindowSearch(FAST, precompute=True)
+        engine = SlidingWindowSearch(SMALL_TOP, precompute=True)
         frames = [_query(seed + i) for i in range(3)]
         batch = engine.search_batch(frames, sharded)
         mono_plane = _one_shard(slices)
@@ -134,7 +131,7 @@ class TestBitIdentity:
     def test_exhaustive_engine_matches(self):
         slices = _random_slices(21, n=9)
         sharded = ShardedSearchPlane(slices, shard_slices=4)
-        engine = ExhaustiveSearch(FAST, precompute=True)
+        engine = ExhaustiveSearch(SMALL_TOP, precompute=True)
         frame = _query(21)
         _assert_identical(
             engine.search(frame, sharded),

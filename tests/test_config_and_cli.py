@@ -144,6 +144,7 @@ class TestCLI:
     @pytest.mark.parametrize("command", ["fig11", "monitor", "obs", "serve"])
     @pytest.mark.parametrize("mode", ["turbo", "lossless"])
     def test_rejects_unknown_two_stage_mode(self, command, mode):
+        """Two-stage search is gone: ``--two-stage`` is a usage error."""
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--two-stage", mode])
         assert excinfo.value.code == 2  # argparse usage error

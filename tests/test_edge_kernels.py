@@ -26,13 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.edge import _kernels
+from repro import kernels as _kernels
 from repro.edge._kernels import (
-    _BASE_FLAGS,
     TILE,
-    _compile_flags,
-    _cpu_identity,
-    _library_path,
     _numpy_rect_sums,
     _reset_backend_selection,
     _scratch,
@@ -42,6 +38,12 @@ from repro.edge._kernels import (
     kernel_threads,
 )
 from repro.errors import KernelError
+from repro.kernels import (
+    _BASE_FLAGS,
+    _compile_flags,
+    _cpu_identity,
+    _library_path,
+)
 
 HAS_COMPILER = any(shutil.which(name) for name in ("cc", "gcc", "clang"))
 
@@ -346,7 +348,7 @@ class TestSharedLibraryCache:
         assert cached.exists()
         # The mkdtemp build directory is removed (the historical leak).
         assert not any(
-            entry.name.startswith("repro-area-kernel-")
+            entry.name.startswith("repro-kernels-")
             for entry in tmp.iterdir()
         )
 

@@ -37,20 +37,20 @@ SUPPRESSION_ALLOWLIST = {
 #: not even via the allowlist: the fault-handling code is exactly
 #: where a swallowed exception would hide a resilience bug.  The
 #: gateway rides the same resilient-call state machine, so its except
-#: clauses are held to the same bar.  The two-stage search modules
-#: join the list because a swallowed exception in the coarse screen
-#: would silently degrade to wrong prune decisions instead of failing
-#: loudly — pruning bugs must never hide.
-#: The edge kernel and fleet planner join for the same reason: a
-#: swallowed exception in backend selection or the fused step would
-#: silently degrade to the slow fallback (or worse, commit a partial
-#: megabatch) instead of failing loudly — the failure modes the
-#: explicit ``KernelError`` / deferred-commit design exists to surface.
+#: clauses are held to the same bar.  The search engine joins the list
+#: because a swallowed exception there would silently return a wrong
+#: correlation set instead of failing loudly.
+#: The kernel library, the edge kernels and the fleet planner join for
+#: the same reason: a swallowed exception in backend selection or the
+#: fused step would silently degrade to the slow fallback (or worse,
+#: commit a partial megabatch) instead of failing loudly — the failure
+#: modes the explicit ``KernelError`` / deferred-commit design exists
+#: to surface.
 EM006_NEVER_SUPPRESS = (
     "src/repro/faults/",
     "src/repro/cloud/client.py",
-    "src/repro/cloud/coarse.py",
     "src/repro/cloud/search.py",
+    "src/repro/kernels.py",
     "src/repro/edge/_kernels.py",
     "src/repro/edge/fleet.py",
     "src/repro/gateway/",

@@ -192,31 +192,3 @@ class TestDegradedCounters:
         result = chaos_framework(server).run(normal_recording)
         assert result.iterations > 0
         assert np.isfinite(result.pa_series).all()
-
-
-class TestTwoStageUnderChaos:
-    """The coarse screen lives inside the faulted call path unchanged:
-    chaos runs with two-stage search survive every fault class."""
-
-    def staged_server(self, plane, mode: str) -> CloudServer:
-        from repro.cloud.search import SearchConfig, SlidingWindowSearch
-
-        return CloudServer(
-            plane,
-            search=SlidingWindowSearch(
-                SearchConfig(two_stage=mode), precompute=True
-            ),
-        )
-
-    @pytest.mark.parametrize("mode", ["fast"])
-    def test_framework_survives_random_plan(
-        self, plane, seizure_recording, mode
-    ):
-        plan = FaultPlan.generate(
-            seed=17, horizon_calls=40, fault_rate=0.4, kinds=ALL_KINDS
-        )
-        server = FaultInjector(self.staged_server(plane, mode), plan)
-        result = chaos_framework(server).run(seizure_recording)
-        assert result.iterations > 0
-        assert server.injected > 0
-        assert np.isfinite(result.pa_series).all()

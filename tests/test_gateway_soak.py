@@ -35,9 +35,6 @@ class TestSoakConfig:
             SoakConfig(max_p99_latency_s=0.0)
         with pytest.raises(GatewayError):
             SoakConfig(max_queue_high_water=0)
-        for mode in ("turbo", "lossless"):
-            with pytest.raises(GatewayError, match="two-stage"):
-                SoakConfig(two_stage=mode)
 
 
 class TestReducedSoak:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -48,12 +48,21 @@ class TestWindowedStats:
         with pytest.raises(ValueError):
             stats.data[0] = 2.0
 
-    @given(series_strategy, st.data())
+    @given(
+        series_strategy,
+        st.integers(min_value=2, max_value=200),
+        st.integers(min_value=0, max_value=200),
+    )
+    # A quiet window after a loud sample: the prefix-sum variance
+    # cancels to the wrong norm (ω 0.577 instead of 1).
+    @example(series=np.array([12.0, 1.19e-07] + [0.0] * 6), length=2, offset=1)
+    # A constant window whose mean is inexact: flat, not rounding noise.
+    @example(series=np.full(18, 512.21698343), length=18, offset=0)
     @settings(max_examples=60, deadline=None)
-    def test_correlation_matches_reference(self, series, data):
+    def test_correlation_matches_reference(self, series, length, offset):
         stats = WindowedStats(series)
-        length = data.draw(st.integers(min_value=2, max_value=len(series)))
-        offset = data.draw(st.integers(min_value=0, max_value=len(series) - length))
+        length = min(length, len(series))
+        offset %= len(series) - length + 1
         rng = np.random.default_rng(0)
         query = rng.standard_normal(length)
         centered = query - query.mean()

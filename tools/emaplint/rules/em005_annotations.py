@@ -22,10 +22,10 @@ gateway scope covers the async serving surface
 (``submit``/``handle_batch``, the fleet/soak drivers and the edge
 step driver coalescing sessions into fused fleet steps), where an
 ``Any`` on the coalescing path would silently untype every tenant's
-resilient call.  The cloud scope includes the two-stage coarse screen
-(``repro/cloud/coarse.py``) — its score ranking decides which
-slices are never exactly searched, so an untyped boundary there risks
-silent result corruption rather than a crash.  Every
+resilient call.  The cloud scope includes the compiled walk
+(``repro/cloud/plane.py``) — its boundary feeds raw arrays to the C
+kernel, so an untyped boundary there risks silent result corruption
+rather than a crash.  Every
 parameter (except ``self``/``cls``) needs an annotation and the
 function needs a return annotation.  Nested helper closures and the
 remaining dunders (``__exit__``, ``__len__``, …) are exempt here —

@@ -1,7 +1,7 @@
 """EM009: generation-keyed caches must be invalidated at every bump.
 
 The compiled search plane's contract: derived state (window norm
-caches, coarse screening grids) is valid only for one value of the
+caches) is valid only for one value of the
 backing store's generation counter.  Every code path that bumps the
 counter (``self.generation += 1``, ``self._data_version += 1``) must
 also invalidate every cache keyed off it — otherwise a reader sees
