@@ -181,6 +181,9 @@ class PlaneCore:
         over the scalar evaluator would for each slice in turn: the
         same hits, in the same order, and the same counts.
         """
+        if not 1 <= rule.low <= rule.high:
+            # A hop of 0 would never leave the offset it is on.
+            raise SearchError(f"skip rule hops must satisfy 1 <= low <= high, got {rule}")
         cache = self.ensure_norms(centered.size)
         kernels = compiled_kernels()
         if kernels is None:

@@ -34,6 +34,7 @@ from repro.cloud.search import (
     ScalarWindowEvaluator,
     replay_skip_walk,
 )
+from repro.errors import SearchError
 from repro.signals.windows import WindowedStats
 
 HAS_COMPILER = any(shutil.which(name) for name in ("cc", "gcc", "clang"))
@@ -152,6 +153,14 @@ def test_walk_equals_scalar_replay(
     assert walk.above_threshold == expected_above
     if not zero_query and not exponential:
         assert expected_above  # the planted copies are found
+
+
+def test_walk_rejects_a_rule_that_cannot_advance():
+    core = _core([np.arange(40.0)])
+    centered = np.arange(8.0) - 3.5
+    for rule in (SkipRule(0.0, 1.0, 0, 0), SkipRule(0.5, 0.05, 3, 2)):
+        with pytest.raises(SearchError, match="skip rule"):
+            core.walk(centered, 1.0, rule, 0.5, True)
 
 
 def test_policy_rules_replay_scalar_skip():
