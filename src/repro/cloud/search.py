@@ -208,6 +208,12 @@ class TopK(Generic[T]):
             heapq.heapreplace(self._heap, (score, self._sequence, item))
             self.admissions += 1
 
+    @property
+    def floor(self) -> float:
+        """The score an item must beat to be admitted (``-inf`` until
+        ``k`` items are held)."""
+        return self._heap[0][0] if len(self._heap) >= self._k else float("-inf")
+
     def sorted_items(self) -> list[T]:
         """The retained items, highest score first."""
         return [
@@ -399,11 +405,17 @@ class CorrelationSearch:
                     result.correlations_evaluated += walk.evaluated
                     result.candidates_above_threshold += walk.above_threshold
                     merge_started = time.perf_counter()
+                    # A hit at or below a full heap's floor is rejected
+                    # by ``offer`` anyway: skip building its match.  The
+                    # admitted hits and their order are unchanged.
+                    floor = top.floor
                     for index, omega, offset in zip(
                         walk.slices.tolist(),
                         walk.omegas.tolist(),
                         walk.offsets.tolist(),
                     ):
+                        if omega <= floor:
+                            continue
                         top.offer(
                             omega,
                             SearchMatch(
@@ -412,6 +424,7 @@ class CorrelationSearch:
                                 offset=offset,
                             ),
                         )
+                        floor = top.floor
                     merge_s += time.perf_counter() - merge_started
                 results.append(result)
                 tops.append(top)

@@ -17,7 +17,9 @@ monolithic plane is simply the one-shard case
   shard — and *reuses* the untouched shards, caches and all, so an
   online-growing MDB (the paper's implied clinical workflow — new
   labelled slices adopted at runtime) never pays a whole-store
-  recompile;
+  recompile.  A shard still holding the previous epoch's slice objects
+  is reused without re-hashing, so a refresh hashes only new slices,
+  and a digest that repeats inside one epoch shares one compiled core;
 * every refresh builds a fresh immutable :class:`ShardEpoch` and
   installs it with a single attribute assignment.  Readers ``pin()``
   the epoch once per request/batch, so an insert arriving mid-batch
@@ -104,9 +106,13 @@ def shard_id_for(slices: Sequence[SignalSlice]) -> str | None:
 class PlaneShard:
     """One independently compiled segment of the sharded plane.
 
-    Owns its :class:`~repro.cloud.plane.PlaneCore` (and therefore its
+    Holds its :class:`~repro.cloud.plane.PlaneCore` (and therefore its
     norm caches — warmed once, they survive every refresh that reuses
-    the shard).  Immutable after construction.
+    the shard).  ``core``, when given, is an already compiled core of
+    the same content (a shard whose digest repeats) and is shared
+    instead of compiled again; ``slices`` stay this shard's own, so a
+    hit names the slice at its own position.  Immutable after
+    construction.
     """
 
     __slots__ = ("shard_id", "slices", "core")
@@ -115,16 +121,25 @@ class PlaneShard:
         self,
         shard_id: str | None,
         slices: Sequence[SignalSlice],
+        core: PlaneCore | None = None,
     ) -> None:
         if not slices:
             raise SearchError("cannot compile an empty plane shard")
         self.shard_id = shard_id
         self.slices: tuple[SignalSlice, ...] = tuple(slices)
-        offsets = np.zeros(len(self.slices) + 1, dtype=np.int64)
-        for index, sig_slice in enumerate(self.slices):
-            offsets[index + 1] = offsets[index] + len(sig_slice)
-        samples = np.concatenate([s.data for s in self.slices])
-        self.core = PlaneCore(samples=samples, offsets=offsets)
+        if core is None:
+            offsets = np.zeros(len(self.slices) + 1, dtype=np.int64)
+            for index, sig_slice in enumerate(self.slices):
+                offsets[index + 1] = offsets[index] + len(sig_slice)
+            samples = np.concatenate([s.data for s in self.slices])
+            core = PlaneCore(samples=samples, offsets=offsets)
+        self.core = core
+
+    def holds(self, slices: Sequence[SignalSlice]) -> bool:
+        """Whether this shard holds exactly these slice objects, in order."""
+        return len(self.slices) == len(slices) and all(
+            mine is theirs for mine, theirs in zip(self.slices, slices)
+        )
 
     @property
     def n_slices(self) -> int:
@@ -162,7 +177,9 @@ class ShardEpoch:
 
     @property
     def nbytes(self) -> int:
-        return sum(shard.core.nbytes for shard in self.shards)
+        """Bytes of the compiled cores (a shared core counted once)."""
+        cores = {id(shard.core): shard.core for shard in self.shards}
+        return sum(core.nbytes for core in cores.values())
 
 
 class ShardedSearchPlane:
@@ -218,31 +235,22 @@ class ShardedSearchPlane:
                     "cannot compile a search plane over an empty "
                     "signal-set store"
                 )
+            prior = previous.shards if previous is not None else ()
             shards: list[PlaneShard] = []
             registry: dict[str, PlaneShard] = {}
             compiled = 0
             reused = 0
-            for begin in range(0, len(slices), self.shard_slices):
+            for position, begin in enumerate(
+                range(0, len(slices), self.shard_slices)
+            ):
                 group = slices[begin : begin + self.shard_slices]
-                shard_id = shard_id_for(group)
-                if shard_id is not None and shard_id in registry:
-                    # Identical content appearing twice in one epoch:
-                    # compile the duplicate privately so each shard
-                    # keeps exactly one owner for its lifecycle.
-                    shard_id = None
-                existing = (
-                    self._registry.get(shard_id)
-                    if shard_id is not None
-                    else None
-                )
-                if existing is not None:
-                    shard = existing
-                    reused += 1
-                else:
-                    shard = PlaneShard(shard_id, group)
+                shard, fresh = self._shard_for(prior, position, group, registry)
+                if fresh:
                     compiled += 1
-                if shard_id is not None:
-                    registry[shard_id] = shard
+                else:
+                    reused += 1
+                if shard.shard_id is not None:
+                    registry.setdefault(shard.shard_id, shard)
                 shards.append(shard)
             bases = np.zeros(len(shards), dtype=np.int64)
             for index, shard in enumerate(shards[:-1]):
@@ -275,6 +283,39 @@ class ShardedSearchPlane:
                     "cloud.plane.shard.full_compile_s", span.elapsed_s
                 )
         return epoch
+
+    def _shard_for(
+        self,
+        prior: Sequence[PlaneShard],
+        position: int,
+        group: Sequence[SignalSlice],
+        registry: dict[str, PlaneShard],
+    ) -> tuple[PlaneShard, bool]:
+        """The shard serving ``group``, and whether it was compiled.
+
+        The previous epoch's shard at the same position is taken as is
+        when it holds the very same slice objects: the MDB hands back
+        the same decoded slices until a document changes, so an
+        append-only refresh hashes only the new slices.  Otherwise the
+        group's content digest finds a compiled core in this epoch (a
+        repeated shard) or in the previous one; a core found for other
+        slice objects is shared by a new shard that keeps ``group``.
+        """
+        if position < len(prior):
+            shard = prior[position]
+            if shard.shard_id is not None and shard.holds(group):
+                return shard, False
+        shard_id = shard_id_for(group)
+        owner = (
+            None
+            if shard_id is None
+            else registry.get(shard_id) or self._registry.get(shard_id)
+        )
+        if owner is None:
+            return PlaneShard(shard_id, group), True
+        if owner.holds(group):
+            return owner, False
+        return PlaneShard(shard_id, group, core=owner.core), False
 
     def refresh(self) -> bool:
         """Adopt the backing MDB's current state; True if it moved.

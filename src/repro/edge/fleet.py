@@ -10,25 +10,30 @@ object and deduplicates that work content-addressed by slice id: the
 first session to adopt an MDB slice compiles it via
 :func:`~repro.edge.plane.compile_slice_windows`; every other session
 tracking the same slice shares the compiled tensor.  Entries are
-reference-counted and evicted as soon as no session tracks them.
+reference-counted and evicted as soon as no session tracks them; each
+carries an int64 *serial*, unique over the fleet's lifetime.
 
-:meth:`FleetTracker.step` advances every session supplied in one
-batched call.  The default **fused** path is *slice-major*: a step
-planner normalises every session's frame once into one
-``(sessions, m)`` query matrix and groups every (session, candidate)
-pair by its deduplicated compiled slice (the content-addressed cache
-entry already identifies sharing); each group records only its pairs'
-query rows.  The whole step is then a single
-:func:`repro.edge._kernels.abs_diff_argmin` call over all groups: the
-kernel returns every pair's best offset and area directly, tiling a
-group's pairs so each window-row load serves several queries and
-running one thread team per call (ctypes releases the GIL, so the
-step runs truly multi-core).  Results are committed back per session
-in submission order, so per-session outcomes — areas, offsets, removals,
-``area_evaluations``, PA — stay **bit-identical** both to the
-sequential session-major path (``fused=False``) and to an independent
-:class:`~repro.edge.tracker.SignalTracker` stepping the same frames
-(``tests/test_edge_plane.py`` asserts it).
+Each session keeps its live candidates as parallel arrays — offsets,
+last areas, ω, anomalous flags, ``n_offsets`` (0 for a slice shorter
+than a frame) and cache-entry serials — beside lists of their slices
+and cache entries.  :meth:`FleetTracker.step` advances every session
+supplied in one batched call.  The default **fused** path is a few
+numpy passes around one kernel call: it concatenates the stepped
+sessions' serials, groups the (session, candidate) pairs by one stable
+argsort of them (a group is one deduplicated compiled slice), and runs
+the whole step as a single :func:`repro.edge._kernels.abs_diff_argmin`
+call, which returns every pair's best offset and area directly
+(tiling a group's pairs so each window-row load serves several
+queries, one thread team per call; ctypes releases the GIL, so the
+step runs truly multi-core).  The commit scatters the results back to
+pair order, prunes with one ``area > δ_A`` mask and takes per-session
+counts from cumulative sums; only sessions that lost a candidate pay
+per-candidate Python work.  Per-session outcomes — areas, offsets,
+removals, ``area_evaluations``, PA — stay **bit-identical** both to
+the sequential session-major path (``fused=False``) and to an
+independent :class:`~repro.edge.tracker.SignalTracker` stepping the
+same frames (``tests/test_edge_plane.py`` and
+``tests/test_edge_fleet_fused.py`` assert it).
 
 Slices with an empty ``slice_id`` cannot be content-addressed and are
 compiled privately per candidate (correct, just unshared — each
@@ -40,9 +45,10 @@ Every frame is checked (shape, finite samples, known session) by
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,6 +69,7 @@ from repro.edge.tracker import (
 )
 from repro.errors import TrackingError
 from repro.signals.metrics import normalized_query
+from repro.signals.types import SignalSlice
 
 
 @dataclass
@@ -70,35 +77,104 @@ class _CacheEntry:
     """One compiled slice plus how many live candidates reference it."""
 
     key: object
+    serial: int
     windows: CompiledSliceWindows | None  # None: slice shorter than a frame
     refs: int = 0
 
 
-@dataclass
 class _FleetSession:
-    """Per-session tracking state (mirrors ``SignalTracker``'s)."""
+    """One session's live candidates as parallel arrays, in tracking order.
 
-    signals: list[TrackedSignal]
-    entries: list[_CacheEntry]  # parallel to ``signals``
-    iteration: int = 0
-
-
-@dataclass
-class _SliceGroup:
-    """One unique compiled slice's share of a fused step.
-
-    ``rows`` holds, in plan order, the query-matrix row (the session's
-    index in the step) of every (session, candidate) pair that tracks
-    this slice this step.  After evaluation ``best``/``best_areas`` hold
-    each pair's argmin offset index and its area as plain Python
-    ints/floats — one bulk ``tolist`` beats 10k per-pair numpy-scalar
-    conversions in the commit loop, with identical values.
+    ``slices`` and ``entries`` are lists parallel to the arrays.  A
+    step replaces ``offsets`` and ``last_areas`` wholesale (never in
+    place), and a step that removes a candidate compacts every field.
     """
 
-    windows: CompiledSliceWindows
-    rows: list[int] = field(default_factory=list)
-    best: list[int] | None = None
-    best_areas: list[float] | None = None
+    __slots__ = (
+        "slices",
+        "entries",
+        "offsets",
+        "last_areas",
+        "omegas",
+        "anomalous",
+        "n_offsets",
+        "serials",
+        "iteration",
+    )
+
+    def __init__(
+        self,
+        matches: Sequence[SearchMatch],
+        entries: list[_CacheEntry],
+    ) -> None:
+        self.slices: list[SignalSlice] = [match.sig_slice for match in matches]
+        self.entries = entries
+        self.offsets = np.array(
+            [match.offset for match in matches], dtype=np.int64
+        )
+        self.last_areas = np.full(len(entries), np.inf)
+        self.omegas = np.array(
+            [match.omega for match in matches], dtype=np.float64
+        )
+        self.anomalous = np.array(
+            [s.label.is_anomalous for s in self.slices], dtype=bool
+        )
+        self.n_offsets = np.array(
+            [0 if e.windows is None else e.windows.n_offsets for e in entries],
+            dtype=np.int64,
+        )
+        self.serials = np.array(
+            [entry.serial for entry in entries], dtype=np.int64
+        )
+        self.iteration = 0
+
+    def signals(self, indices: Sequence[int] | None = None) -> list[TrackedSignal]:
+        """Fresh :class:`TrackedSignal` values for candidates ``indices``
+        (all of them when ``None``)."""
+        if indices is None:
+            indices = range(len(self.slices))
+        offsets = self.offsets.tolist()
+        areas = self.last_areas.tolist()
+        omegas = self.omegas.tolist()
+        return [
+            TrackedSignal(
+                sig_slice=self.slices[i],
+                omega=omegas[i],
+                offset=offsets[i],
+                last_area=areas[i],
+            )
+            for i in indices
+        ]
+
+
+class _SessionResult(NamedTuple):
+    """One session's evaluated step, before it is committed.
+
+    ``areas``/``offsets`` hold every candidate's best area and the
+    offset it would move to (``inf`` and unused for a short slice);
+    ``dropped`` marks the candidates the step removes.  ``removed`` and
+    ``anomalous`` count the dropped candidates and the anomalous
+    survivors.
+    """
+
+    areas: np.ndarray
+    offsets: np.ndarray
+    dropped: np.ndarray
+    evaluations: int
+    removed: int
+    anomalous: int
+
+
+def _session_sums(values: np.ndarray, bounds: np.ndarray) -> list[int]:
+    """Per-session sums of ``values`` between consecutive ``bounds``.
+
+    Cumulative-sum differences, so an empty session sums to 0 (where
+    ``np.add.reduceat`` would return the next element instead).
+    """
+    totals = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=totals[1:])
+    sums: list[int] = (totals[bounds[1:]] - totals[bounds[:-1]]).tolist()
+    return sums
 
 
 class FleetTracker:
@@ -117,6 +193,7 @@ class FleetTracker:
         self.fused = fused
         self._sessions: dict[str, _FleetSession] = {}
         self._cache: dict[object, _CacheEntry] = {}
+        self._serials = itertools.count()
         self.cache_hits = 0
         self.cache_misses = 0
         # Introspection for benchmarks / `emap obs`: shape of the last
@@ -163,15 +240,20 @@ class FleetTracker:
         return self.tracked_references / len(self._cache)
 
     def tracked(self, session_id: str) -> tuple[TrackedSignal, ...]:
-        """The session's live candidates, in tracking order."""
-        return tuple(self._session(session_id).signals)
+        """The session's live candidates, in tracking order.
+
+        Built fresh from the session's arrays on every call: mutating a
+        returned signal does not touch fleet state.
+        """
+        return tuple(self._session(session_id).signals())
 
     def anomaly_probability(self, session_id: str) -> float:
         """Eq. 5 PA for one session (0 when nothing is tracked)."""
-        signals = self._session(session_id).signals
-        if not signals:
+        session = self._session(session_id)
+        tracked = len(session.slices)
+        if not tracked:
             return 0.0
-        return sum(1 for s in signals if s.anomalous) / len(signals)
+        return int(np.count_nonzero(session.anomalous)) / tracked
 
     def _session(self, session_id: str) -> _FleetSession:
         try:
@@ -196,25 +278,18 @@ class FleetTracker:
         entries_in = (
             matches.matches if isinstance(matches, SearchResult) else list(matches)
         )
-        signals: list[TrackedSignal] = []
         entries: list[_CacheEntry] = []
         try:
             for match in entries_in:
-                signals.append(
-                    TrackedSignal(
-                        sig_slice=match.sig_slice,
-                        omega=match.omega,
-                        offset=match.offset,
-                    )
-                )
                 entries.append(self._acquire(match))
+            session = _FleetSession(entries_in, entries)
         except Exception:
             for entry in entries:
                 self._release(entry)
             raise
         if session_id in self._sessions:
             self.close_session(session_id)
-        self._sessions[session_id] = _FleetSession(signals=signals, entries=entries)
+        self._sessions[session_id] = session
         self._publish_gauges()
 
     def close_session(self, session_id: str) -> None:
@@ -232,6 +307,7 @@ class FleetTracker:
         if entry is None:
             entry = _CacheEntry(
                 key=key,
+                serial=next(self._serials),
                 windows=compile_slice_windows(
                     sig_slice.data,
                     self.config.frame_samples,
@@ -304,59 +380,6 @@ class FleetTracker:
             self._publish_gauges()
         return steps
 
-    def _step_session(self, session_id: str, data: np.ndarray) -> TrackingStep:
-        session = self._sessions[session_id]
-        session.iteration += 1
-        tracked_before = len(session.signals)
-        if self.config.reference_rms is not None:
-            query = normalized_query(data, self.config.reference_rms)
-            worst = float(np.abs(query).sum())
-        else:
-            query = np.ascontiguousarray(data)
-            worst = float("inf")
-
-        survivors: list[TrackedSignal] = []
-        surviving_entries: list[_CacheEntry] = []
-        removed: list[TrackedSignal] = []
-        to_release: list[_CacheEntry] = []
-        evaluations = 0
-        for signal, entry in zip(session.signals, session.entries):
-            compiled = entry.windows
-            if compiled is None:
-                # Slice too short for even one comparison window.
-                signal.last_area = float("inf")
-                removed.append(signal)
-                to_release.append(entry)
-                continue
-            areas = abs_diff_rect_sums(compiled.windows, query[None])[0]
-            areas[compiled.flat] = worst
-            evaluations += areas.size
-            best = int(np.argmin(areas))
-            signal.last_area = float(areas[best])
-            if signal.last_area > self.config.area_threshold:
-                removed.append(signal)
-                to_release.append(entry)
-            else:
-                signal.offset = best * self.config.offset_stride
-                survivors.append(signal)
-                surviving_entries.append(entry)
-        # Commit the survivor set before releasing: the session never
-        # holds entries it no longer owns, even if a release faults.
-        session.signals = survivors
-        session.entries = surviving_entries
-        for entry in to_release:
-            self._release(entry)
-        return TrackingStep(
-            iteration=session.iteration,
-            tracked_before=tracked_before,
-            removed=len(removed),
-            area_evaluations=evaluations,
-            anomaly_probability=self.anomaly_probability(session_id),
-            removed_signals=removed,
-        )
-
-    # -- fused slice-major stepping ------------------------------------
-
     def _prepare_query(self, data: np.ndarray) -> tuple[np.ndarray, float]:
         """Normalise one frame and compute its worst-case (flat) area."""
         if self.config.reference_rms is not None:
@@ -364,25 +387,59 @@ class FleetTracker:
             return query, float(np.abs(query).sum())
         return np.ascontiguousarray(data), float("inf")
 
+    def _dropped(self, n_offsets: np.ndarray, areas: np.ndarray) -> np.ndarray:
+        """Candidates a step removes: short slices and areas above δ_A."""
+        return (n_offsets == 0) | (areas > self.config.area_threshold)
+
+    def _step_session(self, session_id: str, data: np.ndarray) -> TrackingStep:
+        """Session-major step: one rectangle-kernel call per candidate."""
+        session = self._sessions[session_id]
+        query, worst = self._prepare_query(data)
+        areas = np.full(len(session.entries), np.inf)
+        best = np.zeros(len(session.entries), dtype=np.int64)
+        for index, entry in enumerate(session.entries):
+            compiled = entry.windows
+            if compiled is None:
+                continue  # slice too short for even one comparison window
+            rect = abs_diff_rect_sums(compiled.windows, query[None])[0]
+            rect[compiled.flat] = worst
+            best[index] = np.argmin(rect)
+            areas[index] = rect[best[index]]
+        dropped = self._dropped(session.n_offsets, areas)
+        return self._commit_session(
+            session_id,
+            _SessionResult(
+                areas=areas,
+                offsets=best * self.config.offset_stride,
+                dropped=dropped,
+                evaluations=int(session.n_offsets.sum()),
+                removed=int(np.count_nonzero(dropped)),
+                anomalous=int(np.count_nonzero(session.anomalous & ~dropped)),
+            ),
+        )
+
+    # -- fused slice-major stepping ------------------------------------
+
     def _step_fused(
         self, queries: Mapping[str, np.ndarray]
     ) -> dict[str, TrackingStep]:
         """Slice-major megabatch step: plan → one kernel call → commit.
 
         Planning normalises every session's frame once into one
-        ``(sessions, m)`` query matrix, then walks sessions in
-        submission order and groups every (session, candidate) pair by
-        the *identity* of its shared cache entry, so two sessions
-        tracking the same MDB slice land in the same group.  Evaluation
-        is a single :func:`abs_diff_argmin` call over all groups, which
-        returns each pair's best offset and area without materialising
-        any area rectangle.  All state mutation is deferred to the
-        commit phase, so a slice being evicted as a result of this step
-        can never invalidate a tensor the kernel still has to read.
-        Commit then replays each session in the exact order (and with
-        the exact arithmetic) of :meth:`_step_session`.
+        ``(sessions, m)`` query matrix, concatenates the stepped
+        sessions' candidates into one pair axis (session-major, in
+        submission order) and groups the evaluable pairs by one stable
+        argsort of their cache-entry serials, so two sessions tracking
+        the same MDB slice land in the same group.  Evaluation is a
+        single :func:`abs_diff_argmin` call over all groups.  All state
+        mutation is deferred to the commit phase, so a slice evicted by
+        this step can never invalidate a tensor the kernel still has to
+        read.  The commit works on whole-step arrays and hands each
+        session its share to :meth:`_commit_session`, in submission
+        order.
         """
         started = time.perf_counter()
+        sessions = [self._sessions[session_id] for session_id in queries]
         # -- plan ------------------------------------------------------
         prepared = [self._prepare_query(data) for data in queries.values()]
         if prepared:
@@ -390,124 +447,127 @@ class FleetTracker:
         else:
             matrix = np.empty((0, self.config.frame_samples))
         worst = np.array([bound for _, bound in prepared], dtype=np.float64)
-        groups: dict[int, _SliceGroup] = {}
-        # Per session: one slot per candidate — (group, pair index) for
-        # evaluable candidates, None for slices shorter than a frame.
-        slots: dict[str, list[tuple[_SliceGroup, int] | None]] = {}
-        for row, session_id in enumerate(queries):
-            session = self._sessions[session_id]
-            rows: list[tuple[_SliceGroup, int] | None] = []
-            for entry in session.entries:
-                if entry.windows is None:
-                    rows.append(None)
-                    continue
-                group = groups.get(id(entry))
-                if group is None:
-                    group = _SliceGroup(windows=entry.windows)
-                    groups[id(entry)] = group
-                group.rows.append(row)
-                rows.append((group, len(group.rows) - 1))
-            slots[session_id] = rows
+        bounds = np.zeros(len(sessions) + 1, dtype=np.int64)
+        np.cumsum([len(s.entries) for s in sessions], out=bounds[1:])
+        edges = bounds.tolist()
+        if sessions:
+            serials = np.concatenate([s.serials for s in sessions])
+            n_offsets = np.concatenate([s.n_offsets for s in sessions])
+            anomalous = np.concatenate([s.anomalous for s in sessions])
+        else:
+            serials = n_offsets = np.zeros(0, dtype=np.int64)
+            anomalous = np.zeros(0, dtype=bool)
+        pair_row = np.repeat(
+            np.arange(len(sessions), dtype=np.int64), np.diff(bounds)
+        )
+        evaluable = np.flatnonzero(n_offsets)
+        # Group-major pair order: pairs of one cache entry are adjacent,
+        # and stay in pair order within their group.
+        ranked = evaluable[np.argsort(serials[evaluable], kind="stable")]
+        grouped = serials[ranked]
+        starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+        counts = np.diff(starts, append=ranked.size)
+        leaders = ranked[starts]
+        plan: list[CompiledSliceWindows] = []
+        for row, pair in zip(pair_row[leaders].tolist(), leaders.tolist()):
+            compiled = sessions[row].entries[pair - edges[row]].windows
+            assert compiled is not None  # evaluable pairs are compiled
+            plan.append(compiled)
 
         # -- fused evaluate: one kernel call ---------------------------
-        plan = list(groups.values())
-        counts = [len(group.rows) for group in plan]
-        pairs = sum(counts)
-        pair_query = np.fromiter(
-            (row for group in plan for row in group.rows),
-            dtype=np.int64,
-            count=pairs,
-        )
         threads = kernel_threads() if kernel_backend() == "c" else 1
-        best, areas = abs_diff_argmin(
-            [group.windows.windows for group in plan],
-            [group.windows.flat for group in plan],
+        best, best_areas = abs_diff_argmin(
+            [compiled.windows for compiled in plan],
+            [compiled.flat for compiled in plan],
             counts,
             matrix,
             worst,
-            pair_query,
+            pair_row[ranked],
             threads=threads,
         )
-        best_list = best.tolist()
-        area_list = areas.tolist()
-        start = 0
-        for group, count in zip(plan, counts):
-            group.best = best_list[start : start + count]
-            group.best_areas = area_list[start : start + count]
-            start += count
 
-        # -- per-session commit, in submission order -------------------
+        # -- commit: back to pair order, then per session --------------
+        areas = np.full(serials.size, np.inf)
+        areas[ranked] = best_areas
+        offsets = np.zeros(serials.size, dtype=np.int64)
+        offsets[ranked] = best * self.config.offset_stride
+        dropped = self._dropped(n_offsets, areas)
+        evaluations = _session_sums(n_offsets, bounds)
+        removed = _session_sums(dropped, bounds)
+        kept_anomalous = _session_sums(anomalous & ~dropped, bounds)
         steps = {
-            session_id: self._commit_session(session_id, slots[session_id])
-            for session_id in queries
+            session_id: self._commit_session(
+                session_id,
+                _SessionResult(
+                    areas=areas[edges[row] : edges[row + 1]],
+                    offsets=offsets[edges[row] : edges[row + 1]],
+                    dropped=dropped[edges[row] : edges[row + 1]],
+                    evaluations=evaluations[row],
+                    removed=removed[row],
+                    anomalous=kept_anomalous[row],
+                ),
+            )
+            for row, session_id in enumerate(queries)
         }
 
         self.last_fused_groups = len(plan)
-        self.last_fused_pairs = pairs
-        self.last_fused_max_group = max(counts, default=0)
+        self.last_fused_pairs = int(ranked.size)
+        self.last_fused_max_group = int(counts.max()) if counts.size else 0
         self.last_fused_step_s = time.perf_counter() - started
         registry = obs.metrics()
         if registry.enabled:
             registry.observe("edge.fleet.fused_step_s", self.last_fused_step_s)
             registry.observe("edge.fleet.fused_groups", len(plan))
-            for count in counts:
+            for count in counts.tolist():
                 registry.observe("edge.fleet.fused_queries_per_group", count)
             registry.set_gauge("edge.fleet.fused_kernel_threads", threads)
         return steps
 
     def _commit_session(
-        self,
-        session_id: str,
-        rows: Sequence[tuple[_SliceGroup, int] | None],
+        self, session_id: str, result: _SessionResult
     ) -> TrackingStep:
-        """Apply one session's fused results, mirroring `_step_session`."""
+        """Apply one session's evaluated step; both paths end here.
+
+        A session that keeps every candidate only swaps in its new
+        offsets and areas.  One that loses candidates also compacts its
+        arrays and lists, and commits the survivors before it releases
+        the dropped entries, so it never holds entries it no longer
+        owns, even if a release faults.
+        """
         session = self._sessions[session_id]
         session.iteration += 1
-        tracked_before = len(session.signals)
-        survivors: list[TrackedSignal] = []
-        surviving_entries: list[_CacheEntry] = []
-        removed: list[TrackedSignal] = []
-        to_release: list[_CacheEntry] = []
-        evaluations = 0
-        for signal, entry, slot in zip(session.signals, session.entries, rows):
-            if slot is None:
-                # Slice too short for even one comparison window.
-                signal.last_area = float("inf")
-                removed.append(signal)
-                to_release.append(entry)
-                continue
-            group, index = slot
-            assert group.best is not None and group.best_areas is not None
-            evaluations += group.windows.n_offsets
-            signal.last_area = group.best_areas[index]
-            if signal.last_area > self.config.area_threshold:
-                removed.append(signal)
-                to_release.append(entry)
-            else:
-                signal.offset = group.best[index] * self.config.offset_stride
-                survivors.append(signal)
-                surviving_entries.append(entry)
-        # Commit the survivor set before releasing: the session never
-        # holds entries it no longer owns, even if a release faults.
-        session.signals = survivors
-        session.entries = surviving_entries
-        for entry in to_release:
-            self._release(entry)
-        # Same Eq. 5 value ``anomaly_probability(session_id)`` returns,
-        # computed over the just-committed survivor list directly.
-        if survivors:
-            probability = sum(1 for s in survivors if s.anomalous) / len(
-                survivors
-            )
+        tracked_before = len(session.entries)
+        removed_signals: list[TrackedSignal] = []
+        if result.removed:
+            keep = ~result.dropped
+            gone = np.flatnonzero(result.dropped).tolist()
+            kept = np.flatnonzero(keep).tolist()
+            # Removed signals keep their old offset and report the area
+            # that removed them.
+            session.last_areas = result.areas
+            removed_signals = session.signals(gone)
+            to_release = [session.entries[i] for i in gone]
+            session.slices = [session.slices[i] for i in kept]
+            session.entries = [session.entries[i] for i in kept]
+            session.offsets = result.offsets[keep]
+            session.last_areas = result.areas[keep]
+            session.omegas = session.omegas[keep]
+            session.anomalous = session.anomalous[keep]
+            session.n_offsets = session.n_offsets[keep]
+            session.serials = session.serials[keep]
+            for entry in to_release:
+                self._release(entry)
         else:
-            probability = 0.0
+            session.offsets = result.offsets
+            session.last_areas = result.areas
+        tracked = tracked_before - result.removed
         return TrackingStep(
             iteration=session.iteration,
             tracked_before=tracked_before,
-            removed=len(removed),
-            area_evaluations=evaluations,
-            anomaly_probability=probability,
-            removed_signals=removed,
+            removed=result.removed,
+            area_evaluations=result.evaluations,
+            anomaly_probability=result.anomalous / tracked if tracked else 0.0,
+            removed_signals=removed_signals,
         )
 
     def _publish_gauges(self) -> None:

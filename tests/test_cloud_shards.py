@@ -22,6 +22,7 @@ from repro.cloud.search import (
     SearchConfig,
     SlidingWindowSearch,
 )
+from repro.cloud import shards as shards_module
 from repro.cloud.shards import ShardedSearchPlane, shard_id_for
 from repro.errors import SearchError
 from repro.mdb.mdb import MegaDatabase
@@ -180,8 +181,8 @@ class TestShardLayout:
         assert plane.pin().shards[1].shard_id is None
         plane.close()
 
-    def test_duplicate_content_shards_get_private_owners(self):
-        base = _random_slices(9, n=4, max_len=300)
+    def test_duplicate_content_shards_share_one_core(self):
+        base = _random_slices(9, n=4, min_len=260, max_len=300)
         twins = [
             SignalSlice(
                 data=s.data.copy(), label=s.label, slice_id=s.slice_id
@@ -190,11 +191,25 @@ class TestShardLayout:
         ]
         plane = ShardedSearchPlane(base + twins, shard_slices=4)
         epoch = plane.pin()
-        # Same digest, but each shard keeps exactly one owner for its
-        # lifecycle — the duplicate is compiled privately.
-        assert epoch.shards[0] is not epoch.shards[1]
-        assert epoch.shards[1].shard_id is None
+        # Same digest: the repeat shares the compiled core but keeps
+        # its own slices, so each hit names the slice at its position.
+        first, second = epoch.shards
+        assert second.core is first.core
+        assert second.slices == tuple(twins)
+        assert all(mine is twin for mine, twin in zip(second.slices, twins))
+        assert second.shard_id == first.shard_id
         assert plane.registry_size == 1
+        assert (plane.last_refresh_compiled, plane.last_refresh_reused) == (1, 1)
+        assert epoch.nbytes == first.core.nbytes
+        engine = SlidingWindowSearch(SearchConfig(), precompute=True)
+        frame = base[0].data[:256].copy()
+        result = engine.search(frame, plane)
+        _assert_identical(result, engine.search(frame, _one_shard(base + twins)))
+        _assert_identical(
+            result, SlidingWindowSearch(SearchConfig()).search(frame, base + twins)
+        )
+        matched = {id(m.sig_slice) for m in result.matches}
+        assert id(base[0]) in matched and id(twins[0]) in matched
         plane.close()
 
 
@@ -223,6 +238,37 @@ class TestIncrementalCompile:
         assert new_epoch.shards[1] is old_epoch.shards[1]
         assert new_epoch.shards[2].n_slices == 1
         plane.close()
+
+    def test_one_record_refresh_hashes_only_new_slices(self, monkeypatch):
+        """An append reuses every untouched shard by slice identity: the
+        refresh hashes only the trailing shard's slices and keeps every
+        shard id."""
+        mdb = _mdb_from(_random_slices(12, n=10, max_len=300))
+        plane = ShardedSearchPlane(mdb, shard_slices=4)
+        old_ids = [shard.shard_id for shard in plane.pin().shards]
+        hashed: list[str] = []
+        real_key = shards_module._slice_key
+
+        def counting(sig_slice):
+            hashed.append(sig_slice.slice_id)
+            return real_key(sig_slice)
+
+        monkeypatch.setattr(shards_module, "_slice_key", counting)
+        mdb.insert_document(
+            slice_to_document(
+                _random_slices(99, n=1, max_len=300)[0],
+                dataset="test",
+                channel="Fp1",
+            )
+        )
+        assert plane.refresh()
+        # Shards 0 and 1 hold the same decoded slices: not hashed.  The
+        # trailing shard grew from 2 to 3 slices and is hashed once.
+        assert len(hashed) == 3
+        new_ids = [shard.shard_id for shard in plane.pin().shards]
+        assert new_ids[:2] == old_ids[:2]
+        assert new_ids[2] != old_ids[2]
+        assert (plane.last_refresh_compiled, plane.last_refresh_reused) == (1, 2)
 
     def test_refresh_without_change_is_a_noop(self):
         plane = ShardedSearchPlane(

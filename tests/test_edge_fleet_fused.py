@@ -62,7 +62,10 @@ def _step_key(step, tracked):
             (s.sig_slice.slice_id, s.last_area, s.offset, s.omega)
             for s in tracked
         ),
-        tuple((s.sig_slice.slice_id, s.last_area) for s in step.removed_signals),
+        tuple(
+            (s.sig_slice.slice_id, s.last_area, s.offset, s.omega)
+            for s in step.removed_signals
+        ),
     )
 
 
