@@ -32,9 +32,9 @@ legacy per-request path and the compiled
   the same host), so no baseline hardware match is needed.
 
 **Edge-plane gate** — tracks the same candidate set and frame stream
-through the scalar per-candidate loop, the compiled
-:class:`~repro.edge.plane.TrackingPlane` and the batched
-:class:`~repro.edge.fleet.FleetTracker`
+through the scalar per-candidate loop, ``engine="plane"`` (a
+one-session :class:`~repro.edge.fleet.FleetTracker`) and a batched
+many-session :class:`~repro.edge.fleet.FleetTracker`
 (``benchmarks/baselines/edge_plane_throughput.json``).  It fails when:
 
 * any arm stops being **bit-identical** to the scalar tracker (areas,
@@ -80,22 +80,6 @@ when:
   must adopt a single inserted slice without paying the whole store's
   recompile.
 
-**Fleet gate** — steps a 1000-session x 10-candidate fleet through the
-fused slice-major megabatch path and the sequential session-major loop
-(``benchmarks/baselines/fleet_throughput.json``).  It fails when:
-
-* any session's tracking steps stop being **bit-identical** between
-  the two arms — never acceptable;
-* ``evaluations_per_frame`` drifts from the baseline (deterministic,
-  so drift is an algorithmic change);
-* the fused speedup falls below the **4x absolute floor** —
-  self-normalising (both arms share the host), and sized for a
-  multi-core CI runner: the fused win is one kernel dispatch per
-  unique slice instead of one per (session, candidate) pair, plus the
-  rect kernel's thread pool.  On a single-core host the dispatch
-  amortisation alone lands near ~3.5-4x; the thread pool carries it
-  clear of the floor on CI hardware.
-
 Regenerate the baselines after an intentional change with::
 
     python benchmarks/check_regression.py --update
@@ -107,7 +91,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -132,9 +115,6 @@ DEFAULT_GATEWAY_BASELINE = (
 DEFAULT_SHARD_BASELINE = (
     REPO_ROOT / "benchmarks" / "baselines" / "shard_throughput.json"
 )
-DEFAULT_FLEET_BASELINE = (
-    REPO_ROOT / "benchmarks" / "baselines" / "fleet_throughput.json"
-)
 DEFAULT_METRICS_OUT = REPO_ROOT / "benchmark_reports" / "fig7b_obs_metrics.json"
 DEFAULT_DB_SIZES = (500, 1000, 2000)
 PLANE_SPEEDUP_FLOOR = 3.0
@@ -151,14 +131,6 @@ EDGE_PLANE_N_FRAMES = 12
 SHARD_DELTA_SPEEDUP_FLOOR = 5.0
 SHARD_SLICES_PER_SHARD = 16
 SHARD_N_INSERTS = 4
-#: 4x on a multi-core runner (CI): dispatch amortisation + the rect
-#: kernel's thread pool.  A single-core host only gets the dispatch
-#: amortisation (~3.5x at the gate scale), so the floor relaxes there.
-FLEET_SPEEDUP_FLOOR = 4.0 if (os.cpu_count() or 1) >= 2 else 2.5
-FLEET_SESSIONS = 1000
-FLEET_CANDIDATES_PER_SESSION = 10
-FLEET_UNIQUE_SLICES = 20
-FLEET_N_FRAMES = 3
 
 
 def run_benchmark(mdb_scale: float, seed: int, db_sizes: tuple[int, ...]) -> dict:
@@ -216,20 +188,6 @@ def run_shard_benchmark(mdb_scale: float, seed: int) -> dict:
         n_inserts=SHARD_N_INSERTS,
     )
     return shard_throughput.summarize(result, mdb_scale=mdb_scale, seed=seed)
-
-
-def run_fleet_benchmark(seed: int) -> dict:
-    """One fused-fleet stepping run, summarised for baseline/compare."""
-    import fleet_throughput
-
-    result = fleet_throughput.run_fleet_throughput(
-        sessions=FLEET_SESSIONS,
-        candidates_per_session=FLEET_CANDIDATES_PER_SESSION,
-        unique_slices=FLEET_UNIQUE_SLICES,
-        n_frames=FLEET_N_FRAMES,
-        seed=seed,
-    )
-    return fleet_throughput.summarize(result, seed=seed)
 
 
 def run_gateway_benchmark(mdb_scale: float, seed: int) -> dict:
@@ -416,33 +374,6 @@ def compare_shards(summary: dict, baseline: dict) -> list[str]:
     return failures
 
 
-def compare_fleet(summary: dict, baseline: dict) -> list[str]:
-    """Gate failures for the fused-fleet stepping bench (empty = pass)."""
-    failures: list[str] = []
-    if not summary["identical"]:
-        failures.append(
-            "fused fleet stepping diverged from the sequential loop — "
-            "areas, offsets, removals or evaluation counts are no longer "
-            "bit-identical"
-        )
-    if summary["evaluations_per_frame"] != baseline["evaluations_per_frame"]:
-        failures.append(
-            "fleet evaluations_per_frame drifted from baseline "
-            f"({summary['evaluations_per_frame']} vs "
-            f"{baseline['evaluations_per_frame']}) — the scan is "
-            "deterministic, so this is an algorithmic change"
-        )
-    if summary["speedup"] < FLEET_SPEEDUP_FLOOR:
-        failures.append(
-            f"fused fleet speedup {summary['speedup']:.2f}x fell below the "
-            f"{FLEET_SPEEDUP_FLOOR:g}x floor at {summary['sessions']} "
-            f"sessions (baseline {baseline['speedup']:.2f}x, "
-            f"kernel={summary['kernel']}, threads={summary['threads']}) — "
-            "megabatch-stepping regression"
-        )
-    return failures
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE)
@@ -479,14 +410,6 @@ def main(argv: list[str] | None = None) -> int:
         "--skip-shards",
         action="store_true",
         help="skip the sharded-plane incremental-compile gate",
-    )
-    parser.add_argument(
-        "--fleet-baseline", type=Path, default=DEFAULT_FLEET_BASELINE
-    )
-    parser.add_argument(
-        "--skip-fleet",
-        action="store_true",
-        help="skip the fused fleet-stepping throughput gate",
     )
     parser.add_argument(
         "--update", action="store_true", help="rewrite the baseline and exit 0"
@@ -565,21 +488,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         )
 
-    fleet_summary = None
-    if not args.skip_fleet:
-        fleet_summary = run_fleet_benchmark(args.seed)
-        print(
-            "fleet: fused {0:.2f}x over sequential ({1} sessions x {2} "
-            "candidates, kernel={3}, threads={4}, identical={5})".format(
-                fleet_summary["speedup"],
-                fleet_summary["sessions"],
-                fleet_summary["candidates_per_session"],
-                fleet_summary["kernel"],
-                fleet_summary["threads"],
-                fleet_summary["identical"],
-            )
-        )
-
     shard_summary = None
     if not args.skip_shards:
         shard_summary = run_shard_benchmark(args.mdb_scale, args.seed)
@@ -622,12 +530,6 @@ def main(argv: list[str] | None = None) -> int:
                 json.dumps(shard_summary, indent=2) + "\n"
             )
             print(f"baseline updated: {args.shard_baseline}")
-        if fleet_summary is not None:
-            args.fleet_baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.fleet_baseline.write_text(
-                json.dumps(fleet_summary, indent=2) + "\n"
-            )
-            print(f"baseline updated: {args.fleet_baseline}")
         return 0
 
     missing = [
@@ -638,7 +540,6 @@ def main(argv: list[str] | None = None) -> int:
             + ([args.edge_plane_baseline] if edge_summary is not None else [])
             + ([args.gateway_baseline] if gateway_summary is not None else [])
             + ([args.shard_baseline] if shard_summary is not None else [])
-            + ([args.fleet_baseline] if fleet_summary is not None else [])
         )
         if not path.exists()
     ]
@@ -664,9 +565,6 @@ def main(argv: list[str] | None = None) -> int:
     if shard_summary is not None:
         shard_baseline = json.loads(args.shard_baseline.read_text())
         failures += compare_shards(shard_summary, shard_baseline)
-    if fleet_summary is not None:
-        fleet_baseline = json.loads(args.fleet_baseline.read_text())
-        failures += compare_fleet(fleet_summary, fleet_baseline)
     if failures:
         print("benchmark regression gate FAILED:", file=sys.stderr)
         for failure in failures:
@@ -696,12 +594,6 @@ def main(argv: list[str] | None = None) -> int:
             f", {SHARD_DELTA_SPEEDUP_FLOOR:.0f}x shard floor vs "
             f"{args.shard_baseline.name}"
             if shard_summary is not None
-            else ""
-        )
-        + (
-            f", {FLEET_SPEEDUP_FLOOR:g}x fleet floor vs "
-            f"{args.fleet_baseline.name}"
-            if fleet_summary is not None
             else ""
         )
         + ")"

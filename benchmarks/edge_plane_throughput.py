@@ -5,9 +5,10 @@ and frame stream:
 
 * **scalar** — the reference ``SignalTracker`` per-candidate Python
   loop, rebuilding every slice's window statistics each frame;
-* **plane** — ``SignalTracker`` with ``engine="plane"``: the set
-  compiled once into the contiguous window tensor, each step one fused
-  reduction (compile time reported separately as ``compile_s``);
+* **plane** — ``SignalTracker`` with ``engine="plane"``: a one-session
+  ``FleetTracker`` that compiles each slice's windows once per load and
+  runs each step as one ``abs_diff_argmin`` call (load time reported
+  separately as ``compile_s``);
 * **fleet** — ``FleetTracker`` stepping ``fleet_sessions`` concurrent
   sessions that track the *same* correlation set (the multi-patient
   shape, compiled slices deduplicated) against per-session scalar

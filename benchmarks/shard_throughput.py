@@ -164,7 +164,6 @@ def run_shard_throughput(
         shards_reused=reused,
         identical=identical,
     )
-    sharded.close()
     return result
 
 

@@ -370,12 +370,5 @@ class ShardedSearchPlane:
         """Content-addressed shards currently held for reuse."""
         return len(self._registry)
 
-    def close(self) -> None:
-        """A no-op: the plane holds only in-process arrays.
-
-        Kept so that callers written against an open/close lifecycle
-        keep working; nothing needs releasing.
-        """
-
     def __len__(self) -> int:
         return self.n_slices

@@ -5,13 +5,13 @@
 * :mod:`repro.edge.tracker` — Algorithm 2: area-between-curves signal
   tracking over the downloaded correlation set (scalar reference
   engine plus the engine seam).
-* :mod:`repro.edge.plane` — the compiled tracking plane: the loaded
-  correlation set compiled once into one contiguous window tensor,
-  each step a single fused reduction (bit-identical to the scalar
+* :mod:`repro.edge.plane` — a slice's frame-invariant comparison
+  windows, compiled once.
+* :mod:`repro.edge.fleet` — the compiled engine: many concurrent
+  sessions stepped in one kernel call, compiled slices deduplicated
+  across sessions by slice id; a one-session fleet backs
+  ``TrackerConfig(engine="plane")`` (bit-identical to the scalar
   engine).
-* :mod:`repro.edge.fleet` — many concurrent sessions stepped in one
-  batched call, compiled slices deduplicated across sessions by
-  slice id.
 * :mod:`repro.edge.predictor` — anomaly-probability trend analysis and
   the anomaly / normal decision.
 * :mod:`repro.edge.device` — the edge device facade combining all three
@@ -21,8 +21,8 @@
 from repro.edge.acquisition import SignalAcquisition
 from repro.edge.device import CloudCallPolicy, EdgeDevice
 from repro.edge.energy import EdgeEnergyModel, EnergySpec, SessionEnergy
-from repro.edge.fleet import FleetTracker
-from repro.edge.plane import TrackingPlane, compile_slice_windows
+from repro.edge.fleet import FleetTracker, FleetTrackingEngine
+from repro.edge.plane import compile_slice_windows
 from repro.edge.predictor import AnomalyPredictor, PredictorConfig, ProbabilityTrace
 from repro.edge.tracker import (
     ScalarTrackingEngine,
@@ -40,6 +40,7 @@ __all__ = [
     "EdgeEnergyModel",
     "EnergySpec",
     "FleetTracker",
+    "FleetTrackingEngine",
     "PredictorConfig",
     "ProbabilityTrace",
     "ScalarTrackingEngine",
@@ -49,7 +50,6 @@ __all__ = [
     "TrackedSignal",
     "TrackerConfig",
     "TrackingEngine",
-    "TrackingPlane",
     "TrackingStep",
     "compile_slice_windows",
 ]

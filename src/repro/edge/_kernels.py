@@ -1,49 +1,39 @@
-"""Fused area-reduction kernels behind the edge tracking plane & fleet.
+"""The fused area-reduction kernel behind the edge's compiled step.
 
-The plane's per-step cost is one reduction: for every compiled window
-row ``w`` compute ``Σ|w − query|`` (Eq. 3 over normalised windows).
-Expressed as separate numpy ufunc calls that is three full passes over
-the compiled tensor — subtract, abs, sum — and the tensor (~38 MB at
-100 candidates) is far bigger than cache, so the step is bound by
-memory traffic numpy cannot fuse away.  The fleet adds a second axis:
-many sessions track the *same* deduplicated compiled slice, so one
-slice's window rows are evaluated against a whole stack of queries.
+A fleet step's cost is one reduction: for every compiled window row
+``w`` of a tracked slice compute ``Σ|w − query|`` (Eq. 3 over
+normalised windows) against each query that tracks the slice, and keep
+the minimum.  Expressed as separate numpy ufunc calls that is three
+full passes (subtract, abs, sum) over windows far bigger than cache.
 
-This module provides two entry points over two interchangeable
-backends:
+:func:`abs_diff_argmin` runs a whole step in one call.  It takes a
+ragged list of groups (one per deduplicated compiled slice), one
+``(sessions, m)`` query matrix and each (group, query) pair's query
+row, and returns each pair's ``np.argmin`` offset and area after flat
+rows are set to that pair's worst-case area.  No area rectangle is
+ever written: the running minimum lives in registers.
 
-* :func:`abs_diff_rect_sums` — the multi-query *rectangle*
-  ``out[q, r] = Σ|rows[r] − queries[q]|``.  The single-session
-  :class:`~repro.edge.plane.TrackingPlane` and the fleet's sequential
-  path call it with one query.
-* :func:`abs_diff_argmin` — a whole fused fleet step in one call.  It
-  takes a ragged list of groups (one per deduplicated compiled slice),
-  one ``(sessions, m)`` query matrix and each (group, query) pair's
-  query row, and returns each pair's ``np.argmin`` offset and area
-  after flat rows are set to that pair's worst-case area.  No area
-  rectangle is ever written: the running minimum lives in registers.
-
-Every cell is **bit-identical** to ``np.abs(rows - q).sum(axis=1)[r]``
+Every area is **bit-identical** to ``np.abs(rows - q).sum(axis=1)[r]``
 on every backend and at every thread count, and every argmin equals
-what ``np.argmin`` picks over those cells (first index on ties, the
+what ``np.argmin`` picks over those areas (first index on ties, the
 first NaN before anything else), with the area it reads.
 
 Backends (selected once per process by :mod:`repro.kernels`, which
 builds, caches and self-checks the one compiled library both tiers
 load):
 
-* ``"c"`` — the library's ``abs_diff_rect_sums`` and
-  ``abs_diff_argmin``.  ``abs_diff_argmin`` tiles up to
+* ``"c"`` — the library's ``abs_diff_argmin``.  It tiles up to
   :data:`~repro.kernels.TILE` pairs of one group together, so each
-  window-row load is shared by the tile's queries, and runs one pthread
-  team per call whose threads take (group, tile) work units from an
-  atomic counter.  Each pair's result depends only on its own cells,
-  so the schedule never changes a bit.
-* ``"numpy"`` — a cache-blocked fallback that runs the three ufunc
-  passes through an L2-sized scratch block, reused per shape and per
-  thread; ``abs_diff_argmin`` evaluates each group's rectangle that
-  way, then applies the flat override and ``np.argmin``.  Same
-  pairwise sum per row, so it is bit-identical by construction.
+  window-row load is shared by the tile's queries (a lone pair
+  computes one lane), and runs one pthread team per call whose threads
+  take (group, tile) work units from an atomic counter.  Each pair's
+  result depends only on its own areas, so the schedule never changes
+  a bit.
+* ``"numpy"`` — evaluates each group's area rectangle with
+  :func:`_numpy_rect_sums`, which runs the three ufunc passes through
+  an L2-sized scratch block reused per shape and per thread, then
+  applies the flat override and ``np.argmin``.  Same pairwise sum per
+  row, so it is bit-identical by construction.
 
 ``kernel_backend``, ``kernel_threads`` and ``_reset_backend_selection``
 are re-exported from :mod:`repro.kernels`.
@@ -68,7 +58,6 @@ __all__ = [
     "TILE",
     "_reset_backend_selection",
     "abs_diff_argmin",
-    "abs_diff_rect_sums",
     "kernel_backend",
     "kernel_threads",
 ]
@@ -79,9 +68,9 @@ __all__ = [
 _BLOCK_BYTES = 1 << 18
 
 #: Per-thread scratch blocks for the numpy fallback, keyed by shape.
-#: Thread-local because the fleet planner may run fallback evaluations
-#: from a worker thread while the main thread steps a single-session
-#: plane — a shared buffer would race.
+#: Thread-local because two trackers may step from different threads
+#: (an executor worker beside the event loop) — a shared buffer would
+#: race.
 _scratch_local = threading.local()
 
 
@@ -99,10 +88,18 @@ def _scratch(shape: tuple[int, int]) -> np.ndarray:
 
 
 def _numpy_rect_sums(
-    rows: np.ndarray, queries: np.ndarray, out: np.ndarray
-) -> None:
-    """Cache-blocked fallback: three ufunc passes per L2-sized block."""
+    rows: np.ndarray, queries: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``out[q, r] = Σ|rows[r] − queries[q]|``, three ufunc passes per
+    L2-sized block.
+
+    Every cell is bit-identical to ``np.abs(rows - queries[q]).sum(axis=1)[r]``.
+    The numpy fallback's per-group step; ``out`` defaults to a fresh
+    ``(n_queries, n_rows)`` matrix.
+    """
     n_rows, m = rows.shape
+    if out is None:
+        out = np.empty((queries.shape[0], n_rows))
     block = max(1, _BLOCK_BYTES // max(1, m * rows.itemsize))
     scratch = _scratch((min(block, n_rows), m))
     for index in range(queries.shape[0]):
@@ -113,6 +110,7 @@ def _numpy_rect_sums(
             np.subtract(chunk, query, out=buffer)
             np.abs(buffer, out=buffer)
             np.sum(buffer, axis=1, out=out[index, start : start + chunk.shape[0]])
+    return out
 
 
 def _numpy_argmin(
@@ -132,8 +130,7 @@ def _numpy_argmin(
             continue
         stop = start + count
         owners = pair_query[start:stop]
-        areas = np.empty((count, rows.shape[0]))
-        _numpy_rect_sums(rows, queries[owners], areas)
+        areas = _numpy_rect_sums(rows, queries[owners])
         if flat.any():
             areas[:, flat] = worst[owners][:, None]
         picked = np.argmin(areas, axis=1)
@@ -147,53 +144,6 @@ def _check_inputs(*arrays: np.ndarray) -> None:
         raise ValueError("kernel inputs must be C-contiguous")
     if not all(array.dtype == np.float64 for array in arrays):
         raise ValueError("kernel inputs must be float64")
-
-
-def abs_diff_rect_sums(
-    rows: np.ndarray,
-    queries: np.ndarray,
-    out: np.ndarray | None = None,
-    threads: int | None = None,
-) -> np.ndarray:
-    """``out[q, r] = Σ|rows[r] − queries[q]|``: the multi-query rectangle.
-
-    Every cell is bit-identical to
-    ``np.abs(rows - queries[q]).sum(axis=1)[r]`` on every backend and
-    at every thread count (cells are independent).  ``rows`` must be a
-    C-contiguous float64 ``(n_rows, m)`` matrix, ``queries`` a
-    C-contiguous float64 ``(n_queries, m)`` matrix, and ``out``, when
-    given, a C-contiguous float64 ``(n_queries, n_rows)`` matrix.
-    ``threads`` defaults to :func:`kernel_threads`; the numpy fallback
-    ignores it (the ufunc passes are single-threaded).
-    """
-    if rows.ndim != 2:
-        raise ValueError(f"rows must be 2-D, got shape {rows.shape}")
-    if queries.ndim != 2:
-        raise ValueError(f"queries must be 2-D, got shape {queries.shape}")
-    n_rows, m = rows.shape
-    n_queries = queries.shape[0]
-    if queries.shape[1] != m:
-        raise ValueError(
-            f"queries of shape {queries.shape} do not match row length {m}"
-        )
-    if out is None:
-        out = np.empty((n_queries, n_rows))
-    elif out.shape != (n_queries, n_rows):
-        raise ValueError(
-            f"out of shape {out.shape} does not match "
-            f"({n_queries}, {n_rows})"
-        )
-    if n_rows == 0 or n_queries == 0:
-        return out
-    _check_inputs(rows, queries, out)
-    kernels = compiled_kernels()
-    if kernels is not None:
-        kernels.rect(
-            rows, queries, out, kernel_threads() if threads is None else threads
-        )
-    else:
-        _numpy_rect_sums(rows, queries, out)
-    return out
 
 
 def abs_diff_argmin(

@@ -17,10 +17,10 @@ Each session keeps its live candidates as parallel arrays — offsets,
 last areas, ω, anomalous flags, ``n_offsets`` (0 for a slice shorter
 than a frame) and cache-entry serials — beside lists of their slices
 and cache entries.  :meth:`FleetTracker.step` advances every session
-supplied in one batched call.  The default **fused** path is a few
-numpy passes around one kernel call: it concatenates the stepped
-sessions' serials, groups the (session, candidate) pairs by one stable
-argsort of them (a group is one deduplicated compiled slice), and runs
+supplied in one batched call: a few numpy passes around one kernel
+call.  It concatenates the stepped sessions' serials, groups the
+(session, candidate) pairs by one stable argsort of them (a group is
+one deduplicated compiled slice), and runs
 the whole step as a single :func:`repro.edge._kernels.abs_diff_argmin`
 call, which returns every pair's best offset and area directly
 (tiling a group's pairs so each window-row load serves several
@@ -29,11 +29,15 @@ step runs truly multi-core).  The commit scatters the results back to
 pair order, prunes with one ``area > δ_A`` mask and takes per-session
 counts from cumulative sums; only sessions that lost a candidate pay
 per-candidate Python work.  Per-session outcomes — areas, offsets,
-removals, ``area_evaluations``, PA — stay **bit-identical** both to
-the sequential session-major path (``fused=False``) and to an
-independent :class:`~repro.edge.tracker.SignalTracker` stepping the
-same frames (``tests/test_edge_plane.py`` and
-``tests/test_edge_fleet_fused.py`` assert it).
+removals, ``area_evaluations``, PA — stay **bit-identical** to an
+independent scalar :class:`~repro.edge.tracker.SignalTracker` stepping
+the same frames (``tests/test_edge_fleet_fused.py`` and
+``tests/test_edge_fleet_differential.py`` assert it).
+
+:class:`FleetTrackingEngine` is a one-session fleet behind the
+:class:`~repro.edge.tracker.TrackingEngine` seam; it is what
+``TrackerConfig(engine="plane")`` builds, so a single tracker and a
+fleet of thousands run the same compiled step.
 
 Slices with an empty ``slice_id`` cannot be content-addressed and are
 compiled privately per candidate (correct, just unshared — each
@@ -55,13 +59,14 @@ import numpy as np
 from repro import obs
 from repro.cloud.results import SearchMatch, SearchResult
 from repro.edge._kernels import (
+    _numpy_rect_sums,
     abs_diff_argmin,
-    abs_diff_rect_sums,
     kernel_backend,
     kernel_threads,
 )
 from repro.edge.plane import CompiledSliceWindows, compile_slice_windows
 from repro.edge.tracker import (
+    EngineStep,
     TrackedSignal,
     TrackerConfig,
     TrackingStep,
@@ -70,6 +75,12 @@ from repro.edge.tracker import (
 from repro.errors import TrackingError
 from repro.signals.metrics import normalized_query
 from repro.signals.types import SignalSlice
+
+
+#: perfbench's traced run wraps this module attribute to count kernel
+#: cells; the fleet step never calls it.  A re-export of the numpy
+#: rectangle until the benchmark wraps :func:`abs_diff_argmin` instead.
+abs_diff_rect_sums = _numpy_rect_sums
 
 
 @dataclass
@@ -104,7 +115,7 @@ class _FleetSession:
 
     def __init__(
         self,
-        matches: Sequence[SearchMatch],
+        matches: Sequence[SearchMatch | TrackedSignal],
         entries: list[_CacheEntry],
     ) -> None:
         self.slices: list[SignalSlice] = [match.sig_slice for match in matches]
@@ -186,18 +197,15 @@ class FleetTracker:
     size, stride and reference RMS).
     """
 
-    def __init__(
-        self, config: TrackerConfig | None = None, *, fused: bool = True
-    ) -> None:
+    def __init__(self, config: TrackerConfig | None = None) -> None:
         self.config = config or TrackerConfig()
-        self.fused = fused
         self._sessions: dict[str, _FleetSession] = {}
         self._cache: dict[object, _CacheEntry] = {}
         self._serials = itertools.count()
         self.cache_hits = 0
         self.cache_misses = 0
         # Introspection for benchmarks / `emap obs`: shape of the last
-        # fused plan (0s until a fused step has run).
+        # fused plan (0s until a step has run).
         self.last_fused_groups = 0
         self.last_fused_pairs = 0
         self.last_fused_max_group = 0
@@ -264,9 +272,14 @@ class FleetTracker:
     # -- session lifecycle ---------------------------------------------
 
     def open_session(
-        self, session_id: str, matches: Sequence[SearchMatch] | SearchResult
+        self,
+        session_id: str,
+        matches: Sequence[SearchMatch | TrackedSignal] | SearchResult,
     ) -> None:
         """Adopt a correlation set for ``session_id`` (replacing any).
+
+        ``matches`` are the cloud's matches, or tracked signals whose
+        slices, ω and offsets the session takes over.
 
         Reopening an existing session id is the fleet equivalent of
         :meth:`SignalTracker.load`: the old set's references are
@@ -275,7 +288,7 @@ class FleetTracker:
         whose slice ids overlap the old set keeps those entries warm
         instead of evicting and immediately recompiling them.
         """
-        entries_in = (
+        entries_in: Sequence[SearchMatch | TrackedSignal] = (
             matches.matches if isinstance(matches, SearchResult) else list(matches)
         )
         entries: list[_CacheEntry] = []
@@ -300,7 +313,7 @@ class FleetTracker:
         del self._sessions[session_id]
         self._publish_gauges()
 
-    def _acquire(self, match: SearchMatch) -> _CacheEntry:
+    def _acquire(self, match: SearchMatch | TrackedSignal) -> _CacheEntry:
         sig_slice = match.sig_slice
         key: object = sig_slice.slice_id if sig_slice.slice_id else object()
         entry = self._cache.get(key)
@@ -362,13 +375,8 @@ class FleetTracker:
             session_id: self.check_frame(session_id, frame)
             for session_id, frame in frames.items()
         }
-        steps: dict[str, TrackingStep] = {}
         with obs.trace.span("edge.fleet.step", sessions=len(queries)) as span:
-            if self.fused:
-                steps = self._step_fused(queries)
-            else:
-                for session_id, data in queries.items():
-                    steps[session_id] = self._step_session(session_id, data)
+            steps = self._step_fused(queries)
         registry = obs.metrics()
         if registry.enabled:
             registry.inc("edge.fleet.steps")
@@ -386,37 +394,6 @@ class FleetTracker:
             query = normalized_query(data, self.config.reference_rms)
             return query, float(np.abs(query).sum())
         return np.ascontiguousarray(data), float("inf")
-
-    def _dropped(self, n_offsets: np.ndarray, areas: np.ndarray) -> np.ndarray:
-        """Candidates a step removes: short slices and areas above δ_A."""
-        return (n_offsets == 0) | (areas > self.config.area_threshold)
-
-    def _step_session(self, session_id: str, data: np.ndarray) -> TrackingStep:
-        """Session-major step: one rectangle-kernel call per candidate."""
-        session = self._sessions[session_id]
-        query, worst = self._prepare_query(data)
-        areas = np.full(len(session.entries), np.inf)
-        best = np.zeros(len(session.entries), dtype=np.int64)
-        for index, entry in enumerate(session.entries):
-            compiled = entry.windows
-            if compiled is None:
-                continue  # slice too short for even one comparison window
-            rect = abs_diff_rect_sums(compiled.windows, query[None])[0]
-            rect[compiled.flat] = worst
-            best[index] = np.argmin(rect)
-            areas[index] = rect[best[index]]
-        dropped = self._dropped(session.n_offsets, areas)
-        return self._commit_session(
-            session_id,
-            _SessionResult(
-                areas=areas,
-                offsets=best * self.config.offset_stride,
-                dropped=dropped,
-                evaluations=int(session.n_offsets.sum()),
-                removed=int(np.count_nonzero(dropped)),
-                anomalous=int(np.count_nonzero(session.anomalous & ~dropped)),
-            ),
-        )
 
     # -- fused slice-major stepping ------------------------------------
 
@@ -491,7 +468,8 @@ class FleetTracker:
         areas[ranked] = best_areas
         offsets = np.zeros(serials.size, dtype=np.int64)
         offsets[ranked] = best * self.config.offset_stride
-        dropped = self._dropped(n_offsets, areas)
+        # A step removes short slices and areas above δ_A.
+        dropped = (n_offsets == 0) | (areas > self.config.area_threshold)
         evaluations = _session_sums(n_offsets, bounds)
         removed = _session_sums(dropped, bounds)
         kept_anomalous = _session_sums(anomalous & ~dropped, bounds)
@@ -526,7 +504,7 @@ class FleetTracker:
     def _commit_session(
         self, session_id: str, result: _SessionResult
     ) -> TrackingStep:
-        """Apply one session's evaluated step; both paths end here.
+        """Apply one session's evaluated step.
 
         A session that keeps every candidate only swaps in its new
         offsets and areas.  One that loses candidates also compacts its
@@ -578,3 +556,33 @@ class FleetTracker:
         registry.set_gauge("edge.fleet.unique_slices", self.unique_slices)
         registry.set_gauge("edge.fleet.tracked_references", self.tracked_references)
         registry.set_gauge("edge.fleet.compiled_bytes", self.compiled_bytes)
+
+
+#: The one session id a :class:`FleetTrackingEngine` keeps open.
+_ENGINE_SESSION = "plane"
+
+
+class FleetTrackingEngine:
+    """``TrackerConfig(engine="plane")``: a one-session :class:`FleetTracker`.
+
+    Implements the :class:`~repro.edge.tracker.TrackingEngine` seam on
+    the fleet's compiled step.  :meth:`load` reopens the session, which
+    keeps the compiled entries of every slice the new set shares with
+    the old one; :meth:`step` reports the session's survivors and
+    removals as fresh :class:`TrackedSignal` values.
+    """
+
+    def __init__(self, config: TrackerConfig) -> None:
+        self.fleet = FleetTracker(config)
+        self.fleet.open_session(_ENGINE_SESSION, [])
+
+    def load(self, signals: Sequence[TrackedSignal]) -> None:
+        self.fleet.open_session(_ENGINE_SESSION, signals)
+
+    def step(self, data: np.ndarray) -> EngineStep:
+        step = self.fleet.step({_ENGINE_SESSION: data})[_ENGINE_SESSION]
+        return EngineStep(
+            survivors=list(self.fleet.tracked(_ENGINE_SESSION)),
+            removed=step.removed_signals,
+            area_evaluations=step.area_evaluations,
+        )

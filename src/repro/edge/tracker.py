@@ -83,9 +83,10 @@ class TrackerConfig:
     the input's own amplitude scale.
 
     ``engine`` selects how the area scan executes: ``"scalar"`` is the
-    reference per-candidate Python loop, ``"plane"`` compiles the
-    loaded set once and evaluates each step as one batched reduction
-    (:class:`repro.edge.plane.TrackingPlane`) — bit-identical results,
+    reference per-candidate Python loop, ``"plane"`` compiles each
+    loaded slice once and evaluates each step in one kernel call
+    (:class:`repro.edge.fleet.FleetTrackingEngine`, a one-session
+    :class:`~repro.edge.fleet.FleetTracker`) — bit-identical results,
     different cost.
     """
 
@@ -172,7 +173,7 @@ class TrackingEngine(Protocol):
     :class:`SignalTracker` orchestrates validation, iteration counting
     and metrics around them.  Satisfied by
     :class:`ScalarTrackingEngine` and
-    :class:`repro.edge.plane.TrackingPlane`.
+    :class:`repro.edge.fleet.FleetTrackingEngine`.
     """
 
     def load(self, signals: Sequence[TrackedSignal]) -> None:
@@ -187,7 +188,7 @@ class ScalarTrackingEngine:
 
     Every step rebuilds each slice's window statistics from scratch via
     :func:`~repro.signals.metrics.sliding_area_normalized`; the
-    compiled plane exists precisely to amortise that work, and is held
+    compiled engine exists precisely to amortise that work, and is held
     to this engine's outputs bit for bit.
     """
 
@@ -249,10 +250,10 @@ class SignalTracker:
 
     def _build_engine(self) -> TrackingEngine:
         if self.config.engine == "plane":
-            # Imported lazily: plane.py depends on this module.
-            from repro.edge.plane import TrackingPlane
+            # Imported lazily: fleet.py depends on this module.
+            from repro.edge.fleet import FleetTrackingEngine
 
-            return TrackingPlane(self.config)
+            return FleetTrackingEngine(self.config)
         return ScalarTrackingEngine(self.config)
 
     # -- set management ------------------------------------------------

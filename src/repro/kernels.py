@@ -2,9 +2,9 @@
 
 One C source holds every compiled kernel of the system:
 
-* the edge's area reductions, ``abs_diff_rect_sums`` (the multi-query
-  rectangle ``Σ|rows[r] − queries[q]|``) and ``abs_diff_argmin`` (a
-  whole fused fleet step), wrapped with their numpy fallbacks by
+* the edge's ``abs_diff_argmin``: a whole fused fleet step, each
+  (slice, query) pair's minimum of ``Σ|window − query|`` over the
+  slice's windows, wrapped with its numpy fallback by
   :mod:`repro.edge._kernels`;
 * the cloud's ``cloud_walk``: Algorithm 1's skip walk of one query over
   one shard core, computing a correlation only at the offsets it
@@ -39,7 +39,7 @@ Selection is lazy, happens once per process, and is exposed via
 ``EMAP_KERNEL=c|numpy`` forces a backend (``c`` raises
 :class:`~repro.errors.KernelError` when the compiled library cannot be
 used — a forced backend must never silently degrade), and
-``EMAP_KERNEL_THREADS`` pins the edge kernels' thread count.  The cloud
+``EMAP_KERNEL_THREADS`` pins the edge kernel's thread count.  The cloud
 walk starts no threads.
 """
 
@@ -173,71 +173,6 @@ static void pairwise_tile(const double *w, const double *const *q,
     for (k = 0; k < TILE; k++) out[k] += tail[k];
 }
 
-/* -- rectangle: out[q, r], cells split contiguously over threads -- */
-
-typedef struct {
-    const double *rows;
-    const double *queries;
-    ptrdiff_t n_rows;
-    ptrdiff_t m;
-    double *out;
-    ptrdiff_t begin;   /* flat cell range over out, query-major */
-    ptrdiff_t end;
-} rect_span;
-
-static void rect_run(const rect_span *s) {
-    ptrdiff_t i;
-    for (i = s->begin; i < s->end; i++) {
-        ptrdiff_t q = i / s->n_rows;
-        ptrdiff_t r = i - q * s->n_rows;
-        s->out[i] = pairwise1(s->rows + r * s->m, s->queries + q * s->m, s->m);
-    }
-}
-
-static void *rect_entry(void *arg) {
-    rect_run((const rect_span *)arg);
-    return NULL;
-}
-
-void abs_diff_rect_sums(const double *rows, const double *queries,
-                        ptrdiff_t n_rows, ptrdiff_t n_queries, ptrdiff_t m,
-                        double *out, ptrdiff_t n_threads) {
-    pthread_t workers[MAX_THREADS];
-    rect_span spans[MAX_THREADS];
-    ptrdiff_t total = n_rows * n_queries;
-    ptrdiff_t started = 0, t, chunk;
-    if (total <= 0) return;
-    if (n_threads > total) n_threads = total;
-    if (n_threads > MAX_THREADS) n_threads = MAX_THREADS;
-    if (n_threads < 2) {
-        rect_span all = {rows, queries, n_rows, m, out, 0, total};
-        rect_run(&all);
-        return;
-    }
-    chunk = (total + n_threads - 1) / n_threads;
-    for (t = 0; t < n_threads; t++) {
-        spans[t].rows = rows;
-        spans[t].queries = queries;
-        spans[t].n_rows = n_rows;
-        spans[t].m = m;
-        spans[t].out = out;
-        spans[t].begin = t * chunk;
-        spans[t].end = (t + 1) * chunk < total ? (t + 1) * chunk : total;
-    }
-    for (t = 1; t < n_threads; t++) {
-        if (pthread_create(&workers[t], NULL, rect_entry, &spans[t]) != 0)
-            break;
-        started = t;
-    }
-    rect_run(&spans[0]);
-    /* Spans whose worker failed to start run inline: every cell is
-       computed exactly once regardless of thread availability. */
-    for (t = started + 1; t < n_threads; t++)
-        rect_run(&spans[t]);
-    for (t = 1; t <= started; t++)
-        pthread_join(workers[t], NULL);
-}
-
 /* -- ragged argmin: one fused fleet step per call ------------------ */
 
 typedef struct {
@@ -265,6 +200,8 @@ static void argmin_run(const argmin_job *job, const argmin_unit *u) {
     const double *w = job->windows[u->group];
     const unsigned char *flat = job->flat[u->group];
     ptrdiff_t n_rows = job->n_rows[u->group], m = job->m, r, k;
+    /* A lone pair computes one lane; pairwise1 sums in the same order. */
+    ptrdiff_t lanes = u->count == 1 ? 1 : TILE;
     const double *q[TILE];
     double worst[TILE], a[TILE], low[TILE];
     int64_t best[TILE];
@@ -278,11 +215,13 @@ static void argmin_run(const argmin_job *job, const argmin_unit *u) {
     }
     for (r = 0; r < n_rows; r++) {
         if (flat[r]) {
-            for (k = 0; k < TILE; k++) a[k] = worst[k];
+            for (k = 0; k < lanes; k++) a[k] = worst[k];
+        } else if (lanes == 1) {
+            a[0] = pairwise1(w + r * m, q[0], m);
         } else {
             pairwise_tile(w + r * m, q, m, a);
         }
-        for (k = 0; k < TILE; k++) {
+        for (k = 0; k < lanes; k++) {
             /* np.argmin: a later row wins only if strictly lower or the
                first NaN; once a NaN is held nothing replaces it. */
             if (r == 0 || (!(a[k] >= low[k]) && low[k] == low[k])) {
@@ -452,7 +391,6 @@ void cloud_walk(const double *samples, const int64_t *starts,
 #: CPU identity is readable (it is part of the cache key).
 _BASE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 
-RectSums = Callable[[np.ndarray, np.ndarray, np.ndarray, int], None]
 Argmin = Callable[
     [
         Sequence[np.ndarray],
@@ -492,7 +430,6 @@ Walk = Callable[
 class CKernels(NamedTuple):
     """The bound entry points of one loaded library."""
 
-    rect: RectSums
     argmin: Argmin
     walk: Walk
 
@@ -602,9 +539,6 @@ def _bind_kernels(handle: ctypes.CDLL) -> CKernels:
     pointer = ctypes.c_void_p
     size = ctypes.c_ssize_t
     real = ctypes.c_double
-    raw_rect = handle.abs_diff_rect_sums
-    raw_rect.argtypes = [pointer, pointer, size, size, size, pointer, size]
-    raw_rect.restype = None
     raw_argmin = handle.abs_diff_argmin
     raw_argmin.argtypes = [
         pointer,  # windows: group -> row-major (n_rows, m) float64
@@ -643,19 +577,6 @@ def _bind_kernels(handle: ctypes.CDLL) -> CKernels:
         pointer,  # out: (hits, evaluated, above)
     ]
     raw_walk.restype = None
-
-    def rect_call(
-        rows: np.ndarray, queries: np.ndarray, out: np.ndarray, threads: int
-    ) -> None:
-        raw_rect(
-            rows.ctypes.data,
-            queries.ctypes.data,
-            rows.shape[0],
-            queries.shape[0],
-            rows.shape[1],
-            out.ctypes.data,
-            threads,
-        )
 
     def argmin_call(
         windows: Sequence[np.ndarray],
@@ -727,7 +648,7 @@ def _bind_kernels(handle: ctypes.CDLL) -> CKernels:
         hits, evaluated, above = counts.tolist()
         return hits, evaluated, above
 
-    return CKernels(rect=rect_call, argmin=argmin_call, walk=walk_call)
+    return CKernels(argmin=argmin_call, walk=walk_call)
 
 
 def _load_c_kernels() -> CKernels | None:
@@ -794,26 +715,18 @@ def _argmin_case(
 
 
 def _edge_passes(kernels: CKernels, rng: np.random.Generator) -> bool:
-    """Both edge kernels against numpy, at 1 and 3 threads.
+    """The edge argmin against numpy, at 1 and 3 threads.
 
     Window lengths cover every summation regime: the short sequential
-    path (< 8, argmin at ``m=5``), the 8-lane block with and without a
-    remainder (≤ 128), and the recursive halving above 128 — with
-    large-magnitude queries, where any accumulation-order difference
-    would surface in the last bits.  Cells are independent, so any
-    thread count must reproduce the same bits.  The argmin cases add
-    flat rows, ties, ±inf and NaN.
+    path (< 8), the 8-lane block with and without a remainder (≤ 128),
+    and the recursive halving above 128 — with large-magnitude queries,
+    where any accumulation-order difference would surface in the last
+    bits.  Group pair counts cover full tiles, a short tile and a lone
+    pair (7 = 4 + 3, 5 = 4 + 1, 2).  Pairs are independent, so any
+    thread count must reproduce the same bits.  The cases add flat
+    rows, ties, ±inf and NaN.
     """
-    for n_rows, m, n_queries in ((6, 130, 3), (4, 256, 5), (2, 1000, 7)):
-        rows = np.ascontiguousarray(rng.standard_normal((n_rows, m)))
-        queries = np.ascontiguousarray(rng.standard_normal((n_queries, m)) * 1e5)
-        expected = np.stack([np.abs(rows - q).sum(axis=1) for q in queries])
-        for threads in (1, 3):
-            produced = np.empty((n_queries, n_rows))
-            kernels.rect(rows, queries, produced, threads)
-            if not np.array_equal(expected, produced):
-                return False
-    for m in (5, 131):
+    for m in (5, 131, 1000):
         windows, flats, counts, queries, worst, pair_query = _argmin_case(rng, m)
         expected_best: list[int] = []
         expected_area: list[float] = []

@@ -67,12 +67,7 @@ METRIC_NAMES: dict[str, str] = {
     "gateway.batch_size": "histogram",
     "gateway.queue_depth": "gauge",
     "gateway.request_latency_s": "histogram",
-    # -- edge tracking plane ------------------------------------------
-    "edge.plane.compiles": "counter",
-    "edge.plane.compile_s": "histogram",
-    "edge.plane.compactions": "counter",
-    "edge.plane.candidates": "gauge",
-    "edge.plane.compiled_bytes": "gauge",
+    # -- edge tracking ------------------------------------------------
     "edge.tracker.iterations": "counter",
     "edge.tracker.area_evaluations": "counter",
     "edge.tracker.candidates_pruned": "counter",

@@ -145,8 +145,8 @@ class SlidingWindowStats:
     Everything here depends only on the *series*, the window length and
     the stride — never on the query frame — so it can be computed once
     when a slice is adopted and reused for every subsequent comparison
-    (the edge tracking plane's compile step,
-    :mod:`repro.edge.plane`).  ``windows`` is a read-only strided view
+    (the compiled edge engine's compile step,
+    :func:`repro.edge.plane.compile_slice_windows`).  ``windows`` is a read-only strided view
     into the original series; entry ``k`` covers offset ``k · stride``.
     """
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator, Mapping
 
-from repro.errors import DuplicateKeyError, StorageError
+from repro.errors import DuplicateKeyError, QueryError, StorageError
 from repro.storage.documents import ID_FIELD, ObjectId, validate_document
 from repro.storage.index import FieldIndex
 from repro.storage.matching import matches_filter
@@ -215,7 +215,15 @@ class Collection:
         return seen
 
     def _iter_matches(self, query: Mapping[str, Any]) -> Iterator[dict[str, Any]]:
-        """Yield matching documents, using an index when one applies."""
+        """Yield matching documents, using an index when one applies.
+
+        An empty query yields every document without filtering any.
+        """
+        if not isinstance(query, Mapping):
+            raise QueryError(f"query must be a mapping, got {type(query).__name__}")
+        if not query:
+            yield from list(self._documents.values())
+            return
         candidates: Iterator[dict[str, Any]]
         routed = _single_equality_field(query)
         if routed is not None and routed[0] in self._indexes:

@@ -119,5 +119,3 @@ def test_sharded_search_equals_scalar_reference(
         _insert(mdb, slices[split:])
         assert all(plane.refresh() for plane in planes)
         check(N_SLICES)
-    for plane in planes:
-        plane.close()

@@ -97,14 +97,22 @@ def _smooth(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def _walk_case(seed: int, samples: int, zero_query: bool):
-    """Slices with planted near-copies, flat runs and short slices."""
+    """Slices with planted near-copies, flat runs and short slices.
+
+    Slice 1 always holds a copy the fixed-skip walk (step 3) visits: it
+    is at least a frame long, its copy starts on the skip grid, and no
+    flat run covers it (flat runs go only into slices 0, 3 and 6).
+    """
     rng = np.random.default_rng(seed)
     query = np.zeros(samples) if zero_query else _smooth(rng, samples)
     slices = []
     for index in range(7):
-        data = _smooth(rng, int(rng.integers(samples // 2, 4 * samples)))
+        shortest = samples if index == 1 else samples // 2
+        data = _smooth(rng, int(rng.integers(shortest, 4 * samples)))
         if index % 2 and data.size >= samples:
             start = int(rng.integers(0, data.size - samples + 1))
+            if index == 1:
+                start -= start % 3
             data[start : start + samples] = query + 0.3 * rng.standard_normal(samples)
         if index % 3 == 0 and data.size >= samples:
             start = int(rng.integers(0, data.size - samples + 1))

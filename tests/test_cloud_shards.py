@@ -113,7 +113,6 @@ class TestBitIdentity:
         frame = _query(seed, samples)
         mono = engine.search(frame, _one_shard(slices))
         _assert_identical(engine.search(frame, sharded), mono)
-        sharded.close()
 
     @given(seed=st.integers(0, 10_000), shard_slices=st.integers(1, 5))
     @settings(max_examples=8, deadline=None)
@@ -127,7 +126,6 @@ class TestBitIdentity:
         mono_plane = _one_shard(slices)
         for frame, got in zip(frames, batch):
             _assert_identical(got, engine.search(frame, mono_plane))
-        sharded.close()
 
     def test_exhaustive_engine_matches(self):
         slices = _random_slices(21, n=9)
@@ -138,7 +136,6 @@ class TestBitIdentity:
             engine.search(frame, sharded),
             engine.search(frame, _one_shard(slices)),
         )
-        sharded.close()
 
 
 class TestShardLayout:
@@ -152,7 +149,6 @@ class TestShardLayout:
         assert plane.n_shards == 3
         assert plane.n_slices == len(plane) == 10
         assert plane.registry_size == 3
-        plane.close()
 
     def test_rejects_bad_shard_width(self):
         with pytest.raises(SearchError, match="shard_slices"):
@@ -179,7 +175,6 @@ class TestShardLayout:
         assert plane.n_shards == 2
         assert plane.registry_size == 1
         assert plane.pin().shards[1].shard_id is None
-        plane.close()
 
     def test_duplicate_content_shards_share_one_core(self):
         base = _random_slices(9, n=4, min_len=260, max_len=300)
@@ -210,7 +205,6 @@ class TestShardLayout:
         )
         matched = {id(m.sig_slice) for m in result.matches}
         assert id(base[0]) in matched and id(twins[0]) in matched
-        plane.close()
 
 
 class TestIncrementalCompile:
@@ -237,7 +231,6 @@ class TestIncrementalCompile:
         assert new_epoch.shards[0] is old_epoch.shards[0]
         assert new_epoch.shards[1] is old_epoch.shards[1]
         assert new_epoch.shards[2].n_slices == 1
-        plane.close()
 
     def test_one_record_refresh_hashes_only_new_slices(self, monkeypatch):
         """An append reuses every untouched shard by slice identity: the
@@ -277,14 +270,12 @@ class TestIncrementalCompile:
         epoch = plane.pin()
         assert not plane.refresh()
         assert plane.pin() is epoch
-        plane.close()
 
     def test_static_slice_list_never_refreshes(self):
         plane = ShardedSearchPlane(
             _random_slices(6, n=4, max_len=300), shard_slices=2
         )
         assert not plane.refresh()
-        plane.close()
 
     def test_pinned_epoch_survives_a_mid_flight_refresh(self):
         """The satellite-1 mechanism at the core level: a reader holding
@@ -310,4 +301,3 @@ class TestIncrementalCompile:
         assert pinned.n_slices == 6
         assert plane.n_slices == 7
         assert engine.search(frame, plane).slices_searched >= before.slices_searched
-        plane.close()

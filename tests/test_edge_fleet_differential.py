@@ -3,8 +3,8 @@
 Hypothesis draws schedules of open, re-open, close and step-a-subset
 actions over one small slice pool (with a short slice and a slice
 with a flat stretch), so re-opened sessions overlap their old sets and
-each other.  Every schedule runs on a fused and on a sequential
-:class:`~repro.edge.fleet.FleetTracker`, each beside per-session
+each other.  Every schedule runs on a
+:class:`~repro.edge.fleet.FleetTracker` beside per-session
 ``SignalTracker(engine="scalar")`` mirrors, and every step must be bit
 for bit what the mirrors report.  Signals returned by ``tracked()``
 are values: mutating them must leave fleet state alone.
@@ -95,8 +95,7 @@ def _run(harness: _MirroredFleet, schedule) -> None:
 def test_random_churn_matches_scalar_mirrors(
     schedule, reference_rms, area_threshold
 ):
-    for fused in (True, False):
-        harness = _MirroredFleet(
-            fused=fused, reference_rms=reference_rms, area_threshold=area_threshold
-        )
-        _run(harness, schedule)
+    harness = _MirroredFleet(
+        reference_rms=reference_rms, area_threshold=area_threshold
+    )
+    _run(harness, schedule)

@@ -76,8 +76,8 @@ class _MirroredFleet:
     survivor list against its mirror's.
     """
 
-    def __init__(self, fused: bool = True, **overrides) -> None:
-        self.fleet = FleetTracker(TrackerConfig(**overrides), fused=fused)
+    def __init__(self, **overrides) -> None:
+        self.fleet = FleetTracker(TrackerConfig(**overrides))
         self._mirror_config = TrackerConfig(engine="scalar", **overrides)
         self.mirrors: dict[str, SignalTracker] = {}
 
@@ -102,7 +102,6 @@ class _MirroredFleet:
 
 
 @pytest.mark.parametrize("reference_rms", [7.0, None])
-@pytest.mark.parametrize("fused", [True, False])
 class TestChurnBitIdentity:
     def _overrides(self, reference_rms):
         return {
@@ -110,11 +109,11 @@ class TestChurnBitIdentity:
             "area_threshold": 900.0 if reference_rms is not None else 1800.0,
         }
 
-    def test_open_close_between_steps(self, fused, reference_rms):
+    def test_open_close_between_steps(self, reference_rms):
         pool = _pool(40)
         rng = np.random.default_rng(41)
         frames = [rng.standard_normal(256) * 7 for _ in range(5)]
-        harness = _MirroredFleet(fused=fused, **self._overrides(reference_rms))
+        harness = _MirroredFleet(**self._overrides(reference_rms))
 
         harness.open("s0", _matches(pool, [0, 1, 2, 3, 6, 7]))
         harness.open("s1", _matches(pool, [2, 3, 4, 5, 7]))
@@ -130,7 +129,7 @@ class TestChurnBitIdentity:
         harness.step(["s2"], frames[3])
         harness.step(["s0", "s2", "s3"], frames[4])
 
-    def test_mass_prune_evicts_shared_slices_mid_step(self, fused, reference_rms):
+    def test_mass_prune_evicts_shared_slices_mid_step(self, reference_rms):
         """Every pair prunes in one step: the shared entries are released
         during commit while other sessions' results from the same fused
         evaluation are still being applied — deferred commit means none
@@ -138,7 +137,7 @@ class TestChurnBitIdentity:
         overrides = self._overrides(reference_rms)
         overrides["area_threshold"] = 1e-9  # everything prunes immediately
         pool = _pool(42)
-        harness = _MirroredFleet(fused=fused, **overrides)
+        harness = _MirroredFleet(**overrides)
         harness.open("a", _matches(pool, [0, 1, 2, 3]))
         harness.open("b", _matches(pool, [0, 1, 2, 3]))
         harness.open("c", _matches(pool, [2, 3, 4]))
@@ -150,9 +149,9 @@ class TestChurnBitIdentity:
         harness.open("a", _matches(pool, [0, 4, 5]))
         harness.step(["a"], frame)
 
-    def test_empty_step_is_a_no_op(self, fused, reference_rms):
+    def test_empty_step_is_a_no_op(self, reference_rms):
         pool = _pool(44)
-        harness = _MirroredFleet(fused=fused, **self._overrides(reference_rms))
+        harness = _MirroredFleet(**self._overrides(reference_rms))
         harness.open("s", _matches(pool, [0, 1, 2]))
         assert harness.fleet.step({}) == {}
         # The session did not advance: its next step is iteration 1.
@@ -186,11 +185,7 @@ class TestFusedPlanStats:
             calls.append(len(windows))
             return real(windows, *args, **kwargs)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the fused step must not call the rectangle kernel")
-
         monkeypatch.setattr(fleet_module, "abs_diff_argmin", counting)
-        monkeypatch.setattr(fleet_module, "abs_diff_rect_sums", forbidden)
         for _ in range(3):
             fleet.step({"a": np.zeros(256), "b": np.zeros(256)})
         assert calls == [6, 6, 6]  # one call per step, all groups in it
@@ -205,12 +200,3 @@ class TestFusedPlanStats:
         assert step.removed == 1
         assert fleet.last_fused_groups == 1
         assert fleet.last_fused_pairs == 1
-
-    def test_sequential_path_reports_no_fused_plan(self):
-        pool = _pool(47)
-        fleet = FleetTracker(TrackerConfig(area_threshold=1e9), fused=False)
-        fleet.open_session("s", _matches(pool, [0, 1]))
-        fleet.step({"s": np.zeros(256)})
-        assert fleet.last_fused_groups == 0
-        assert fleet.last_fused_pairs == 0
-        assert fleet.last_fused_step_s == 0.0

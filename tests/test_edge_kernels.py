@@ -1,11 +1,13 @@
-"""Tests for the fused area-reduction kernels behind the edge planes.
+"""Tests for the fused area-reduction kernel behind the edge engine.
 
-Covers the multi-query rectangle kernel's bit-identity contract (every
-cell equal to ``np.abs(rows - q).sum(axis=1)`` on every backend and at
-every thread count), the ragged argmin entry point's contract (every
-pair's offset and area equal to ``np.argmin`` over those cells after
-the flat override — ties, ±inf and NaN included), input validation,
-the numpy fallback's per-shape scratch reuse, the ``EMAP_KERNEL`` /
+Covers the area contract (every area equal to
+``np.abs(rows - q).sum(axis=1)`` on every backend and at every thread
+count, for the compiled kernel's tiles and lone pairs and for the
+numpy fallback's rectangle), the ragged argmin entry point's contract
+(every pair's offset and area equal to ``np.argmin`` over those areas
+after the flat override — ties, ±inf and NaN included), input
+validation, the numpy fallback's per-shape scratch reuse, the
+``EMAP_KERNEL`` /
 ``EMAP_KERNEL_THREADS`` overrides (including the
 forced-``c``-must-not-degrade error path), and the cross-process
 ``.so`` cache keyed by source, compiler flags and CPU identity.
@@ -33,7 +35,6 @@ from repro.edge._kernels import (
     _reset_backend_selection,
     _scratch,
     abs_diff_argmin,
-    abs_diff_rect_sums,
     kernel_backend,
     kernel_threads,
 )
@@ -60,6 +61,30 @@ def _rect_reference(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.stack([np.abs(rows - q).sum(axis=1) for q in queries])
 
 
+def _rect_via_argmin(
+    rows: np.ndarray, queries: np.ndarray, threads: int | None = None
+) -> np.ndarray:
+    """The area rectangle read off :func:`abs_diff_argmin`.
+
+    Each window row is its own one-row group evaluated by every query,
+    so each pair's area is one cell; the query count sets the tiling
+    (full tiles, a short tile, a lone pair).
+    """
+    n_rows, m = rows.shape
+    n_queries = queries.shape[0]
+    groups = [np.ascontiguousarray(rows[r : r + 1]) for r in range(n_rows)]
+    _, area = abs_diff_argmin(
+        groups,
+        [np.zeros(1, dtype=bool)] * n_rows,
+        [n_queries] * n_rows,
+        queries,
+        np.zeros(n_queries),
+        np.tile(np.arange(n_queries, dtype=np.int64), n_rows),
+        threads=threads,
+    )
+    return np.ascontiguousarray(area.reshape(n_rows, n_queries).T)
+
+
 def _argmin_reference(windows, flats, counts, queries, worst, pair_query):
     """Pair by pair: the numpy areas, the flat override, ``np.argmin``."""
     best: list[int] = []
@@ -78,34 +103,41 @@ def _argmin_reference(windows, flats, counts, queries, worst, pair_query):
 
 
 class TestRectKernel:
+    """Every area the kernel computes, and the numpy fallback's rectangle."""
+
     @pytest.mark.parametrize("m", [1, 7, 64, 131, 256, 1000])
     @pytest.mark.parametrize("threads", [1, 2, 3, 7])
     def test_bitwise_equals_numpy_at_every_thread_count(self, m, threads):
         rng = np.random.default_rng(m * 31 + threads)
         rows = np.ascontiguousarray(rng.standard_normal((11, m)) * 1e3)
         queries = np.ascontiguousarray(rng.standard_normal((5, m)) * 1e2)
-        produced = abs_diff_rect_sums(rows, queries, threads=threads)
-        np.testing.assert_array_equal(produced, _rect_reference(rows, queries))
+        expected = _rect_reference(rows, queries)
+        # 5 queries: one full tile and a lone pair; 2: a short tile.
+        for count in (5, 2, 1):
+            np.testing.assert_array_equal(
+                _rect_via_argmin(rows, queries[:count], threads=threads),
+                expected[:count],
+            )
 
     def test_cells_match_single_query_kernel(self):
         """Each rectangle row is exactly numpy's single-query reduction."""
         rng = np.random.default_rng(9)
         rows = np.ascontiguousarray(rng.standard_normal((13, 300)))
         queries = np.ascontiguousarray(rng.standard_normal((4, 300)))
-        rect = abs_diff_rect_sums(rows, queries)
+        rect = _numpy_rect_sums(rows, queries)
         for index in range(queries.shape[0]):
             np.testing.assert_array_equal(
                 rect[index], np.abs(rows - queries[index]).sum(axis=1)
             )
             np.testing.assert_array_equal(
-                rect[index], abs_diff_rect_sums(rows, queries[index : index + 1])[0]
+                rect[index], _numpy_rect_sums(rows, queries[index : index + 1])[0]
             )
 
     def test_more_threads_than_cells_is_safe(self):
         rng = np.random.default_rng(10)
         rows = np.ascontiguousarray(rng.standard_normal((2, 40)))
         queries = np.ascontiguousarray(rng.standard_normal((1, 40)))
-        produced = abs_diff_rect_sums(rows, queries, threads=64)
+        produced = _rect_via_argmin(rows, queries, threads=64)
         np.testing.assert_array_equal(produced, _rect_reference(rows, queries))
 
     def test_numpy_fallback_bitwise_equals_numpy(self):
@@ -121,36 +153,17 @@ class TestRectKernel:
         rows = np.ascontiguousarray(rng.standard_normal((4, 32)))
         queries = np.ascontiguousarray(rng.standard_normal((2, 32)))
         out = np.empty((2, 4))
-        assert abs_diff_rect_sums(rows, queries, out=out) is out
+        assert _numpy_rect_sums(rows, queries, out) is out
 
     def test_empty_rows_and_queries_ok(self):
-        assert abs_diff_rect_sums(np.empty((0, 16)), np.zeros((2, 16))).shape == (
+        assert _numpy_rect_sums(np.empty((0, 16)), np.zeros((2, 16))).shape == (
             2,
             0,
         )
-        assert abs_diff_rect_sums(np.zeros((3, 16)), np.empty((0, 16))).shape == (
+        assert _numpy_rect_sums(np.zeros((3, 16)), np.empty((0, 16))).shape == (
             0,
             3,
         )
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError, match="rows must be 2-D"):
-            abs_diff_rect_sums(np.zeros(8), np.zeros((1, 8)))
-        with pytest.raises(ValueError, match="queries must be 2-D"):
-            abs_diff_rect_sums(np.zeros((2, 8)), np.zeros(8))
-        with pytest.raises(ValueError, match="match row length"):
-            abs_diff_rect_sums(np.zeros((2, 8)), np.zeros((1, 4)))
-        with pytest.raises(ValueError, match="out of shape"):
-            abs_diff_rect_sums(
-                np.zeros((2, 8)), np.zeros((3, 8)), out=np.empty((2, 3))
-            )
-        with pytest.raises(ValueError, match="contiguous"):
-            abs_diff_rect_sums(np.zeros((4, 16))[:, ::2], np.zeros((1, 8)))
-        with pytest.raises(ValueError, match="float64"):
-            abs_diff_rect_sums(
-                np.zeros((2, 8), dtype=np.float32),
-                np.zeros((1, 8), dtype=np.float32),
-            )
 
 
 _SPECIALS = (np.inf, -np.inf, np.nan)
@@ -278,7 +291,7 @@ class TestBackendOverride:
         rows = np.ascontiguousarray(rng.standard_normal((6, 200)))
         queries = np.ascontiguousarray(rng.standard_normal((2, 200)))
         np.testing.assert_array_equal(
-            abs_diff_rect_sums(rows, queries), _rect_reference(rows, queries)
+            _rect_via_argmin(rows, queries), _rect_reference(rows, queries)
         )
 
     def test_invalid_override_rejected(self, monkeypatch):
@@ -368,7 +381,7 @@ class TestSharedLibraryCache:
         rows = np.ascontiguousarray(rng.standard_normal((5, 300)))
         queries = np.ascontiguousarray(rng.standard_normal((3, 300)))
         np.testing.assert_array_equal(
-            abs_diff_rect_sums(rows, queries, threads=2),
+            _rect_via_argmin(rows, queries, threads=2),
             _rect_reference(rows, queries),
         )
 

@@ -1,11 +1,11 @@
-"""Tests for the compiled edge tracking plane and fleet batching.
+"""Tests for the compiled edge engine and fleet batching.
 
-Covers the plane's compile/compaction mechanics, the short-slice removal
-contract, and the cross-engine equivalence property: the scalar
-tracker, the compiled plane and the fleet must produce bit-identical
-``TrackingStep`` sequences — areas, offsets, removals, evaluation
-counts and anomaly probabilities — over random correlation sets,
-strides and both normalisation modes.
+Covers the ``engine="plane"`` engine's slice cache across loads, the
+short-slice removal contract, and the cross-engine equivalence
+property: the scalar tracker, the plane engine and the fleet must
+produce bit-identical ``TrackingStep`` sequences — areas, offsets,
+removals, evaluation counts and anomaly probabilities — over random
+correlation sets, strides and both normalisation modes.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from repro.cloud.results import SearchMatch
 from repro.cloud.server import CloudServer
-from repro.edge.fleet import FleetTracker
-from repro.edge.plane import TrackingPlane, compile_slice_windows
+from repro.edge.fleet import FleetTracker, FleetTrackingEngine
+from repro.edge.plane import compile_slice_windows
 from repro.edge.tracker import (
     ScalarTrackingEngine,
     SignalTracker,
@@ -84,8 +84,8 @@ def _run_tracker(engine: str, matches, frames, **overrides):
     ]
 
 
-def _run_fleet(matches, frames, fused=True, **overrides):
-    fleet = FleetTracker(TrackerConfig(**overrides), fused=fused)
+def _run_fleet(matches, frames, **overrides):
+    fleet = FleetTracker(TrackerConfig(**overrides))
     fleet.open_session("s", matches)
     keys = []
     for frame in frames:
@@ -105,12 +105,13 @@ class TestTrackerConfigEngine:
             ScalarTrackingEngine,
         )
         assert isinstance(
-            SignalTracker(TrackerConfig(engine="plane")).engine, TrackingPlane
+            SignalTracker(TrackerConfig(engine="plane")).engine,
+            FleetTrackingEngine,
         )
 
     def test_explicit_engine_instance_wins(self):
         config = TrackerConfig()
-        plane = TrackingPlane(config)
+        plane = FleetTrackingEngine(config)
         assert SignalTracker(config, engine=plane).engine is plane
 
 
@@ -159,53 +160,65 @@ class TestCompiledSliceWindows:
         assert not compiled.flat.any()
 
 
-class TestTrackingPlaneMechanics:
+class TestPlaneEngineCache:
+    """The plane engine compiles a slice once, whatever the steps and
+    reloads, as long as some loaded set still tracks it."""
+
     def test_load_compiles_once(self):
-        plane = TrackingPlane(TrackerConfig())
+        plane = FleetTrackingEngine(TrackerConfig())
         tracker = SignalTracker(TrackerConfig(engine="plane"), engine=plane)
-        matches = _random_matches(0, n=12)
-        tracker.load(matches)
-        assert plane.compiles == 1
-        assert plane.compiled_candidates == 12
-        assert plane.alive_count == 12
-        assert plane.nbytes > 0
-        assert plane.kernel in ("c", "numpy")
+        tracker.load(_random_matches(0, n=12))
+        assert plane.fleet.cache_misses == 12
+        assert plane.fleet.unique_slices == 12
         for frame in _frames(0, 3):
             tracker.step(frame)
-        assert plane.compiles == 1  # steps never recompile
+        assert plane.fleet.cache_misses == 12  # steps never recompile
 
-    def test_mass_removal_triggers_compaction(self):
-        plane = TrackingPlane(TrackerConfig(area_threshold=1e-6))
+    def test_mass_removal_releases_every_slice(self):
+        plane = FleetTrackingEngine(TrackerConfig(area_threshold=1e-6))
         tracker = SignalTracker(
             TrackerConfig(engine="plane", area_threshold=1e-6), engine=plane
         )
         tracker.load(_random_matches(1, n=10, short_every=0, flat_every=0))
         step = tracker.step(_frames(1, 1)[0])
         assert step.removed == 10
-        assert plane.compactions == 1
-        assert plane.compiled_candidates == 0
-        # Further steps on the emptied plane are harmless no-ops.
+        assert plane.fleet.unique_slices == 0
+        # Further steps on the emptied engine are harmless no-ops.
         empty = tracker.step(_frames(1, 2)[1])
         assert empty.tracked_before == 0
         assert empty.area_evaluations == 0
 
-    def test_partial_removal_keeps_tensor_until_threshold(self):
+    def test_partial_removal_keeps_survivors_compiled(self):
         matches = _random_matches(2, n=8, short_every=0, flat_every=0)
-        # Plant one candidate whose best area is enormous: scale it away
-        # from the reference shape by zeroing (raw mode keeps scale).
         config = TrackerConfig(
             engine="plane", reference_rms=None, area_threshold=1e4
         )
-        plane = TrackingPlane(config)
-        tracker = SignalTracker(config, engine=plane)
+        tracker = SignalTracker(config)
+        plane = tracker.engine
+        assert isinstance(plane, FleetTrackingEngine)
         tracker.load(matches)
-        frame = matches[0].sig_slice.data[:256]
-        step = tracker.step(frame)
+        step = tracker.step(matches[0].sig_slice.data[:256])
         # The self-matching candidate survives with area exactly 0.
-        assert tracker.tracked_count >= 1
+        assert tracker.tracked[0].sig_slice is matches[0].sig_slice
+        assert tracker.tracked[0].last_area == 0.0
         assert step.removed + tracker.tracked_count == 8
-        if tracker.tracked_count >= 4:
-            assert plane.compactions == 0
+        assert plane.fleet.unique_slices == tracker.tracked_count
+
+    def test_reload_compiles_only_new_slices(self):
+        matches = _random_matches(3, n=10, short_every=0, flat_every=0)
+        config = TrackerConfig(engine="plane", area_threshold=1e9)
+        tracker = SignalTracker(config)
+        plane = tracker.engine
+        assert isinstance(plane, FleetTrackingEngine)
+        tracker.load(matches[:6])
+        tracker.step(_frames(3, 1)[0])
+        tracker.load(matches[3:])  # slices 3-5 overlap the old set
+        assert plane.fleet.cache_misses == 6 + 4
+        assert plane.fleet.cache_hits == 3
+        assert plane.fleet.unique_slices == 7  # 0-2 released on reload
+        step = tracker.step(_frames(3, 2)[1])
+        assert step.iteration == 1
+        assert step.tracked_before == 7
 
 
 class TestEngineEquivalence:
@@ -228,11 +241,9 @@ class TestEngineEquivalence:
         frames = _frames(seed, 6)
         scalar = _run_tracker("scalar", matches, frames, **overrides)
         plane = _run_tracker("plane", matches, frames, **overrides)
-        fused = _run_fleet(matches, frames, fused=True, **overrides)
-        sequential = _run_fleet(matches, frames, fused=False, **overrides)
+        fleet = _run_fleet(matches, frames, **overrides)
         assert plane == scalar
-        assert fused == scalar
-        assert sequential == scalar
+        assert fleet == scalar
 
     def test_survivor_tracking_near_threshold(self):
         """Steps where most candidates survive (self-similar frames)."""
@@ -303,11 +314,10 @@ class TestFleetMechanics:
         # Validation happens up front: session "a" did not advance.
         assert fleet.step({"a": np.zeros(256)})["a"].iteration == 1
 
-    @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_frame_rejected_before_any_session_steps(self, fused, bad):
+    def test_non_finite_frame_rejected_before_any_session_steps(self, bad):
         matches = _random_matches(24, n=4, short_every=0)
-        fleet = FleetTracker(fused=fused)
+        fleet = FleetTracker()
         fleet.open_session("a", matches)
         fleet.open_session("b", matches)
         frame = np.zeros(256)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import DuplicateKeyError, StorageError
+from repro.errors import DuplicateKeyError, QueryError, StorageError
+from repro.storage import store as store_module
 from repro.storage.documents import ObjectId
 from repro.storage.store import Collection, DocumentStore
 
@@ -70,6 +71,20 @@ class TestQueries:
     def test_count(self, people):
         assert people.count() == 3
         assert people.count({"role": "engineer"}) == 2
+
+    def test_empty_query_filters_no_document(self, people, monkeypatch):
+        def forbidden(document, query):
+            raise AssertionError("an empty query must not filter documents")
+
+        monkeypatch.setattr(store_module, "matches_filter", forbidden)
+        assert [d["name"] for d in people.find({})] == ["ada", "grace", "alan"]
+        assert people.find_one()["name"] == "ada"
+
+    def test_non_mapping_query_rejected(self, people):
+        with pytest.raises(QueryError, match="mapping"):
+            people.find([("role", "engineer")])  # type: ignore[arg-type]
+        with pytest.raises(QueryError, match="mapping"):
+            Collection("empty").find_one("role")  # type: ignore[arg-type]
 
     def test_limit_and_sort(self, people):
         youngest = people.find(sort_key=lambda d: d["age"], limit=1)

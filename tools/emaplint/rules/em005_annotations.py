@@ -10,14 +10,12 @@ Checked: module-level public functions and public methods (plus
 ``__init__``/``__call__``/``__new__``) defined in ``repro/cloud``,
 ``repro/edge``, ``repro/runtime``, ``repro/faults`` and
 ``repro/gateway``.  The edge
-scope deliberately covers the compiled tracking plane and fleet
-batcher (``repro/edge/plane.py``, ``repro/edge/fleet.py``, and the
-``repro/edge/_kernels.py`` public surface) — the per-step reduction is
-the hottest loop on the device, so its boundary types must stay
-exact; that now includes the multi-query ``abs_diff_rect_sums``
-rectangle, the ragged ``abs_diff_argmin`` step and the fused fleet
-planner, where a loose boundary type
-would let a mis-shaped megabatch reach the threaded C kernel.  The
+scope deliberately covers the compiled edge engine (``repro/edge/plane.py``,
+``repro/edge/fleet.py``, and the ``repro/edge/_kernels.py`` public
+surface) — the per-step reduction is the hottest loop on the device,
+so its boundary types must stay exact; that includes the ragged
+``abs_diff_argmin`` step and the fleet planner, where a loose boundary
+type would let a mis-shaped megabatch reach the threaded C kernel.  The
 gateway scope covers the async serving surface
 (``submit``/``handle_batch``, the fleet/soak drivers and the edge
 step driver coalescing sessions into fused fleet steps), where an
