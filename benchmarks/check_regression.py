@@ -1,4 +1,4 @@
-"""CI benchmark-regression gates: Fig. 7(b) scaling + plane throughput.
+"""CI benchmark-regression gates: Fig. 7(b) scaling + throughput floors.
 
 **Fig. 7(b) gate** — runs the exploration-time scaling experiment
 (exhaustive vs Algorithm 1) with the ``repro.obs`` layer enabled,
@@ -17,19 +17,6 @@ when:
   ``--strict-time`` to additionally gate absolute Algorithm 1 seconds
   against the baseline (only meaningful when baseline and run share
   hardware).
-
-**Plane-throughput gate** — serves the same request stream through the
-legacy per-request path and the compiled
-:class:`~repro.cloud.shards.ShardedSearchPlane`
-(``benchmarks/baselines/plane_throughput.json``).  It fails when:
-
-* the two arms stop being **bit-identical** (matches or
-  ``correlations_evaluated`` diverge) — never acceptable;
-* ``correlations_per_query`` drifts from the baseline (deterministic,
-  so drift is an algorithmic change);
-* the plane speedup falls below the **3x absolute floor** — like the
-  Fig. 7(b) speedup ratio this is self-normalising (both arms run on
-  the same host), so no baseline hardware match is needed.
 
 **Edge-plane gate** — tracks the same candidate set and frame stream
 through the scalar per-candidate loop, ``engine="plane"`` (a
@@ -103,9 +90,6 @@ from repro.eval.experiments import fig7_alpha_sweep  # noqa: E402
 from repro.eval.experiments.common import build_fixture  # noqa: E402
 
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "fig7b.json"
-DEFAULT_PLANE_BASELINE = (
-    REPO_ROOT / "benchmarks" / "baselines" / "plane_throughput.json"
-)
 DEFAULT_EDGE_PLANE_BASELINE = (
     REPO_ROOT / "benchmarks" / "baselines" / "edge_plane_throughput.json"
 )
@@ -117,8 +101,6 @@ DEFAULT_SHARD_BASELINE = (
 )
 DEFAULT_METRICS_OUT = REPO_ROOT / "benchmark_reports" / "fig7b_obs_metrics.json"
 DEFAULT_DB_SIZES = (500, 1000, 2000)
-PLANE_SPEEDUP_FLOOR = 3.0
-PLANE_N_QUERIES = 12
 GATEWAY_SPEEDUP_FLOOR = 0.75
 GATEWAY_N_REQUESTS = 96
 GATEWAY_CONCURRENCY = 32
@@ -154,15 +136,6 @@ def run_benchmark(mdb_scale: float, seed: int, db_sizes: tuple[int, ...]) -> dic
         "mean_correlation_reduction": result.mean_correlation_reduction,
     }
     return summary
-
-
-def run_plane_benchmark(mdb_scale: float, seed: int) -> dict:
-    """One plane-throughput run, summarised for baseline/compare."""
-    import plane_throughput
-
-    fixture = build_fixture(mdb_scale=mdb_scale, seed=seed)
-    result = plane_throughput.run_throughput(fixture, n_queries=PLANE_N_QUERIES)
-    return plane_throughput.summarize(result, mdb_scale=mdb_scale, seed=seed)
 
 
 def run_edge_plane_benchmark(seed: int) -> dict:
@@ -255,30 +228,6 @@ def compare(
                     f"algorithm1_time_s[{size}]: {current:.3f}s vs baseline "
                     f"{reference:.3f}s ({drift:+.1%} > {threshold:.0%})"
                 )
-    return failures
-
-
-def compare_plane(summary: dict, baseline: dict) -> list[str]:
-    """Gate failures for the plane-throughput bench (empty = pass)."""
-    failures: list[str] = []
-    if not summary["identical"]:
-        failures.append(
-            "plane results diverged from the legacy path — matches or "
-            "correlations_evaluated are no longer bit-identical"
-        )
-    if summary["correlations_per_query"] != baseline["correlations_per_query"]:
-        failures.append(
-            "correlations_per_query drifted from baseline "
-            f"({summary['correlations_per_query']} vs "
-            f"{baseline['correlations_per_query']}) — the search is "
-            "deterministic, so this is an algorithmic change"
-        )
-    if summary["speedup"] < PLANE_SPEEDUP_FLOOR:
-        failures.append(
-            f"plane speedup {summary['speedup']:.2f}x fell below the "
-            f"{PLANE_SPEEDUP_FLOOR:.0f}x floor (baseline "
-            f"{baseline['speedup']:.2f}x) — serving-path regression"
-        )
     return failures
 
 
@@ -378,14 +327,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE)
     parser.add_argument(
-        "--plane-baseline", type=Path, default=DEFAULT_PLANE_BASELINE
-    )
-    parser.add_argument(
-        "--skip-plane",
-        action="store_true",
-        help="skip the serving-plane throughput gate",
-    )
-    parser.add_argument(
         "--edge-plane-baseline",
         type=Path,
         default=DEFAULT_EDGE_PLANE_BASELINE,
@@ -450,17 +391,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     )
 
-    plane_summary = None
-    if not args.skip_plane:
-        plane_summary = run_plane_benchmark(args.mdb_scale, args.seed)
-        print(
-            "plane: speedup {0:.2f}x ({1} queries, identical={2})".format(
-                plane_summary["speedup"],
-                plane_summary["n_queries"],
-                plane_summary["identical"],
-            )
-        )
-
     edge_summary = None
     if not args.skip_edge_plane:
         edge_summary = run_edge_plane_benchmark(args.seed)
@@ -506,12 +436,6 @@ def main(argv: list[str] | None = None) -> int:
         args.baseline.parent.mkdir(parents=True, exist_ok=True)
         args.baseline.write_text(json.dumps(summary, indent=2) + "\n")
         print(f"baseline updated: {args.baseline}")
-        if plane_summary is not None:
-            args.plane_baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.plane_baseline.write_text(
-                json.dumps(plane_summary, indent=2) + "\n"
-            )
-            print(f"baseline updated: {args.plane_baseline}")
         if edge_summary is not None:
             args.edge_plane_baseline.parent.mkdir(parents=True, exist_ok=True)
             args.edge_plane_baseline.write_text(
@@ -536,7 +460,6 @@ def main(argv: list[str] | None = None) -> int:
         path
         for path in (
             [args.baseline]
-            + ([args.plane_baseline] if plane_summary is not None else [])
             + ([args.edge_plane_baseline] if edge_summary is not None else [])
             + ([args.gateway_baseline] if gateway_summary is not None else [])
             + ([args.shard_baseline] if shard_summary is not None else [])
@@ -553,9 +476,6 @@ def main(argv: list[str] | None = None) -> int:
 
     baseline = json.loads(args.baseline.read_text())
     failures = compare(summary, baseline, args.threshold, args.strict_time)
-    if plane_summary is not None:
-        plane_baseline = json.loads(args.plane_baseline.read_text())
-        failures += compare_plane(plane_summary, plane_baseline)
     if edge_summary is not None:
         edge_baseline = json.loads(args.edge_plane_baseline.read_text())
         failures += compare_edge_plane(edge_summary, edge_baseline)
@@ -573,11 +493,6 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"benchmark regression gate passed "
         f"(±{args.threshold:.0%} vs {args.baseline.name}"
-        + (
-            f", {PLANE_SPEEDUP_FLOOR:.0f}x floor vs {args.plane_baseline.name}"
-            if plane_summary is not None
-            else ""
-        )
         + (
             f", {EDGE_PLANE_SPEEDUP_FLOOR:.0f}x edge floor vs "
             f"{args.edge_plane_baseline.name}"

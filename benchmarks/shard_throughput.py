@@ -101,7 +101,7 @@ def run_shard_throughput(
         )
     sharded = ShardedSearchPlane(mdb, shard_slices=shard_slices)
     config = SearchConfig(frame_samples=frame_samples)
-    engine = SlidingWindowSearch(config, precompute=True)
+    engine = SlidingWindowSearch(config)
     recording = EEGGenerator(seed=seed).record(float(n_inserts + 2))
     rng = np.random.default_rng(seed)
 

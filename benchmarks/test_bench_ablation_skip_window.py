@@ -10,6 +10,7 @@ shows the cost/quality trade-off, justifying the calibrated defaults
 import numpy as np
 
 from repro.cloud.search import ExhaustiveSearch, SearchConfig, SlidingWindowSearch
+from repro.cloud.shards import ShardedSearchPlane
 from repro.eval.experiments.common import filtered_frame
 from repro.eval.reporting import format_table
 from repro.signals.anomalies import AnomalySpec, make_anomalous_signal
@@ -27,13 +28,13 @@ def _ablate(fixture):
         AnomalySpec(kind=AnomalyType.SEIZURE, onset_s=150.0, buildup_s=140.0),
     )
     frame = filtered_frame(patient, 154)  # ictal: dense match structure
-    slices = fixture.slices
-    reference = ExhaustiveSearch(SearchConfig(), precompute=True).search(frame, slices)
+    plane = ShardedSearchPlane(fixture.slices)
+    reference = ExhaustiveSearch(SearchConfig()).search(frame, plane)
     rows = []
     for scale in SKIP_SCALES:
         for floor in OMEGA_FLOORS:
             config = SearchConfig(skip_scale=scale, omega_floor=floor)
-            result = SlidingWindowSearch(config, precompute=True).search(frame, slices)
+            result = SlidingWindowSearch(config).search(frame, plane)
             reduction = (
                 reference.correlations_evaluated / result.correlations_evaluated
             )

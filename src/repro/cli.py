@@ -469,7 +469,7 @@ def _cmd_serve(args: argparse.Namespace) -> str | tuple[str, int]:
     fixture = build_fixture(mdb_scale=args.mdb_scale, seed=args.seed)
     server = CloudServer(
         fixture.slices,
-        search=SlidingWindowSearch(SearchConfig(), precompute=True),
+        search=SlidingWindowSearch(SearchConfig()),
         shard_slices=(
             args.shard_slices
             if args.shard_slices is not None

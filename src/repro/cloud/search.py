@@ -14,14 +14,14 @@ Both share the identical inner loop, so their wall-clock ratio reflects
 the *algorithmic* saving (number of correlations evaluated), which is
 what the paper's ~6.8× claim is about.
 
-The engine runs the same walk two ways.  The scalar reference
+The engine runs the same walk two ways, and the source picks which.
+A plain slice iterable is scanned by the scalar reference
 (:func:`replay_skip_walk` over :class:`ScalarWindowEvaluator`, one
-offset at a time) scans a plain slice list.  Every other search runs
-over the compiled :class:`~repro.cloud.shards.ShardedSearchPlane`:
-each query walks each shard core with
+offset at a time).  A compiled
+:class:`~repro.cloud.shards.ShardedSearchPlane` (or one of its pinned
+epochs) is walked shard core by shard core with
 :meth:`~repro.cloud.plane.PlaneCore.walk`, which computes correlations
-only at the offsets the skip rule visits (``precompute=True`` over a
-slice list compiles a one-shard plane first).  The compiled walk is
+only at the offsets the skip rule visits.  The compiled walk is
 bit-identical to the scalar reference: same matches, ω values,
 offsets and statistics.
 
@@ -290,32 +290,22 @@ class ScalarWindowEvaluator:
 class CorrelationSearch:
     """Scans signal-sets for windows correlated with an input frame.
 
-    ``precompute=True`` runs a search over a slice list on the
-    compiled walk, through a one-shard plane compiled for that call:
-    the admitted matches and the ``correlations_evaluated`` statistic
-    (the algorithmic cost that drives the timing model) are identical
-    to the per-offset scalar mode; only the host wall-clock changes.
-    The closed-loop framework uses the compiled walk for throughput;
-    the Fig. 7(b) exploration-time benches use scalar mode, where
-    wall-clock honestly tracks the number of correlations a device
-    would evaluate.
-
-    Passing a :class:`~repro.cloud.shards.ShardedSearchPlane` (or one
-    of its pinned epochs) instead of a slice iterable reuses the
-    plane's compiled arrays and cached window norms, amortising all
-    query-independent work across requests; :meth:`search_batch` is
-    that path, and :meth:`search` over a plane is a batch of one.
+    The source decides the walk.  A plain slice iterable runs the
+    per-offset scalar reference, whose wall-clock honestly tracks the
+    number of correlations a device would evaluate (the Fig. 7(b)
+    exploration-time benches).  A
+    :class:`~repro.cloud.shards.ShardedSearchPlane` (or one of its
+    pinned epochs) runs the compiled walk, reusing the plane's arrays
+    and cached window norms across requests; :meth:`search_batch` is
+    that path, and :meth:`search` over a plane is a batch of one.  Both
+    walks admit the same matches and count the same
+    ``correlations_evaluated`` (the algorithmic cost that drives the
+    timing model); only the host wall-clock differs.
     """
 
-    def __init__(
-        self,
-        config: SearchConfig,
-        policy: SkipPolicy,
-        precompute: bool = False,
-    ) -> None:
+    def __init__(self, config: SearchConfig, policy: SkipPolicy) -> None:
         self.config = config
         self.policy = policy
-        self.precompute = precompute
 
     def prepare_query(self, frame: np.ndarray) -> tuple[np.ndarray, float]:
         """Validate and centre the query frame; returns (centred, norm).
@@ -347,23 +337,19 @@ class CorrelationSearch:
         """Return the top-K correlation set for ``frame`` over ``slices``.
 
         The frame must be the bandpass-filtered one-second input
-        ``B_N`` (256 samples by default).  ``slices`` may be a plain
-        iterable of signal-sets (scanned by the scalar reference, or
-        compiled into a one-shard plane when ``precompute`` is set), a
-        compiled :class:`~repro.cloud.shards.ShardedSearchPlane` or one
-        of its pinned epochs (:meth:`search_batch` of one frame).
+        ``B_N`` (256 samples by default).  A compiled
+        :class:`~repro.cloud.shards.ShardedSearchPlane` or one of its
+        pinned epochs is walked by the compiled walk
+        (:meth:`search_batch` of one frame); any other iterable of
+        signal-sets is scanned by the scalar reference.
         """
         if isinstance(slices, (ShardedSearchPlane, ShardEpoch)):
             return self.search_batch([frame], slices)[0]
-        slice_list = list(slices)
-        if self.precompute and slice_list:
-            plane = ShardedSearchPlane(slice_list, shard_slices=len(slice_list))
-            return self.search_batch([frame], plane)[0]
         centered, norm = self.prepare_query(frame)
         result = SearchResult()
         top: TopK[SearchMatch] = TopK(self.config.top_k)
         with obs.trace.span("cloud.search") as span:
-            for sig_slice in slice_list:
+            for sig_slice in slices:
                 result.slices_searched += 1
                 for match in self._scan_slice(sig_slice, centered, norm, result):
                     top.offer(match.omega, match)
@@ -499,11 +485,22 @@ class CorrelationSearch:
 
 
 class SlidingWindowSearch(CorrelationSearch):
-    """Algorithm 1: the exponential sliding-window search."""
+    """Algorithm 1: the exponential sliding-window search.
+
+    ``precompute`` has no effect: the source picks the walk (see
+    :class:`CorrelationSearch`).  It is a leftover kept only because
+    the perfbench oracle still passes ``precompute=False``; ``True``
+    raises :class:`~repro.errors.SearchError`.
+    """
 
     def __init__(
         self, config: SearchConfig | None = None, precompute: bool = False
     ) -> None:
+        if precompute:
+            raise SearchError(
+                "precompute=True is not supported: search a ShardedSearchPlane "
+                "for the compiled walk"
+            )
         cfg = config or SearchConfig()
         super().__init__(
             cfg,
@@ -513,16 +510,11 @@ class SlidingWindowSearch(CorrelationSearch):
                 omega_floor=cfg.omega_floor,
                 max_skip=cfg.max_skip,
             ),
-            precompute=precompute,
         )
 
 
 class ExhaustiveSearch(CorrelationSearch):
     """The exhaustive baseline: every offset of every signal-set."""
 
-    def __init__(
-        self, config: SearchConfig | None = None, precompute: bool = False
-    ) -> None:
-        super().__init__(
-            config or SearchConfig(), FixedSkipPolicy(1), precompute=precompute
-        )
+    def __init__(self, config: SearchConfig | None = None) -> None:
+        super().__init__(config or SearchConfig(), FixedSkipPolicy(1))

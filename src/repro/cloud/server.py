@@ -5,15 +5,15 @@ paper keeps the MDB in memory-backed MongoDB for the same reason),
 serves cross-correlation search requests over the compiled arrays, and
 reports the Eq. 4 timing breakdown for each call via the timing model.
 
-Unlike the old materialise-at-construction snapshot, the server is
-never stale: every :meth:`handle_frame` (and an explicit
-:meth:`refresh`) compares the MDB's generation counter against the
-plane's and recompiles when signal-sets were inserted or removed —
-a cheap integer comparison on the no-change path.  The
-:class:`~repro.cloud.shards.ShardedSearchPlane` recompiles **only the
-delta shards** on a refresh (content-addressed reuse), so an
-online-growing MDB adopts new slices without a serving pause, and the
-plane reference is pinned once per request/batch so a refresh racing an
+The server has one serving body, :meth:`CloudServer.handle_batch`; a
+single request is a batch of one.  It is never stale: every batch (and
+an explicit :meth:`CloudServer.refresh`) compares the MDB's generation
+counter against the plane's and recompiles when signal-sets were
+inserted or removed — a cheap integer comparison on the no-change
+path.  The :class:`~repro.cloud.shards.ShardedSearchPlane` recompiles
+**only the delta shards** on a refresh (content-addressed reuse), so
+an online-growing MDB adopts new slices without a serving pause, and
+the plane reference is pinned once per batch so a refresh racing an
 in-flight gateway batch can never mix generations within one batch.
 """
 
@@ -62,9 +62,7 @@ class CloudServer:
                     "cloud server needs a non-empty signal-set store"
                 )
             self.plane = ShardedSearchPlane(mdb, shard_slices=shard_slices)
-        self.search_engine = search or SlidingWindowSearch(
-            SearchConfig(), precompute=True
-        )
+        self.search_engine = search or SlidingWindowSearch(SearchConfig())
         self.timing = timing or TimingModel()
         self.calls_served = 0
 
@@ -75,7 +73,7 @@ class CloudServer:
     def refresh(self) -> bool:
         """Recompile the plane if the backing MDB changed; True if so.
 
-        Called automatically by :meth:`handle_frame`, so frames
+        Called automatically by :meth:`handle_batch`, so frames
         arriving after an MDB insert always search the new signal-sets.
         On the sharded plane only the delta shards recompile, and the
         new epoch is installed atomically — requests already walking
@@ -89,27 +87,11 @@ class CloudServer:
     def handle_frame(
         self, frame: Frame | np.ndarray
     ) -> tuple[SearchResult, TimingBreakdown]:
-        """Run one search request; returns (T, Eq. 4 breakdown)."""
-        data = (
-            frame.data
-            if isinstance(frame, Frame)
-            else np.asarray(frame, dtype=np.float64)
-        )
-        self.refresh()
-        # Pin the plane reference for the whole request: a concurrent
-        # refresh (gateway offloads batches to executor threads) must
-        # not swap the plane between the span header and the search.
-        plane = self.plane
-        with obs.trace.span("cloud.handle_frame", slices=plane.n_slices):
-            result = self.search_engine.search(data, plane)
-            breakdown = self.timing.initial_breakdown(
-                frame_samples=data.size,
-                correlations_evaluated=result.correlations_evaluated,
-                n_signals_downloaded=len(result.matches),
-            )
-        self.calls_served += 1
-        self._record_served(result, breakdown)
-        return result, breakdown
+        """Run one search request; returns (T, Eq. 4 breakdown).
+
+        A batch of one: :meth:`handle_batch` is the only serving body.
+        """
+        return self.handle_batch([frame])[0]
 
     def handle_batch(
         self, frames: Sequence[Frame | np.ndarray]
@@ -119,8 +101,8 @@ class CloudServer:
         The serving gateway's dispatch path: one plane refresh, one
         :meth:`~repro.cloud.search.CorrelationSearch.search_batch` call
         over one pinned epoch, then the per-request Eq. 4 breakdowns.
-        Every returned ``(result, breakdown)`` pair is bit-identical to
-        calling :meth:`handle_frame` with the same frame.
+        :meth:`handle_frame` is this with one frame, so every returned
+        ``(result, breakdown)`` pair is what it would return.
 
         The plane reference is pinned once for the whole batch — a
         ``refresh()`` racing an in-flight batch (an MDB insert landing
@@ -160,22 +142,17 @@ class CloudServer:
             registry.inc("cloud.server.batches")
             registry.observe("cloud.server.batch_size", float(len(served)))
             for result, breakdown in served:
-                self._record_served(result, breakdown)
+                registry.inc("cloud.server.calls_served")
+                registry.inc("cloud.server.signals_returned", len(result.matches))
+                registry.observe("cloud.server.phase.upload_s", breakdown.upload_s)
+                registry.observe("cloud.server.phase.search_s", breakdown.search_s)
+                registry.observe(
+                    "cloud.server.phase.download_s", breakdown.download_s
+                )
+                registry.observe(
+                    "cloud.server.phase.initial_s", breakdown.initial_s
+                )
         return served
-
-    def _record_served(
-        self, result: SearchResult, breakdown: TimingBreakdown
-    ) -> None:
-        """Per-request serving counters (same for single and batched)."""
-        registry = obs.metrics()
-        if not registry.enabled:
-            return
-        registry.inc("cloud.server.calls_served")
-        registry.inc("cloud.server.signals_returned", len(result.matches))
-        registry.observe("cloud.server.phase.upload_s", breakdown.upload_s)
-        registry.observe("cloud.server.phase.search_s", breakdown.search_s)
-        registry.observe("cloud.server.phase.download_s", breakdown.download_s)
-        registry.observe("cloud.server.phase.initial_s", breakdown.initial_s)
 
     def close(self) -> None:
         """A no-op: the server holds only in-process arrays.

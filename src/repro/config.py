@@ -77,7 +77,7 @@ def build_pipeline(config: PipelineConfig | None = None) -> Pipeline:
     )
     cloud = CloudServer(
         builder.mdb,
-        search=SlidingWindowSearch(cfg.search, precompute=True),
+        search=SlidingWindowSearch(cfg.search),
         timing=timing,
     )
     framework = EMAPFramework(

@@ -119,9 +119,7 @@ def run(
             f"onset at {shape.onset_s}s leaves no room for the "
             f"{max(horizons_s)}s horizon"
         )
-    cloud = CloudServer(
-        fix.slices, search=SlidingWindowSearch(SearchConfig(), precompute=True)
-    )
+    cloud = CloudServer(fix.slices, search=SlidingWindowSearch(SearchConfig()))
     framework = EMAPFramework(cloud, FrameworkConfig())
 
     result = SeizureAccuracyResult(horizons_s=tuple(horizons_s))

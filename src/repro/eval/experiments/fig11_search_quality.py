@@ -91,8 +91,8 @@ def run(
             f"need at least one input per class, got {n_inputs_per_class}"
         )
     fix = fixture or build_fixture()
-    exhaustive = ExhaustiveSearch(SearchConfig(), precompute=True)
-    algorithm1 = SlidingWindowSearch(SearchConfig(), precompute=True)
+    exhaustive = ExhaustiveSearch(SearchConfig())
+    algorithm1 = SlidingWindowSearch(SearchConfig())
     store = ShardedSearchPlane(fix.slices)
     result = SearchQualityResult()
 

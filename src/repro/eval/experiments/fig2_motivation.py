@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cloud.search import SearchConfig, SlidingWindowSearch
+from repro.cloud.shards import ShardedSearchPlane
 from repro.edge.tracker import SignalTracker, TrackerConfig
 from repro.errors import EMAPError
 from repro.eval.experiments.common import (
@@ -119,9 +120,9 @@ def run(
     if track_from_s is None:
         track_from_s = _pick_tracking_start(patient, n_iterations)
 
-    search = SlidingWindowSearch(SearchConfig(delta=initial_delta), precompute=True)
+    search = SlidingWindowSearch(SearchConfig(delta=initial_delta))
     first = filtered_frame(patient, track_from_s)
-    correlation_set = search.search(first, slices)
+    correlation_set = search.search(first, ShardedSearchPlane(slices))
     if not correlation_set.matches:
         raise EMAPError(
             "cloud search found no matches for the Fig. 2 input; "

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cloud.search import ExhaustiveSearch, SearchConfig
+from repro.cloud.shards import ShardedSearchPlane
 from repro.edge.tracker import TRACKING_REFERENCE_RMS
 from repro.errors import EMAPError
 from repro.eval.experiments.common import (
@@ -202,10 +203,8 @@ def run_tracking_cost(
     )
     frame = filtered_frame(patient, frame_second)
     # A deliberately permissive search so large tracked sets exist.
-    search = ExhaustiveSearch(
-        SearchConfig(delta=0.0, top_k=max(tracked_counts)), precompute=True
-    )
-    matches = search.search(frame, fix.slices).matches
+    search = ExhaustiveSearch(SearchConfig(delta=0.0, top_k=max(tracked_counts)))
+    matches = search.search(frame, ShardedSearchPlane(fix.slices)).matches
 
     result = TrackingCostResult()
     next_frame = filtered_frame(patient, frame_second + 1)

@@ -93,7 +93,7 @@ def run(
     timing = TimingModel(link=NetworkLink.for_platform(platform), costs=model)
     cloud = CloudServer(
         fix.slices,
-        search=SlidingWindowSearch(SearchConfig(), precompute=True),
+        search=SlidingWindowSearch(SearchConfig()),
         timing=timing,
     )
     framework = EMAPFramework(cloud, FrameworkConfig())

@@ -84,9 +84,7 @@ def run(
     if n_inputs < 1:
         raise EMAPError(f"need at least one input, got {n_inputs}")
     fix = fixture or build_fixture()
-    cloud = CloudServer(
-        fix.slices, search=SlidingWindowSearch(SearchConfig(), precompute=True)
-    )
+    cloud = CloudServer(fix.slices, search=SlidingWindowSearch(SearchConfig()))
     framework = EMAPFramework(cloud, FrameworkConfig())
 
     result = SensitivityResult()

@@ -125,9 +125,7 @@ def run(
     """Evaluate EMAP on every anomaly batch, plus the baseline columns."""
     fix = fixture or build_fixture()
     shape = batch_spec or BatchSpec()
-    cloud = CloudServer(
-        fix.slices, search=SlidingWindowSearch(SearchConfig(), precompute=True)
-    )
+    cloud = CloudServer(fix.slices, search=SlidingWindowSearch(SearchConfig()))
     framework = EMAPFramework(cloud, FrameworkConfig())
 
     result = Table1Result()

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.edge.fleet import FleetTracker
 from repro.edge.tracker import TrackerConfig, TrackingStep
-from repro.errors import EMAPError, GatewayError
+from repro.errors import EMAPError, GatewayError, TrackingError
 from repro.gateway.gateway import GatewayConfig, ServingGateway
 
 if TYPE_CHECKING:
@@ -212,7 +212,8 @@ class EdgeStepDriver:
     internally).  Frames submitted while a fused step is running pile up
     in ``_pending``; the stepper drains them as the *next* fused
     :meth:`FleetTracker.step` — so the batch size adapts to load exactly
-    like the gateway's cloud-side coalescing.
+    like the gateway's cloud-side coalescing.  A session closed after
+    its frame was parked fails only that frame; its batch-mates step.
     """
 
     def __init__(self, config: TrackerConfig | None = None) -> None:
@@ -289,6 +290,18 @@ class EdgeStepDriver:
             self._executor, fn, *args
         )
 
+    def _step_open(
+        self, frames: Mapping[str, np.ndarray]
+    ) -> dict[str, TrackingStep]:
+        """One fused step over the sessions still open; worker thread only.
+
+        Serialised with :meth:`close_session` on the worker, so a frame
+        whose session closed first is simply left out of the step.
+        """
+        open_ids = set(self.tracker.session_ids)
+        live = {sid: frame for sid, frame in frames.items() if sid in open_ids}
+        return self.tracker.step(live) if live else {}
+
     async def _step_loop(self) -> None:
         wake = self._wake
         if wake is None:  # pragma: no cover - step() sets it first
@@ -303,20 +316,30 @@ class EdgeStepDriver:
                 self._pending = {}
                 frames = {sid: frame for sid, (frame, _) in batch.items()}
                 try:
-                    steps = await self._run(self.tracker.step, frames)
+                    steps = await self._run(self._step_open, frames)
                 except EMAPError as error:
                     for _, future in batch.values():
                         if not future.done():
                             future.set_exception(error)
                     continue
-                self.fused_steps += 1
-                self.frames_stepped += len(batch)
-                self.max_dedup_ratio = max(
-                    self.max_dedup_ratio, self.tracker.dedup_ratio
-                )
+                if steps:
+                    self.fused_steps += 1
+                    self.frames_stepped += len(steps)
+                    self.max_dedup_ratio = max(
+                        self.max_dedup_ratio, self.tracker.dedup_ratio
+                    )
                 for sid, (_, future) in batch.items():
-                    if not future.done():
+                    if future.done():
+                        continue
+                    if sid in steps:
                         future.set_result(steps[sid])
+                    else:
+                        future.set_exception(
+                            TrackingError(
+                                f"fleet session {sid!r} closed before its "
+                                "frame stepped"
+                            )
+                        )
                 # Yield so resolved sessions run (and may re-enqueue the
                 # next frame) before this loop drains again.
                 await asyncio.sleep(0)

@@ -131,7 +131,7 @@ def run_soak(config: SoakConfig | None = None) -> SoakReport:
     fixture = build_fixture(mdb_scale=config.mdb_scale, seed=config.seed)
     server = CloudServer(
         fixture.slices,
-        search=SlidingWindowSearch(SearchConfig(), precompute=True),
+        search=SlidingWindowSearch(SearchConfig()),
     )
     frames = build_frame_pool(
         fixture.slices, n_frames=config.n_frames, seed=config.seed

@@ -24,7 +24,7 @@ each paper figure to the metric names that reproduce it.
 from __future__ import annotations
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profiling import NsTimer, ProfileStore, profile_block
+from repro.obs.profiling import ProfileStore, profile_block
 from repro.obs.report import format_report
 from repro.obs.tracing import Span, Tracer
 
@@ -33,7 +33,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NsTimer",
     "ProfileStore",
     "Span",
     "Tracer",

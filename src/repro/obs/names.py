@@ -130,5 +130,4 @@ METRIC_NAMES: dict[str, str] = {
 METRIC_PREFIXES: dict[str, str] = {
     "faults.injected.": "counter",
     "obs.span.": "histogram",
-    "obs.timer.": "histogram",
 }

@@ -1,17 +1,10 @@
 """Opt-in profiling hooks for the hot paths.
 
-Two granularities:
-
-* :class:`NsTimer` — a ``perf_counter_ns`` sampling timer for regions
-  too hot to trace on every call: it times only every ``sample_every``-th
-  invocation and feeds the samples to a registry histogram, so steady
-  state costs one integer increment per call.
-* :func:`profile_block` — a full ``cProfile`` capture around a block,
-  summarised to the top functions by cumulative time.  Heavyweight, so
-  it is guarded by its own switch on top of the obs enable flag; the
-  captured summaries are retained for the ``emap obs`` export.
-
-Both degrade to near-zero cost when profiling is off.
+:func:`profile_block` wraps a block in a full ``cProfile`` capture,
+summarised to the top functions by cumulative time.  Heavyweight, so
+it is guarded by its own switch on top of the obs enable flag; the
+captured summaries are retained for the ``emap obs`` export.  It
+degrades to near-zero cost when profiling is off.
 """
 
 from __future__ import annotations
@@ -21,61 +14,10 @@ import io
 import pstats
 import time
 from contextlib import contextmanager
-from types import TracebackType
-from typing import TYPE_CHECKING, Iterator
-
-if TYPE_CHECKING:
-    from repro.obs.metrics import MetricsRegistry
+from typing import Iterator
 
 #: Profile summaries retained for export (oldest dropped first).
 MAX_RETAINED_PROFILES = 32
-
-
-class NsTimer:
-    """Sampling nanosecond timer around a hot call site.
-
-    ::
-
-        timer = NsTimer("edge.area_scan", registry, sample_every=16)
-        ...
-        with timer:
-            scan()
-
-    Only every ``sample_every``-th entry is actually timed; the rest
-    cost a single counter increment and branch.
-    """
-
-    __slots__ = ("name", "registry", "sample_every", "calls", "_start_ns")
-
-    def __init__(
-        self,
-        name: str,
-        registry: "MetricsRegistry",
-        sample_every: int = 16,
-    ) -> None:
-        self.name = name
-        self.registry = registry
-        self.sample_every = max(1, int(sample_every))
-        self.calls = 0
-        self._start_ns = 0
-
-    def __enter__(self) -> "NsTimer":
-        self.calls += 1
-        if self.registry.enabled and self.calls % self.sample_every == 0:
-            self._start_ns = time.perf_counter_ns()
-        else:
-            self._start_ns = 0
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        if self._start_ns:
-            elapsed_s = (time.perf_counter_ns() - self._start_ns) * 1e-9
-            self.registry.observe(f"obs.timer.{self.name}.s", elapsed_s)
 
 
 class ProfileStore:

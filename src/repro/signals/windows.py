@@ -2,7 +2,7 @@
 
 The sliding-window search (Algorithm 1) needs the mean and centred norm
 of arbitrary windows of each 1000-sample MDB slice.  Recomputing them
-per offset would cost O(m) each; :class:`WindowedStats` precomputes two
+per offset would cost O(m) each; :class:`WindowedStats` builds two
 prefix-sum arrays per slice so any window's sums come out in O(1), and
 :func:`centered_window_norms` derives every window's centred norm in
 one vectorised pass.  That one function is the norm of both the scalar

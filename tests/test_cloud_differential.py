@@ -1,16 +1,15 @@
 """Differential suite: the sharded plane against the scalar reference.
 
 The scalar engines — :class:`SlidingWindowSearch` and
-:class:`ExhaustiveSearch` with ``precompute=False``, walking a plain
-slice list one offset at a time — are the reference for every compiled
-search path.  Random slice sets (some with planted near-copies of the
-query frames, so real matches exist) are compiled at shard widths 1, 3
-and one shard for everything, both before and after MDB appends;
-``search()`` and ``search_batch()`` over every plane must reproduce the
-reference's matches, ω values, offsets and search statistics exactly.
-
-Fast two-stage mode has no scalar reference; it is held to shard-width
-invariance and batch-equals-single in ``tests/test_cloud_shards.py``.
+:class:`ExhaustiveSearch` walking a plain slice list one offset at a
+time — are the reference for the compiled search, which the same
+engine runs whenever it is handed a plane.  Random slice sets (some
+with planted near-copies of the query frames, so real matches exist)
+are compiled at shard widths 1, 3 and one shard for everything, both
+before and after MDB appends; ``search()`` and ``search_batch()`` over
+every plane must reproduce the reference's matches, ω values, offsets
+and search statistics exactly.  A fixed-fixture pin holds the exact
+per-query correlation counts of the evaluation MDB.
 """
 
 from __future__ import annotations
@@ -21,8 +20,10 @@ from hypothesis import strategies as st
 
 from repro.cloud.search import ExhaustiveSearch, SearchConfig, SlidingWindowSearch
 from repro.cloud.shards import ShardedSearchPlane
+from repro.eval.experiments.common import build_fixture, filtered_frame
 from repro.mdb.mdb import MegaDatabase
 from repro.mdb.schema import slice_to_document
+from repro.signals.generator import EEGGenerator
 from repro.signals.types import AnomalyType, SignalSlice
 
 N_SLICES = 12
@@ -93,9 +94,7 @@ def test_sharded_search_equals_scalar_reference(
     config = SearchConfig(
         frame_samples=samples, delta=0.5, top_k=8, dedupe_per_slice=dedupe
     )
-    engine_type = ExhaustiveSearch if exhaustive else SlidingWindowSearch
-    reference = engine_type(config)
-    compiled = engine_type(config, precompute=True)
+    engine = (ExhaustiveSearch if exhaustive else SlidingWindowSearch)(config)
     frames = _frames(seed, 3, samples)
     slices = _slices(seed, frames)
     mdb = MegaDatabase()
@@ -106,12 +105,12 @@ def test_sharded_search_equals_scalar_reference(
     ]
 
     def check(n_slices: int) -> None:
-        expected = [reference.search(frame, slices[:n_slices]) for frame in frames]
+        expected = [engine.search(frame, slices[:n_slices]) for frame in frames]
         for plane in planes:
             assert plane.n_slices == n_slices
             for frame, want in zip(frames, expected):
-                _assert_same(compiled.search(frame, plane), want)
-            for got, want in zip(compiled.search_batch(frames, plane), expected):
+                _assert_same(engine.search(frame, plane), want)
+            for got, want in zip(engine.search_batch(frames, plane), expected):
                 _assert_same(got, want)
 
     check(split)
@@ -119,3 +118,21 @@ def test_sharded_search_equals_scalar_reference(
         _insert(mdb, slices[split:])
         assert all(plane.refresh() for plane in planes)
         check(N_SLICES)
+
+
+def test_evaluation_mdb_correlation_counts_are_pinned():
+    """Algorithm 1's exact cost per query on the evaluation MDB.
+
+    The search is seeded and deterministic, so any drift in these
+    counts is an algorithmic change to the skip walk.
+    """
+    fixture = build_fixture(mdb_scale=0.3, seed=0)
+    recording = EEGGenerator(seed=7).record(14.0)
+    frames = [filtered_frame(recording, second) for second in range(1, 13)]
+    results = SlidingWindowSearch(SearchConfig()).search_batch(
+        frames, ShardedSearchPlane(fixture.mdb)
+    )
+    assert [result.correlations_evaluated for result in results] == [
+        43263, 43268, 43280, 43221, 43028, 43301,
+        43151, 43165, 43084, 43210, 43052, 43115,
+    ]

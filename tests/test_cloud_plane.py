@@ -2,25 +2,18 @@
 
 Covers the plane's memory layout and caches (one-shard planes expose
 their single :class:`PlaneCore`), CloudServer freshness
-(generation-driven refresh) and non-finite frame rejection, and the
-cross-mode equivalence property: scalar mode, precompute mode and
-plane-backed mode must admit identical matches and evaluate the same
-number of correlations.
+(generation-driven refresh) and non-finite frame rejection.  That the
+compiled walk equals the scalar reference is the differential suite's
+job (``tests/test_cloud_differential.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cloud.plane import PlaneCore
-from repro.cloud.search import (
-    ExhaustiveSearch,
-    SearchConfig,
-    SlidingWindowSearch,
-)
+from repro.cloud.search import ExhaustiveSearch, SearchConfig
 from repro.cloud.server import CloudServer
 from repro.cloud.shards import ShardedSearchPlane
 from repro.errors import SearchError
@@ -48,10 +41,6 @@ def _random_slices(seed: int, n: int = 24, min_len: int = 200, max_len: int = 14
 
 def _query(seed: int, samples: int = 256) -> np.ndarray:
     return np.random.default_rng(seed + 10_000).standard_normal(samples)
-
-
-def _match_key(result):
-    return [(m.sig_slice.slice_id, m.offset, m.omega) for m in result.matches]
 
 
 def _one_shard(slices, **kwargs) -> ShardedSearchPlane:
@@ -130,9 +119,7 @@ class TestCloudServerRefresh:
             data=planted_data, label=AnomalyType.SEIZURE, slice_id="planted"
         )
         mdb = _mdb_from(slices)
-        server = CloudServer(
-            mdb, search=ExhaustiveSearch(SearchConfig(), precompute=True)
-        )
+        server = CloudServer(mdb, search=ExhaustiveSearch(SearchConfig()))
         before, _ = server.handle_frame(frame)
         assert server.n_slices == 12
         assert all(m.sig_slice.slice_id != "planted" for m in before.matches)
@@ -179,45 +166,3 @@ class TestNonFiniteFrames:
         # The server stays usable for clean frames.
         clean, _ = server.handle_frame(frames[0])
         assert clean.slices_searched == 6
-
-
-class TestModeEquivalence:
-    """Satellite: seeded property test over random MDBs & both policies.
-
-    All execution modes must admit bit-identical matches (same slice,
-    same offset, same ω) and evaluate the identical number of
-    correlations — the plane only changes *where* the arithmetic runs.
-    """
-
-    CONFIG = SearchConfig(delta=0.6, top_k=25)
-
-    def _engines(self, exhaustive: bool):
-        if exhaustive:
-            return (
-                ExhaustiveSearch(self.CONFIG),
-                ExhaustiveSearch(self.CONFIG, precompute=True),
-            )
-        return (
-            SlidingWindowSearch(self.CONFIG),
-            SlidingWindowSearch(self.CONFIG, precompute=True),
-        )
-
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1), exhaustive=st.booleans())
-    @settings(max_examples=10, deadline=None)
-    def test_all_modes_identical(self, seed, exhaustive):
-        slices = _random_slices(seed, n=14, min_len=200, max_len=900)
-        frame = _query(seed)
-        scalar_engine, fast_engine = self._engines(exhaustive)
-        scalar = scalar_engine.search(frame, slices)
-        precomputed = fast_engine.search(frame, slices)
-        plane = ShardedSearchPlane(slices, shard_slices=4)
-        planed = fast_engine.search(frame, plane)
-        reference = _match_key(scalar)
-        for result in (precomputed, planed):
-            assert _match_key(result) == reference
-            assert result.correlations_evaluated == scalar.correlations_evaluated
-            assert result.slices_searched == scalar.slices_searched
-            assert (
-                result.candidates_above_threshold
-                == scalar.candidates_above_threshold
-            )

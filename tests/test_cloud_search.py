@@ -13,6 +13,7 @@ from repro.cloud.search import (
     SearchConfig,
     SlidingWindowSearch,
 )
+from repro.cloud.shards import ShardedSearchPlane
 from repro.errors import SearchError
 from repro.eval.experiments.common import filtered_frame
 from repro.signals.types import AnomalyType, SignalSlice
@@ -25,6 +26,11 @@ def make_slice(data, label=AnomalyType.NONE, slice_id="s"):
 @pytest.fixture(scope="module")
 def query_frame(seizure_recording):
     return filtered_frame(seizure_recording, 84)  # ictal window
+
+
+@pytest.fixture(scope="module")
+def mdb_plane(mdb_slices):
+    return ShardedSearchPlane(mdb_slices)
 
 
 class TestSearchConfig:
@@ -97,57 +103,36 @@ class TestSearchEngines:
         result = ExhaustiveSearch(SearchConfig()).search(rng.standard_normal(256), slices)
         assert result.correlations_evaluated == 745
 
-    def test_algorithm1_evaluates_fewer(self, mdb_slices, query_frame):
-        exhaustive = ExhaustiveSearch(SearchConfig(), precompute=True).search(
-            query_frame, mdb_slices
-        )
-        algorithm1 = SlidingWindowSearch(SearchConfig(), precompute=True).search(
-            query_frame, mdb_slices
-        )
+    def test_algorithm1_evaluates_fewer(self, mdb_plane, query_frame):
+        exhaustive = ExhaustiveSearch(SearchConfig()).search(query_frame, mdb_plane)
+        algorithm1 = SlidingWindowSearch(SearchConfig()).search(query_frame, mdb_plane)
         assert algorithm1.correlations_evaluated < exhaustive.correlations_evaluated
         ratio = exhaustive.correlations_evaluated / algorithm1.correlations_evaluated
         assert 3.0 < ratio < 20.0  # paper: ~6.8x
 
-    def test_precompute_mode_identical(self, mdb_slices, query_frame):
-        scalar = SlidingWindowSearch(SearchConfig()).search(
-            query_frame, mdb_slices[:60]
-        )
-        fast = SlidingWindowSearch(SearchConfig(), precompute=True).search(
-            query_frame, mdb_slices[:60]
-        )
-        assert scalar.correlations_evaluated == fast.correlations_evaluated
-        assert len(scalar.matches) == len(fast.matches)
-        for a, b in zip(scalar.matches, fast.matches):
-            assert a.sig_slice.slice_id == b.sig_slice.slice_id
-            assert a.offset == b.offset
-            assert a.omega == pytest.approx(b.omega, abs=1e-9)
+    def test_precompute_keyword_is_a_leftover(self):
+        SlidingWindowSearch(SearchConfig(), precompute=False)
+        with pytest.raises(SearchError, match="ShardedSearchPlane"):
+            SlidingWindowSearch(SearchConfig(), precompute=True)
 
-    def test_matches_sorted_descending(self, mdb_slices, query_frame):
-        result = SlidingWindowSearch(SearchConfig(), precompute=True).search(
-            query_frame, mdb_slices
-        )
+    def test_matches_sorted_descending(self, mdb_plane, query_frame):
+        result = SlidingWindowSearch(SearchConfig()).search(query_frame, mdb_plane)
         omegas = [match.omega for match in result.matches]
         assert omegas == sorted(omegas, reverse=True)
 
-    def test_all_matches_above_delta(self, mdb_slices, query_frame):
+    def test_all_matches_above_delta(self, mdb_plane, query_frame):
         config = SearchConfig(delta=0.8)
-        result = SlidingWindowSearch(config, precompute=True).search(
-            query_frame, mdb_slices
-        )
+        result = SlidingWindowSearch(config).search(query_frame, mdb_plane)
         assert all(match.omega > 0.8 for match in result.matches)
 
-    def test_top_k_respected(self, mdb_slices, query_frame):
+    def test_top_k_respected(self, mdb_plane, query_frame):
         config = SearchConfig(delta=0.1, top_k=7)
-        result = ExhaustiveSearch(config, precompute=True).search(
-            query_frame, mdb_slices
-        )
+        result = ExhaustiveSearch(config).search(query_frame, mdb_plane)
         assert len(result.matches) == 7
 
-    def test_dedupe_per_slice(self, mdb_slices, query_frame):
+    def test_dedupe_per_slice(self, mdb_plane, query_frame):
         config = SearchConfig(delta=0.1, top_k=50)
-        result = ExhaustiveSearch(config, precompute=True).search(
-            query_frame, mdb_slices
-        )
+        result = ExhaustiveSearch(config).search(query_frame, mdb_plane)
         ids = [match.sig_slice.slice_id for match in result.matches]
         assert len(set(ids)) == len(ids)
 
@@ -172,9 +157,9 @@ class TestSearchEngines:
             ExhaustiveSearch(SearchConfig()).search(np.ones(100), mdb_slices)
 
     def test_omega_clamped_non_negative(self, mdb_slices, query_frame):
-        result = ExhaustiveSearch(
-            SearchConfig(delta=0.0, top_k=10_000), precompute=True
-        ).search(query_frame, mdb_slices[:30])
+        result = ExhaustiveSearch(SearchConfig(delta=0.0, top_k=10_000)).search(
+            query_frame, ShardedSearchPlane(mdb_slices[:30])
+        )
         assert all(match.omega >= 0.0 for match in result.matches)
 
 

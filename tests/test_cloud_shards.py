@@ -106,10 +106,7 @@ class TestBitIdentity:
             )
         if split < len(slices):
             assert sharded.refresh()
-        engine = SlidingWindowSearch(
-            SearchConfig(frame_samples=samples, top_k=3),
-            precompute=True,
-        )
+        engine = SlidingWindowSearch(SearchConfig(frame_samples=samples, top_k=3))
         frame = _query(seed, samples)
         mono = engine.search(frame, _one_shard(slices))
         _assert_identical(engine.search(frame, sharded), mono)
@@ -120,7 +117,7 @@ class TestBitIdentity:
         """Batch equals single search on the one-shard plane."""
         slices = _random_slices(seed, n=10)
         sharded = ShardedSearchPlane(slices, shard_slices=shard_slices)
-        engine = SlidingWindowSearch(SMALL_TOP, precompute=True)
+        engine = SlidingWindowSearch(SMALL_TOP)
         frames = [_query(seed + i) for i in range(3)]
         batch = engine.search_batch(frames, sharded)
         mono_plane = _one_shard(slices)
@@ -130,7 +127,7 @@ class TestBitIdentity:
     def test_exhaustive_engine_matches(self):
         slices = _random_slices(21, n=9)
         sharded = ShardedSearchPlane(slices, shard_slices=4)
-        engine = ExhaustiveSearch(SMALL_TOP, precompute=True)
+        engine = ExhaustiveSearch(SMALL_TOP)
         frame = _query(21)
         _assert_identical(
             engine.search(frame, sharded),
@@ -196,7 +193,7 @@ class TestShardLayout:
         assert plane.registry_size == 1
         assert (plane.last_refresh_compiled, plane.last_refresh_reused) == (1, 1)
         assert epoch.nbytes == first.core.nbytes
-        engine = SlidingWindowSearch(SearchConfig(), precompute=True)
+        engine = SlidingWindowSearch(SearchConfig())
         frame = base[0].data[:256].copy()
         result = engine.search(frame, plane)
         _assert_identical(result, engine.search(frame, _one_shard(base + twins)))
@@ -284,7 +281,7 @@ class TestIncrementalCompile:
         slices = _random_slices(8, n=6, max_len=400)
         mdb = _mdb_from(slices)
         plane = ShardedSearchPlane(mdb, shard_slices=3)
-        engine = SlidingWindowSearch(SearchConfig(), precompute=True)
+        engine = SlidingWindowSearch(SearchConfig())
         frame = _query(8)
         pinned = plane.pin()
         before = engine.search(frame, pinned)

@@ -559,7 +559,7 @@ class TestEdgeStepDriver:
 
         asyncio.run(scenario())
 
-    def test_tracker_error_fails_the_whole_batch_and_driver_survives(self):
+    def test_closed_session_fails_only_its_own_frame(self):
         matches = _edge_matches(33, n=3)
 
         async def scenario():
@@ -572,18 +572,20 @@ class TestEdgeStepDriver:
             ]
             await asyncio.sleep(0)  # both frames parked, both checked
             # Closing "a" on the tracker's worker thread before the
-            # stepper runs makes the fused step itself raise.
+            # stepper runs leaves a parked frame with no session.
             await driver.close_session("a")
             results = await asyncio.gather(*riders, return_exceptions=True)
-            # A fused step that raises fails every rider — and the
-            # driver keeps serving afterwards.
             step = await driver.step("b", np.zeros(256))
             await driver.aclose()
             return results, step
 
-        results, step = asyncio.run(scenario())
-        assert all(isinstance(result, TrackingError) for result in results)
-        assert step.iteration == 1  # the failed batch never advanced "b"
+        (closed, stepped), step = asyncio.run(scenario())
+        assert isinstance(closed, TrackingError)
+        assert "'a'" in str(closed)
+        # The fused step still advanced "b", and the driver keeps serving.
+        assert isinstance(stepped, TrackingStep)
+        assert stepped.iteration == 1
+        assert step.iteration == 2
 
     @pytest.mark.parametrize(
         "bad_frame",

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cloud.search import SearchConfig, SlidingWindowSearch
 from repro.cloud.server import CloudServer
+from repro.cloud.shards import ShardedSearchPlane
 from repro.edge.tracker import SignalTracker
 from repro.eval.experiments.common import filtered_frame
 from repro.mdb.mdb import MegaDatabase
@@ -19,28 +20,33 @@ from repro.signals.generator import EEGGenerator
 from repro.signals.types import AnomalyType
 
 
+@pytest.fixture(scope="module")
+def mdb_plane(mdb_slices):
+    return ShardedSearchPlane(mdb_slices)
+
+
 class TestSearchThenTrack:
     """Manual walk through the Fig. 3 pipeline, stage by stage."""
 
-    def test_ictal_frame_matches_are_anomalous(self, mdb_slices, seizure_recording):
+    def test_ictal_frame_matches_are_anomalous(self, mdb_plane, seizure_recording):
         frame = filtered_frame(seizure_recording, 84)  # past the 80 s onset
-        search = SlidingWindowSearch(SearchConfig(), precompute=True)
-        result = search.search(frame, mdb_slices)
+        search = SlidingWindowSearch(SearchConfig())
+        result = search.search(frame, mdb_plane)
         assert result.matches
         assert result.anomaly_probability > 0.8
 
-    def test_normal_frame_matches_are_normal(self, mdb_slices, normal_recording):
+    def test_normal_frame_matches_are_normal(self, mdb_plane, normal_recording):
         frame = filtered_frame(normal_recording, 10)
-        search = SlidingWindowSearch(SearchConfig(), precompute=True)
-        result = search.search(frame, mdb_slices)
+        search = SlidingWindowSearch(SearchConfig())
+        result = search.search(frame, mdb_plane)
         assert result.matches
         assert result.anomaly_probability < 0.3
 
-    def test_tracking_sustains_matched_ictal_set(self, mdb_slices, seizure_recording):
-        search = SlidingWindowSearch(SearchConfig(), precompute=True)
+    def test_tracking_sustains_matched_ictal_set(self, mdb_plane, seizure_recording):
+        search = SlidingWindowSearch(SearchConfig())
         first = filtered_frame(seizure_recording, 84)
         tracker = SignalTracker()
-        tracker.load(search.search(first, mdb_slices))
+        tracker.load(search.search(first, mdb_plane))
         initial = tracker.tracked_count
         step = tracker.step(filtered_frame(seizure_recording, 85))
         assert step.tracked_after > 0.3 * initial
@@ -88,9 +94,9 @@ class TestMDBPersistenceIntegration:
         small_mdb.save(tmp_path / "mdb")
         reloaded = MegaDatabase.load(tmp_path / "mdb")
         frame = filtered_frame(seizure_recording, 84)
-        search = SlidingWindowSearch(SearchConfig(), precompute=True)
-        original = search.search(frame, list(small_mdb.slices()))
-        restored = search.search(frame, list(reloaded.slices()))
+        search = SlidingWindowSearch(SearchConfig())
+        original = search.search(frame, ShardedSearchPlane(small_mdb))
+        restored = search.search(frame, ShardedSearchPlane(reloaded))
         assert len(original.matches) == len(restored.matches)
         for a, b in zip(original.matches, restored.matches):
             assert a.sig_slice.slice_id == b.sig_slice.slice_id

@@ -171,7 +171,7 @@ class TestRegistryUnderSearch:
         ]
         frame = rng.standard_normal(256)
         plane = ShardedSearchPlane(slices, shard_slices=8)
-        engine = SlidingWindowSearch(SearchConfig(top_k=5), precompute=True)
+        engine = SlidingWindowSearch(SearchConfig(top_k=5))
 
         obs.reset()
         obs.enable()

@@ -17,6 +17,7 @@ from repro.cloud.search import (
     SearchConfig,
     SlidingWindowSearch,
 )
+from repro.cloud.shards import ShardedSearchPlane
 from repro.edge.predictor import AnomalyPredictor
 from repro.edge.tracker import SignalTracker, TrackerConfig
 from repro.signals.slicing import count_slices
@@ -54,7 +55,7 @@ class TestSearchInvariants:
         slices = make_slices(seeds, (flags * 12)[: len(seeds)])
         frame = np.random.default_rng(frame_seed).standard_normal(256) * 25.0
         config = SearchConfig(delta=delta, top_k=8)
-        result = SlidingWindowSearch(config, precompute=True).search(frame, slices)
+        result = SlidingWindowSearch(config).search(frame, ShardedSearchPlane(slices))
         omegas = [m.omega for m in result.matches]
         # Admission: every match clears delta; clamped non-negative.
         assert all(omega > delta for omega in omegas)
@@ -75,8 +76,9 @@ class TestSearchInvariants:
         slices = make_slices(seeds, [False] * len(seeds))
         frame = np.random.default_rng(frame_seed).standard_normal(256) * 25.0
         config = SearchConfig(delta=0.0, top_k=5)
-        exhaustive = ExhaustiveSearch(config, precompute=True).search(frame, slices)
-        algorithm1 = SlidingWindowSearch(config, precompute=True).search(frame, slices)
+        plane = ShardedSearchPlane(slices)
+        exhaustive = ExhaustiveSearch(config).search(frame, plane)
+        algorithm1 = SlidingWindowSearch(config).search(frame, plane)
         assert (
             algorithm1.correlations_evaluated <= exhaustive.correlations_evaluated
         )
@@ -153,11 +155,13 @@ class TestEndToEndProbability:
         from repro.signals.generator import EEGGenerator
 
         frame_source = EEGGenerator(seed=606).record(8.0)
-        search = SlidingWindowSearch(
-            SearchConfig(delta=0.3), precompute=True
-        )
+        search = SlidingWindowSearch(SearchConfig(delta=0.3))
         tracker = SignalTracker()
-        tracker.load(search.search(filtered_frame(frame_source, 1), mdb_slices))
+        tracker.load(
+            search.search(
+                filtered_frame(frame_source, 1), ShardedSearchPlane(mdb_slices)
+            )
+        )
         for second in range(2, 7):
             step = tracker.step(filtered_frame(frame_source, second))
             if tracker.tracked_count:
