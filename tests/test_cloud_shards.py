@@ -205,29 +205,32 @@ class TestShardLayout:
 
 
 class TestIncrementalCompile:
-    def test_append_recompiles_only_the_trailing_shard(self):
+    @pytest.mark.parametrize("n_inserts", [1, 4])
+    def test_append_recompiles_only_the_trailing_shard(self, n_inserts):
+        """Each one-record insert compiles exactly the trailing shard and
+        reuses every other, however many inserts come in a row."""
         slices = _random_slices(5, n=8, max_len=300)
         mdb = _mdb_from(slices)
         plane = ShardedSearchPlane(mdb, shard_slices=4)
         assert plane.last_refresh_compiled == 2
         assert plane.last_refresh_reused == 0
-        old_epoch = plane.pin()
-        mdb.insert_document(
-            slice_to_document(
-                _random_slices(77, n=1, max_len=300)[0],
-                dataset="test",
-                channel="Fp1",
+        first_epoch = plane.pin()
+        for index, inserted in enumerate(
+            _random_slices(77, n=n_inserts, max_len=300)
+        ):
+            old_epoch = plane.pin()
+            mdb.insert_document(
+                slice_to_document(inserted, dataset="test", channel="Fp1")
             )
-        )
-        assert plane.refresh()
-        assert plane.last_refresh_reused == 2
-        assert plane.last_refresh_compiled == 1
-        new_epoch = plane.pin()
-        assert new_epoch.generation == old_epoch.generation + 1
-        # Reuse is by object identity: caches and all survive.
-        assert new_epoch.shards[0] is old_epoch.shards[0]
-        assert new_epoch.shards[1] is old_epoch.shards[1]
-        assert new_epoch.shards[2].n_slices == 1
+            assert plane.refresh()
+            assert plane.last_refresh_reused == 2
+            assert plane.last_refresh_compiled == 1
+            new_epoch = plane.pin()
+            assert new_epoch.generation == old_epoch.generation + 1
+            # Reuse is by object identity: caches and all survive.
+            assert new_epoch.shards[0] is first_epoch.shards[0]
+            assert new_epoch.shards[1] is first_epoch.shards[1]
+            assert new_epoch.shards[2].n_slices == index + 1
 
     def test_one_record_refresh_hashes_only_new_slices(self, monkeypatch):
         """An append reuses every untouched shard by slice identity: the

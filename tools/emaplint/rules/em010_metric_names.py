@@ -71,8 +71,13 @@ class MetricNameDrift(ProjectRule):
         names, prefixes, registry_path, entry_lines = registry
         used_names: set[str] = set()
         used_prefixes: set[str] = set()
-        helpers = self._find_helpers(model)
-        for emission in self._emissions(model, helpers):
+        record_calls = {
+            qname: list(self._record_calls(model, function))
+            for qname, function in model.functions.items()
+            if not _module_excluded(function.module)
+        }
+        helpers = self._find_helpers(model, record_calls)
+        for emission in self._emissions(model, record_calls, helpers):
             path, line, col, kind, name, is_prefix = emission
             if is_prefix:
                 match = self._prefix_for(name, prefixes)
@@ -188,26 +193,30 @@ class MetricNameDrift(ProjectRule):
 
     # -- emission discovery --------------------------------------------
 
-    def _find_helpers(self, model: ProjectModel) -> dict[str, str]:
+    @staticmethod
+    def _find_helpers(
+        model: ProjectModel,
+        record_calls: dict[str, list[tuple[ast.Call, str]]],
+    ) -> dict[str, str]:
         """qname -> kind for functions forwarding a param into a record."""
         helpers: dict[str, str] = {}
-        for qname, function in model.functions.items():
-            if _module_excluded(function.module):
-                continue
-            params = set(function.params)
-            for call, kind in self._record_calls(model, function):
+        for qname, calls in record_calls.items():
+            params = set(model.functions[qname].params)
+            for call, kind in calls:
                 if call.args and isinstance(call.args[0], ast.Name):
                     if call.args[0].id in params:
                         helpers[qname] = kind
         return helpers
 
     def _emissions(
-        self, model: ProjectModel, helpers: dict[str, str]
+        self,
+        model: ProjectModel,
+        record_calls: dict[str, list[tuple[ast.Call, str]]],
+        helpers: dict[str, str],
     ) -> Iterator[tuple[str, int, int, str, str, bool]]:
         """(path, line, col, kind, name, is_prefix) per emission site."""
-        for function in model.functions.values():
-            if _module_excluded(function.module):
-                continue
+        for qname, calls in record_calls.items():
+            function = model.functions[qname]
             registry_module = function.module.rsplit(".", 1)[-1] == (
                 _REGISTRY_MODULE_TAIL
             )
@@ -216,7 +225,7 @@ class MetricNameDrift(ProjectRule):
             sites = {
                 (site.line, site.col): site for site in function.calls
             }
-            for call, kind in self._record_calls(model, function):
+            for call, kind in calls:
                 yield from self._name_of(function, call, kind)
             # Helper call sites: the literal passed to the helper is an
             # emission of the helper's kind.
