@@ -40,7 +40,7 @@ from repro.eval.experiments import fig7_alpha_sweep  # noqa: E402
 from repro.eval.experiments.common import build_fixture  # noqa: E402
 
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "fig7b.json"
-DEFAULT_METRICS_OUT = REPO_ROOT / "benchmark_reports" / "fig7b_obs_metrics.json"
+DEFAULT_METRICS_OUT = REPO_ROOT / ".bench_build" / "fig7b_obs_metrics.json"
 DEFAULT_DB_SIZES = (500, 1000, 2000)
 
 

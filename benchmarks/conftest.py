@@ -6,9 +6,9 @@ the same rows/series the paper reports, and saves a copy under
 
 The whole benchmark session runs with the ``repro.obs`` observability
 layer enabled; the collected metrics document is written to
-``benchmark_reports/obs_metrics.json`` at session end so CI (and the
-``benchmarks/check_regression.py`` gate) can diff counters such as
-``cloud.search.correlations_evaluated`` across runs.
+``.bench_build/obs_metrics.json`` (ignored by git) at session end, so
+a run can diff counters such as ``cloud.search.correlations_evaluated``
+against another without touching a tracked file.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro import obs
 from repro.eval.experiments.common import build_fixture
 
 REPORT_DIR = Path(__file__).resolve().parent.parent / "benchmark_reports"
+METRICS_PATH = REPORT_DIR.parent / ".bench_build" / "obs_metrics.json"
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -31,10 +32,9 @@ def observability():
     obs.enable()
     yield
     document = obs.export()
-    REPORT_DIR.mkdir(exist_ok=True)
-    path = REPORT_DIR / "obs_metrics.json"
-    path.write_text(json.dumps(document["metrics"], indent=2) + "\n")
-    print(f"\nobservability metrics written to {path}")
+    METRICS_PATH.parent.mkdir(exist_ok=True)
+    METRICS_PATH.write_text(json.dumps(document["metrics"], indent=2) + "\n")
+    print(f"\nobservability metrics written to {METRICS_PATH}")
     obs.disable()
 
 

@@ -7,11 +7,12 @@ the minimum.  Expressed as separate numpy ufunc calls that is three
 full passes (subtract, abs, sum) over windows far bigger than cache.
 
 :func:`abs_diff_argmin` runs a whole step in one call.  It takes a
-ragged list of groups (one per deduplicated compiled slice), one
-``(sessions, m)`` query matrix and each (group, query) pair's query
-row, and returns each pair's ``np.argmin`` offset and area after flat
-rows are set to that pair's worst-case area.  No area rectangle is
-ever written: the running minimum lives in registers.
+ragged list of groups (one :class:`~repro.edge.plane.CompiledSliceWindows`
+per deduplicated compiled slice), one ``(sessions, m)`` query matrix
+and each (group, query) pair's query row, and returns each pair's
+``np.argmin`` offset and area after flat rows are set to that pair's
+worst-case area.  No area rectangle is ever written: the running
+minimum lives in registers.
 
 Every area is **bit-identical** to ``np.abs(rows - q).sum(axis=1)[r]``
 on every backend and at every thread count, and every argmin equals
@@ -22,14 +23,17 @@ Backends (selected once per process by :mod:`repro.kernels`, which
 builds, caches and self-checks the one compiled library both tiers
 load):
 
-* ``"c"`` — the library's ``abs_diff_argmin``.  It tiles up to
-  :data:`~repro.kernels.TILE` pairs of one group together, so each
-  window-row load is shared by the tile's queries (a lone pair
-  computes one lane), and runs one pthread team per call whose threads
-  take (group, tile) work units from an atomic counter.  Each pair's
-  result depends only on its own areas, so the schedule never changes
-  a bit.
-* ``"numpy"`` — evaluates each group's area rectangle with
+* ``"c"`` — the library's ``abs_diff_argmin``.  Its work units are up
+  to :data:`~repro.kernels.TILE` pairs of one group, taken by one
+  pthread team per call from an atomic counter.  A unit runs its pairs
+  one at a time: rows in index order with a running best, where a row
+  whose block-sum lower bound (:data:`~repro.kernels.BLOCK` samples a
+  block) exceeds the best by more than a proven rounding slack is
+  skipped, and every other row gets its exact area in numpy's pairwise
+  order.  A skipped row's area is strictly above the best, so skipping
+  never changes a bit; each pair's result depends only on its own
+  areas, so neither does the schedule.
+* ``"numpy"`` — evaluates each group's full area rectangle with
   :func:`_numpy_rect_sums`, which runs the three ufunc passes through
   an L2-sized scratch block reused per shape and per thread, then
   applies the flat override and ``np.argmin``.  Same pairwise sum per
@@ -42,10 +46,11 @@ are re-exported from :mod:`repro.kernels`.
 from __future__ import annotations
 
 import threading
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro.edge.plane import CompiledSliceWindows
 from repro.kernels import (
     TILE,
     _reset_backend_selection,
@@ -55,6 +60,7 @@ from repro.kernels import (
 )
 
 __all__ = [
+    "ArgminResult",
     "TILE",
     "_reset_backend_selection",
     "abs_diff_argmin",
@@ -113,71 +119,79 @@ def _numpy_rect_sums(
     return out
 
 
+class ArgminResult(NamedTuple):
+    """One step's argmin: per-pair ``best`` offsets and ``area`` values,
+    and how many rows were evaluated exactly (``exact_rows``)."""
+
+    best: np.ndarray
+    area: np.ndarray
+    exact_rows: int
+
+
 def _numpy_argmin(
-    windows: Sequence[np.ndarray],
-    flats: Sequence[np.ndarray],
+    groups: Sequence[CompiledSliceWindows],
     counts: np.ndarray,
     queries: np.ndarray,
     worst: np.ndarray,
     pair_query: np.ndarray,
     best: np.ndarray,
     area: np.ndarray,
-) -> None:
-    """Fallback: each group's rectangle, flat override, then argmin."""
+) -> int:
+    """Fallback: each group's rectangle, flat override, then argmin.
+
+    Returns the exactly evaluated rows: every non-flat row of every pair.
+    """
+    exact = 0
     start = 0
-    for rows, flat, count in zip(windows, flats, counts.tolist()):
+    for group, count in zip(groups, counts.tolist()):
         if count == 0:
             continue
         stop = start + count
         owners = pair_query[start:stop]
-        areas = _numpy_rect_sums(rows, queries[owners])
+        areas = _numpy_rect_sums(group.windows, queries[owners])
+        flat = group.flat
         if flat.any():
             areas[:, flat] = worst[owners][:, None]
         picked = np.argmin(areas, axis=1)
         best[start:stop] = picked
         area[start:stop] = areas[np.arange(count), picked]
+        exact += count * (flat.size - int(np.count_nonzero(flat)))
         start = stop
-
-
-def _check_inputs(*arrays: np.ndarray) -> None:
-    if not all(array.flags.c_contiguous for array in arrays):
-        raise ValueError("kernel inputs must be C-contiguous")
-    if not all(array.dtype == np.float64 for array in arrays):
-        raise ValueError("kernel inputs must be float64")
+    return exact
 
 
 def abs_diff_argmin(
-    windows: Sequence[np.ndarray],
-    flats: Sequence[np.ndarray],
+    groups: Sequence[CompiledSliceWindows],
     pair_counts: Sequence[int],
     queries: np.ndarray,
     worst: np.ndarray,
     pair_query: np.ndarray,
     threads: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> ArgminResult:
     """Each pair's best offset and area over a ragged set of groups.
 
-    Group ``g`` is one compiled slice: ``windows[g]`` its C-contiguous
-    float64 ``(n_rows, m)`` window matrix (``n_rows >= 1``) and
-    ``flats[g]`` its ``(n_rows,)`` bool mask of flat windows.  It is
+    Group ``g`` is one compiled slice, ``groups[g]``, whose window
+    matrix and flat mask were checked when it was compiled.  It is
     evaluated for ``pair_counts[g]`` pairs; pairs are numbered
     group-major, and pair ``p`` compares against query row
-    ``pair_query[p]`` (int64) of the float64 ``(sessions, m)`` matrix
-    ``queries``, whose worst-case area is ``worst[pair_query[p]]``.
+    ``pair_query[p]`` (int64) of the C-contiguous float64
+    ``(sessions, m)`` matrix ``queries``, whose worst-case area is
+    ``worst[pair_query[p]]``.
 
-    Returns ``(best, area)``: for every pair, the int64 index and the
-    float64 value that ``np.argmin`` picks and reads over
-    ``np.abs(windows[g] - q).sum(axis=1)`` once the flat rows are set to
-    the pair's worst area — ties to the first index, NaN first.  Bit for
-    bit the same on every backend and at every thread count.
-    ``threads`` defaults to :func:`kernel_threads`; the numpy fallback
-    ignores it.
+    Returns ``(best, area, exact_rows)``: for every pair, the int64
+    index and the float64 value that ``np.argmin`` picks and reads over
+    ``np.abs(windows - q).sum(axis=1)`` once the flat rows are set to
+    the pair's worst area — ties to the first index, NaN first — bit
+    for bit the same on every backend and at every thread count; and
+    the number of (pair, row) areas computed exactly, which only the
+    compiled kernel's lower bound makes smaller than every non-flat
+    row of every pair.  ``threads`` defaults to :func:`kernel_threads`;
+    the numpy fallback ignores it.
     """
-    n_groups = len(windows)
-    if len(flats) != n_groups or len(pair_counts) != n_groups:
+    n_groups = len(groups)
+    if len(pair_counts) != n_groups:
         raise ValueError(
-            f"{n_groups} window groups but {len(flats)} flat masks and "
-            f"{len(pair_counts)} pair counts"
+            f"{n_groups} window groups but {len(pair_counts)} pair counts"
         )
     if queries.ndim != 2:
         raise ValueError(f"queries must be 2-D, got shape {queries.shape}")
@@ -199,33 +213,26 @@ def abs_diff_argmin(
         int(pair_query.min()) < 0 or int(pair_query.max()) >= sessions
     ):
         raise ValueError(f"pair_query rows must lie in [0, {sessions})")
-    for rows, flat in zip(windows, flats):
-        if rows.ndim != 2 or rows.shape[1] != m or rows.shape[0] == 0:
-            raise ValueError(
-                f"windows of shape {rows.shape} do not match row length {m}"
-            )
-        if flat.shape != (rows.shape[0],) or flat.dtype != np.bool_:
-            raise ValueError(
-                f"flat mask must be bool of shape ({rows.shape[0]},)"
-            )
-        _check_inputs(rows)
-        if not flat.flags.c_contiguous:
-            raise ValueError("kernel inputs must be C-contiguous")
+    if any(group.windows.shape[1] != m for group in groups):
+        raise ValueError(f"a window group does not match row length {m}")
     best = np.empty(n_pairs, dtype=np.int64)
     area = np.empty(n_pairs)
     if n_pairs == 0:
-        return best, area
-    _check_inputs(queries, worst)
-    if not pair_query.flags.c_contiguous:
-        raise ValueError("kernel inputs must be C-contiguous")
+        return ArgminResult(best, area, 0)
+    for array in (queries, worst, pair_query):
+        if not array.flags.c_contiguous:
+            raise ValueError("kernel inputs must be C-contiguous")
+    if queries.dtype != np.float64 or worst.dtype != np.float64:
+        raise ValueError("kernel inputs must be float64")
     kernels = compiled_kernels()
-    if kernels is not None:
-        kernels.argmin(
-            windows, flats, counts, queries, worst, pair_query, best, area,
-            kernel_threads() if threads is None else threads,
+    if kernels is None:
+        exact = _numpy_argmin(
+            groups, counts, queries, worst, pair_query, best, area
         )
     else:
-        _numpy_argmin(
-            windows, flats, counts, queries, worst, pair_query, best, area
+        exact = kernels.argmin(
+            b"".join([group.record for group in groups]),
+            counts, queries, worst, pair_query, best, area,
+            kernel_threads() if threads is None else threads,
         )
-    return best, area
+    return ArgminResult(best, area, exact)

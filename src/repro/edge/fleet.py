@@ -22,9 +22,9 @@ call.  It concatenates the stepped sessions' serials, groups the
 (session, candidate) pairs by one stable argsort of them (a group is
 one deduplicated compiled slice), and runs
 the whole step as a single :func:`repro.edge._kernels.abs_diff_argmin`
-call, which returns every pair's best offset and area directly
-(tiling a group's pairs so each window-row load serves several
-queries, one thread team per call; ctypes releases the GIL, so the
+call over the groups' compiled slices, which returns every pair's best
+offset and area directly (a block-sum lower bound skips the rows that
+cannot win, one thread team per call; ctypes releases the GIL, so the
 step runs truly multi-core).  The commit scatters the results back to
 pair order, prunes with one ``area > δ_A`` mask and takes per-session
 counts from cumulative sums; only sessions that lost a candidate pay
@@ -453,14 +453,8 @@ class FleetTracker:
 
         # -- fused evaluate: one kernel call ---------------------------
         threads = kernel_threads() if kernel_backend() == "c" else 1
-        best, best_areas = abs_diff_argmin(
-            [compiled.windows for compiled in plan],
-            [compiled.flat for compiled in plan],
-            counts,
-            matrix,
-            worst,
-            pair_row[ranked],
-            threads=threads,
+        best, best_areas, exact_rows = abs_diff_argmin(
+            plan, counts, matrix, worst, pair_row[ranked], threads=threads
         )
 
         # -- commit: back to pair order, then per session --------------
@@ -499,6 +493,7 @@ class FleetTracker:
             for count in counts.tolist():
                 registry.observe("edge.fleet.fused_queries_per_group", count)
             registry.set_gauge("edge.fleet.fused_kernel_threads", threads)
+            registry.inc("edge.fleet.exact_rows", exact_rows)
         return steps
 
     def _commit_session(

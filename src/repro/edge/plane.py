@@ -19,11 +19,18 @@ values the scalar engine recomputes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.kernels import block_sums, group_record
 from repro.signals.metrics import normalized_sliding_windows, sliding_window_stats
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -36,10 +43,40 @@ class CompiledSliceWindows:
     marks zero-variance offsets whose area must be overridden with the
     query's worst case at evaluation time (all-False in raw mode,
     which has no such override).
+
+    Construction checks the arrays once — a C-contiguous float64
+    ``(n_rows, m)`` matrix with ``n_rows >= 1`` and a ``(n_rows,)``
+    bool mask — keeps read-only views of them, and derives what the
+    argmin kernel reads besides: ``blocks``, each row's block sums (the
+    data of its lower bound), and ``record``, the packed pointers and
+    shape, so a step only gathers records.
     """
 
     windows: np.ndarray
     flat: np.ndarray
+    blocks: np.ndarray = field(init=False, repr=False)
+    record: bytes = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        windows, flat = self.windows, self.flat
+        if windows.ndim != 2 or windows.shape[0] == 0:
+            raise ValueError(
+                f"windows of shape {windows.shape} need at least one row"
+            )
+        if flat.shape != (windows.shape[0],) or flat.dtype != np.bool_:
+            raise ValueError(
+                f"flat mask must be bool of shape ({windows.shape[0]},)"
+            )
+        if windows.dtype != np.float64:
+            raise ValueError("kernel inputs must be float64")
+        if not (windows.flags.c_contiguous and flat.flags.c_contiguous):
+            raise ValueError("kernel inputs must be C-contiguous")
+        windows, flat = _frozen(windows), _frozen(flat)
+        blocks = _frozen(block_sums(windows))
+        object.__setattr__(self, "windows", windows)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "record", group_record(windows, flat, blocks))
 
     @property
     def n_offsets(self) -> int:
@@ -47,7 +84,7 @@ class CompiledSliceWindows:
 
     @property
     def nbytes(self) -> int:
-        return int(self.windows.nbytes + self.flat.nbytes)
+        return int(self.windows.nbytes + self.flat.nbytes + self.blocks.nbytes)
 
 
 def compile_slice_windows(

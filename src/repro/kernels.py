@@ -4,8 +4,9 @@ One C source holds every compiled kernel of the system:
 
 * the edge's ``abs_diff_argmin``: a whole fused fleet step, each
   (slice, query) pair's minimum of ``Σ|window − query|`` over the
-  slice's windows, wrapped with its numpy fallback by
-  :mod:`repro.edge._kernels`;
+  slice's windows, computing the exact area only of rows that an
+  exact block-sum lower bound cannot rule out, wrapped with its numpy
+  fallback by :mod:`repro.edge._kernels`;
 * the cloud's ``cloud_walk``: Algorithm 1's skip walk of one query over
   one shard core, computing a correlation only at the offsets it
   visits, wrapped with its numpy fallback by
@@ -62,11 +63,16 @@ from repro.errors import KernelError
 #: keep in sync with ``MAX_THREADS`` in the source).
 _MAX_THREADS = 64
 
-#: Pairs of one group evaluated together by ``abs_diff_argmin`` (keep in
-#: sync with ``TILE`` in the source).
+#: Pairs of one group in one ``abs_diff_argmin`` work unit (keep in sync
+#: with ``TILE`` in the source).
 TILE = 4
 
+#: Samples per block of the edge argmin's lower bound (keep in sync with
+#: ``BLOCK`` in the source).
+BLOCK = 4
+
 _C_SOURCE = """
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -76,6 +82,7 @@ _C_SOURCE = """
 
 #define MAX_THREADS 64
 #define TILE 4
+#define BLOCK 4
 
 typedef double v8d __attribute__((vector_size(64)));
 typedef int64_t v8i __attribute__((vector_size(64)));
@@ -125,115 +132,121 @@ static double pairwise1(const double *w, const double *q, ptrdiff_t n) {
     return pairwise1(w, q, n2) + pairwise1(w + n2, q + n2, n - n2);
 }
 
-/* The same block for TILE queries sharing every load of the row. */
-static void block_tile(const double *w, const double *const *q, ptrdiff_t n,
-                       double *out) {
-    ptrdiff_t i, k;
-    v8d x, r0, r1, r2, r3;
-    if (n < 8) {
-        for (k = 0; k < TILE; k++) out[k] = block1(w, q[k], n);
-        return;
-    }
-    x = load8(w);
-    r0 = abs_diff8(x, q[0]);
-    r1 = abs_diff8(x, q[1]);
-    r2 = abs_diff8(x, q[2]);
-    r3 = abs_diff8(x, q[3]);
-    for (i = 8; i + 8 <= n; i += 8) {
-        x = load8(w + i);
-        r0 += abs_diff8(x, q[0] + i);
-        r1 += abs_diff8(x, q[1] + i);
-        r2 += abs_diff8(x, q[2] + i);
-        r3 += abs_diff8(x, q[3] + i);
-    }
-    out[0] = lane_sum(r0);
-    out[1] = lane_sum(r1);
-    out[2] = lane_sum(r2);
-    out[3] = lane_sum(r3);
-    for (k = 0; k < TILE; k++) {
-        ptrdiff_t j;
-        for (j = i; j < n; j++) out[k] += fabs(w[j] - q[k][j]);
-    }
-}
-
-static void pairwise_tile(const double *w, const double *const *q,
-                          ptrdiff_t n, double *out) {
-    const double *q2[TILE];
-    double tail[TILE];
-    ptrdiff_t n2, k;
-    if (n <= 128) {
-        block_tile(w, q, n, out);
-        return;
-    }
-    n2 = n / 2;
-    n2 -= n2 % 8;
-    pairwise_tile(w, q, n2, out);
-    for (k = 0; k < TILE; k++) q2[k] = q[k] + n2;
-    pairwise_tile(w + n2, q2, n - n2, tail);
-    for (k = 0; k < TILE; k++) out[k] += tail[k];
-}
-
 /* -- ragged argmin: one fused fleet step per call ------------------ */
+
+/* Lower bound.  Split a row into blocks of BLOCK samples (the last
+   block may be shorter) and let W_b, Q_b be the block sums of a window
+   row w and a query q.  By the triangle inequality
+       A = sum_i |q_i - w_i|  >=  B = sum_b |Q_b - W_b|,
+   so a row whose bound exceeds the running best cannot win.  A row's
+   block sums are compiled once per slice, a query's once per call.
+
+   Slack.  Let u = 2^-53, g_k = k u / (1 - k u), nb the number of
+   blocks, computed values marked ^ and exact ones bare.  Summing n
+   terms in any order (numpy's pairwise tree included) is off by at
+   most g_(n-1) times the sum of their magnitudes, so
+       A^ >= (1 - g_m) A,
+       |W^_b - W_b| <= g_3 |w_b|_1   and the same for Q^_b,
+       B^ <= (1 + g_nb) (B + g_3 (|q|_1 + |w|_1)).
+   Suppose A^ <= best.  Then A <= best / (1 - g_m), B <= A and, as
+   w = q - (q - w), |w|_1 <= |q|_1 + A, so to first order in u
+       B^ - best <= (m + nb + 3) u best + 6 u |q|_1.
+   The limit best + (m + 4) 2^-52 (|q|^_1 + best) exceeds that by at
+   least (m - nb + 4) u (|q|_1 + best) even after its own four
+   roundings, since nb <= m; adding DBL_MIN covers the absolute error
+   of an underflowing product (sums never lose bits to underflow).  So
+   a finite B^ above the limit proves A^ > best: np.argmin would not
+   move to the row, and skipping it leaves every best and area bit for
+   bit unchanged.  The slack needs no norm of w.
+
+   Non-finite values.  A row is skipped only when its bound is finite
+   and above the limit.  Any overflow while bounding makes the bound
+   +inf or NaN, and an infinite norm or best makes the limit +inf, so
+   none of them skips a row.  A row's area is NaN only if some w_i or
+   q_i is NaN or both are infinite with one sign; then a block sum of
+   each is NaN or infinite and the bound is NaN.  Every comparison
+   with a NaN is false, so such rows are always evaluated and
+   np.argmin's NaN-first rule sees every NaN area. */
+
+typedef struct {
+    const double *windows;        /* (n_rows, m) */
+    const unsigned char *flat;    /* (n_rows,) */
+    const double *blocks;         /* (n_rows, nb) block sums */
+    ptrdiff_t n_rows;
+} argmin_group;
+
+/* sum_b |Q_b - W_b| over nb block sums. */
+static double block_bound(const double *wb, const double *qb, ptrdiff_t nb) {
+    ptrdiff_t i = 0;
+    double res = 0.0;
+    if (nb >= 8) {
+        v8d r = abs_diff8(load8(wb), qb);
+        for (i = 8; i + 8 <= nb; i += 8) r += abs_diff8(load8(wb + i), qb + i);
+        res = lane_sum(r);
+    }
+    for (; i < nb; i++) res += fabs(wb[i] - qb[i]);
+    return res;
+}
 
 typedef struct {
     ptrdiff_t group;
-    ptrdiff_t first;   /* first pair of the tile, group-major */
+    ptrdiff_t first;   /* first pair of the unit, group-major */
     ptrdiff_t count;   /* 1..TILE pairs */
 } argmin_unit;
 
 typedef struct {
-    const double *const *windows;
-    const unsigned char *const *flat;
-    const ptrdiff_t *n_rows;
+    const argmin_group *groups;
     const double *queries;
-    ptrdiff_t m;
+    const double *qblocks;   /* (sessions, nb) query block sums */
+    const double *qnorm;     /* (sessions,) query L1 norms */
+    ptrdiff_t m, nb;
+    double slack;            /* (m + 4) 2^-52 */
     const double *worst;
     const int64_t *pair_query;
     int64_t *best;
     double *area;
     const argmin_unit *units;
     ptrdiff_t n_units;
-    ptrdiff_t next;    /* atomic work counter */
+    ptrdiff_t next;          /* atomic work counter */
+    int64_t exact;           /* atomic count of exactly evaluated rows */
 } argmin_job;
 
-static void argmin_run(const argmin_job *job, const argmin_unit *u) {
-    const double *w = job->windows[u->group];
-    const unsigned char *flat = job->flat[u->group];
-    ptrdiff_t n_rows = job->n_rows[u->group], m = job->m, r, k;
-    /* A lone pair computes one lane; pairwise1 sums in the same order. */
-    ptrdiff_t lanes = u->count == 1 ? 1 : TILE;
-    const double *q[TILE];
-    double worst[TILE], a[TILE], low[TILE];
-    int64_t best[TILE];
-    for (k = 0; k < TILE; k++) {
-        /* A short tile repeats its last pair; the padding lanes are
-           computed but never written back. */
-        int64_t row = job->pair_query[u->first + (k < u->count ? k : u->count - 1)];
-        q[k] = job->queries + row * m;
-        worst[k] = job->worst[row];
-        best[k] = 0;
-    }
-    for (r = 0; r < n_rows; r++) {
-        if (flat[r]) {
-            for (k = 0; k < lanes; k++) a[k] = worst[k];
-        } else if (lanes == 1) {
-            a[0] = pairwise1(w + r * m, q[0], m);
-        } else {
-            pairwise_tile(w + r * m, q, m, a);
-        }
-        for (k = 0; k < lanes; k++) {
+/* One unit, one pair at a time: rows in index order with a running
+   best; a row is skipped only when its bound proves it loses. */
+static void argmin_run(argmin_job *job, const argmin_unit *u) {
+    const argmin_group *g = &job->groups[u->group];
+    ptrdiff_t m = job->m, nb = job->nb, r, k;
+    int64_t exact = 0;
+    for (k = 0; k < u->count; k++) {
+        int64_t row = job->pair_query[u->first + k];
+        const double *q = job->queries + row * m;
+        const double *qb = job->qblocks + row * nb;
+        double worst = job->worst[row], norm = job->qnorm[row];
+        double low = 0.0, limit = 0.0, a, bound;
+        int64_t best = 0;
+        for (r = 0; r < g->n_rows; r++) {
+            if (g->flat[r]) {
+                a = worst;
+            } else {
+                if (r > 0) {
+                    bound = block_bound(g->blocks + r * nb, qb, nb);
+                    if (bound > limit && bound <= DBL_MAX) continue;
+                }
+                a = pairwise1(g->windows + r * m, q, m);
+                exact++;
+            }
             /* np.argmin: a later row wins only if strictly lower or the
                first NaN; once a NaN is held nothing replaces it. */
-            if (r == 0 || (!(a[k] >= low[k]) && low[k] == low[k])) {
-                low[k] = a[k];
-                best[k] = r;
+            if (r == 0 || (!(a >= low) && low == low)) {
+                low = a;
+                best = r;
+                limit = low + (job->slack * (norm + low) + DBL_MIN);
             }
         }
+        job->best[u->first + k] = best;
+        job->area[u->first + k] = low;
     }
-    for (k = 0; k < u->count; k++) {
-        job->best[u->first + k] = best[k];
-        job->area[u->first + k] = low[k];
-    }
+    __atomic_fetch_add(&job->exact, exact, __ATOMIC_RELAXED);
 }
 
 static void *argmin_entry(void *arg) {
@@ -245,21 +258,44 @@ static void *argmin_entry(void *arg) {
     }
 }
 
-int abs_diff_argmin(const double *const *windows,
-                    const unsigned char *const *flat,
-                    const ptrdiff_t *n_rows, const ptrdiff_t *pair_counts,
-                    ptrdiff_t n_groups, const double *queries, ptrdiff_t m,
-                    const double *worst, const int64_t *pair_query,
-                    int64_t *best, double *area, ptrdiff_t n_threads) {
+/* Returns the number of exactly evaluated rows, or -1 when out of
+   memory. */
+int64_t abs_diff_argmin(const argmin_group *groups, const ptrdiff_t *pair_counts,
+                        ptrdiff_t n_groups, const double *queries,
+                        ptrdiff_t sessions, ptrdiff_t m, const double *worst,
+                        const int64_t *pair_query, int64_t *best, double *area,
+                        ptrdiff_t n_threads) {
     pthread_t workers[MAX_THREADS];
     argmin_job job;
     argmin_unit *units;
-    ptrdiff_t g, p, first = 0, n_units = 0, started = 0, t;
+    double *qblocks, *qnorm;
+    ptrdiff_t g, p, s, i, first = 0, n_units = 0, started = 0, t;
+    ptrdiff_t nb = (m + BLOCK - 1) / BLOCK;
     for (g = 0; g < n_groups; g++)
         n_units += (pair_counts[g] + TILE - 1) / TILE;
     if (n_units == 0) return 0;
     units = (argmin_unit *)malloc((size_t)n_units * sizeof *units);
-    if (units == NULL) return -1;
+    qblocks = (double *)malloc((size_t)(sessions * nb + sessions) * sizeof *qblocks);
+    if (units == NULL || qblocks == NULL) {
+        free(units);
+        free(qblocks);
+        return -1;
+    }
+    qnorm = qblocks + sessions * nb;
+    for (s = 0; s < sessions; s++) {
+        const double *q = queries + s * m;
+        double norm = 0.0;
+        for (i = 0; i < nb; i++) {
+            ptrdiff_t j, end = (i + 1) * BLOCK < m ? (i + 1) * BLOCK : m;
+            double sum = 0.0;
+            for (j = i * BLOCK; j < end; j++) {
+                sum += q[j];
+                norm += fabs(q[j]);
+            }
+            qblocks[s * nb + i] = sum;
+        }
+        qnorm[s] = norm;
+    }
     n_units = 0;
     for (g = 0; g < n_groups; g++) {
         ptrdiff_t end = first + pair_counts[g];
@@ -271,11 +307,13 @@ int abs_diff_argmin(const double *const *windows,
         }
         first = end;
     }
-    job.windows = windows;
-    job.flat = flat;
-    job.n_rows = n_rows;
+    job.groups = groups;
     job.queries = queries;
+    job.qblocks = qblocks;
+    job.qnorm = qnorm;
     job.m = m;
+    job.nb = nb;
+    job.slack = (double)(m + 4) * 0x1p-52;
     job.worst = worst;
     job.pair_query = pair_query;
     job.best = best;
@@ -283,6 +321,7 @@ int abs_diff_argmin(const double *const *windows,
     job.units = units;
     job.n_units = n_units;
     job.next = 0;
+    job.exact = 0;
     if (n_threads > n_units) n_threads = n_units;
     if (n_threads > MAX_THREADS) n_threads = MAX_THREADS;
     for (t = 1; t < n_threads; t++) {
@@ -296,7 +335,8 @@ int abs_diff_argmin(const double *const *windows,
     for (t = 1; t <= started; t++)
         pthread_join(workers[t], NULL);
     free(units);
-    return 0;
+    free(qblocks);
+    return job.exact;
 }
 
 /* -- cloud: Algorithm 1's skip walk over one shard core ------------ */
@@ -391,19 +431,11 @@ void cloud_walk(const double *samples, const int64_t *starts,
 #: CPU identity is readable (it is part of the cache key).
 _BASE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 
+#: ``argmin(records, counts, queries, worst, pair_query, best, area,
+#: threads) -> exact rows``; ``records`` are joined :func:`group_record`s.
 Argmin = Callable[
-    [
-        Sequence[np.ndarray],
-        Sequence[np.ndarray],
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        int,
-    ],
-    None,
+    [bytes, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int],
+    int,
 ]
 #: ``walk(samples, starts, norms, norm_starts, query, query_norm, delta,
 #: (scale, omega_floor, low, high), dedupe, hit_slice, hit_offset,
@@ -436,6 +468,56 @@ class CKernels(NamedTuple):
 
 _backend: str | None = None
 _c_kernels: CKernels | None = None
+
+
+class _ArgminGroup(ctypes.Structure):
+    """The source's ``argmin_group``: one compiled slice as the kernel reads it."""
+
+    _fields_ = [
+        ("windows", ctypes.c_void_p),
+        ("flat", ctypes.c_void_p),
+        ("blocks", ctypes.c_void_p),
+        ("n_rows", ctypes.c_ssize_t),
+    ]
+
+
+#: Bytes of one packed :func:`group_record`.
+_GROUP_RECORD_BYTES = ctypes.sizeof(_ArgminGroup)
+
+
+def block_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row's sums over consecutive blocks of :data:`BLOCK` samples.
+
+    ``(n_rows, ceil(m / BLOCK))``; the last block is shorter when
+    ``BLOCK`` does not divide ``m``.  One reshape and ``BLOCK - 1``
+    strided adds (numpy's reduction over a 4-long axis is ~5x slower).
+    """
+    n_rows, m = rows.shape
+    pad = -m % BLOCK
+    if pad:
+        rows = np.concatenate((rows, np.zeros((n_rows, pad))), axis=1)
+    blocks = rows.reshape(n_rows, -1, BLOCK)
+    # A non-finite block sum only switches the bound off for its row.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = blocks[..., 0] + blocks[..., 1]
+        for k in range(2, BLOCK):
+            sums += blocks[..., k]
+    return sums
+
+
+def group_record(windows: np.ndarray, flat: np.ndarray, blocks: np.ndarray) -> bytes:
+    """One group packed as the kernel's ``argmin_group``.
+
+    ``windows`` is a C-contiguous float64 ``(n_rows, m)`` matrix,
+    ``flat`` its ``(n_rows,)`` bool mask and ``blocks`` its
+    C-contiguous :func:`block_sums`; the row length is the queries'.
+    The record holds raw pointers: the arrays must outlive it, unchanged.
+    """
+    return bytes(
+        _ArgminGroup(
+            windows.ctypes.data, flat.ctypes.data, blocks.ctypes.data, windows.shape[0]
+        )
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -541,12 +623,11 @@ def _bind_kernels(handle: ctypes.CDLL) -> CKernels:
     real = ctypes.c_double
     raw_argmin = handle.abs_diff_argmin
     raw_argmin.argtypes = [
-        pointer,  # windows: group -> row-major (n_rows, m) float64
-        pointer,  # flat: group -> (n_rows,) bool
-        pointer,  # n_rows per group
+        pointer,  # groups: packed argmin_group records
         pointer,  # pairs per group
         size,  # groups
         pointer,  # queries (sessions, m)
+        size,  # sessions
         size,  # m
         pointer,  # worst per session
         pointer,  # query row per pair
@@ -554,7 +635,7 @@ def _bind_kernels(handle: ctypes.CDLL) -> CKernels:
         pointer,  # out: area per pair
         size,  # threads
     ]
-    raw_argmin.restype = ctypes.c_int
+    raw_argmin.restype = ctypes.c_int64
     raw_walk = handle.cloud_walk
     raw_walk.argtypes = [
         pointer,  # samples
@@ -579,8 +660,7 @@ def _bind_kernels(handle: ctypes.CDLL) -> CKernels:
     raw_walk.restype = None
 
     def argmin_call(
-        windows: Sequence[np.ndarray],
-        flats: Sequence[np.ndarray],
+        records: bytes,
         counts: np.ndarray,
         queries: np.ndarray,
         worst: np.ndarray,
@@ -588,26 +668,24 @@ def _bind_kernels(handle: ctypes.CDLL) -> CKernels:
         best: np.ndarray,
         area: np.ndarray,
         threads: int,
-    ) -> None:
-        window_ptrs = np.array([w.ctypes.data for w in windows], dtype=np.uintp)
-        flat_ptrs = np.array([f.ctypes.data for f in flats], dtype=np.uintp)
-        n_rows = np.array([w.shape[0] for w in windows], dtype=np.intp)
-        status = raw_argmin(
-            window_ptrs.ctypes.data,
-            flat_ptrs.ctypes.data,
-            n_rows.ctypes.data,
+    ) -> int:
+        sessions, m = queries.shape
+        exact = raw_argmin(
+            records,
             counts.ctypes.data,
-            len(windows),
+            len(records) // _GROUP_RECORD_BYTES,
             queries.ctypes.data,
-            queries.shape[1],
+            sessions,
+            m,
             worst.ctypes.data,
             pair_query.ctypes.data,
             best.ctypes.data,
             area.ctypes.data,
             threads,
         )
-        if status != 0:
+        if exact < 0:
             raise MemoryError("abs_diff_argmin could not allocate its work units")
+        return int(exact)
 
     def walk_call(
         samples: np.ndarray,
@@ -691,9 +769,15 @@ def _load_c_kernels() -> CKernels | None:
 
 
 def _argmin_case(
-    rng: np.random.Generator, m: int
+    rng: np.random.Generator, m: int, pruned: bool
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A small ragged step with flat rows, ties, ±inf and NaN."""
+    """A small ragged step with flat rows, ties, ±inf and NaN.
+
+    With ``pruned`` a last group sits around session 0's query: its
+    row 0 is close, its row 3 is row 0 reversed within blocks (the same
+    block sums up to rounding, so the bound cannot skip it), and the
+    other rows are far enough for the bound to skip them.
+    """
     sessions = 5
     queries = np.ascontiguousarray(rng.standard_normal((sessions, m)) * 1e5)
     worst = np.abs(queries).sum(axis=1)
@@ -705,12 +789,23 @@ def _argmin_case(
         rows = rng.standard_normal((n_rows, m))
         if n_rows > 3:
             rows[2] = rows[0]  # a tie the first index must win
-        windows.append(np.ascontiguousarray(rows))
+        windows.append(rows)
         flats.append(rng.random(n_rows) < 0.3)
         counts.append(n_pairs)
     windows[1][3, 0] = np.inf
     windows[3][1, -1] = np.nan
     pair_query = rng.integers(0, sessions, size=sum(counts)).astype(np.int64)
+    if not pruned:
+        return windows, flats, np.array(counts, dtype=np.intp), queries, worst, pair_query
+    near = queries[0] + rng.standard_normal((6, m)) * 1e4
+    near[0] = queries[0] + rng.standard_normal(m) * 1e-3
+    full = m - m % BLOCK
+    near[3] = near[0]
+    near[3, :full] = near[0, :full].reshape(-1, BLOCK)[:, ::-1].ravel()
+    windows.append(near)
+    flats.append(np.zeros(6, dtype=bool))
+    counts.append(3)
+    pair_query = np.concatenate((pair_query, [0, 2, 0]))
     return windows, flats, np.array(counts, dtype=np.intp), queries, worst, pair_query
 
 
@@ -721,15 +816,25 @@ def _edge_passes(kernels: CKernels, rng: np.random.Generator) -> bool:
     path (< 8), the 8-lane block with and without a remainder (≤ 128),
     and the recursive halving above 128 — with large-magnitude queries,
     where any accumulation-order difference would surface in the last
-    bits.  Group pair counts cover full tiles, a short tile and a lone
-    pair (7 = 4 + 3, 5 = 4 + 1, 2).  Pairs are independent, so any
-    thread count must reproduce the same bits.  The cases add flat
-    rows, ties, ±inf and NaN.
+    bits — and a last bound block shorter than :data:`BLOCK` (5, 131).
+    Group pair counts cover full units, a short unit and a lone pair
+    (7 = 4 + 3, 5 = 4 + 1, 2).  Pairs are independent, so any thread
+    count must reproduce the same bits.  The cases add flat rows, ties,
+    ±inf and NaN, and at ``m = 131`` rows the bound must skip.
     """
     for m in (5, 131, 1000):
-        windows, flats, counts, queries, worst, pair_query = _argmin_case(rng, m)
+        pruned = m == 131
+        windows, flats, counts, queries, worst, pair_query = _argmin_case(
+            rng, m, pruned
+        )
+        blocks = [block_sums(rows) for rows in windows]
+        records = b"".join(
+            group_record(rows, flat, block)
+            for rows, flat, block in zip(windows, flats, blocks)
+        )
         expected_best: list[int] = []
         expected_area: list[float] = []
+        evaluable = 0
         first = 0
         for rows, flat, count in zip(windows, flats, counts.tolist()):
             for row in pair_query[first : first + count].tolist():
@@ -737,17 +842,18 @@ def _edge_passes(kernels: CKernels, rng: np.random.Generator) -> bool:
                 areas[flat] = worst[row]
                 expected_best.append(int(np.argmin(areas)))
                 expected_area.append(float(areas[expected_best[-1]]))
+            evaluable += count * int(np.count_nonzero(~flat))
             first += count
         for threads in (1, 3):
             best = np.empty(pair_query.size, dtype=np.int64)
             area = np.empty(pair_query.size)
-            kernels.argmin(
-                windows, flats, counts, queries, worst, pair_query,
-                best, area, threads,
+            exact = kernels.argmin(
+                records, counts, queries, worst, pair_query, best, area, threads
             )
             if not (
                 np.array_equal(best, expected_best)
                 and np.array_equal(area, expected_area, equal_nan=True)
+                and (exact < evaluable or not pruned)
             ):
                 return False
     return True

@@ -77,6 +77,7 @@ METRIC_NAMES: dict[str, str] = {
     "edge.fleet.steps": "counter",
     "edge.fleet.step_s": "histogram",
     "edge.fleet.area_evaluations": "counter",
+    "edge.fleet.exact_rows": "counter",
     "edge.fleet.cache_hits": "counter",
     "edge.fleet.cache_misses": "counter",
     "edge.fleet.sessions": "gauge",

@@ -2,11 +2,14 @@
 
 Covers the area contract (every area equal to
 ``np.abs(rows - q).sum(axis=1)`` on every backend and at every thread
-count, for the compiled kernel's tiles and lone pairs and for the
+count, for the compiled kernel's work units and lone pairs and for the
 numpy fallback's rectangle), the ragged argmin entry point's contract
 (every pair's offset and area equal to ``np.argmin`` over those areas
-after the flat override — ties, ±inf and NaN included), input
-validation, the numpy fallback's per-shape scratch reuse, the
+after the flat override — ties, ±inf and NaN included), the compiled
+kernel's block-sum lower bound (near-ties, rows on the slack, bounds
+equal to the best, non-finite values across block boundaries, and the
+exact rows it reports, replayed rule for rule), input validation, the
+numpy fallback's per-shape scratch reuse, the
 ``EMAP_KERNEL`` /
 ``EMAP_KERNEL_THREADS`` overrides (including the
 forced-``c``-must-not-degrade error path), and the cross-process
@@ -22,6 +25,7 @@ from __future__ import annotations
 import ctypes
 import os
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -38,8 +42,10 @@ from repro.edge._kernels import (
     kernel_backend,
     kernel_threads,
 )
+from repro.edge.plane import CompiledSliceWindows
 from repro.errors import KernelError
 from repro.kernels import (
+    BLOCK,
     _BASE_FLAGS,
     _compile_flags,
     _cpu_identity,
@@ -72,10 +78,12 @@ def _rect_via_argmin(
     """
     n_rows, m = rows.shape
     n_queries = queries.shape[0]
-    groups = [np.ascontiguousarray(rows[r : r + 1]) for r in range(n_rows)]
-    _, area = abs_diff_argmin(
-        groups,
+    groups = _groups(
+        [rows[r : r + 1] for r in range(n_rows)],
         [np.zeros(1, dtype=bool)] * n_rows,
+    )
+    _, area, _ = abs_diff_argmin(
+        groups,
         [n_queries] * n_rows,
         queries,
         np.zeros(n_queries),
@@ -83,6 +91,13 @@ def _rect_via_argmin(
         threads=threads,
     )
     return np.ascontiguousarray(area.reshape(n_rows, n_queries).T)
+
+
+def _groups(windows, flats) -> list[CompiledSliceWindows]:
+    return [
+        CompiledSliceWindows(np.ascontiguousarray(rows), np.ascontiguousarray(flat))
+        for rows, flat in zip(windows, flats)
+    ]
 
 
 def _argmin_reference(windows, flats, counts, queries, worst, pair_query):
@@ -202,63 +217,308 @@ def _ragged_steps(draw):
     return windows, flats, counts, np.ascontiguousarray(queries), worst, pair_query, threads
 
 
+def _c_sum(values: np.ndarray) -> float:
+    """A sum in the C bound's order: 8 lanes, combined pairwise, then
+    the tail in order (in order from 0.0 below 8 values)."""
+    n = values.size
+    if n < 8:
+        total = 0.0
+        for value in values.tolist():
+            total += value
+        return total
+    lanes = values[:8].copy()
+    i = 8
+    while i + 8 <= n:
+        lanes += values[i : i + 8]
+        i += 8
+    r = lanes.tolist()
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for value in values[i:].tolist():
+        total += value
+    return total
+
+
+def _query_blocks(query: np.ndarray) -> np.ndarray:
+    """A query's block sums in the C kernel's order."""
+    return np.array(
+        [_c_sum(query[i : i + BLOCK]) for i in range(0, query.size, BLOCK)]
+    )
+
+
+def _exact_rows_reference(groups, counts, queries, worst, pair_query) -> int:
+    """The rows the compiled kernel evaluates exactly, rule for rule.
+
+    Replays ``argmin_run`` in ``repro/kernels.py`` in Python floats
+    (the same IEEE operations in the same order): a later non-flat row
+    is skipped iff its block-sum bound is finite and above
+    ``best + ((m + 4) 2^-52 (Σ|q| + best) + DBL_MIN)``.
+    """
+    m = queries.shape[1]
+    slack = (m + 4) * 2.0**-52
+    exact = 0
+    start = 0
+    for group, count in zip(groups, counts):
+        for owner in pair_query[start : start + count].tolist():
+            q = queries[owner]
+            norm = 0.0
+            for value in np.abs(q).tolist():
+                norm += value
+            q_blocks = _query_blocks(q)
+            areas = np.abs(group.windows - q).sum(axis=1)
+            low = limit = 0.0
+            for r in range(group.n_offsets):
+                if group.flat[r]:
+                    a = float(worst[owner])
+                else:
+                    if r > 0:
+                        bound = _c_sum(np.abs(group.blocks[r] - q_blocks))
+                        if limit < bound <= sys.float_info.max:
+                            continue
+                    a = float(areas[r])
+                    exact += 1
+                if r == 0 or (not a >= low and low == low):
+                    low = a
+                    limit = low + (slack * (norm + low) + sys.float_info.min)
+        start += count
+    return exact
+
+
+def _check_step(groups, counts, queries, worst, pair_query, threads=None):
+    """``abs_diff_argmin`` against the numpy reference, and its exact
+    rows against the kernel's rule (every non-flat row on numpy)."""
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN cell here
+        best, area, exact = abs_diff_argmin(
+            groups, counts, queries, worst, pair_query, threads=threads
+        )
+        expected_best, expected_area = _argmin_reference(
+            [group.windows for group in groups],
+            [group.flat for group in groups],
+            counts, queries, worst, pair_query,
+        )
+        if kernel_backend() == "c":
+            expected_exact = _exact_rows_reference(
+                groups, counts, queries, worst, pair_query
+            )
+        else:
+            expected_exact = sum(
+                count * int(np.count_nonzero(~group.flat))
+                for group, count in zip(groups, counts)
+            )
+    np.testing.assert_array_equal(best, expected_best)
+    np.testing.assert_array_equal(area, expected_area)  # NaN == NaN here
+    assert best.dtype == np.int64 and area.dtype == np.float64
+    assert exact == expected_exact
+    return best, area, exact
+
+
+def _one_sign_per_block(rng: np.random.Generator, m: int, scale: float) -> np.ndarray:
+    """Differences with one sign per block, so a row's bound is its area
+    (up to rounding)."""
+    n_blocks = -(-m // BLOCK)
+    signs = np.repeat(rng.choice([-1.0, 1.0], n_blocks), BLOCK)[:m]
+    return np.abs(rng.standard_normal(m)) * scale * signs
+
+
+def _shuffled_within_blocks(rng: np.random.Generator, values: np.ndarray) -> np.ndarray:
+    shuffled = values.copy()
+    for start in range(0, values.size, BLOCK):
+        shuffled[start : start + BLOCK] = rng.permutation(values[start : start + BLOCK])
+    return shuffled
+
+
+#: Relative moves of a row's differences around the best one: ulps, the
+#: slack's order ((m + 4) 2^-52), and clearly outside it.
+_NEAR = ("ulp", "half_slack", "slack", "two_slack", "far")
+
+
+@st.composite
+def _near_tie_steps(draw):
+    """One group of rows whose areas sit within a few slacks of each
+    other, for up to three nearly equal queries."""
+    m = draw(st.sampled_from([5, 131, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 5))
+    query = rng.standard_normal(m) * scale
+    diff = _one_sign_per_block(rng, m, scale)
+    slack = (m + 4) * 2.0**-52
+    moves = {
+        "ulp": 2.0**-52,
+        "half_slack": slack / 2,
+        "slack": slack,
+        "two_slack": 2 * slack,
+        "far": 0.5,
+    }
+    rows = []
+    for _ in range(draw(st.integers(2, 10))):
+        kind = draw(st.sampled_from(("same", "shuffled", *_NEAR)))
+        if kind == "same":
+            rows.append(query + diff)
+        elif kind == "shuffled":
+            rows.append(query + _shuffled_within_blocks(rng, diff))
+        else:
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            rows.append(query + diff * (1.0 + sign * moves[kind]))
+    rows = np.array(rows)
+    flat = rng.random(rows.shape[0]) < draw(st.sampled_from([0.0, 0.2]))
+    sessions = draw(st.integers(1, 3))
+    queries = np.array(
+        [query] + [query + diff * 2.0**-50 * k for k in range(1, sessions)]
+    )
+    worst = np.abs(queries).sum(axis=1)
+    count = draw(st.integers(1, 2 * TILE + 1))
+    pair_query = rng.integers(0, sessions, size=count).astype(np.int64)
+    threads = draw(st.sampled_from([1, 2, 3]))
+    return _groups([rows], [flat]), [count], queries, worst, pair_query, threads
+
+
 class TestArgminKernel:
     @settings(max_examples=150, deadline=None)
     @given(step=_ragged_steps())
     def test_matches_numpy_argmin_over_the_areas(self, step):
         windows, flats, counts, queries, worst, pair_query, threads = step
-        with np.errstate(invalid="ignore"):  # inf - inf is a NaN cell here
-            best, area = abs_diff_argmin(
-                windows, flats, counts, queries, worst, pair_query, threads=threads
-            )
-            expected_best, expected_area = _argmin_reference(
-                windows, flats, counts, queries, worst, pair_query
-            )
-        np.testing.assert_array_equal(best, expected_best)
-        np.testing.assert_array_equal(area, expected_area)  # NaN == NaN here
-        assert best.dtype == np.int64 and area.dtype == np.float64
+        _check_step(
+            _groups(windows, flats), counts, queries, worst, pair_query, threads
+        )
 
     def test_empty_step(self):
         queries = np.zeros((0, 16))
-        best, area = abs_diff_argmin([], [], [], queries, np.zeros(0),
-                                     np.zeros(0, dtype=np.int64))
-        assert best.shape == area.shape == (0,)
-        # Groups with no pairs evaluate nothing.
-        rows = np.ones((3, 16))
-        best, area = abs_diff_argmin(
-            [rows], [np.zeros(3, dtype=bool)], [0], np.zeros((2, 16)),
-            np.zeros(2), np.zeros(0, dtype=np.int64),
+        best, area, exact = abs_diff_argmin(
+            [], [], queries, np.zeros(0), np.zeros(0, dtype=np.int64)
         )
-        assert best.shape == area.shape == (0,)
+        assert best.shape == area.shape == (0,) and exact == 0
+        # Groups with no pairs evaluate nothing.
+        group = CompiledSliceWindows(np.ones((3, 16)), np.zeros(3, dtype=bool))
+        best, area, exact = abs_diff_argmin(
+            [group], [0], np.zeros((2, 16)), np.zeros(2),
+            np.zeros(0, dtype=np.int64),
+        )
+        assert best.shape == area.shape == (0,) and exact == 0
 
     def test_rejects_bad_inputs(self):
-        rows = np.zeros((3, 8))
         flat = np.zeros(3, dtype=bool)
+        group = CompiledSliceWindows(np.zeros((3, 8)), flat)
         queries = np.zeros((2, 8))
         worst = np.zeros(2)
         one = np.zeros(1, dtype=np.int64)
         with pytest.raises(ValueError, match="window groups"):
-            abs_diff_argmin([rows], [], [1], queries, worst, one)
+            abs_diff_argmin([group], [], queries, worst, one)
         with pytest.raises(ValueError, match="worst"):
-            abs_diff_argmin([rows], [flat], [1], queries, np.zeros(3), one)
+            abs_diff_argmin([group], [1], queries, np.zeros(3), one)
         with pytest.raises(ValueError, match="pair_query"):
-            abs_diff_argmin([rows], [flat], [2], queries, worst, one)
+            abs_diff_argmin([group], [2], queries, worst, one)
         with pytest.raises(ValueError, match="pair_query"):
-            abs_diff_argmin([rows], [flat], [1], queries, worst, one.astype(np.int32))
+            abs_diff_argmin([group], [1], queries, worst, one.astype(np.int32))
         with pytest.raises(ValueError, match=r"\[0, 2\)"):
-            abs_diff_argmin([rows], [flat], [1], queries, worst, one + 2)
+            abs_diff_argmin([group], [1], queries, worst, one + 2)
         with pytest.raises(ValueError, match="non-negative"):
-            abs_diff_argmin([rows], [flat], [-1], queries, worst, one[:0])
+            abs_diff_argmin([group], [-1], queries, worst, one[:0])
+        short = CompiledSliceWindows(np.zeros((3, 4)), flat)
         with pytest.raises(ValueError, match="row length"):
-            abs_diff_argmin([np.zeros((3, 4))], [flat], [1], queries, worst, one)
-        with pytest.raises(ValueError, match="row length"):
-            abs_diff_argmin([np.zeros((0, 8))], [flat[:0]], [1], queries, worst, one)
-        with pytest.raises(ValueError, match="flat mask"):
-            abs_diff_argmin([rows], [flat.astype(np.uint8)], [1], queries, worst, one)
+            abs_diff_argmin([short], [1], queries, worst, one)
         with pytest.raises(ValueError, match="contiguous"):
-            abs_diff_argmin([np.zeros((3, 16))[:, ::2]], [flat], [1], queries, worst, one)
+            abs_diff_argmin([group], [1], np.zeros((2, 16))[:, ::2], worst, one)
         with pytest.raises(ValueError, match="float64"):
-            abs_diff_argmin([rows.astype(np.float32)], [flat], [1], queries, worst, one)
+            abs_diff_argmin([group], [1], queries.astype(np.float32), worst, one)
+        # A compiled slice checks its arrays once, when it is built.
+        with pytest.raises(ValueError, match="at least one row"):
+            CompiledSliceWindows(np.zeros((0, 8)), flat[:0])
+        with pytest.raises(ValueError, match="flat mask"):
+            CompiledSliceWindows(np.zeros((3, 8)), flat.astype(np.uint8))
+        with pytest.raises(ValueError, match="contiguous"):
+            CompiledSliceWindows(np.zeros((3, 16))[:, ::2], flat)
+        with pytest.raises(ValueError, match="float64"):
+            CompiledSliceWindows(np.zeros((3, 8), dtype=np.float32), flat)
+
+
+class TestLowerBound:
+    """The compiled kernel skips only rows its bound proves lose, and
+    reports exactly the rows it evaluated."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(step=_near_tie_steps())
+    def test_near_ties_keep_every_bit(self, step):
+        groups, counts, queries, worst, pair_query, threads = step
+        _check_step(groups, counts, queries, worst, pair_query, threads)
+
+    @pytest.mark.parametrize("m", [5, 131, 256])
+    def test_bound_equal_to_the_best_is_evaluated(self, m):
+        """Integer samples keep every sum exact.  The query is constant
+        per block and row 1's differences have one sign per block, so
+        its bound equals its area; row 2 shuffles row 1 within blocks,
+        so its bound and its area both equal the best exactly: it must
+        be evaluated, and the tie keeps the first index."""
+        rng = np.random.default_rng(m)
+        n_blocks = -(-m // BLOCK)
+        query = np.repeat(rng.integers(-50, 50, n_blocks), BLOCK)[:m].astype(float)
+        signs = np.repeat(rng.choice([-1.0, 1.0], n_blocks), BLOCK)[:m]
+        diff = rng.integers(0, 20, m) * signs
+        rows = np.array([
+            query + 100.0,
+            query + diff,
+            query + _shuffled_within_blocks(rng, diff),
+            query - 100.0,
+        ])
+        group = _groups([rows], [np.zeros(4, dtype=bool)])[0]
+        area = float(np.abs(diff).sum())
+        q_blocks = _query_blocks(query)
+        for row in (1, 2):
+            assert _c_sum(np.abs(group.blocks[row] - q_blocks)) == area
+        best, got, exact = _check_step(
+            [group], [2], query[None, :].copy(), np.array([np.inf]),
+            np.zeros(2, dtype=np.int64),
+        )
+        assert best.tolist() == [1, 1] and got.tolist() == [area, area]
+        if kernel_backend() == "c":
+            assert exact == 2 * 3  # row 3 is skipped
+
+    def test_rows_on_the_slack(self):
+        """At m = 5 and a zero query the limit is best + 9·2^-52 exactly
+        and every bound equals its row's area: rows at best ± slack/2 and
+        on the limit are evaluated, the row just past it is skipped."""
+        ulp = 2.0**-52
+        rows = np.zeros((6, 5))
+        rows[:, 0] = [1.0, 1 + 4 * ulp, 1 + 9 * ulp, 1 + 10 * ulp, 1 - 9 * ulp / 2, 3.0]
+        group = _groups([rows], [np.zeros(6, dtype=bool)])[0]
+        best, area, exact = _check_step(
+            [group], [1], np.zeros((1, 5)), np.zeros(1), np.zeros(1, dtype=np.int64)
+        )
+        assert best.tolist() == [4] and area.tolist() == [1 - 9 * ulp / 2]
+        if kernel_backend() == "c":
+            assert exact == 4  # rows 0, 1, 2 and 4
+
+    @pytest.mark.parametrize("m", [5, 131])
+    @pytest.mark.parametrize(
+        "row_specials, query_specials",
+        [
+            ({3: np.inf}, {4: np.inf}),  # two blocks, both infinite: area inf
+            ({3: np.inf}, {3: np.inf}),  # one sample: area NaN
+            ({3: np.inf, 4: -np.inf}, {}),  # opposite signs across the boundary
+            ({2: np.inf, 3: -np.inf}, {}),  # opposite signs in one block: NaN sum
+            ({4: np.nan}, {}),
+            ({}, {3: np.nan}),
+            ({4: -np.inf}, {3: -np.inf}),
+        ],
+    )
+    def test_non_finite_values_across_block_boundaries(
+        self, m, row_specials, query_specials
+    ):
+        rng = np.random.default_rng(m)
+        query = rng.standard_normal(m)
+        rows = query + rng.standard_normal((5, m)) * np.array(
+            [[1.0], [1e-3], [1e3], [1e-3], [1.0]]
+        )
+        for row in (2, 3):
+            for index, value in row_specials.items():
+                rows[row, index] = value
+        queries = np.array([query, query.copy()])
+        for index, value in query_specials.items():
+            queries[1, index] = value
+        flat = np.array([False, False, False, False, True])
+        worst = np.array([np.abs(query).sum(), np.inf])
+        groups = _groups([rows, rows[::-1]], [flat, flat[::-1]])
+        _check_step(
+            groups, [3, 2], queries, worst, np.array([0, 1, 1, 0, 1], dtype=np.int64)
+        )
 
 
 class TestFallbackScratchReuse:
