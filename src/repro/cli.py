@@ -380,7 +380,7 @@ def _cmd_obs(args: argparse.Namespace) -> str:
     from repro.config import PipelineConfig, build_pipeline
     from repro.edge.tracker import TrackerConfig
     from repro.obs.profiling import profile_block
-    from repro.runtime.streaming import StreamingConfig, StreamingMonitor
+    from repro.runtime.streaming import FrameworkConfig, StreamingMonitor
 
     obs.reset()
     obs.enable(profiling=args.profile)
@@ -394,7 +394,7 @@ def _cmd_obs(args: argparse.Namespace) -> str:
     recording = _obs_recording(args)
     monitor = StreamingMonitor(
         pipeline.cloud,
-        StreamingConfig(tracker=TrackerConfig(engine=args.engine)),
+        FrameworkConfig(tracker=TrackerConfig(engine=args.engine)),
     )
     chunk = max(1, args.chunk_samples)
     with profile_block("obs.streaming_run", obs.profiles()):

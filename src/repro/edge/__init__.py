@@ -1,7 +1,8 @@
-"""Edge stages: signal acquisition (§V-A) and real-time tracking (§V-C).
+"""Edge stages: real-time tracking (§V-C), prediction and the call policy.
 
-* :mod:`repro.edge.acquisition` — sampling, streaming bandpass
-  filtering and framing of the patient's EEG.
+Signal acquisition (§V-A: streaming bandpass filtering and framing) runs
+in the closed loop itself, :class:`repro.runtime.StreamingMonitor`.
+
 * :mod:`repro.edge.tracker` — Algorithm 2: area-between-curves signal
   tracking over the downloaded correlation set (scalar reference
   engine plus the engine seam).
@@ -14,12 +15,12 @@
   engine).
 * :mod:`repro.edge.predictor` — anomaly-probability trend analysis and
   the anomaly / normal decision.
-* :mod:`repro.edge.device` — the edge device facade combining all three
-  with the cloud-call policy.
+* :mod:`repro.edge.device` — the cloud-call policy (when the edge
+  re-transmits a frame).
+* :mod:`repro.edge.energy` — the edge device's energy model.
 """
 
-from repro.edge.acquisition import SignalAcquisition
-from repro.edge.device import CloudCallPolicy, EdgeDevice
+from repro.edge.device import CloudCallPolicy
 from repro.edge.energy import EdgeEnergyModel, EnergySpec, SessionEnergy
 from repro.edge.fleet import FleetTracker, FleetTrackingEngine
 from repro.edge.plane import compile_slice_windows
@@ -36,7 +37,6 @@ from repro.edge.tracker import (
 __all__ = [
     "AnomalyPredictor",
     "CloudCallPolicy",
-    "EdgeDevice",
     "EdgeEnergyModel",
     "EnergySpec",
     "FleetTracker",
@@ -45,7 +45,6 @@ __all__ = [
     "ProbabilityTrace",
     "ScalarTrackingEngine",
     "SessionEnergy",
-    "SignalAcquisition",
     "SignalTracker",
     "TrackedSignal",
     "TrackerConfig",

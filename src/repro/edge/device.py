@@ -1,23 +1,19 @@
-"""The edge device: acquisition + tracking + prediction + call policy.
+"""The edge device's cloud-call policy.
 
-Combines the three edge-side pieces and decides *when* to transmit a
-frame to the cloud: initially, whenever the tracked set thins below the
-signal tracking threshold ``H`` (Algorithm 2 lines 11–13), and as a
-safety net every ``refresh_interval`` iterations (the paper transmits
-"every five iterations", Section V-C / Fig. 9).
+Decides *when* the edge transmits a frame to the cloud: whenever the
+tracked set thins below the signal tracking threshold ``H``
+(Algorithm 2 lines 11–13), and as a safety net every
+``refresh_interval`` iterations (the paper transmits "every five
+iterations", Section V-C / Fig. 9).  The closed loop
+(:class:`~repro.runtime.streaming.StreamingMonitor`) asks it once per
+tracked frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import obs
-from repro.cloud.results import SearchResult
-from repro.edge.acquisition import SignalAcquisition
-from repro.edge.predictor import AnomalyPredictor, PredictorConfig
-from repro.edge.tracker import SignalTracker, TrackerConfig, TrackingStep
 from repro.errors import TrackingError
-from repro.signals.types import Frame, Signal
 
 
 @dataclass(frozen=True)
@@ -48,60 +44,3 @@ class CloudCallPolicy:
         if tracked_count < self.tracking_threshold:
             return True
         return iterations_since_refresh >= self.refresh_interval
-
-
-class EdgeDevice:
-    """Stateful edge node for one monitoring session."""
-
-    def __init__(
-        self,
-        recording: Signal,
-        tracker_config: TrackerConfig | None = None,
-        predictor_config: PredictorConfig | None = None,
-        policy: CloudCallPolicy | None = None,
-    ) -> None:
-        self.acquisition = SignalAcquisition(recording)
-        self.tracker = SignalTracker(tracker_config)
-        self.predictor = AnomalyPredictor(predictor_config)
-        self.policy = policy or CloudCallPolicy()
-        self.iterations_since_refresh = 0
-        self.cloud_calls_requested = 0
-
-    def acquire(self) -> Frame | None:
-        """Sample and filter the next one-second frame."""
-        frame = self.acquisition.next_frame()
-        if frame is not None:
-            obs.metrics().inc("edge.device.frames_acquired")
-        return frame
-
-    def adopt_correlation_set(self, result: SearchResult) -> None:
-        """Replace the tracked set with a freshly downloaded ``T``."""
-        self.tracker.load(result)
-        self.iterations_since_refresh = 0
-        registry = obs.metrics()
-        if registry.enabled:
-            registry.inc("edge.device.set_refreshes")
-            registry.observe("edge.device.set_size", len(result.matches))
-
-    def track(self, frame: Frame) -> TrackingStep:
-        """One Algorithm 2 iteration + probability observation."""
-        step = self.tracker.step(frame)
-        self.predictor.observe(step.anomaly_probability, support=step.tracked_after)
-        self.iterations_since_refresh += 1
-        return step
-
-    def wants_cloud_call(self) -> bool:
-        """Evaluate the call policy against the current tracked set."""
-        return self.policy.should_call(
-            self.tracker.tracked_count, self.iterations_since_refresh
-        )
-
-    def request_cloud_call(self) -> None:
-        """Mark that a frame was handed to the cloud (for statistics)."""
-        self.cloud_calls_requested += 1
-        self.iterations_since_refresh = 0
-        obs.metrics().inc("edge.device.cloud_calls")
-
-    def predict(self) -> bool:
-        """The current anomaly decision."""
-        return self.predictor.predict()

@@ -89,7 +89,6 @@ METRIC_NAMES: dict[str, str] = {
     "edge.fleet.fused_queries_per_group": "histogram",
     "edge.fleet.fused_kernel_threads": "gauge",
     # -- edge device + predictor --------------------------------------
-    "edge.device.frames_acquired": "counter",
     "edge.device.cloud_calls": "counter",
     "edge.device.set_refreshes": "counter",
     "edge.device.set_size": "histogram",

@@ -1,18 +1,20 @@
-"""Runtime: simulated time, event tracing, and the closed-loop framework.
+"""Runtime: the closed loop, its event log and the Eq. 4 timing model.
 
-* :mod:`repro.runtime.clock` — the simulation clock (1 s ticks, Fig. 9).
 * :mod:`repro.runtime.events` — the event log behind the Fig. 9
   timeline.
 * :mod:`repro.runtime.timing` — Eq. 4's Δinitial decomposition and the
   calibrated device cost model.
-* :mod:`repro.runtime.framework` — :class:`EMAPFramework`, the
-  acquisition → cloud search → edge tracking loop.
+* :mod:`repro.runtime.streaming` — :class:`StreamingMonitor`, the one
+  closed loop: acquisition → cloud search → edge tracking → prediction,
+  one frame at a time, with a cloud result landing at its Eq. 4 instant.
+* :mod:`repro.runtime.framework` — :class:`EMAPFramework`, which drives
+  that loop over a whole recording and builds the session result and
+  the Fig. 9 event log.
 """
 
-from repro.runtime.clock import SimulationClock
 from repro.runtime.events import Event, EventKind, EventLog
-from repro.runtime.framework import EMAPFramework, FrameworkConfig, MonitoringResult
-from repro.runtime.streaming import MonitorUpdate, StreamingConfig, StreamingMonitor
+from repro.runtime.framework import EMAPFramework, MonitoringResult
+from repro.runtime.streaming import FrameworkConfig, MonitorUpdate, StreamingMonitor
 from repro.runtime.timing import DeviceCostModel, TimingBreakdown, TimingModel
 
 __all__ = [
@@ -24,8 +26,6 @@ __all__ = [
     "FrameworkConfig",
     "MonitorUpdate",
     "MonitoringResult",
-    "SimulationClock",
-    "StreamingConfig",
     "StreamingMonitor",
     "TimingBreakdown",
     "TimingModel",

@@ -1,53 +1,35 @@
-"""The closed-loop EMAP framework (paper Fig. 3 / Fig. 9).
+"""The closed-loop EMAP framework over a whole recording (Fig. 3 / Fig. 9).
 
-:class:`EMAPFramework` wires the edge device to the cloud server on a
-simulated one-second timeline:
+:class:`EMAPFramework` drives the one closed loop,
+:class:`~repro.runtime.streaming.StreamingMonitor`, over a complete
+patient recording: it pushes the recording one frame of raw samples at
+a time, stops at ``max_iterations``, and builds the session's
+:class:`MonitoringResult` and Fig. 9 :class:`EventLog` from what each
+frame reports.  The first frame is uploaded and the top-100 set lands
+after Δinitial (≈3 s); every later frame drives one Algorithm 2
+iteration, and background refreshes land at their Eq. 4 instants.
 
-1. the first frame is uploaded; the cloud search runs for ΔCS and the
-   top-100 set downloads after Δinitial (≈3 s) — frames acquired while
-   the search is in flight are not tracked, exactly as in Fig. 9;
-2. every subsequent frame drives one Algorithm 2 tracking iteration,
-   producing an anomaly-probability observation;
-3. when the call policy fires (N(F) < H, an emptied tracked set, or
-   the five-iteration refresh), the current frame is transmitted *in
-   the background*: tracking continues on the old set and the fresh
-   set is adopted at the simulated instant the download completes.
-
-Every cloud call goes through a
-:class:`~repro.cloud.client.ResilientCloudClient` (deadline, seeded
-retries, circuit breaker).  When a call fails — outage, timeout,
-dropped/corrupt payload, open breaker — the loop **degrades** instead
-of raising: it keeps tracking the stale candidate set, marks the PA
-observations recorded meanwhile as stale
-(:attr:`MonitoringResult.stale_series`), and re-dispatches per policy
-on subsequent frames; the breaker turns a hard outage into cheap
-fast-fails until its cooldown half-opens it.  With a healthy cloud the
+A failed cloud call degrades the session instead of raising: PA
+observations recorded meanwhile are marked stale
+(:attr:`MonitoringResult.stale_series`).  With a healthy cloud the
 resilient path is bit-identical to a direct call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro import obs
-from repro.cloud.client import (
-    BreakerState,
-    CloudCallOutcome,
-    CloudEndpoint,
-    ResilienceConfig,
-    ResilientCloudClient,
-)
-from repro.edge.device import CloudCallPolicy, EdgeDevice
-from repro.errors import FrameworkError
-
-if TYPE_CHECKING:  # avoid a circular import with repro.cloud.server
-    from repro.cloud.results import SearchResult
-from repro.edge.predictor import PredictorConfig
-from repro.edge.tracker import TrackerConfig
-from repro.runtime.clock import SimulationClock
+from repro.cloud.client import BreakerState, CloudEndpoint
+from repro.errors import FrameworkError, SignalError
 from repro.runtime.events import EventKind, EventLog
-from repro.signals.types import Frame, Signal
+from repro.runtime.streaming import (
+    FrameworkConfig,
+    MonitorUpdate,
+    StreamingMonitor,
+    eq4_instants,
+)
+from repro.signals.types import BASE_SAMPLE_RATE_HZ, Signal
 
 #: Breaker transitions → the event kinds the timeline records.
 _BREAKER_EVENTS = {
@@ -55,26 +37,6 @@ _BREAKER_EVENTS = {
     BreakerState.HALF_OPEN: EventKind.BREAKER_HALF_OPEN,
     BreakerState.CLOSED: EventKind.BREAKER_CLOSE,
 }
-
-
-@dataclass(frozen=True)
-class FrameworkConfig:
-    """Knobs of the closed loop (stage configs live in their modules)."""
-
-    tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    predictor: PredictorConfig = field(default_factory=PredictorConfig)
-    policy: CloudCallPolicy = field(default_factory=CloudCallPolicy)
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    tick_s: float = 1.0
-    max_iterations: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.tick_s <= 0:
-            raise FrameworkError(f"tick must be positive, got {self.tick_s}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise FrameworkError(
-                f"max iterations must be >= 1, got {self.max_iterations}"
-            )
 
 
 @dataclass
@@ -112,13 +74,68 @@ class MonitoringResult:
             return 0.0
         return max(self.pa_series)
 
-
-@dataclass
-class _PendingSearch:
-    """A cloud call in flight: its result and arrival instant."""
-
-    result: SearchResult
-    ready_at_s: float
+    def record(self, update: MonitorUpdate) -> None:
+        """Fold one frame's update into the series and the timeline."""
+        log, now_s = self.events, update.time_s
+        log.record(now_s, EventKind.SAMPLE, frame=update.frame_index)
+        if update.adopted is not None:
+            log.record(now_s, EventKind.SET_REFRESH, matches=update.adopted)
+        step = update.step
+        if step is not None:
+            self.iterations += 1
+            self.pa_series.append(step.anomaly_probability)
+            self.tracked_counts.append(step.tracked_after)
+            self.predictions.append(update.anomaly_predicted)
+            self.stale_series.append(update.degraded)
+            self.degraded_iterations += update.degraded
+            self.deadline_misses += update.deadline_missed
+            log.record(
+                now_s,
+                EventKind.TRACK,
+                iteration=step.iteration,
+                tracked=step.tracked_after,
+                removed=step.removed,
+                pa=round(step.anomaly_probability, 4),
+                stale=update.degraded,
+            )
+            log.record(now_s, EventKind.PREDICTION, anomaly=update.anomaly_predicted)
+        outcome = update.call
+        if outcome is None:
+            return
+        if update.frame_index > 0:  # the first upload is no re-call
+            log.record(now_s, EventKind.CLOUD_CALL, tracked=update.tracked_count)
+        for state in outcome.transitions:
+            log.record(now_s, _BREAKER_EVENTS[state])
+        if outcome.retries:
+            log.record(now_s, EventKind.CLOUD_RETRY, retries=outcome.retries)
+        if not outcome.ok:
+            self.cloud_failures += 1
+            log.record(
+                now_s,
+                EventKind.CLOUD_FAIL,
+                reason=outcome.failure or "unknown",
+                attempts=outcome.attempts,
+            )
+            return
+        found, breakdown = outcome.result, outcome.breakdown
+        if found is None or breakdown is None:
+            raise FrameworkError("successful cloud call carried no payload")
+        start, searching, done, lands = eq4_instants(
+            now_s, outcome.penalty_s, breakdown
+        )
+        self.cloud_calls += 1
+        if self.cloud_calls == 1:
+            # Δinitial: latency of the session's first successful call.
+            self.initial_latency_s = lands - now_s
+        log.record(start, EventKind.UPLOAD, seconds=round(breakdown.upload_s, 6))
+        log.record(searching, EventKind.SEARCH_START)
+        log.record(
+            done,
+            EventKind.SEARCH_DONE,
+            matches=len(found.matches),
+            correlations=found.correlations_evaluated,
+        )
+        log.record(lands, EventKind.DOWNLOAD, seconds=round(breakdown.download_s, 6))
 
 
 class EMAPFramework:
@@ -134,192 +151,23 @@ class EMAPFramework:
 
     def run(self, recording: Signal) -> MonitoringResult:
         """Monitor a recording end to end; returns the session result."""
-        with obs.trace.span("runtime.session"):
-            result = self._run(recording)
-        registry = obs.metrics()
-        if registry.enabled:
-            registry.inc("runtime.sessions")
-            registry.inc("runtime.loop.iterations", result.iterations)
-            registry.inc("runtime.loop.deadline_misses", result.deadline_misses)
-            registry.inc("runtime.degraded_iterations", result.degraded_iterations)
-            registry.inc("runtime.cloud_failures", result.cloud_failures)
-            registry.observe("runtime.initial_latency_s", result.initial_latency_s)
-        return result
-
-    def _run(self, recording: Signal) -> MonitoringResult:
-        edge = EdgeDevice(
-            recording,
-            tracker_config=self.config.tracker,
-            predictor_config=self.config.predictor,
-            policy=self.config.policy,
-        )
-        clock = SimulationClock()
-        client = ResilientCloudClient(self.cloud, self.config.resilience)
-        result = MonitoringResult()
-        log = result.events
-        pending: _PendingSearch | None = None
-        degraded = False
-
-        first_frame = edge.acquire()
-        if first_frame is None:
+        if abs(recording.sample_rate_hz - BASE_SAMPLE_RATE_HZ) > 1e-9:
+            raise SignalError(
+                f"acquisition expects a {BASE_SAMPLE_RATE_HZ:.0f} Hz recording, "
+                f"got {recording.sample_rate_hz} Hz; resample first"
+            )
+        size = self.config.tracker.frame_samples
+        if len(recording) < size:
             raise FrameworkError(
                 "recording too short for even one acquisition frame"
             )
-        clock.advance(self.config.tick_s)  # sampling window t0
-        log.record(clock.now_s, EventKind.SAMPLE, frame=first_frame.index)
-        pending = self._dispatch(client, edge, first_frame, clock.now_s, log, result)
-        degraded = pending is None
-
-        while True:
-            if (
-                self.config.max_iterations is not None
-                and result.iterations >= self.config.max_iterations
-            ):
-                break
-            frame = edge.acquire()
-            if frame is None:
-                break
-            clock.advance(self.config.tick_s)
-            log.record(clock.now_s, EventKind.SAMPLE, frame=frame.index)
-
-            if pending is not None and clock.now_s >= pending.ready_at_s:
-                edge.adopt_correlation_set(pending.result)
-                log.record(
-                    clock.now_s,
-                    EventKind.SET_REFRESH,
-                    matches=len(pending.result.matches),
-                )
-                pending = None
-                degraded = False
-
-            if edge.tracker.tracked_count == 0:
-                # Nothing to track: the initial search is still in
-                # flight, the whole set was pruned, or the cloud is
-                # failing — make sure a replacement search is on its
-                # way (the breaker keeps retries cheap during outages).
-                if pending is None:
-                    log.record(clock.now_s, EventKind.CLOUD_CALL, tracked=0)
-                    pending = self._dispatch(
-                        client, edge, frame, clock.now_s, log, result
-                    )
-                    if pending is None:
-                        degraded = True
-                continue
-
-            step = edge.track(frame)
-            result.iterations += 1
-            result.pa_series.append(step.anomaly_probability)
-            result.tracked_counts.append(step.tracked_after)
-            result.stale_series.append(degraded)
-            if degraded:
-                result.degraded_iterations += 1
-            self._check_loop_budget(step.area_evaluations, result)
-            prediction = edge.predict()
-            result.predictions.append(prediction)
-            log.record(
-                clock.now_s,
-                EventKind.TRACK,
-                iteration=step.iteration,
-                tracked=step.tracked_after,
-                removed=step.removed,
-                pa=round(step.anomaly_probability, 4),
-                stale=degraded,
-            )
-            log.record(clock.now_s, EventKind.PREDICTION, anomaly=prediction)
-
-            # An emptied tracked set always warrants a call (there is
-            # nothing left to track), even when ``tracking_threshold``
-            # is 0 — the same semantics the streaming monitor applies.
-            if pending is None and (
-                edge.tracker.tracked_count == 0 or edge.wants_cloud_call()
-            ):
-                log.record(
-                    clock.now_s,
-                    EventKind.CLOUD_CALL,
-                    tracked=edge.tracker.tracked_count,
-                )
-                pending = self._dispatch(
-                    client, edge, frame, clock.now_s, log, result
-                )
-                if pending is None:
-                    degraded = True
-
+        monitor = StreamingMonitor(self.cloud, self.config)
+        limit = self.config.max_iterations
+        result = MonitoringResult()
+        with obs.trace.span("runtime.session"):
+            for start in range(0, len(recording) - size + 1, size):
+                if limit is not None and result.iterations >= limit:
+                    break
+                for update in monitor.push(recording.data[start : start + size]):
+                    result.record(update)
         return result
-
-    def _check_loop_budget(
-        self, area_evaluations: int, result: MonitoringResult
-    ) -> None:
-        """Score one iteration against the per-second loop budget.
-
-        The edge must finish each tracking iteration inside one tick
-        (Section V-C: ~900 ms of a 1 s budget); the device cost model
-        converts the iteration's area evaluations to edge seconds, and
-        an iteration over budget is a deadline miss.
-        """
-        edge_s = self.cloud.timing.tracking_iteration_s(area_evaluations)
-        budget = self.config.tick_s
-        if edge_s > budget:
-            result.deadline_misses += 1
-        registry = obs.metrics()
-        if registry.enabled:
-            registry.observe("runtime.loop.budget_used", edge_s / budget)
-            registry.observe("runtime.loop.edge_iteration_s", edge_s)
-
-    def _dispatch(
-        self,
-        client: ResilientCloudClient,
-        edge: EdgeDevice,
-        frame: Frame,
-        now_s: float,
-        log: EventLog,
-        result: MonitoringResult,
-    ) -> _PendingSearch | None:
-        """Send a frame through the resilient client.
-
-        Returns the in-flight search on success, or ``None`` when the
-        call failed after retries (or fast-failed on an open breaker)
-        — the caller then continues on the stale set in degraded mode.
-        """
-        outcome = client.call(frame, now_s=now_s)
-        self._log_call_outcome(outcome, now_s, log)
-        if not outcome.ok:
-            result.cloud_failures += 1
-            return None
-        search_result, breakdown = outcome.result, outcome.breakdown
-        if search_result is None or breakdown is None:
-            raise FrameworkError("successful cloud call carried no payload")
-        edge.request_cloud_call()
-        result.cloud_calls += 1
-        start = now_s + outcome.penalty_s
-        log.record(start, EventKind.UPLOAD, seconds=round(breakdown.upload_s, 6))
-        log.record(start + breakdown.upload_s, EventKind.SEARCH_START)
-        done = start + breakdown.upload_s + breakdown.search_s
-        log.record(
-            done,
-            EventKind.SEARCH_DONE,
-            matches=len(search_result.matches),
-            correlations=search_result.correlations_evaluated,
-        )
-        ready = done + breakdown.download_s
-        log.record(ready, EventKind.DOWNLOAD, seconds=round(breakdown.download_s, 6))
-        if result.cloud_calls == 1:
-            # Δinitial: latency of the session's first successful call.
-            result.initial_latency_s = ready - now_s
-        return _PendingSearch(result=search_result, ready_at_s=ready)
-
-    @staticmethod
-    def _log_call_outcome(
-        outcome: CloudCallOutcome, now_s: float, log: EventLog
-    ) -> None:
-        """Record retries, failures and breaker transitions."""
-        for state in outcome.transitions:
-            log.record(now_s, _BREAKER_EVENTS[state])
-        if outcome.retries:
-            log.record(now_s, EventKind.CLOUD_RETRY, retries=outcome.retries)
-        if not outcome.ok:
-            log.record(
-                now_s,
-                EventKind.CLOUD_FAIL,
-                reason=outcome.failure or "unknown",
-                attempts=outcome.attempts,
-            )

@@ -222,7 +222,9 @@ def normalized_sliding_windows(
         raise SignalError(f"reference RMS must be positive, got {reference_rms}")
     safe_rms = np.where(stats.flat, 1.0, stats.rms)
     scale = reference_rms / safe_rms
-    return (stats.windows - stats.means[:, None]) * scale[:, None]
+    # One (rows, m) array: subtract into it, then scale it in place.
+    out = np.subtract(stats.windows, stats.means[:, None])
+    return np.multiply(out, scale[:, None], out=out)
 
 
 def normalized_query(window: np.ndarray, reference_rms: float) -> np.ndarray:

@@ -12,6 +12,8 @@ import pytest
 
 from repro.datasets.registry import scaled_registry
 from repro.mdb.builder import MDBBuilder
+from repro.runtime.framework import EMAPFramework, MonitoringResult
+from repro.runtime.streaming import StreamingMonitor
 from repro.signals.anomalies import AnomalySpec, make_anomalous_signal
 from repro.signals.generator import EEGGenerator
 from repro.signals.types import AnomalyType
@@ -68,3 +70,29 @@ def seizure_recording():
 def normal_recording():
     """A 40 s normal recording."""
     return EEGGenerator(seed=4321).record(40.0, source="test/normal")
+
+
+#: Live-delivery chunk for monitor-driven sessions: 2.5 frames, so frame
+#: boundaries fall inside chunks.
+STREAM_CHUNK = 640
+
+
+def _run_framework(cloud, config, recording) -> MonitoringResult:
+    return EMAPFramework(cloud, config).run(recording)
+
+
+def _run_monitor(cloud, config, recording) -> MonitoringResult:
+    monitor = StreamingMonitor(cloud, config)
+    result = MonitoringResult()
+    for start in range(0, recording.data.size, STREAM_CHUNK):
+        for update in monitor.push(recording.data[start : start + STREAM_CHUNK]):
+            result.record(update)
+    return result
+
+
+@pytest.fixture(params=[_run_framework, _run_monitor], ids=["framework", "monitor"])
+def run_session(request):
+    """Run ``(cloud, config, recording)`` through one entry point of the
+    closed loop: ``EMAPFramework.run``, or a ``StreamingMonitor`` fed
+    the raw samples in ``STREAM_CHUNK``-sample chunks."""
+    return request.param

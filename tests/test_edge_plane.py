@@ -25,7 +25,7 @@ from repro.edge.tracker import (
     TrackerConfig,
 )
 from repro.errors import TrackingError
-from repro.runtime.streaming import StreamingConfig, StreamingMonitor
+from repro.runtime.streaming import FrameworkConfig, StreamingMonitor
 from repro.signals.generator import EEGGenerator
 from repro.signals.types import AnomalyType, SignalSlice
 
@@ -412,7 +412,7 @@ class TestRuntimeIntegration:
         for engine in ("scalar", "plane"):
             monitor = StreamingMonitor(
                 CloudServer(mdb_slices),
-                StreamingConfig(tracker=TrackerConfig(engine=engine)),
+                FrameworkConfig(tracker=TrackerConfig(engine=engine)),
             )
             monitor.push(recording.data)
             traces[engine] = [

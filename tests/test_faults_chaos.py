@@ -1,4 +1,9 @@
-"""Chaos suite: every fault class, both loops, no unhandled exception.
+"""Chaos suite: every fault class, both entry points, no unhandled exception.
+
+Every session runs through the ``run_session`` fixture: once through
+``EMAPFramework.run`` and once through a ``StreamingMonitor`` fed live
+chunks, so each resilience check holds for the one closed loop whichever
+entry point drives it.
 
 Marked ``chaos`` so CI can run it as its own job; it also runs with the
 default suite (the marker only *selects*, it never deselects).
@@ -11,8 +16,8 @@ from repro.cloud.client import ResilienceConfig
 from repro.cloud.server import CloudServer
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.runtime.events import EventKind
-from repro.runtime.framework import EMAPFramework, FrameworkConfig
-from repro.runtime.streaming import StreamingConfig, StreamingMonitor
+from repro.runtime.framework import EMAPFramework
+from repro.runtime.streaming import FrameworkConfig
 
 pytestmark = pytest.mark.chaos
 
@@ -20,32 +25,19 @@ ALL_KINDS = list(FaultKind)
 
 #: Tight budgets so injected faults actually fail calls: one retry,
 #: a breaker that opens fast and cools down quickly (simulated time).
-CHAOS_RESILIENCE = ResilienceConfig(
-    deadline_s=5.0,
-    max_retries=1,
-    breaker_failure_threshold=2,
-    breaker_cooldown_s=3.0,
-    seed=7,
+CHAOS_CONFIG = FrameworkConfig(
+    resilience=ResilienceConfig(
+        deadline_s=5.0,
+        max_retries=1,
+        breaker_failure_threshold=2,
+        breaker_cooldown_s=3.0,
+        seed=7,
+    )
 )
 
 
 def chaos_framework(server) -> EMAPFramework:
-    return EMAPFramework(
-        server, FrameworkConfig(resilience=CHAOS_RESILIENCE)
-    )
-
-
-def chaos_monitor(server) -> StreamingMonitor:
-    return StreamingMonitor(
-        server, StreamingConfig(resilience=CHAOS_RESILIENCE)
-    )
-
-
-def run_stream(monitor: StreamingMonitor, recording, chunk: int = 640):
-    data = recording.data
-    for start in range(0, data.size, chunk):
-        monitor.push(data[start : start + chunk])
-    return monitor.updates
+    return EMAPFramework(server, CHAOS_CONFIG)
 
 
 @pytest.fixture
@@ -65,26 +57,16 @@ class TestSurvivalPerFaultClass:
             kind, first_call=1, last_call=4, magnitude=magnitude, seed=13
         )
 
-    def test_framework_survives(self, plane, seizure_recording, kind):
+    def test_survives(self, plane, seizure_recording, kind, run_session):
         server = FaultInjector(CloudServer(plane), self.plan_for(kind))
-        result = chaos_framework(server).run(seizure_recording)
+        result = run_session(server, CHAOS_CONFIG, seizure_recording)
+        assert len(result.events.of_kind(EventKind.SAMPLE)) == 90
         assert result.iterations > 0
         assert server.injected > 0
         assert len(result.stale_series) == len(result.pa_series)
         if result.cloud_failures:
             assert result.degraded_iterations > 0
             assert result.events.first_of_kind(EventKind.CLOUD_FAIL) is not None
-
-    def test_streaming_survives(self, plane, seizure_recording, kind):
-        server = FaultInjector(CloudServer(plane), self.plan_for(kind))
-        monitor = chaos_monitor(server)
-        updates = run_stream(monitor, seizure_recording)
-        assert len(updates) == 90
-        assert server.injected > 0
-        if monitor.cloud_failures:
-            assert monitor.degraded_frames > 0
-            assert any(u.cloud_call_failed for u in updates)
-            assert any(u.degraded for u in updates)
 
 
 class TestHardOutage:
@@ -97,9 +79,9 @@ class TestHardOutage:
             FaultPlan.single(FaultKind.OUTAGE, first_call=1, last_call=12),
         )
 
-    def test_framework_degrades_and_recovers(self, plane, seizure_recording):
+    def test_degrades_and_recovers(self, plane, seizure_recording, run_session):
         server = self.outage_server(plane)
-        result = chaos_framework(server).run(seizure_recording)
+        result = run_session(server, CHAOS_CONFIG, seizure_recording)
         assert result.cloud_failures > 0
         assert result.degraded_iterations > 0
         assert any(result.stale_series)
@@ -109,15 +91,6 @@ class TestHardOutage:
         # recovering fresh (non-stale) iterations after the window.
         assert not result.stale_series[-1]
         assert result.cloud_calls > 1
-
-    def test_streaming_degrades_and_recovers(self, plane, seizure_recording):
-        server = self.outage_server(plane)
-        monitor = chaos_monitor(server)
-        updates = run_stream(monitor, seizure_recording)
-        assert monitor.cloud_failures > 0
-        assert monitor.degraded_frames > 0
-        assert not updates[-1].degraded
-        assert monitor.cloud_calls > 1
 
 
 class TestDeterminism:
@@ -134,31 +107,29 @@ class TestDeterminism:
         assert first.cloud_failures == second.cloud_failures
         assert first.cloud_calls == second.cloud_calls
 
-    def test_no_fault_injector_is_bit_identical_to_bare_server(
-        self, plane, seizure_recording
+    def test_no_fault_injector_is_bit_identical(
+        self, plane, seizure_recording, run_session
     ):
         """With faults disabled the whole resilient path is a no-op."""
-        bare = chaos_framework(CloudServer(plane)).run(seizure_recording)
-        wrapped = chaos_framework(
-            FaultInjector(CloudServer(plane), FaultPlan())
-        ).run(seizure_recording)
+        bare = run_session(CloudServer(plane), CHAOS_CONFIG, seizure_recording)
+        wrapped = run_session(
+            FaultInjector(CloudServer(plane), FaultPlan()),
+            CHAOS_CONFIG,
+            seizure_recording,
+        )
         assert wrapped.pa_series == bare.pa_series
         assert wrapped.predictions == bare.predictions
         assert wrapped.tracked_counts == bare.tracked_counts
+        assert wrapped.events.timeline() == bare.events.timeline()
         assert wrapped.cloud_failures == 0 and bare.cloud_failures == 0
         assert not any(bare.stale_series)
 
-    def test_no_fault_streaming_is_bit_identical(self, plane, seizure_recording):
-        bare = chaos_monitor(CloudServer(plane))
-        wrapped = chaos_monitor(FaultInjector(CloudServer(plane), FaultPlan()))
-        bare_updates = run_stream(bare, seizure_recording)
-        wrapped_updates = run_stream(wrapped, seizure_recording)
-        assert wrapped_updates == bare_updates
-        assert wrapped.cloud_failures == 0
-
 
 class TestDegradedCounters:
-    def test_obs_counters_exported(self, plane, seizure_recording):
+    def test_obs_counters_exported(self, plane, seizure_recording, run_session):
+        """The loop's counters mean the same whichever entry point runs
+        it: ``runtime.degraded_iterations`` counts degraded *tracked*
+        iterations, not every frame spent degraded."""
         from repro import obs
 
         obs.reset()
@@ -168,7 +139,7 @@ class TestDegradedCounters:
                 CloudServer(plane),
                 FaultPlan.single(FaultKind.OUTAGE, first_call=1, last_call=6),
             )
-            result = chaos_framework(server).run(seizure_recording)
+            result = run_session(server, CHAOS_CONFIG, seizure_recording)
             registry = obs.metrics()
             assert registry.counter_value("faults.injected") == server.injected
             assert (
@@ -178,6 +149,14 @@ class TestDegradedCounters:
             assert (
                 registry.counter_value("runtime.cloud_failures")
                 == result.cloud_failures
+            )
+            assert (
+                registry.counter_value("runtime.loop.iterations")
+                == result.iterations
+            )
+            assert (
+                registry.counter_value("edge.device.cloud_calls")
+                == result.cloud_calls
             )
             assert registry.counter_value("cloud.client.retries") > 0
         finally:

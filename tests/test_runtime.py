@@ -1,11 +1,10 @@
-"""Unit tests for the runtime: clock, events, timing, closed loop."""
+"""Unit tests for the runtime: events, timing, closed loop."""
 
 import numpy as np
 import pytest
 
 from repro.cloud.server import CloudServer
 from repro.errors import FrameworkError, SearchError
-from repro.runtime.clock import SimulationClock
 from repro.runtime.events import EventKind, EventLog
 from repro.runtime.framework import EMAPFramework, FrameworkConfig
 from repro.runtime.timing import (
@@ -17,26 +16,6 @@ from repro.runtime.timing import (
 from repro.signals.anomalies import AnomalySpec, make_anomalous_signal
 from repro.signals.generator import EEGGenerator
 from repro.signals.types import AnomalyType, Signal
-
-
-class TestSimulationClock:
-    def test_advance(self):
-        clock = SimulationClock()
-        assert clock.advance(1.5) == 1.5
-        assert clock.now_s == 1.5
-
-    def test_advance_to_only_forward(self):
-        clock = SimulationClock(start_s=5.0)
-        clock.advance_to(3.0)
-        assert clock.now_s == 5.0
-        clock.advance_to(7.0)
-        assert clock.now_s == 7.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(FrameworkError):
-            SimulationClock(start_s=-1.0)
-        with pytest.raises(FrameworkError):
-            SimulationClock().advance(-0.1)
 
 
 class TestEventLog:

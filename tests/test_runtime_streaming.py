@@ -5,8 +5,9 @@ import pytest
 
 from repro.cloud.server import CloudServer
 from repro.errors import FrameworkError, SignalError
+from repro.runtime.events import EventKind
 from repro.runtime.framework import EMAPFramework
-from repro.runtime.streaming import StreamingConfig, StreamingMonitor
+from repro.runtime.streaming import FrameworkConfig, StreamingMonitor, eq4_instants
 from repro.runtime.timing import DeviceCostModel, TimingModel
 from repro.signals.anomalies import AnomalySpec, make_anomalous_signal
 from repro.signals.generator import EEGGenerator
@@ -48,14 +49,22 @@ class TestPushMechanics:
         assert monitor.cloud_calls == 1
 
     def test_latency_gap_before_tracking(self, mdb_slices):
-        monitor = StreamingMonitor(
-            CloudServer(mdb_slices), StreamingConfig(cloud_latency_frames=2)
-        )
-        recording = EEGGenerator(seed=3).record(6.0)
+        """The first set lands at its Eq. 4 instant: frames acquired
+        while the initial search is in flight are not tracked.  A slower
+        cloud gives this small MDB the paper's multi-second Δinitial."""
+        slow = TimingModel(costs=DeviceCostModel(cloud_correlations_per_s=5_000.0))
+        monitor = StreamingMonitor(CloudServer(mdb_slices, timing=slow))
+        recording = EEGGenerator(seed=3).record(8.0)
         updates = monitor.push(recording.data)
-        # Frames 0-2 have no adopted set yet; tracking starts at frame 3.
-        assert updates[0].tracked_count == 0
-        assert updates[3].tracked_count > 0
+        first = updates[0]
+        lands_s = eq4_instants(
+            first.time_s, first.call.penalty_s, first.call.breakdown
+        )[3]
+        assert lands_s > 3.0
+        for update in updates:
+            assert update.tracking_active == (update.time_s >= lands_s)
+        landed = next(u for u in updates if u.time_s >= lands_s)
+        assert landed.adopted == landed.step.tracked_before > 0
 
     def test_reset_starts_fresh_session(self, monitor):
         recording = EEGGenerator(seed=4).record(3.0)
@@ -117,7 +126,7 @@ class TestUpdateRetention:
 
     def test_bounded_retention_keeps_newest(self, mdb_slices):
         monitor = StreamingMonitor(
-            CloudServer(mdb_slices), StreamingConfig(max_retained_updates=3)
+            CloudServer(mdb_slices), FrameworkConfig(max_retained_updates=3)
         )
         recording = EEGGenerator(seed=33).record(6.0)
         emitted = []
@@ -129,7 +138,7 @@ class TestUpdateRetention:
 
     def test_rejects_non_positive_bound(self):
         with pytest.raises(FrameworkError, match="max_retained_updates"):
-            StreamingConfig(max_retained_updates=0)
+            FrameworkConfig(max_retained_updates=0)
 
 
 class TestStreamingDetection:
@@ -168,50 +177,41 @@ class TestStreamingDetection:
 
 
 class TestBatchStreamEquivalence:
-    """Regression for the prediction-trace divergence bug: the batch
-    framework and the streaming monitor must produce identical PA and
-    prediction series on the same recording.
+    """``EMAPFramework.run`` drives the same loop a live monitor runs:
+    at default timing, the whole-recording session equals a monitor fed
+    the same samples in 640-sample chunks (frame boundaries inside
+    chunks), frame for frame.
 
-    The streaming monitor used to skip ``predictor.predict()`` (forcing
-    ``anomaly_predicted=False``) whenever a tracking step emptied the
-    set, while the batch loop predicts on every iteration — the two
-    traces diverged exactly when monitoring matters most.
-
-    Alignment recipe: a near-instant cloud (Δinitial < one tick) makes
-    the batch loop adopt the first set at frame 1, which matches the
-    streaming monitor with ``cloud_latency_frames=0``; after that both
-    loops refresh on the same frames.
+    Regression for the prediction-trace divergence bug, when the
+    monitor skipped ``predictor.predict()`` whenever a tracking step
+    emptied the set while the framework predicted on every iteration.
     """
 
-    def instant_server(self, mdb_slices) -> CloudServer:
-        timing = TimingModel(
-            costs=DeviceCostModel(cloud_correlations_per_s=1e12)
-        )
-        return CloudServer(mdb_slices, timing=timing)
-
     def run_both(self, mdb_slices, recording):
-        framework = EMAPFramework(self.instant_server(mdb_slices))
-        batch = framework.run(recording)
-        monitor = StreamingMonitor(
-            self.instant_server(mdb_slices),
-            StreamingConfig(cloud_latency_frames=0),
-        )
-        monitor.push(recording.data)
+        batch = EMAPFramework(CloudServer(mdb_slices)).run(recording)
+        monitor = StreamingMonitor(CloudServer(mdb_slices))
+        for start in range(0, recording.data.size, 640):
+            monitor.push(recording.data[start : start + 640])
         stream = [u for u in monitor.updates if u.tracking_active]
-        return batch, stream
+        return batch, monitor, stream
 
-    def test_seizure_traces_identical(self, mdb_slices, seizure_recording):
-        batch, stream = self.run_both(mdb_slices, seizure_recording)
-        assert batch.initial_latency_s < 1.0  # recipe sanity check
+    def assert_identical(self, batch, monitor, stream):
         assert [u.anomaly_probability for u in stream] == batch.pa_series
         assert [u.tracked_count for u in stream] == batch.tracked_counts
         assert [u.anomaly_predicted for u in stream] == batch.predictions
+        assert [u.degraded for u in stream] == batch.stale_series
+        assert monitor.cloud_calls == batch.cloud_calls
+        assert len(monitor.updates) == len(batch.events.of_kind(EventKind.SAMPLE))
+
+    def test_seizure_traces_identical(self, mdb_slices, seizure_recording):
+        batch, monitor, stream = self.run_both(mdb_slices, seizure_recording)
+        self.assert_identical(batch, monitor, stream)
+        assert batch.initial_latency_s > 0.0  # no instant-cloud recipe
         assert any(batch.predictions)  # the seizure is actually flagged
 
     def test_normal_traces_identical(self, mdb_slices, normal_recording):
-        batch, stream = self.run_both(mdb_slices, normal_recording)
-        assert [u.anomaly_probability for u in stream] == batch.pa_series
-        assert [u.anomaly_predicted for u in stream] == batch.predictions
+        batch, monitor, stream = self.run_both(mdb_slices, normal_recording)
+        self.assert_identical(batch, monitor, stream)
 
     def test_prediction_runs_even_when_step_empties_the_set(self, mdb_slices):
         """The fixed path: tracked_after == 0 still consults the
