@@ -170,8 +170,6 @@ class StreamingMonitor:
         self._pending: tuple[float, SearchResult] | None = None  # (lands_s, result)
         self._degraded = False
         self.cloud_calls = 0
-        self.cloud_failures = 0
-        self.degraded_iterations = 0
         self.updates: list[MonitorUpdate] = []
 
     @property
@@ -277,7 +275,6 @@ class StreamingMonitor:
             missed = self._check_loop_budget(step.area_evaluations)
             registry.inc("runtime.loop.iterations")
             if degraded:
-                self.degraded_iterations += 1
                 registry.inc("runtime.degraded_iterations")
 
         # An emptied tracked set always warrants a call (there is
@@ -333,7 +330,6 @@ class StreamingMonitor:
         outcome = self._client.call(frame, now_s=now_s)
         registry = obs.metrics()
         if not outcome.ok:
-            self.cloud_failures += 1
             self._degraded = True
             registry.inc("runtime.cloud_failures")
             return outcome
