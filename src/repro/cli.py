@@ -121,22 +121,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve",
-        help="drive a simulated session fleet through the multi-tenant "
-        "serving gateway (coalesced batch search)",
+        help="drive a fleet of monitored sessions through the multi-tenant "
+        "serving gateway and the fused edge driver",
     )
     serve.add_argument("--sessions", type=int, default=200)
     serve.add_argument("--tenants", type=int, default=8)
     serve.add_argument(
-        "--mean-requests",
+        "--duration",
         type=float,
-        default=4.0,
-        help="mean requests per session (seeded Poisson, minimum 1)",
-    )
-    serve.add_argument(
-        "--think-time",
-        type=float,
-        default=1.0,
-        help="simulated seconds between a session's requests",
+        default=20.0,
+        help="seconds of seeded EEG each session replays",
     )
     serve.add_argument(
         "--horizon",
@@ -168,14 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=2048,
         help="gateway-wide pending bound (global backpressure)",
     )
-    serve.add_argument(
-        "--edge-steps",
-        type=int,
-        default=0,
-        help="edge tracking iterations per successful search (fused "
-        "fleet stepping; 0 = cloud-only simulation)",
-    )
-    serve.add_argument("--frames", type=int, default=32)
     serve.add_argument("--mdb-scale", type=float, default=0.15)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
@@ -423,11 +409,9 @@ def _cmd_serve(args: argparse.Namespace) -> str | tuple[str, int]:
     fleet_config = FleetConfig(
         n_sessions=args.sessions,
         n_tenants=args.tenants,
-        mean_requests_per_session=args.mean_requests,
-        think_time_s=args.think_time,
+        session_s=args.duration,
         arrival_horizon_s=args.horizon,
         time_scale=args.time_scale,
-        edge_steps_per_request=args.edge_steps,
         seed=args.seed,
     )
     gateway_config = GatewayConfig(
@@ -449,7 +433,6 @@ def _cmd_serve(args: argparse.Namespace) -> str | tuple[str, int]:
                 gateway=gateway_config,
                 fault_seed=args.fault_seed,
                 fault_rate=args.fault_rate,
-                n_frames=args.frames,
                 seed=args.seed,
                 **overrides,
             )
@@ -459,43 +442,23 @@ def _cmd_serve(args: argparse.Namespace) -> str | tuple[str, int]:
             output += "\n\n" + obs.format_report(obs.export())
         return output if soak.passed else (output, 1)
 
-    from repro.cloud.search import SearchConfig, SlidingWindowSearch
     from repro.cloud.server import CloudServer
     from repro.eval.experiments.common import build_fixture
-    from repro.gateway import build_frame_pool, run_fleet
-
-    from repro.cloud.shards import DEFAULT_SHARD_SLICES
+    from repro.faults.plan import FaultPlan
+    from repro.gateway import run_fleet
 
     fixture = build_fixture(mdb_scale=args.mdb_scale, seed=args.seed)
-    server = CloudServer(
-        fixture.slices,
-        search=SlidingWindowSearch(SearchConfig()),
-        shard_slices=(
-            args.shard_slices
-            if args.shard_slices is not None
-            else DEFAULT_SHARD_SLICES
-        ),
-    )
-    frames = build_frame_pool(
-        fixture.slices, n_frames=args.frames, seed=args.seed
-    )
+    shards = {} if args.shard_slices is None else {"shard_slices": args.shard_slices}
+    server = CloudServer(fixture.slices, **shards)
     tenant_plans = None
     if args.fault_tenant is not None:
-        from repro.faults.plan import FaultPlan
-
-        per_tenant_calls = (
-            args.sessions / max(1, args.tenants) * args.mean_requests
-        )
+        horizon = fleet_config.fault_horizon(gateway_config.resilience)
         tenant_plans = {
             args.fault_tenant: FaultPlan.generate(
-                seed=args.fault_seed,
-                horizon_calls=max(10, int(per_tenant_calls * 4)),
-                fault_rate=args.fault_rate,
+                args.fault_seed, horizon, fault_rate=args.fault_rate
             )
         }
-    report = run_fleet(
-        server, frames, fleet_config, gateway_config, tenant_plans
-    )
+    report = run_fleet(server, fleet_config, gateway_config, tenant_plans)
     header = (
         f"fleet: {args.sessions} sessions over {args.tenants} tenant(s) "
         f"(MDB: {len(fixture.mdb)} signal-sets, max batch {args.max_batch})\n"

@@ -125,12 +125,12 @@ def run(
         correlations = int(searches[0].detail["correlations"])
         result.search_s = model.cloud_search_time_s(correlations)
 
-    # Edge tracking cost per iteration via the cost model.
-    tracking_times = []
-    for event in session.events.of_kind(EventKind.TRACK):
-        tracked = int(event.detail["tracked"]) + int(event.detail["removed"])
-        evaluations = tracked * 187  # ~745 offsets / stride 4 per signal
-        tracking_times.append(model.edge_tracking_time_s(evaluations))
+    # Edge tracking cost per iteration: the cost model's price of the
+    # area evaluations each iteration actually ran.
+    tracking_times = [
+        model.edge_tracking_time_s(int(event.detail["area_evaluations"]))
+        for event in session.events.of_kind(EventKind.TRACK)
+    ]
     if tracking_times:
         result.mean_tracking_iteration_s = float(np.mean(tracking_times))
         result.max_tracking_iteration_s = float(np.max(tracking_times))

@@ -3,8 +3,10 @@
 The gateway (:class:`ServingGateway`) coalesces concurrent search
 requests into single batched plane walks while keeping per-tenant
 resilience (deadline, retry, circuit breaker) and admission control.
-:func:`run_fleet` drives it with thousands of simulated sessions, and
-:func:`run_soak` is the chaos-under-load health gate used by CI.
+:func:`run_fleet` drives it with a fleet of monitored sessions
+(:func:`run_fleet_session`, the closed loop over the gateway and the fused
+:class:`EdgeStepDriver`), and :func:`run_soak` is the chaos-under-load
+health gate used by CI.
 """
 
 from repro.gateway.fleet import (
@@ -12,8 +14,8 @@ from repro.gateway.fleet import (
     FleetConfig,
     FleetReport,
     TenantSummary,
-    build_frame_pool,
     run_fleet,
+    run_fleet_session,
 )
 from repro.gateway.gateway import GatewayConfig, ServingGateway
 from repro.gateway.soak import SoakConfig, SoakReport, run_soak
@@ -27,7 +29,7 @@ __all__ = [
     "SoakConfig",
     "SoakReport",
     "TenantSummary",
-    "build_frame_pool",
     "run_fleet",
+    "run_fleet_session",
     "run_soak",
 ]

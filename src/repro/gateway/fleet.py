@@ -1,29 +1,27 @@
-"""Simulated session fleets driving the serving gateway.
+"""Fleets of monitored sessions driving the serving gateway.
 
-:func:`run_fleet` spawns ``n_sessions`` concurrent asyncio sessions
-against one :class:`~repro.gateway.gateway.ServingGateway`.  Each
-session belongs to a tenant, arrives at a seeded offset inside the
-arrival horizon, issues a seeded number of frame requests with
-simulated think time between them, and retries admission rejections a
-bounded number of times before counting itself *dropped* — the failure
-mode the soak gate treats as fatal.
+:func:`run_fleet_session` is the paper's closed loop (Fig. 3, timed in
+Fig. 9) at serving scale: the same
+:class:`~repro.runtime.streaming.SignalAcquisition` framing and
+sans-I/O :class:`~repro.runtime.streaming.ClosedLoop` a
+:class:`~repro.runtime.streaming.StreamingMonitor` runs, over the
+served system's I/O.  Each tracking iteration rides a fused fleet step
+through :class:`EdgeStepDriver`; each cloud call is a background
+:meth:`ServingGateway.submit <repro.gateway.gateway.ServingGateway.submit>`
+sharing coalesced batch walks with other sessions.  A result lands at
+the first frame at or after its Eq. 4 instant.  The loop needs a call's
+outcome by its next frame (a failure degrades it, a success decides
+when it lands), so that frame awaits the call if it has not resolved:
+at ``time_scale=0`` it always waits, on a paced clock the search has
+usually resolved.  A submission admission control rejects is a failed
+call: the session degrades and the policy re-fires on its next frame.
 
-Two clocks run side by side.  The **simulated** clock (``now_s``) is
-what sessions hand the resilient client — breaker cooldowns, think
-time and backoff penalties all live there, and with ``time_scale=0``
-it never sleeps, so a 60-simulated-second fleet finishes in wall
-milliseconds-to-seconds.  The **wall** clock measures real end-to-end
-request latency through the gateway (queueing + batching + search),
-which is what the ``gateway.request_latency_s`` histogram and the
-report's p50/p95/p99 summarise.
-
-With ``edge_steps_per_request > 0`` the simulator also exercises the
-edge leg: after each successful search a session adopts the result
-into a shared :class:`~repro.edge.fleet.FleetTracker` and runs that
-many tracking iterations.  Concurrent sessions' frames are coalesced
-by :class:`EdgeStepDriver` into single fused fleet steps (the
-slice-major megabatch path), run on a dedicated worker thread so the
-event loop never blocks on the kernel.
+:func:`run_fleet` runs ``n_sessions`` of them against one gateway and
+one edge driver; each belongs to a tenant, arrives at a seeded instant
+inside the arrival horizon and replays its own seeded
+``session_s``-second EEG recording.  Simulated time (``now_s``) carries
+breaker cooldowns and backoff penalties; wall time gives the request
+latency percentiles of the report.
 """
 
 from __future__ import annotations
@@ -37,40 +35,39 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from repro.edge.fleet import FleetTracker
-from repro.edge.tracker import TrackerConfig, TrackingStep
+from repro.edge.tracker import TrackerConfig, TrackingStep, checked_frame
 from repro.errors import EMAPError, GatewayError, TrackingError
 from repro.gateway.gateway import GatewayConfig, ServingGateway
+from repro.runtime.streaming import (
+    ClosedLoop,
+    FrameworkConfig,
+    MonitorUpdate,
+    SignalAcquisition,
+)
+from repro.signals.generator import EEGGenerator
+from repro.signals.types import BASE_SAMPLE_RATE_HZ, FRAME_SAMPLES
 
 if TYPE_CHECKING:
-    from repro.cloud.results import SearchResult
+    from repro.cloud.client import CloudCallOutcome, ResilienceConfig
+    from repro.cloud.results import SearchMatch, SearchResult
     from repro.cloud.server import CloudServer
     from repro.faults.plan import FaultPlan
-    from repro.signals.types import SignalSlice
 
 _T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Shape of a simulated serving fleet."""
+    """Shape of a served session fleet."""
 
     n_sessions: int = 200
     n_tenants: int = 8
-    #: Mean requests per session (seeded Poisson, minimum 1).
-    mean_requests_per_session: float = 4.0
-    #: Simulated seconds between a session's consecutive requests.
-    think_time_s: float = 1.0
+    #: Seconds of seeded EEG each session replays, one frame a second.
+    session_s: float = 20.0
     #: Sessions arrive uniformly over this many simulated seconds.
     arrival_horizon_s: float = 5.0
-    #: Admission-rejection retries before a session counts as dropped.
-    admission_retries: int = 5
-    #: Simulated backoff between admission retries.
-    admission_backoff_s: float = 0.25
     #: Wall seconds per simulated second (0 = as fast as possible).
     time_scale: float = 0.0
-    #: Edge tracking iterations a session runs after each successful
-    #: search (0 = cloud-only simulation, the historical behaviour).
-    edge_steps_per_request: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -82,25 +79,24 @@ class FleetConfig:
             raise GatewayError(
                 f"fleet needs >= 1 tenant, got {self.n_tenants}"
             )
-        if self.mean_requests_per_session < 1:
+        if self.session_frames < 1:
             raise GatewayError(
-                "mean requests per session must be >= 1, got "
-                f"{self.mean_requests_per_session}"
+                f"a session must cover at least one frame, got {self.session_s} s"
             )
-        if self.think_time_s < 0 or self.arrival_horizon_s < 0:
+        if self.arrival_horizon_s < 0 or self.time_scale < 0:
             raise GatewayError("fleet times must be non-negative")
-        if self.admission_retries < 0:
-            raise GatewayError(
-                "admission retries must be non-negative, got "
-                f"{self.admission_retries}"
-            )
-        if self.admission_backoff_s < 0 or self.time_scale < 0:
-            raise GatewayError("fleet times must be non-negative")
-        if self.edge_steps_per_request < 0:
-            raise GatewayError(
-                "edge steps per request must be non-negative, got "
-                f"{self.edge_steps_per_request}"
-            )
+
+    @property
+    def session_frames(self) -> int:
+        """Frames each session's recording holds."""
+        return int(self.session_s * BASE_SAMPLE_RATE_HZ) // FRAME_SAMPLES
+
+    def fault_horizon(self, resilience: ResilienceConfig) -> int:
+        """Calls one tenant's fault plan must cover: at worst every
+        session of the tenant calls on every frame (a degraded session
+        re-fires each frame), each call taking every attempt."""
+        sessions = -(-self.n_sessions // self.n_tenants)
+        return sessions * self.session_frames * (resilience.max_retries + 1)
 
 
 @dataclass
@@ -112,7 +108,7 @@ class TenantSummary:
     successes: int = 0
     failures: int = 0
     rejected: int = 0
-    dropped_sessions: int = 0
+    sessions_without_set: int = 0
 
     @property
     def failure_ratio(self) -> float:
@@ -123,8 +119,10 @@ class TenantSummary:
 class FleetReport:
     """What the whole fleet run produced."""
 
-    sessions_completed: int
-    sessions_dropped: int
+    sessions: int
+    #: Sessions that ended without ever adopting a correlation set.
+    sessions_without_set: int
+    #: Admitted cloud calls (a rejected submission is not a request).
     requests: int
     successes: int
     failures: int
@@ -138,12 +136,17 @@ class FleetReport:
     queue_high_water: int
     pending_at_end: int
     per_tenant: dict[str, TenantSummary] = field(default_factory=dict)
-    #: Edge leg (zeros when ``edge_steps_per_request == 0``).
+    #: Tracking iterations the sessions got back from the edge driver.
     edge_steps: int = 0
+    #: Session frames the driver's fused fleet steps advanced.
+    edge_fused_frames: int = 0
     edge_evaluations: int = 0
     edge_fused_steps: int = 0
-    edge_mean_fused_batch: float = 0.0
     edge_dedup_ratio: float = 1.0
+    #: Non-empty correlation sets the sessions adopted, and how many of
+    #: them the session's landing frame stepped as a fresh set.
+    sets_adopted: int = 0
+    sets_stepped: int = 0
 
     @property
     def throughput_rps(self) -> float:
@@ -151,11 +154,17 @@ class FleetReport:
             return 0.0
         return self.requests / self.wall_elapsed_s
 
+    @property
+    def edge_mean_fused_batch(self) -> float:
+        if not self.edge_fused_steps:
+            return 0.0
+        return self.edge_fused_frames / self.edge_fused_steps
+
     def report(self) -> str:
         """Human-readable summary (the ``emap serve`` output)."""
         lines = [
-            f"sessions: {self.sessions_completed} completed, "
-            f"{self.sessions_dropped} dropped",
+            f"sessions: {self.sessions}, "
+            f"{self.sessions_without_set} ended without a set",
             f"requests: {self.requests} "
             f"({self.successes} ok, {self.failures} failed, "
             f"{self.rejections} rejections)",
@@ -175,30 +184,21 @@ class FleetReport:
                 f"{self.edge_fused_steps} fused fleet steps "
                 f"(mean batch {self.edge_mean_fused_batch:.1f}), "
                 f"{self.edge_evaluations} area evaluations, "
-                f"dedup ratio {self.edge_dedup_ratio:.1f}"
+                f"dedup ratio {self.edge_dedup_ratio:.1f}; "
+                f"{self.sets_adopted} sets adopted, "
+                f"{self.sets_stepped} stepped on landing"
             )
         lines.append(
-            "per tenant (requests ok/failed/rejected, dropped sessions):"
+            "per tenant (requests ok/failed/rejected, sessions without a set):"
         )
         for name in sorted(self.per_tenant):
             tenant = self.per_tenant[name]
             lines.append(
                 f"  {name:<12} {tenant.successes}/{tenant.failures}"
-                f"/{tenant.rejected}, dropped {tenant.dropped_sessions}"
+                f"/{tenant.rejected}, without a set "
+                f"{tenant.sessions_without_set}"
             )
         return "\n".join(lines)
-
-
-@dataclass
-class _SessionResult:
-    tenant: str
-    requests: int = 0
-    successes: int = 0
-    failures: int = 0
-    rejected: int = 0
-    dropped: bool = False
-    edge_steps: int = 0
-    edge_evaluations: int = 0
 
 
 class EdgeStepDriver:
@@ -206,18 +206,22 @@ class EdgeStepDriver:
 
     Async front door to one (non-thread-safe) shared
     :class:`~repro.edge.fleet.FleetTracker`: every tracker interaction —
-    adopt, step, close — runs on a dedicated single worker thread, which
+    open, step, close — runs on a dedicated single worker thread, which
     both serialises access and keeps the event loop off the kernel's
     critical path (the C kernel releases the GIL and threads
     internally).  Frames submitted while a fused step is running pile up
     in ``_pending``; the stepper drains them as the *next* fused
     :meth:`FleetTracker.step` — so the batch size adapts to load exactly
-    like the gateway's cloud-side coalescing.  A session closed after
-    its frame was parked fails only that frame; its batch-mates step.
+    like the gateway's cloud-side coalescing.  :meth:`adopt` parks its
+    result, and the session's next fused step opens it on the worker,
+    then steps it.  A session closed after its frame was parked, or
+    whose parked result fails to open, fails only that frame.
     """
 
     def __init__(self, config: TrackerConfig | None = None) -> None:
         self.tracker = FleetTracker(config)
+        #: Adopted results waiting for their session's next step.
+        self._parked: dict[str, SearchResult | Sequence[SearchMatch]] = {}
         self._pending: dict[
             str, tuple[np.ndarray, asyncio.Future[TrackingStep]]
         ] = {}
@@ -233,19 +237,27 @@ class EdgeStepDriver:
         #: (sessions close at end, so the final ratio is trivially 1).
         self.max_dedup_ratio = 1.0
 
-    async def adopt(self, session_id: str, result: SearchResult) -> None:
-        """(Re)open ``session_id`` with a fresh correlation set."""
-        await self._run(self.tracker.open_session, session_id, result)
+    async def adopt(
+        self, session_id: str, result: SearchResult | Sequence[SearchMatch]
+    ) -> None:
+        """(Re)open ``session_id`` with a fresh correlation set at its
+        next :meth:`step`, which opens it on the worker first."""
+        if self._closed:
+            raise GatewayError("edge driver is closed; create a new one")
+        self._parked[session_id] = result
 
     async def close_session(self, session_id: str) -> None:
-        await self._run(self.tracker.close_session, session_id)
+        """Close ``session_id`` if it is open; a result parked for it
+        never opens."""
+        self._parked.pop(session_id, None)
+        await self._run(self._close, session_id)
 
     async def step(self, session_id: str, frame: np.ndarray) -> TrackingStep:
         """One tracking iteration, riding the next fused fleet step.
 
-        Raises :class:`~repro.errors.TrackingError` at once for an
-        unknown session or a frame of the wrong shape or with
-        non-finite samples.
+        Raises :class:`~repro.errors.TrackingError` at once for a
+        session that is neither open nor holding a parked result, or a
+        frame of the wrong shape or with non-finite samples.
         """
         if self._closed:
             raise GatewayError("edge driver is closed; create a new one")
@@ -255,7 +267,11 @@ class EdgeStepDriver:
             )
         # Checked per caller, before the frame joins a fused step: a bad
         # frame fails only its own caller, never its batch-mates.
-        data = self.tracker.check_frame(session_id, frame)
+        data = (
+            checked_frame(frame, self.tracker.config.frame_samples, session_id)
+            if session_id in self._parked
+            else self.tracker.check_frame(session_id, frame)
+        )
         loop = asyncio.get_running_loop()
         future: asyncio.Future[TrackingStep] = loop.create_future()
         self._pending[session_id] = (data, future)
@@ -282,6 +298,7 @@ class EdgeStepDriver:
             if not future.done():
                 future.set_exception(failure)
         self._pending.clear()
+        self._parked.clear()
         self._executor.shutdown(wait=True)
 
     async def _run(self, fn: Callable[..., _T], *args: object) -> _T:
@@ -290,17 +307,32 @@ class EdgeStepDriver:
             self._executor, fn, *args
         )
 
-    def _step_open(
-        self, frames: Mapping[str, np.ndarray]
-    ) -> dict[str, TrackingStep]:
-        """One fused step over the sessions still open; worker thread only.
+    def _close(self, session_id: str) -> None:
+        """Close ``session_id`` if it is open; worker thread only."""
+        if session_id in self.tracker.session_ids:
+            self.tracker.close_session(session_id)
+
+    def _open_and_step(
+        self,
+        frames: Mapping[str, np.ndarray],
+        opens: Mapping[str, SearchResult | Sequence[SearchMatch]],
+    ) -> tuple[dict[str, TrackingStep], dict[str, EMAPError]]:
+        """Open the parked results, then one fused step over the sessions
+        open; worker thread only.
 
         Serialised with :meth:`close_session` on the worker, so a frame
-        whose session closed first is simply left out of the step.
+        whose session closed first is simply left out of the step, as is
+        one whose result failed to open (its error is returned).
         """
-        open_ids = set(self.tracker.session_ids)
+        failed: dict[str, EMAPError] = {}
+        for session_id, result in opens.items():
+            try:
+                self.tracker.open_session(session_id, result)
+            except EMAPError as error:
+                failed[session_id] = error
+        open_ids = set(self.tracker.session_ids) - failed.keys()
         live = {sid: frame for sid, frame in frames.items() if sid in open_ids}
-        return self.tracker.step(live) if live else {}
+        return (self.tracker.step(live) if live else {}), failed
 
     async def _step_loop(self) -> None:
         wake = self._wake
@@ -315,8 +347,13 @@ class EdgeStepDriver:
                 batch = self._pending
                 self._pending = {}
                 frames = {sid: frame for sid, (frame, _) in batch.items()}
+                opens = {
+                    sid: self._parked.pop(sid) for sid in batch if sid in self._parked
+                }
                 try:
-                    steps = await self._run(self._step_open, frames)
+                    steps, failed = await self._run(
+                        self._open_and_step, frames, opens
+                    )
                 except EMAPError as error:
                     for _, future in batch.values():
                         if not future.done():
@@ -333,6 +370,8 @@ class EdgeStepDriver:
                         continue
                     if sid in steps:
                         future.set_result(steps[sid])
+                    elif sid in failed:
+                        future.set_exception(failed[sid])
                     else:
                         future.set_exception(
                             TrackingError(
@@ -345,162 +384,135 @@ class EdgeStepDriver:
                 await asyncio.sleep(0)
 
 
-def build_frame_pool(
-    slices: Sequence[SignalSlice],
-    n_frames: int = 32,
-    frame_samples: int = 256,
-    seed: int = 0,
-) -> list[np.ndarray]:
-    """Seeded query frames cut from real slice windows.
-
-    Sessions draw from this pool, so every request is a plausible
-    bandpass-filtered frame with genuine near-matches in the plane.
-    """
-    if n_frames < 1:
-        raise GatewayError(f"frame pool needs >= 1 frame, got {n_frames}")
-    rng = np.random.default_rng(seed)
-    pool: list[np.ndarray] = []
-    eligible = [s for s in slices if len(s) >= frame_samples]
-    if not eligible:
-        raise GatewayError(
-            f"no slice long enough for {frame_samples}-sample frames"
-        )
-    for _ in range(n_frames):
-        sig_slice = eligible[int(rng.integers(len(eligible)))]
-        last = len(sig_slice) - frame_samples
-        start = int(rng.integers(last + 1))
-        pool.append(
-            np.asarray(
-                sig_slice.data[start : start + frame_samples],
-                dtype=np.float64,
-            )
-        )
-    return pool
-
-
-async def _sleep_scaled(simulated_s: float, time_scale: float) -> None:
-    """Sleep ``simulated_s`` of simulated time at the configured scale."""
-    await asyncio.sleep(simulated_s * time_scale if time_scale > 0 else 0)
-
-
-async def _run_session(
+async def run_fleet_session(
     gateway: ServingGateway,
-    config: FleetConfig,
+    edge: EdgeStepDriver,
+    tenant: str,
+    session_id: str,
     frames: Sequence[np.ndarray],
-    index: int,
-    latencies: list[float],
-    edge: EdgeStepDriver | None = None,
-) -> _SessionResult:
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
-    tenant = f"tenant-{index % config.n_tenants}"
-    session = _SessionResult(tenant=tenant)
-    session_id = f"session-{index}"
-    edge_opened = False
-    arrival = float(rng.uniform(0.0, config.arrival_horizon_s))
-    n_requests = 1 + int(
-        rng.poisson(max(0.0, config.mean_requests_per_session - 1.0))
-    )
-    now_s = arrival
-    await _sleep_scaled(arrival, config.time_scale)
-    loop = asyncio.get_running_loop()
+    config: FrameworkConfig,
+    start_s: float = 0.0,
+    time_scale: float = 0.0,
+    latencies: list[float] | None = None,
+) -> list[MonitorUpdate]:
+    """Run a recording's filtered ``frames`` (from
+    :class:`~repro.runtime.streaming.SignalAcquisition`) through the
+    closed loop over ``edge`` and ``gateway`` (as ``tenant``) from
+    simulated second ``start_s``; returns one update per frame, as a
+    :class:`~repro.runtime.streaming.StreamingMonitor` would.  Each
+    admitted call's wall seconds go to ``latencies``."""
+    loop = ClosedLoop(config, gateway.server.timing)
+    clock = asyncio.get_running_loop()
+    updates: list[MonitorUpdate] = []
+    in_flight: tuple[MonitorUpdate, asyncio.Future[CloudCallOutcome]] | None = None
+
+    async def submit(frame: np.ndarray, now_s: float) -> CloudCallOutcome:
+        started = clock.time()
+        outcome = await gateway.submit(tenant, frame, now_s)
+        if latencies is not None and outcome.failure != "rejected":
+            latencies.append(clock.time() - started)
+        return outcome
+
+    async def settle() -> None:
+        nonlocal in_flight
+        if in_flight is not None:
+            update, call = in_flight
+            in_flight = None
+            updates.append(loop.record_call(update, await call))
+
+    await asyncio.sleep(start_s * time_scale)
     try:
-        for _ in range(n_requests):
-            frame = frames[int(rng.integers(len(frames)))]
-            admitted = False
-            for _ in range(config.admission_retries + 1):
-                started = loop.time()
-                outcome = await gateway.submit(tenant, frame, now_s)
-                if outcome.failure == "rejected":
-                    session.rejected += 1
-                    now_s += config.admission_backoff_s
-                    await _sleep_scaled(
-                        config.admission_backoff_s, config.time_scale
-                    )
-                    continue
-                admitted = True
-                latencies.append(loop.time() - started)
-                session.requests += 1
-                if outcome.ok:
-                    session.successes += 1
-                else:
-                    session.failures += 1
-                now_s += outcome.penalty_s
-                break
-            if not admitted:
-                session.dropped = True
-                break
-            if edge is not None and outcome.ok and outcome.result is not None:
-                # The edge leg: adopt the fresh correlation set, then run
-                # the configured tracking iterations — each riding a
-                # fused fleet step shared with concurrent sessions.
-                await edge.adopt(session_id, outcome.result)
-                edge_opened = True
-                for _ in range(config.edge_steps_per_request):
-                    edge_frame = frames[int(rng.integers(len(frames)))]
-                    step = await edge.step(session_id, edge_frame)
-                    session.edge_steps += 1
-                    session.edge_evaluations += step.area_evaluations
-            now_s += config.think_time_s
-            await _sleep_scaled(config.think_time_s, config.time_scale)
+        for data in frames:
+            await settle()
+            now_s = start_s + (loop.frame_index + 1) * loop.frame_s
+            landed = loop.land(now_s)
+            if landed is not None:
+                await edge.adopt(session_id, landed)
+            step = await edge.step(session_id, data) if loop.tracks(landed) else None
+            update, call = loop.advance(now_s, landed, step)
+            if call:
+                in_flight = (update, asyncio.ensure_future(submit(data, now_s)))
+            else:
+                updates.append(update)
+            await asyncio.sleep(loop.frame_s * time_scale)
+        await settle()
     finally:
-        if edge is not None and edge_opened:
-            await edge.close_session(session_id)
-    return session
+        if in_flight is not None:
+            in_flight[1].cancel()
+        await edge.close_session(session_id)
+    return updates
 
 
 async def _run_fleet_async(
     server: CloudServer,
-    frames: Sequence[np.ndarray],
     config: FleetConfig,
     gateway_config: GatewayConfig,
     tenant_plans: Mapping[str, FaultPlan] | None,
+    arrivals: Sequence[tuple[float, list[np.ndarray]]],
 ) -> FleetReport:
     gateway = ServingGateway(server, gateway_config, tenant_plans)
-    edge: EdgeStepDriver | None = None
-    if config.edge_steps_per_request > 0:
-        edge = EdgeStepDriver(
-            TrackerConfig(frame_samples=int(frames[0].size))
-        )
+    framework = FrameworkConfig()
+    edge = EdgeStepDriver(framework.tracker)
     latencies: list[float] = []
+
+    async def session(index: int) -> tuple[str, list[MonitorUpdate]]:
+        start_s, frames = arrivals[index]
+        tenant = f"tenant-{index % config.n_tenants}"
+        updates = await run_fleet_session(
+            gateway, edge, tenant, f"session-{index}", frames, framework,
+            start_s, config.time_scale, latencies,
+        )
+        return tenant, updates
+
     started = time.perf_counter()
     try:
         sessions = await asyncio.gather(
-            *(
-                _run_session(gateway, config, frames, index, latencies, edge)
-                for index in range(config.n_sessions)
-            )
+            *(session(index) for index in range(config.n_sessions))
         )
     finally:
         pending_at_end = gateway.pending
         await gateway.aclose()
-        if edge is not None:
-            await edge.aclose()
+        await edge.aclose()
     elapsed = time.perf_counter() - started
 
     per_tenant: dict[str, TenantSummary] = {}
-    for session in sessions:
-        summary = per_tenant.setdefault(session.tenant, TenantSummary())
+    steps: list[TrackingStep] = []
+    sets_adopted = sets_stepped = 0
+    for tenant, updates in sessions:
+        summary = per_tenant.setdefault(tenant, TenantSummary())
         summary.sessions += 1
-        summary.requests += session.requests
-        summary.successes += session.successes
-        summary.failures += session.failures
-        summary.rejected += session.rejected
-        if session.dropped:
-            summary.dropped_sessions += 1
+        summary.sessions_without_set += all(u.adopted is None for u in updates)
+        for update in updates:
+            step = update.step
+            if step is not None:
+                steps.append(step)
+            if update.adopted:
+                # A freshly opened set steps as iteration 1.
+                sets_adopted += 1
+                sets_stepped += step is not None and step.iteration == 1
+            outcome = update.call
+            if outcome is None:
+                continue
+            if outcome.failure == "rejected":
+                summary.rejected += 1
+                continue
+            summary.requests += 1
+            summary.successes += outcome.ok
+            summary.failures += not outcome.ok
 
-    requests = sum(s.requests for s in sessions)
     sample = np.asarray(latencies) if latencies else np.zeros(1)
     p50, p95, p99 = (
         float(value) for value in np.percentile(sample, (50.0, 95.0, 99.0))
     )
     batches = gateway.batches_served
+    tenants = per_tenant.values()
     return FleetReport(
-        sessions_completed=sum(1 for s in sessions if not s.dropped),
-        sessions_dropped=sum(1 for s in sessions if s.dropped),
-        requests=requests,
-        successes=sum(s.successes for s in sessions),
-        failures=sum(s.failures for s in sessions),
-        rejections=sum(s.rejected for s in sessions),
+        sessions=len(sessions),
+        sessions_without_set=sum(t.sessions_without_set for t in tenants),
+        requests=sum(t.requests for t in tenants),
+        successes=sum(t.successes for t in tenants),
+        failures=sum(t.failures for t in tenants),
+        rejections=sum(t.rejected for t in tenants),
         wall_elapsed_s=elapsed,
         latency_p50_s=p50,
         latency_p95_s=p95,
@@ -510,41 +522,42 @@ async def _run_fleet_async(
         queue_high_water=gateway.queue_high_water,
         pending_at_end=pending_at_end,
         per_tenant=per_tenant,
-        edge_steps=sum(s.edge_steps for s in sessions),
-        edge_evaluations=sum(s.edge_evaluations for s in sessions),
-        edge_fused_steps=edge.fused_steps if edge is not None else 0,
-        edge_mean_fused_batch=(
-            edge.frames_stepped / edge.fused_steps
-            if edge is not None and edge.fused_steps
-            else 0.0
-        ),
-        edge_dedup_ratio=(
-            edge.max_dedup_ratio if edge is not None else 1.0
-        ),
+        edge_steps=len(steps),
+        edge_fused_frames=edge.frames_stepped,
+        edge_evaluations=sum(step.area_evaluations for step in steps),
+        edge_fused_steps=edge.fused_steps,
+        edge_dedup_ratio=edge.max_dedup_ratio,
+        sets_adopted=sets_adopted,
+        sets_stepped=sets_stepped,
     )
 
 
 def run_fleet(
     server: CloudServer,
-    frames: Sequence[np.ndarray],
     config: FleetConfig | None = None,
     gateway_config: GatewayConfig | None = None,
     tenant_plans: Mapping[str, FaultPlan] | None = None,
 ) -> FleetReport:
-    """Drive a simulated session fleet through a fresh gateway.
+    """Drive a fleet of monitored sessions through a fresh gateway.
 
-    ``frames`` is the query pool sessions draw from (seeded).  Builds
-    the gateway, runs every session to completion (or drop), closes the
-    gateway, and returns the aggregated :class:`FleetReport`.
+    Draws each session's arrival and filters its seeded recording up
+    front, so neither runs on the event loop, then builds the gateway
+    and the edge driver, runs every session to the end of its
+    recording, closes both, and returns the aggregated
+    :class:`FleetReport`.
     """
-    if not frames:
-        raise GatewayError("fleet needs a non-empty frame pool")
+    config = config or FleetConfig()
+    arrivals = []
+    for index in range(config.n_sessions):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
+        start_s = float(rng.uniform(0.0, config.arrival_horizon_s))
+        recording = EEGGenerator(seed=int(rng.integers(2**32))).record(
+            config.session_s, source=f"fleet/{index}"
+        )
+        frames = SignalAcquisition(FRAME_SAMPLES).push(recording.data)
+        arrivals.append((start_s, frames))
     return asyncio.run(
         _run_fleet_async(
-            server,
-            frames,
-            config or FleetConfig(),
-            gateway_config or GatewayConfig(),
-            tenant_plans,
+            server, config, gateway_config or GatewayConfig(), tenant_plans, arrivals
         )
     )

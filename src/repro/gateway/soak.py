@@ -2,11 +2,14 @@
 
 :func:`run_soak` is the repeatable serving-health gate behind the CI
 ``soak`` job: it builds a reduced-scale evaluation MDB, points a fleet
-of simulated sessions at a fresh gateway, injects a seeded fault plan
-into exactly one tenant, and checks hard invariants on the outcome —
+of monitored sessions (:func:`~repro.gateway.fleet.run_fleet_session`, the
+closed loop over the gateway and the fused edge driver) at a fresh
+gateway, injects a seeded fault plan into exactly one tenant, and
+checks hard invariants on the outcome —
 
-* **no dropped session** — admission control may push back, but every
-  session must eventually get through its requests;
+* **every session adopts a set** — admission control may push back and
+  faults may degrade a session, but none may end without ever adopting
+  a correlation set;
 * **fault isolation** — tenants without a fault plan finish with zero
   failed requests (one tenant's chaos must not leak through the shared
   batch walk), while the faulted tenant's failure ratio stays inside
@@ -15,9 +18,9 @@ into exactly one tenant, and checks hard invariants on the outcome —
   budget and the gateway drains to zero pending at the end;
 * **latency budget** — wall-clock p99 end-to-end latency stays under
   the configured ceiling;
-* **edge completeness** — when the fleet runs the edge leg
-  (``edge_steps_per_request > 0``), every successful search is followed
-  by exactly the configured number of fused tracking iterations.
+* **edge completeness** — every adopted set is stepped, fresh, on the
+  session's landing frame, and every tracking iteration a session got
+  back came from a fused fleet step.
 
 Any breach lands in :attr:`SoakReport.violations`; CI fails on a
 non-empty list.
@@ -29,12 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import GatewayError
 from repro.faults.plan import FaultPlan
-from repro.gateway.fleet import (
-    FleetConfig,
-    FleetReport,
-    build_frame_pool,
-    run_fleet,
-)
+from repro.gateway.fleet import FleetConfig, FleetReport, run_fleet
 from repro.gateway.gateway import GatewayConfig
 
 
@@ -47,8 +45,7 @@ class SoakConfig:
         default_factory=lambda: FleetConfig(
             n_sessions=200,
             n_tenants=8,
-            mean_requests_per_session=4.0,
-            think_time_s=8.0,
+            session_s=30.0,
             arrival_horizon_s=20.0,
         )
     )
@@ -67,7 +64,6 @@ class SoakConfig:
     max_p99_latency_s: float = 10.0
     #: Queue high-water budget (unbounded-growth tripwire).
     max_queue_high_water: int = 1024
-    n_frames: int = 32
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -112,53 +108,30 @@ class SoakReport:
         return "\n".join(lines)
 
 
-def _estimate_faulted_calls(config: SoakConfig) -> int:
-    """Rough per-tenant call horizon so the plan spans the whole run."""
-    fleet = config.fleet
-    per_tenant_sessions = -(-fleet.n_sessions // fleet.n_tenants)
-    mean_calls = per_tenant_sessions * fleet.mean_requests_per_session
-    retries = config.gateway.resilience.max_retries + 1
-    return max(10, int(mean_calls * retries * 2))
-
-
 def run_soak(config: SoakConfig | None = None) -> SoakReport:
     """Run one soak scenario end to end and judge its gates."""
-    from repro.cloud.search import SearchConfig, SlidingWindowSearch
     from repro.cloud.server import CloudServer
     from repro.eval.experiments.common import build_fixture
 
     config = config or SoakConfig()
     fixture = build_fixture(mdb_scale=config.mdb_scale, seed=config.seed)
-    server = CloudServer(
-        fixture.slices,
-        search=SlidingWindowSearch(SearchConfig()),
-    )
-    frames = build_frame_pool(
-        fixture.slices, n_frames=config.n_frames, seed=config.seed
-    )
     plan = FaultPlan.generate(
-        seed=config.fault_seed,
-        horizon_calls=_estimate_faulted_calls(config),
+        config.fault_seed,
+        config.fleet.fault_horizon(config.gateway.resilience),
         fault_rate=config.fault_rate,
     )
     fleet = run_fleet(
-        server,
-        frames,
+        CloudServer(fixture.slices),
         config.fleet,
         config.gateway,
         tenant_plans={config.faulted_tenant: plan},
     )
 
     violations: list[str] = []
-    if fleet.sessions_dropped:
+    if fleet.sessions_without_set:
         violations.append(
-            f"{fleet.sessions_dropped} session(s) dropped after exhausting "
-            "admission retries"
-        )
-    if fleet.sessions_completed != config.fleet.n_sessions:
-        violations.append(
-            f"only {fleet.sessions_completed} of {config.fleet.n_sessions} "
-            "sessions completed"
+            f"{fleet.sessions_without_set} session(s) ended without adopting "
+            "a correlation set"
         )
     for name in sorted(fleet.per_tenant):
         tenant = fleet.per_tenant[name]
@@ -188,16 +161,16 @@ def run_soak(config: SoakConfig | None = None) -> SoakReport:
             f"p99 latency {fleet.latency_p99_s:.3f}s exceeded budget "
             f"{config.max_p99_latency_s:.3f}s"
         )
-    steps_per_request = config.fleet.edge_steps_per_request
-    if steps_per_request > 0:
-        # Every successful search must have been followed by exactly
-        # the configured number of fused tracking iterations — a lost
-        # frame here means the edge stepper dropped a rider.
-        expected = fleet.successes * steps_per_request
-        if fleet.edge_steps != expected:
-            violations.append(
-                f"edge leg ran {fleet.edge_steps} tracking steps, "
-                f"expected {expected} "
-                f"({fleet.successes} successes x {steps_per_request})"
-            )
+    # A lost rider shows as a step a session never got back, or a fresh
+    # set that its landing frame did not step.
+    if fleet.edge_steps != fleet.edge_fused_frames:
+        violations.append(
+            f"edge leg: sessions got {fleet.edge_steps} tracking steps back "
+            f"from {fleet.edge_fused_frames} fused-step frames"
+        )
+    if fleet.sets_stepped != fleet.sets_adopted:
+        violations.append(
+            f"edge leg: {fleet.sets_adopted - fleet.sets_stepped} of "
+            f"{fleet.sets_adopted} adopted sets were not stepped on landing"
+        )
     return SoakReport(fleet=fleet, violations=violations)

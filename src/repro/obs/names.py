@@ -103,7 +103,6 @@ METRIC_NAMES: dict[str, str] = {
     "runtime.loop.iterations": "counter",
     "runtime.loop.deadline_misses": "counter",
     "runtime.loop.budget_used": "histogram",
-    "runtime.loop.edge_iteration_s": "histogram",
     "runtime.degraded_iterations": "counter",
     "runtime.cloud_failures": "counter",
     "runtime.initial_latency_s": "histogram",

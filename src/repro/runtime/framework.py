@@ -95,6 +95,7 @@ class MonitoringResult:
                 iteration=step.iteration,
                 tracked=step.tracked_after,
                 removed=step.removed,
+                area_evaluations=step.area_evaluations,
                 pa=round(step.anomaly_probability, 4),
                 stale=update.degraded,
             )

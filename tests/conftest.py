@@ -11,9 +11,10 @@ import asyncio
 import pytest
 
 from repro.datasets.registry import scaled_registry
+from repro.gateway import EdgeStepDriver, GatewayConfig, ServingGateway, run_fleet_session
 from repro.mdb.builder import MDBBuilder
 from repro.runtime.framework import EMAPFramework, MonitoringResult
-from repro.runtime.streaming import StreamingMonitor
+from repro.runtime.streaming import SignalAcquisition, StreamingMonitor
 from repro.signals.anomalies import AnomalySpec, make_anomalous_signal
 from repro.signals.generator import EEGGenerator
 from repro.signals.types import AnomalyType
@@ -90,9 +91,42 @@ def _run_monitor(cloud, config, recording) -> MonitoringResult:
     return result
 
 
-@pytest.fixture(params=[_run_framework, _run_monitor], ids=["framework", "monitor"])
+def _run_fleet(cloud, config, recording) -> MonitoringResult:
+    frames = SignalAcquisition(config.tracker.frame_samples).push(recording.data)
+
+    async def session():
+        gateway = ServingGateway(cloud, GatewayConfig(resilience=config.resilience))
+        edge = EdgeStepDriver(config.tracker)
+        try:
+            return await run_fleet_session(
+                gateway, edge, "tenant", "session", frames, config
+            )
+        finally:
+            await gateway.aclose()
+            await edge.aclose()
+
+    result = MonitoringResult()
+    for update in asyncio.run(session()):
+        result.record(update)
+    return result
+
+
+@pytest.fixture(
+    params=[_run_framework, _run_monitor, _run_fleet],
+    ids=["framework", "monitor", "fleet"],
+)
 def run_session(request):
     """Run ``(cloud, config, recording)`` through one entry point of the
-    closed loop: ``EMAPFramework.run``, or a ``StreamingMonitor`` fed
-    the raw samples in ``STREAM_CHUNK``-sample chunks."""
+    closed loop: ``EMAPFramework.run``, a ``StreamingMonitor`` fed the
+    raw samples in ``STREAM_CHUNK``-sample chunks, or a one-session
+    fleet (``run_fleet_session`` over a ``ServingGateway`` and an
+    ``EdgeStepDriver``) on the simulated clock.  The fleet case needs a
+    ``CloudServer`` endpoint."""
+    return request.param
+
+
+@pytest.fixture(params=[_run_framework, _run_monitor], ids=["framework", "monitor"])
+def run_direct_session(request):
+    """``run_session`` without the fleet case, for tests whose endpoint
+    (a ``FaultInjector`` they inspect) cannot sit behind a gateway."""
     return request.param

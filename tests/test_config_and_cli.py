@@ -81,7 +81,7 @@ class TestCLI:
                     "4",
                     "--mdb-scale",
                     "0.05",
-                    "--frames",
+                    "--duration",
                     "6",
                     "--obs",
                 ]
@@ -94,6 +94,8 @@ class TestCLI:
         assert "gateway.requests" in output  # --obs appends the metrics
 
     def test_serve_fleet_with_edge_steps(self, capsys):
+        """Every served session tracks at the edge: the report has the
+        edge-leg line and ``--obs`` the fused-step metrics."""
         assert (
             main(
                 [
@@ -104,10 +106,8 @@ class TestCLI:
                     "2",
                     "--mdb-scale",
                     "0.05",
-                    "--frames",
+                    "--duration",
                     "6",
-                    "--edge-steps",
-                    "2",
                     "--obs",
                 ]
             )
@@ -117,6 +117,7 @@ class TestCLI:
         assert "edge:" in output  # the report grows the edge-leg line
         assert "fused fleet step" in output
         assert "edge.fleet.fused_step_s" in output  # --obs metrics
+        assert "runtime.loop.iterations" in output  # the loop's own counters
 
     def test_serve_soak_exit_codes(self, capsys):
         args = [
@@ -128,7 +129,7 @@ class TestCLI:
             "4",
             "--mdb-scale",
             "0.05",
-            "--frames",
+            "--duration",
             "6",
         ]
         assert main(args) == 0

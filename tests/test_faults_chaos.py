@@ -1,9 +1,12 @@
 """Chaos suite: every fault class, both entry points, no unhandled exception.
 
-Every session runs through the ``run_session`` fixture: once through
-``EMAPFramework.run`` and once through a ``StreamingMonitor`` fed live
-chunks, so each resilience check holds for the one closed loop whichever
-entry point drives it.
+Every session runs through the ``run_direct_session`` fixture: once
+through ``EMAPFramework.run`` and once through a ``StreamingMonitor``
+fed live chunks, so each resilience check holds for the one closed loop
+whichever entry point drives it.  The fleet entry point is left out
+here: these tests inspect the ``FaultInjector`` they wrap the server
+in, and a gateway builds its own per tenant
+(``tests/test_gateway_chaos.py`` and the soak cover faults there).
 
 Marked ``chaos`` so CI can run it as its own job; it also runs with the
 default suite (the marker only *selects*, it never deselects).
@@ -57,9 +60,9 @@ class TestSurvivalPerFaultClass:
             kind, first_call=1, last_call=4, magnitude=magnitude, seed=13
         )
 
-    def test_survives(self, plane, seizure_recording, kind, run_session):
+    def test_survives(self, plane, seizure_recording, kind, run_direct_session):
         server = FaultInjector(CloudServer(plane), self.plan_for(kind))
-        result = run_session(server, CHAOS_CONFIG, seizure_recording)
+        result = run_direct_session(server, CHAOS_CONFIG, seizure_recording)
         assert len(result.events.of_kind(EventKind.SAMPLE)) == 90
         assert result.iterations > 0
         assert server.injected > 0
@@ -79,9 +82,9 @@ class TestHardOutage:
             FaultPlan.single(FaultKind.OUTAGE, first_call=1, last_call=12),
         )
 
-    def test_degrades_and_recovers(self, plane, seizure_recording, run_session):
+    def test_degrades_and_recovers(self, plane, seizure_recording, run_direct_session):
         server = self.outage_server(plane)
-        result = run_session(server, CHAOS_CONFIG, seizure_recording)
+        result = run_direct_session(server, CHAOS_CONFIG, seizure_recording)
         assert result.cloud_failures > 0
         assert result.degraded_iterations > 0
         assert any(result.stale_series)
@@ -108,11 +111,11 @@ class TestDeterminism:
         assert first.cloud_calls == second.cloud_calls
 
     def test_no_fault_injector_is_bit_identical(
-        self, plane, seizure_recording, run_session
+        self, plane, seizure_recording, run_direct_session
     ):
         """With faults disabled the whole resilient path is a no-op."""
-        bare = run_session(CloudServer(plane), CHAOS_CONFIG, seizure_recording)
-        wrapped = run_session(
+        bare = run_direct_session(CloudServer(plane), CHAOS_CONFIG, seizure_recording)
+        wrapped = run_direct_session(
             FaultInjector(CloudServer(plane), FaultPlan()),
             CHAOS_CONFIG,
             seizure_recording,
@@ -126,7 +129,7 @@ class TestDeterminism:
 
 
 class TestDegradedCounters:
-    def test_obs_counters_exported(self, plane, seizure_recording, run_session):
+    def test_obs_counters_exported(self, plane, seizure_recording, run_direct_session):
         """The loop's counters mean the same whichever entry point runs
         it: ``runtime.degraded_iterations`` counts degraded *tracked*
         iterations, not every frame spent degraded."""
@@ -139,7 +142,7 @@ class TestDegradedCounters:
                 CloudServer(plane),
                 FaultPlan.single(FaultKind.OUTAGE, first_call=1, last_call=6),
             )
-            result = run_session(server, CHAOS_CONFIG, seizure_recording)
+            result = run_direct_session(server, CHAOS_CONFIG, seizure_recording)
             registry = obs.metrics()
             assert registry.counter_value("faults.injected") == server.injected
             assert (

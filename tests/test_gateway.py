@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.edge.fleet as edge_fleet
 from repro.cloud.client import BreakerState, ResilienceConfig
 from repro.cloud.results import SearchMatch
 from repro.cloud.server import CloudServer
@@ -30,7 +31,6 @@ from repro.gateway import (
     FleetConfig,
     GatewayConfig,
     ServingGateway,
-    build_frame_pool,
     run_fleet,
 )
 from repro.gateway.gateway import _PendingAttempt, _tenant_seed
@@ -375,44 +375,34 @@ class TestFleet:
         with pytest.raises(GatewayError):
             FleetConfig(n_tenants=0)
         with pytest.raises(GatewayError):
-            FleetConfig(mean_requests_per_session=0.5)
+            FleetConfig(arrival_horizon_s=-1.0)
         with pytest.raises(GatewayError):
-            FleetConfig(think_time_s=-1.0)
-
-    def test_frame_pool_is_seeded_and_validated(self):
-        slices = _random_slices(9, n=6)
-        first = build_frame_pool(slices, n_frames=5, seed=42)
-        second = build_frame_pool(slices, n_frames=5, seed=42)
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a, b)
-        with pytest.raises(GatewayError):
-            build_frame_pool(slices, n_frames=0)
-        with pytest.raises(GatewayError, match="long enough"):
-            build_frame_pool(slices, frame_samples=10**6)
+            FleetConfig(time_scale=-1.0)
 
     def test_run_fleet_requires_frames(self):
-        server = CloudServer(_random_slices(10, n=4))
-        try:
-            with pytest.raises(GatewayError, match="frame pool"):
-                run_fleet(server, [])
-        finally:
-            server.close()
+        """A session must replay at least one whole frame."""
+        with pytest.raises(GatewayError, match="at least one frame"):
+            FleetConfig(session_s=0.5)
+        assert FleetConfig(session_s=1.0).session_frames == 1
 
-    def test_small_fleet_completes_and_coalesces(self):
-        slices = _random_slices(11, n=10)
-        frames = build_frame_pool(slices, n_frames=6, seed=11)
-        server = CloudServer(slices)
+    def test_fault_horizon_covers_the_worst_case(self):
+        """One call a frame, each taking every attempt, over a
+        tenant's sessions (10 sessions over 4 tenants: at most 3)."""
+        fleet = FleetConfig(n_sessions=10, n_tenants=4, session_s=20.0)
+        assert fleet.fault_horizon(ResilienceConfig(max_retries=2)) == 3 * 20 * 3
+
+    def test_small_fleet_completes_and_coalesces(self, mdb_slices):
+        server = CloudServer(mdb_slices)
         try:
             report = run_fleet(
                 server,
-                frames,
-                FleetConfig(n_sessions=24, n_tenants=3, seed=11),
+                FleetConfig(n_sessions=24, n_tenants=3, session_s=8.0, seed=11),
                 GatewayConfig(max_batch=16),
             )
         finally:
             server.close()
-        assert report.sessions_completed == 24
-        assert report.sessions_dropped == 0
+        assert report.sessions == 24
+        assert report.sessions_without_set == 0
         assert report.requests == report.successes + report.failures
         assert report.failures == 0
         assert report.pending_at_end == 0
@@ -428,20 +418,20 @@ class TestFleet:
             report.requests
         )
 
-    def test_fleet_is_deterministic_in_request_counts(self):
-        slices = _random_slices(12, n=8)
-        frames = build_frame_pool(slices, n_frames=4, seed=12)
-        config = FleetConfig(n_sessions=12, n_tenants=2, seed=12)
+    def test_fleet_is_deterministic_in_request_counts(self, mdb_slices):
+        config = FleetConfig(n_sessions=12, n_tenants=2, session_s=8.0, seed=12)
 
         def counts():
-            server = CloudServer(slices)
+            server = CloudServer(mdb_slices)
             try:
-                report = run_fleet(server, frames, config)
+                report = run_fleet(server, config)
             finally:
                 server.close()
             return (
                 report.requests,
                 report.successes,
+                report.edge_steps,
+                report.edge_evaluations,
                 {
                     name: summary.requests
                     for name, summary in report.per_tenant.items()
@@ -471,10 +461,6 @@ def _edge_step_key(step, tracked):
 
 class TestEdgeStepDriver:
     """The async front door coalescing sessions into fused fleet steps."""
-
-    def test_config_rejects_negative_edge_steps(self):
-        with pytest.raises(GatewayError):
-            FleetConfig(edge_steps_per_request=-1)
 
     def test_coalesced_steps_match_direct_fleet(self):
         matches = _edge_matches(30)
@@ -636,42 +622,134 @@ class TestEdgeStepDriver:
         assert isinstance(ghost, TrackingError)
         assert isinstance(step, TrackingStep) and step.iteration == 1
 
-    def test_fleet_edge_leg_counts_and_report(self):
-        slices = _random_slices(34, n=10)
-        frames = build_frame_pool(slices, n_frames=6, seed=34)
-        server = CloudServer(slices)
+    @staticmethod
+    def _count_worker_calls(driver) -> list[str]:
+        """Record the name of every call the driver runs on its worker."""
+        calls: list[str] = []
+        run = driver._run
+
+        async def counting(fn, *args):
+            calls.append(fn.__name__)
+            return await run(fn, *args)
+
+        driver._run = counting
+        return calls
+
+    def test_adopt_rides_the_next_fused_step(self):
+        """An adopt costs no worker call of its own: the next step opens
+        the set and steps it in one worker call and one fused step."""
+        matches = _edge_matches(38, n=4)
+
+        async def scenario():
+            driver = EdgeStepDriver(TrackerConfig(area_threshold=1e9))
+            worker = self._count_worker_calls(driver)
+            await driver.adopt("s", matches)
+            assert worker == []
+            step = await driver.step("s", np.zeros(256))
+            fused = driver.fused_steps
+            await driver.aclose()
+            return worker, fused, step
+
+        worker, fused, step = asyncio.run(scenario())
+        assert worker == ["_open_and_step"]
+        assert fused == 1
+        assert step.iteration == 1 and step.tracked_before == 4
+
+    def test_parked_result_dropped_by_close_never_opens(self):
+        matches = _edge_matches(39, n=3)
+
+        async def scenario():
+            driver = EdgeStepDriver(TrackerConfig(area_threshold=1e9))
+            opened: list[str] = []
+            open_session = driver.tracker.open_session
+            driver.tracker.open_session = lambda sid, result: (
+                opened.append(sid),
+                open_session(sid, result),
+            )
+            await driver.adopt("s", matches)
+            await driver.close_session("s")
+            with pytest.raises(TrackingError, match="unknown fleet session"):
+                await driver.step("s", np.zeros(256))
+            misses = driver.tracker.cache_misses
+            await driver.aclose()
+            return opened, misses
+
+        opened, misses = asyncio.run(scenario())
+        assert opened == []
+        assert misses == 0  # nothing was ever compiled
+
+    def test_parked_result_that_cannot_open_fails_only_its_caller(
+        self, monkeypatch
+    ):
+        """A set whose slice cannot compile fails its own session's
+        frame; its batch-mates step, and the session keeps its old set."""
+        good = _edge_matches(40, n=3)
+        bad = _edge_matches(41, n=2)
+        compile_windows = edge_fleet.compile_slice_windows
+
+        def compile_or_fail(data, *args):
+            if any(data is match.sig_slice.data for match in bad):
+                raise TrackingError("slice cannot compile")
+            return compile_windows(data, *args)
+
+        monkeypatch.setattr(edge_fleet, "compile_slice_windows", compile_or_fail)
+
+        async def scenario():
+            driver = EdgeStepDriver(TrackerConfig(area_threshold=1e9))
+            await driver.adopt("b", good)
+            first = await driver.step("b", np.zeros(256))
+            for sid, matches in (("a", good), ("b", bad), ("c", good)):
+                await driver.adopt(sid, matches)
+            results = await asyncio.gather(
+                *(driver.step(sid, np.zeros(256)) for sid in ("a", "b", "c")),
+                return_exceptions=True,
+            )
+            again = await driver.step("b", np.zeros(256))
+            await driver.aclose()
+            return first, results, again
+
+        first, (a, b, c), again = asyncio.run(scenario())
+        assert first.iteration == 1
+        assert isinstance(b, TrackingError) and "cannot compile" in str(b)
+        for step in (a, c):
+            assert isinstance(step, TrackingStep)
+            assert step.iteration == 1 and step.tracked_before == 3
+        # "b" still tracks its old set: the failed open released nothing.
+        assert again.iteration == 2 and again.tracked_before == 3
+
+    def test_fleet_edge_leg_counts_and_report(self, mdb_slices):
+        server = CloudServer(mdb_slices)
         try:
             report = run_fleet(
                 server,
-                frames,
-                FleetConfig(
-                    n_sessions=16,
-                    n_tenants=2,
-                    seed=34,
-                    edge_steps_per_request=2,
-                ),
+                FleetConfig(n_sessions=16, n_tenants=2, session_s=8.0, seed=34),
             )
         finally:
             server.close()
         assert report.successes > 0
-        # Edge completeness: every success ran exactly its edge steps.
-        assert report.edge_steps == report.successes * 2
+        # Edge completeness: every step a session got back came from a
+        # fused step, and every adopted set stepped on its landing frame.
+        assert report.edge_steps == report.edge_fused_frames > 0
+        assert report.sets_stepped == report.sets_adopted > 0
         assert report.edge_fused_steps >= 1
         assert report.edge_mean_fused_batch >= 1.0
         assert report.edge_evaluations > 0
         assert report.edge_dedup_ratio >= 1.0
         assert "edge:" in report.report()
 
-    def test_cloud_only_fleet_reports_no_edge_leg(self):
-        slices = _random_slices(35, n=8)
-        frames = build_frame_pool(slices, n_frames=4, seed=35)
-        server = CloudServer(slices)
+    def test_cloud_only_fleet_reports_no_edge_leg(self, mdb_slices):
+        """Sessions that end before their first search lands only call
+        the cloud: no set is adopted and nothing is stepped."""
+        server = CloudServer(mdb_slices)
         try:
             report = run_fleet(
-                server, frames, FleetConfig(n_sessions=8, n_tenants=2, seed=35)
+                server,
+                FleetConfig(n_sessions=8, n_tenants=2, session_s=1.0, seed=35),
             )
         finally:
             server.close()
+        assert report.requests == report.successes == 8
+        assert report.sessions_without_set == 8
         assert report.edge_steps == 0
         assert report.edge_fused_steps == 0
         assert "edge:" not in report.report()

@@ -1,14 +1,16 @@
 """Soak suite for the serving gateway (``pytest -m soak``).
 
 A reduced-scale soak always runs, keeping the gate logic exercised in
-every suite.  The full CI soak — at least 200 simulated sessions over
-a ~60-simulated-second horizon with a fault plan on one tenant — is
-opt-in via ``EMAP_SOAK=1`` so local tier-1 runs stay fast; the CI
+every suite.  The full CI soak — 200 monitored sessions of 30 s each,
+arriving over 20 simulated seconds, with a fault plan on one tenant —
+is opt-in via ``EMAP_SOAK=1`` so local tier-1 runs stay fast; the CI
 ``soak`` job sets it.
 
-The gates are hard serving invariants: no dropped session, fault
-isolation (clean tenants see zero failures), bounded queues that drain
-to empty, and a wall-clock p99 latency budget.
+The gates are hard serving invariants: every session adopts a set,
+fault isolation (clean tenants see zero failures), bounded queues that
+drain to empty, a wall-clock p99 latency budget, and edge completeness
+(every adopted set is stepped on its landing frame, and every step a
+session got back came from a fused fleet step).
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ class TestReducedSoak:
                 fleet=FleetConfig(
                     n_sessions=48,
                     n_tenants=6,
-                    mean_requests_per_session=3.0,
-                    think_time_s=8.0,
+                    session_s=12.0,
                     arrival_horizon_s=20.0,
                 ),
                 max_p99_latency_s=10.0,
@@ -54,8 +55,8 @@ class TestReducedSoak:
         )
         assert report.passed, report.report()
         fleet = report.fleet
-        assert fleet.sessions_completed == 48
-        assert fleet.sessions_dropped == 0
+        assert fleet.sessions == 48
+        assert fleet.sessions_without_set == 0
         assert fleet.pending_at_end == 0
         # The faulted tenant is the only one allowed to fail requests.
         for name, tenant in fleet.per_tenant.items():
@@ -70,8 +71,7 @@ class TestReducedSoak:
                 fleet=FleetConfig(
                     n_sessions=24,
                     n_tenants=4,
-                    mean_requests_per_session=2.0,
-                    think_time_s=8.0,
+                    session_s=6.0,
                     arrival_horizon_s=20.0,
                 ),
                 max_p99_latency_s=1e-9,
@@ -85,29 +85,30 @@ class TestReducedSoak:
 @pytest.mark.skipif(not FULL_SOAK, reason="full soak runs with EMAP_SOAK=1")
 class TestFullSoak:
     def test_full_soak_200_sessions_under_chaos(self):
-        """The CI soak lane: >=200 sessions, ~60 simulated seconds,
-        one tenant under a generated fault plan, every gate enforced."""
+        """The CI soak lane: 200 sessions of 30 s over a 20 s arrival
+        horizon, one tenant under a generated fault plan, every gate
+        enforced."""
         report = run_soak(
             SoakConfig(
                 mdb_scale=0.12,
                 fleet=FleetConfig(
                     n_sessions=200,
                     n_tenants=8,
-                    mean_requests_per_session=4.0,
-                    think_time_s=10.0,
+                    session_s=30.0,
                     arrival_horizon_s=20.0,
                 ),
                 max_p99_latency_s=10.0,
             )
         )
         assert report.passed, report.report()
-        assert report.fleet.sessions_completed == 200
-        assert report.fleet.requests >= 200
+        assert report.fleet.sessions == 200
+        assert report.fleet.requests >= 800
         assert report.fleet.mean_batch_size > 1.0
 
 
 class TestEdgeCompletenessGate:
-    """The edge-leg soak gate: every success runs its tracking steps."""
+    """The edge-leg soak gate: every adopted set is stepped on its
+    landing frame, and every step comes back from a fused step."""
 
     def _edge_config(self) -> SoakConfig:
         return SoakConfig(
@@ -115,10 +116,8 @@ class TestEdgeCompletenessGate:
             fleet=FleetConfig(
                 n_sessions=24,
                 n_tenants=4,
-                mean_requests_per_session=2.0,
-                think_time_s=8.0,
+                session_s=8.0,
                 arrival_horizon_s=20.0,
-                edge_steps_per_request=2,
             ),
             max_p99_latency_s=10.0,
         )
@@ -127,22 +126,40 @@ class TestEdgeCompletenessGate:
         report = run_soak(self._edge_config())
         assert report.passed, report.report()
         fleet = report.fleet
-        assert fleet.edge_steps == fleet.successes * 2
+        assert fleet.edge_steps == fleet.edge_fused_frames > 0
+        assert fleet.sets_stepped == fleet.sets_adopted >= fleet.sessions
         assert fleet.edge_fused_steps >= 1
         assert fleet.edge_evaluations > 0
 
-    def test_lost_edge_frames_trip_the_gate(self, monkeypatch):
-        """A fused step that drops a rider must be a soak violation."""
+    def _lossy_soak(self, monkeypatch, field: str):
+        """The soak with ``field`` of the fleet report one short."""
         import repro.gateway.soak as soak_module
 
         real_run_fleet = soak_module.run_fleet
 
         def lossy_run_fleet(*args, **kwargs):
             report = real_run_fleet(*args, **kwargs)
-            report.edge_steps -= 1  # simulate one dropped rider
+            setattr(report, field, getattr(report, field) - 1)
             return report
 
         monkeypatch.setattr(soak_module, "run_fleet", lossy_run_fleet)
-        report = run_soak(self._edge_config())
+        return run_soak(self._edge_config())
+
+    def test_lost_edge_frames_trip_the_gate(self, monkeypatch):
+        """A fused step that drops a rider must be a soak violation."""
+        report = self._lossy_soak(monkeypatch, "edge_steps")
         assert not report.passed
-        assert any("edge leg" in violation for violation in report.violations)
+        assert any(
+            "edge leg" in violation and "tracking steps" in violation
+            for violation in report.violations
+        )
+
+    def test_unstepped_fresh_set_trips_the_gate(self, monkeypatch):
+        """A landing frame that does not step its fresh set must be a
+        soak violation."""
+        report = self._lossy_soak(monkeypatch, "sets_stepped")
+        assert not report.passed
+        assert any(
+            "edge leg" in violation and "not stepped" in violation
+            for violation in report.violations
+        )

@@ -227,3 +227,33 @@ class TestBatchStreamEquivalence:
         ]
         # The scenario must occur for this regression test to bite.
         assert emptied, "no step emptied the set; adjust the scenario"
+
+
+class TestEntryPointsAgree:
+    """Every entry point of the closed loop equals ``EMAPFramework.run``
+    on the same recording, bit for bit.  The ``fleet`` case is a
+    one-session fleet on the simulated clock: the same loop over the
+    serving gateway and the fused edge driver, so it also holds the
+    compiled fleet tracker to the scalar one inside the loop."""
+
+    @pytest.mark.parametrize("recording", ["seizure_recording", "normal_recording"])
+    def test_matches_framework(self, mdb_slices, request, recording, run_session):
+        signal = request.getfixturevalue(recording)
+        expected = EMAPFramework(CloudServer(mdb_slices)).run(signal)
+        result = run_session(CloudServer(mdb_slices), FrameworkConfig(), signal)
+        assert result.pa_series == expected.pa_series
+        assert result.tracked_counts == expected.tracked_counts
+        assert result.predictions == expected.predictions
+        assert result.stale_series == expected.stale_series
+        assert result.degraded_iterations == expected.degraded_iterations
+        assert result.cloud_calls == expected.cloud_calls > 1
+        assert result.initial_latency_s == expected.initial_latency_s
+        # Every call lands on the same frame (SET_REFRESH), and the
+        # whole Fig. 9 event log agrees.
+        landings = [e.time_s for e in result.events.of_kind(EventKind.SET_REFRESH)]
+        assert landings == [
+            e.time_s for e in expected.events.of_kind(EventKind.SET_REFRESH)
+        ]
+        assert [(e.time_s, e.kind, e.detail) for e in result.events] == [
+            (e.time_s, e.kind, e.detail) for e in expected.events
+        ]
