@@ -1,10 +1,8 @@
-"""Live streaming: EMAP as a push-based monitor with an energy budget.
+"""Live streaming: EMAP as a push-based monitor.
 
 Feeds a patient's EEG to the :class:`StreamingMonitor` in quarter-second
 chunks (the way an amplifier driver would deliver it), prints alerts as
-they fire, and closes with the edge energy budget for the session —
-including how much worse cross-correlation tracking would have been
-(the Fig. 8(b) argument, in millijoules).
+they fire, and closes with the session's frame and cloud-call counts.
 
 Run with::
 
@@ -12,7 +10,6 @@ Run with::
 """
 
 from repro.cloud.server import CloudServer
-from repro.edge.energy import EdgeEnergyModel
 from repro.eval.experiments.common import build_fixture
 from repro.runtime.streaming import StreamingMonitor
 from repro.signals.anomalies import AnomalySpec, make_anomalous_signal
@@ -47,27 +44,7 @@ def main() -> None:
                 print(f"  >>> ANOMALY ALERT at t={alerted_at:.1f}s "
                       f"(onset at {patient.onset_time_s:.0f}s)")
 
-    evaluations = (1000 - 256) // 4 + 1  # per tracked signal per frame
-    per_iteration = evaluations * 100  # ~100 tracked signals
-    energy = EdgeEnergyModel()
-    session = energy.session_energy(
-        iterations=len(monitor.updates),
-        area_evaluations_per_iteration=per_iteration,
-        cloud_calls=monitor.cloud_calls,
-    )
-    xcorr_session = energy.session_energy(
-        iterations=len(monitor.updates),
-        area_evaluations_per_iteration=per_iteration,
-        cloud_calls=monitor.cloud_calls,
-        use_xcorr=True,
-    )
-    print(f"\nsession energy: {session.total_mj:.0f} mJ "
-          f"(tracking {session.tracking_mj:.0f}, radio "
-          f"{session.uplink_mj + session.downlink_mj:.0f}, idle {session.idle_mj:.0f})")
-    print(f"with cross-correlation tracking it would be "
-          f"{xcorr_session.total_mj:.0f} mJ — the Fig. 8(b) saving in joules")
-    print(f"battery life at this duty cycle: "
-          f"{energy.battery_life_hours(per_iteration, monitor.cloud_calls * 3600 / max(len(monitor.updates),1)):.0f} h")
+    print(f"\n{len(monitor.updates)} frames, {monitor.cloud_calls} cloud calls")
 
 
 if __name__ == "__main__":

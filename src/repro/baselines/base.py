@@ -106,19 +106,6 @@ class WindowClassifier(ABC):
             raise EMAPError(f"expected a 2-D stack, got shape {stacked.shape}")
         return np.array([self.predict_window(row) for row in stacked], dtype=bool)
 
-    def predict_signal(
-        self,
-        sig: Signal,
-        frame_samples: int = FRAME_SAMPLES,
-        min_positive_fraction: float = 0.15,
-    ) -> bool:
-        """Record-level decision: vote over the record's windows."""
-        frames = [frame for frame in sig.frames(frame_samples)]
-        if not frames:
-            raise EMAPError("recording too short for one window")
-        votes = self.predict_windows(np.vstack(frames))
-        return bool(votes.mean() >= min_positive_fraction)
-
     def accuracy(self, testing: TrainingSet) -> float:
         """Window-level classification accuracy on a labelled set."""
         predictions = self.predict_windows(testing.windows).astype(np.int64)

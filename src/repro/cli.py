@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.version import PAPER, __version__
 
@@ -422,10 +422,11 @@ def _cmd_serve(args: argparse.Namespace) -> str | tuple[str, int]:
     if args.soak:
         from repro.gateway import SoakConfig, run_soak
 
-        overrides = (
-            {} if args.p99_budget is None
-            else {"max_p99_latency_s": args.p99_budget}
-        )
+        overrides: dict[str, Any] = {}
+        if args.p99_budget is not None:
+            overrides["max_p99_latency_s"] = args.p99_budget
+        if args.fault_tenant is not None:
+            overrides["faulted_tenant"] = args.fault_tenant
         soak = run_soak(
             SoakConfig(
                 mdb_scale=args.mdb_scale,

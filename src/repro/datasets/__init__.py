@@ -5,12 +5,11 @@ The paper's mega-database combines five open-access EEG corpora
 Zwoliński [25]).  Those cannot ship offline, so each is replaced by a
 parameterised synthetic corpus with the source's distinguishing
 characteristics — native sampling rate, record length, channel montage
-and anomaly mix — driving the identical ingest path
-(EDF-style records → resample → bandpass → slice → label → MDB).
+and anomaly mix — driving the ingest path
+(record → resample → bandpass → slice → label → MDB).
 """
 
 from repro.datasets.base import CorpusSpec, SyntheticCorpus
-from repro.datasets.edf import EDFError, read_edf, write_edf
 from repro.datasets.registry import (
     CorpusRegistry,
     default_registry,
@@ -20,10 +19,7 @@ from repro.datasets.registry import (
 __all__ = [
     "CorpusRegistry",
     "CorpusSpec",
-    "EDFError",
     "SyntheticCorpus",
     "default_registry",
-    "read_edf",
     "scaled_registry",
-    "write_edf",
 ]

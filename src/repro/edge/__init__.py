@@ -17,11 +17,9 @@ in the closed loop itself, :class:`repro.runtime.StreamingMonitor`.
   the anomaly / normal decision.
 * :mod:`repro.edge.device` — the cloud-call policy (when the edge
   re-transmits a frame).
-* :mod:`repro.edge.energy` — the edge device's energy model.
 """
 
 from repro.edge.device import CloudCallPolicy
-from repro.edge.energy import EdgeEnergyModel, EnergySpec, SessionEnergy
 from repro.edge.fleet import FleetTracker, FleetTrackingEngine
 from repro.edge.plane import compile_slice_windows
 from repro.edge.predictor import AnomalyPredictor, PredictorConfig, ProbabilityTrace
@@ -37,14 +35,11 @@ from repro.edge.tracker import (
 __all__ = [
     "AnomalyPredictor",
     "CloudCallPolicy",
-    "EdgeEnergyModel",
-    "EnergySpec",
     "FleetTracker",
     "FleetTrackingEngine",
     "PredictorConfig",
     "ProbabilityTrace",
     "ScalarTrackingEngine",
-    "SessionEnergy",
     "SignalTracker",
     "TrackedSignal",
     "TrackerConfig",

@@ -33,10 +33,6 @@ class DatasetError(EMAPError):
     """A dataset generator or dataset registry operation failed."""
 
 
-class EDFError(DatasetError):
-    """Reading or writing the EDF-style binary container failed."""
-
-
 class StorageError(EMAPError):
     """The embedded document store rejected an operation."""
 

@@ -1,4 +1,4 @@
-"""Evaluation harness: metrics, batches, and per-figure experiments.
+"""Evaluation harness: input batches, reporting, and per-figure experiments.
 
 Every table and figure of the paper's evaluation section has a
 dedicated module under :mod:`repro.eval.experiments`; see DESIGN.md's
@@ -7,14 +7,11 @@ targets that regenerate them.
 """
 
 from repro.eval.batches import BatchSpec, InputBatch, make_anomaly_batches, make_normal_batch
-from repro.eval.metrics import BinaryConfusion, accuracy_score
 from repro.eval.reporting import format_series, format_table
 
 __all__ = [
     "BatchSpec",
-    "BinaryConfusion",
     "InputBatch",
-    "accuracy_score",
     "format_series",
     "format_table",
     "make_anomaly_batches",

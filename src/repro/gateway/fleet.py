@@ -87,6 +87,19 @@ class FleetConfig:
             raise GatewayError("fleet times must be non-negative")
 
     @property
+    def tenants(self) -> tuple[str, ...]:
+        """Tenant names; session ``i`` belongs to ``tenants[i % n_tenants]``."""
+        return tuple(f"tenant-{index}" for index in range(self.n_tenants))
+
+    def check_tenant(self, tenant: str) -> None:
+        """Reject a tenant name that no session of this fleet uses."""
+        if tenant not in self.tenants:
+            raise GatewayError(
+                f"unknown tenant {tenant!r}: the fleet's tenants are "
+                f"tenant-0 … tenant-{self.n_tenants - 1}"
+            )
+
+    @property
     def session_frames(self) -> int:
         """Frames each session's recording holds."""
         return int(self.session_s * BASE_SAMPLE_RATE_HZ) // FRAME_SAMPLES
@@ -454,10 +467,11 @@ async def _run_fleet_async(
     framework = FrameworkConfig()
     edge = EdgeStepDriver(framework.tracker)
     latencies: list[float] = []
+    tenants = config.tenants
 
     async def session(index: int) -> tuple[str, list[MonitorUpdate]]:
         start_s, frames = arrivals[index]
-        tenant = f"tenant-{index % config.n_tenants}"
+        tenant = tenants[index % config.n_tenants]
         updates = await run_fleet_session(
             gateway, edge, tenant, f"session-{index}", frames, framework,
             start_s, config.time_scale, latencies,
@@ -547,6 +561,8 @@ def run_fleet(
     :class:`FleetReport`.
     """
     config = config or FleetConfig()
+    for tenant in tenant_plans or ():
+        config.check_tenant(tenant)
     arrivals = []
     for index in range(config.n_sessions):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))

@@ -230,10 +230,6 @@ class ServingGateway:
         """The tenant's resilient client (breaker state, counters)."""
         return self._tenant(tenant).client
 
-    def tenant_names(self) -> list[str]:
-        """Tenants seen so far, in first-submit order."""
-        return list(self._order)
-
     async def submit(
         self, tenant: str, frame: Frame | np.ndarray, now_s: float
     ) -> CloudCallOutcome:

@@ -71,6 +71,7 @@ class SoakConfig:
             raise GatewayError(
                 f"mdb scale must be in (0, 1], got {self.mdb_scale}"
             )
+        self.fleet.check_tenant(self.faulted_tenant)
         if not (0.0 <= self.max_faulted_failure_ratio <= 1.0):
             raise GatewayError(
                 "faulted failure-ratio budget must be in [0, 1], got "

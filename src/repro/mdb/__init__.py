@@ -9,16 +9,12 @@ provenance metadata.
 from repro.mdb.builder import BuildReport, MDBBuilder
 from repro.mdb.mdb import MegaDatabase
 from repro.mdb.schema import SLICE_COLLECTION, slice_from_document, slice_to_document
-from repro.mdb.stats import MDBProfile, composition_report, describe
 
 __all__ = [
     "BuildReport",
     "MDBBuilder",
-    "MDBProfile",
     "MegaDatabase",
     "SLICE_COLLECTION",
-    "composition_report",
-    "describe",
     "slice_from_document",
     "slice_to_document",
 ]

@@ -28,8 +28,6 @@ from repro.signals.metrics import (
     cross_correlation,
     normalized_cross_correlation,
 )
-from repro.signals.montage import TEN_TWENTY_ELECTRODES, MultiChannelRecording
-from repro.signals.quality import FrameQuality, QualityAssessor, QualityThresholds
 from repro.signals.resample import resample_to
 from repro.signals.slicing import slice_signal
 from repro.signals.types import (
@@ -55,14 +53,9 @@ __all__ = [
     "EEGGenerator",
     "FilterSpec",
     "Frame",
-    "FrameQuality",
-    "MultiChannelRecording",
-    "QualityAssessor",
-    "QualityThresholds",
     "Signal",
     "SignalSlice",
     "StreamingFIRFilter",
-    "TEN_TWENTY_ELECTRODES",
     "area_between_curves",
     "cross_correlation",
     "inject_anomaly",

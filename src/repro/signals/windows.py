@@ -2,8 +2,8 @@
 
 The sliding-window search (Algorithm 1) needs the mean and centred norm
 of arbitrary windows of each 1000-sample MDB slice.  Recomputing them
-per offset would cost O(m) each; :class:`WindowedStats` builds two
-prefix-sum arrays per slice so any window's sums come out in O(1), and
+per offset would cost O(m) each; :class:`WindowedStats` builds a
+prefix-sum array per slice so any window's sum comes out in O(1), and
 :func:`centered_window_norms` derives every window's centred norm in
 one vectorised pass.  That one function is the norm of both the scalar
 reference and the compiled search plane, so the two read the same bits.
@@ -70,7 +70,6 @@ class WindowedStats:
             raise SignalError("series must not be empty")
         self._data = series
         self._prefix = np.concatenate(([0.0], np.cumsum(series)))
-        self._prefix_sq = np.concatenate(([0.0], np.cumsum(series * series)))
         self._norms: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -100,11 +99,6 @@ class WindowedStats:
     def window_mean(self, offset: int, length: int) -> float:
         """Mean of the window."""
         return self.window_sum(offset, length) / length
-
-    def window_sq_sum(self, offset: int, length: int) -> float:
-        """Σ data² over the window."""
-        self._check_window(offset, length)
-        return float(self._prefix_sq[offset + length] - self._prefix_sq[offset])
 
     def centered_norm(self, offset: int, length: int) -> float:
         """L2 norm of the mean-subtracted window.

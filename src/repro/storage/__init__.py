@@ -3,7 +3,7 @@
 The paper stores the mega-database in MongoDB via pymongo.  This
 subpackage provides the same interaction surface as an in-process
 library: named collections of JSON-like documents with auto-assigned
-ids, Mongo-style query filters, optional field indexes, and JSON-lines
+ids, top-level equality queries, optional field indexes, and JSON-lines
 persistence.
 
 Public API:
@@ -11,13 +11,11 @@ Public API:
 * :class:`~repro.storage.store.DocumentStore` — a named set of
   collections.
 * :class:`~repro.storage.store.Collection` — insert / find / count /
-  delete with Mongo-style filters.
+  delete by top-level field equality.
 * :class:`~repro.storage.documents.ObjectId` — deterministic unique ids.
-* :func:`~repro.storage.matching.matches_filter` — the filter engine.
 """
 
 from repro.storage.documents import ObjectId
-from repro.storage.matching import matches_filter
 from repro.storage.store import Collection, DocumentStore
 
-__all__ = ["Collection", "DocumentStore", "ObjectId", "matches_filter"]
+__all__ = ["Collection", "DocumentStore", "ObjectId"]

@@ -78,14 +78,3 @@ def validate_document(document: Mapping[str, Any]) -> dict[str, Any]:
         if key.startswith("$"):
             raise StorageError(f"document keys must not start with '$': {key!r}")
     return dict(document)
-
-
-def get_path(document: Mapping[str, Any], path: str) -> tuple[bool, Any]:
-    """Resolve a dotted field path; returns (found, value)."""
-    current: Any = document
-    for part in path.split("."):
-        if isinstance(current, Mapping) and part in current:
-            current = current[part]
-        else:
-            return False, None
-    return True, current

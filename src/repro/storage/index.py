@@ -1,9 +1,9 @@
 """Equality indexes for the embedded document store.
 
-A :class:`FieldIndex` maps each distinct value of one (dotted) field to
+A :class:`FieldIndex` maps each distinct value of one top-level field to
 the set of document ids holding it, accelerating the exact-equality
 queries the MDB layer issues constantly (``{"label": "seizure"}``,
-``{"dataset": ...}``).  Range queries fall back to collection scans.
+``{"dataset": ...}``).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from collections import defaultdict
 from typing import Any, Hashable, Mapping
 
 from repro.errors import StorageError
-from repro.storage.documents import ObjectId, get_path
+from repro.storage.documents import ObjectId
 
 #: Sentinel for documents that lack the indexed field.
 _MISSING = object()
@@ -30,7 +30,7 @@ def _index_key(value: Any) -> Hashable:
 
 
 class FieldIndex:
-    """Equality index over one dotted field path."""
+    """Equality index over one top-level field."""
 
     def __init__(self, field: str) -> None:
         if not field or not isinstance(field, str):
@@ -44,8 +44,7 @@ class FieldIndex:
 
     def add(self, doc_id: ObjectId, document: Mapping[str, Any]) -> None:
         """Index one document (no-op key for missing fields)."""
-        found, value = get_path(document, self.field)
-        key = _index_key(value) if found else _MISSING
+        key = _index_key(document[self.field]) if self.field in document else _MISSING
         self._by_value[key].add(doc_id)
         self._by_id[doc_id] = key
 

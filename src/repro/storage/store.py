@@ -1,4 +1,4 @@
-"""The embedded document store: named collections with Mongo-style API.
+"""The embedded document store: named collections with a pymongo-like API.
 
 Usage mirrors pymongo closely enough that the MDB layer reads like the
 paper's description::
@@ -9,31 +9,41 @@ paper's description::
     doc_id = slices.insert_one({"label": "seizure", "samples": [...]})
     for doc in slices.find({"label": "seizure"}):
         ...
+
+A query is ``{}`` (every document) or top-level field equalities
+(``{"label": "seizure", "dataset": "tuh"}``), which is all the MDB
+issues; operators, dotted paths and mapping-valued conditions are
+rejected with :class:`QueryError`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.errors import DuplicateKeyError, QueryError, StorageError
 from repro.storage.documents import ID_FIELD, ObjectId, validate_document
 from repro.storage.index import FieldIndex
-from repro.storage.matching import matches_filter
 
 
-def _single_equality_field(query: Mapping[str, Any]) -> tuple[str, Any] | None:
-    """If ``query`` contains a plain-equality clause, return (field, value).
+def _check_query(query: Mapping[str, Any]) -> None:
+    """Reject anything but top-level field equalities."""
+    if not isinstance(query, Mapping):
+        raise QueryError(f"query must be a mapping, got {type(query).__name__}")
+    for field, value in query.items():
+        if not isinstance(field, str) or field.startswith("$"):
+            raise QueryError(f"unsupported query operator: {field!r}")
+        if isinstance(value, Mapping):
+            raise QueryError(
+                f"query on {field!r}: only plain equality is supported, got {value!r}"
+            )
 
-    Used to route queries through a field index; any remaining clauses
-    are verified per candidate document.
-    """
-    for field, condition in query.items():
-        if field.startswith("$"):
-            continue
-        if isinstance(condition, Mapping):
-            continue
-        return field, condition
-    return None
+
+def _matches(document: Mapping[str, Any], query: Mapping[str, Any]) -> bool:
+    """Whether every queried field is present and equal (a missing field never matches)."""
+    return all(
+        field in document and document[field] == value
+        for field, value in query.items()
+    )
 
 
 class Collection:
@@ -66,7 +76,7 @@ class Collection:
     # -- indexing ----------------------------------------------------
 
     def create_index(self, field: str) -> None:
-        """Create (or rebuild) an equality index on a dotted field."""
+        """Create (or rebuild) an equality index on a top-level field."""
         index = FieldIndex(field)
         for doc_id, document in self._documents.items():
             index.add(doc_id, document)
@@ -99,10 +109,6 @@ class Collection:
         self._data_version += 1
         return doc_id
 
-    def insert_many(self, documents: list[Mapping[str, Any]]) -> list[ObjectId]:
-        """Insert several documents, returning their ids in order."""
-        return [self.insert_one(document) for document in documents]
-
     def delete_many(self, query: Mapping[str, Any]) -> int:
         """Delete all documents matching ``query``; returns the count."""
         doomed = [doc[ID_FIELD] for doc in self.find(query)]
@@ -114,50 +120,6 @@ class Collection:
             self._data_version += 1
         return len(doomed)
 
-    def update_many(
-        self,
-        query: Mapping[str, Any],
-        update: Mapping[str, Any],
-    ) -> int:
-        """Apply a ``$set`` / ``$unset`` / ``$inc`` update to all matches.
-
-        Returns the number of documents updated.  The ``_id`` field is
-        immutable.  Indexes covering touched fields are maintained.
-        """
-        operations = dict(update)
-        unknown = set(operations) - {"$set", "$unset", "$inc"}
-        if unknown:
-            raise StorageError(f"unsupported update operators: {sorted(unknown)}")
-        if not operations:
-            raise StorageError("update document must not be empty")
-        touched = 0
-        for document in self.find(query):
-            doc_id = document[ID_FIELD]
-            for field, value in operations.get("$set", {}).items():
-                if field == ID_FIELD:
-                    raise StorageError(f"{ID_FIELD} is immutable")
-                document[field] = value
-            for field in operations.get("$unset", {}):
-                if field == ID_FIELD:
-                    raise StorageError(f"{ID_FIELD} is immutable")
-                document.pop(field, None)
-            for field, amount in operations.get("$inc", {}).items():
-                if field == ID_FIELD:
-                    raise StorageError(f"{ID_FIELD} is immutable")
-                current = document.get(field, 0)
-                if not isinstance(current, (int, float)) or not isinstance(
-                    amount, (int, float)
-                ):
-                    raise StorageError(f"$inc needs numeric values for {field!r}")
-                document[field] = current + amount
-            for index in self._indexes.values():
-                index.remove(doc_id)
-                index.add(doc_id, document)
-            touched += 1
-        if touched:
-            self._data_version += 1
-        return touched
-
     def clear(self) -> None:
         """Remove every document (indexes stay defined but empty)."""
         if self._documents:
@@ -168,33 +130,18 @@ class Collection:
 
     # -- reads -------------------------------------------------------
 
-    def find_by_id(self, doc_id: ObjectId | str) -> dict[str, Any] | None:
-        """Fetch one document by id, or ``None``."""
-        key = doc_id if isinstance(doc_id, ObjectId) else ObjectId(doc_id)
-        return self._documents.get(key)
-
     def find(
         self,
         query: Mapping[str, Any] | None = None,
         limit: int | None = None,
-        sort_key: Callable[[Mapping[str, Any]], Any] | None = None,
-        reverse: bool = False,
     ) -> list[dict[str, Any]]:
-        """All documents matching ``query`` (insertion order by default)."""
+        """All documents matching ``query``, in insertion order."""
         matches = list(self._iter_matches(query or {}))
-        if sort_key is not None:
-            matches.sort(key=sort_key, reverse=reverse)
         if limit is not None:
             if limit < 0:
                 raise StorageError(f"limit must be non-negative, got {limit}")
             matches = matches[:limit]
         return matches
-
-    def find_one(self, query: Mapping[str, Any] | None = None) -> dict[str, Any] | None:
-        """The first matching document, or ``None``."""
-        for document in self._iter_matches(query or {}):
-            return document
-        return None
 
     def count(self, query: Mapping[str, Any] | None = None) -> int:
         """Number of documents matching ``query``."""
@@ -209,9 +156,8 @@ class Collection:
             return index.distinct_values()
         seen: list[Any] = []
         for document in self._documents.values():
-            found, value = _get(document, field)
-            if found and value not in seen:
-                seen.append(value)
+            if field in document and document[field] not in seen:
+                seen.append(document[field])
         return seen
 
     def _iter_matches(self, query: Mapping[str, Any]) -> Iterator[dict[str, Any]]:
@@ -219,16 +165,14 @@ class Collection:
 
         An empty query yields every document without filtering any.
         """
-        if not isinstance(query, Mapping):
-            raise QueryError(f"query must be a mapping, got {type(query).__name__}")
+        _check_query(query)
         if not query:
             yield from list(self._documents.values())
             return
         candidates: Iterator[dict[str, Any]]
-        routed = _single_equality_field(query)
-        if routed is not None and routed[0] in self._indexes:
-            field, value = routed
-            ids = self._indexes[field].lookup(value)
+        indexed = next((field for field in query if field in self._indexes), None)
+        if indexed is not None:
+            ids = self._indexes[indexed].lookup(query[indexed])
             candidates = (
                 self._documents[doc_id]
                 for doc_id in self._documents
@@ -237,14 +181,8 @@ class Collection:
         else:
             candidates = iter(list(self._documents.values()))
         for document in candidates:
-            if matches_filter(document, query):
+            if _matches(document, query):
                 yield document
-
-
-def _get(document: Mapping[str, Any], field: str) -> tuple[bool, Any]:
-    from repro.storage.documents import get_path
-
-    return get_path(document, field)
 
 
 class DocumentStore:
@@ -261,10 +199,6 @@ class DocumentStore:
         if name not in self._collections:
             self._collections[name] = Collection(name)
         return self._collections[name]
-
-    def drop_collection(self, name: str) -> bool:
-        """Delete a collection entirely; returns whether it existed."""
-        return self._collections.pop(name, None) is not None
 
     @property
     def collection_names(self) -> tuple[str, ...]:

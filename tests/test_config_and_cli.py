@@ -4,7 +4,7 @@ import pytest
 
 from repro.cli import main
 from repro.config import PipelineConfig, build_pipeline
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GatewayError
 from repro.signals.generator import EEGGenerator
 
 
@@ -137,6 +137,41 @@ class TestCLI:
         # An impossible latency budget must fail the gate and the exit.
         assert main(args + ["--p99-budget", "1e-9"]) == 1
         assert "VIOLATED" in capsys.readouterr().out
+
+    def test_serve_soak_faults_the_named_tenant(self, monkeypatch):
+        import repro.gateway
+
+        seen = []
+
+        def fake_run_soak(config):
+            seen.append(config.faulted_tenant)
+            raise SystemExit(0)
+
+        monkeypatch.setattr(repro.gateway, "run_soak", fake_run_soak)
+        args = ["serve", "--soak", "--tenants", "4", "--fault-tenant", "tenant-3"]
+        with pytest.raises(SystemExit):
+            main(args)
+        assert seen == ["tenant-3"]
+
+    @pytest.mark.parametrize("soak", [[], ["--soak"]])
+    def test_serve_rejects_fault_tenant_outside_fleet(self, soak):
+        """A name no session uses would fault nobody, and the soak's
+        isolation gate would then pass without testing anything."""
+        args = [
+            "serve",
+            *soak,
+            "--sessions",
+            "4",
+            "--tenants",
+            "4",
+            "--mdb-scale",
+            "0.05",
+            "--duration",
+            "6",
+        ]
+        for name in ("tenant-4", "tenant-x"):
+            with pytest.raises(GatewayError, match="unknown tenant"):
+                main(args + ["--fault-tenant", name])
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

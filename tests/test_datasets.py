@@ -1,10 +1,9 @@
-"""Unit tests for the synthetic corpora, EDF container, and registry."""
+"""Unit tests for the synthetic corpora and registry."""
 
 import numpy as np
 import pytest
 
 from repro.datasets.base import CorpusSpec, SyntheticCorpus
-from repro.datasets.edf import read_edf, write_edf
 from repro.datasets.physionet_like import physionet_like_spec
 from repro.datasets.registry import (
     SPEC_FACTORIES,
@@ -14,8 +13,8 @@ from repro.datasets.registry import (
 )
 from repro.datasets.tuh_like import tuh_like_spec
 from repro.datasets.uci_like import uci_like_spec
-from repro.errors import DatasetError, EDFError
-from repro.signals.types import AnomalyType, Signal
+from repro.errors import DatasetError
+from repro.signals.types import AnomalyType
 
 
 class TestCorpusSpec:
@@ -101,67 +100,6 @@ class TestSyntheticCorpus:
         corpus = SyntheticCorpus(physionet_like_spec(n_records=4, record_duration_s=5.0), seed=0)
         sources = [record.source for record in corpus.records()]
         assert len(set(sources)) == 4
-
-
-class TestEDF:
-    def _signals(self):
-        rng = np.random.default_rng(0)
-        return [
-            Signal(
-                data=rng.standard_normal(1000) * 40.0,
-                sample_rate_hz=250.0,
-                label=AnomalyType.SEIZURE,
-                channel="Fp1",
-                onset_sample=500,
-            ),
-            Signal(
-                data=rng.standard_normal(1000) * 25.0,
-                sample_rate_hz=250.0,
-                channel="Fp2",
-            ),
-        ]
-
-    def test_round_trip(self, tmp_path):
-        path = write_edf(tmp_path / "rec.sedf", self._signals())
-        loaded = read_edf(path)
-        assert len(loaded) == 2
-        assert loaded[0].channel == "Fp1"
-        assert loaded[0].label is AnomalyType.SEIZURE
-        assert loaded[0].onset_sample == 500
-        assert loaded[1].label is AnomalyType.NONE
-        assert loaded[1].onset_sample is None
-        assert loaded[0].sample_rate_hz == 250.0
-
-    def test_quantisation_error_small(self, tmp_path):
-        signals = self._signals()
-        path = write_edf(tmp_path / "rec.sedf", signals)
-        loaded = read_edf(path)
-        peak = np.abs(signals[0].data).max()
-        error = np.abs(loaded[0].data - signals[0].data).max()
-        assert error <= peak / 32767 * 1.01
-
-    def test_rejects_mixed_rates(self, tmp_path):
-        signals = self._signals()
-        bad = Signal(data=np.ones(1000), sample_rate_hz=512.0)
-        with pytest.raises(EDFError, match="one sampling rate"):
-            write_edf(tmp_path / "x.sedf", [signals[0], bad])
-
-    def test_rejects_truncated_file(self, tmp_path):
-        path = write_edf(tmp_path / "rec.sedf", self._signals())
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(EDFError, match="truncated"):
-            read_edf(path)
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.sedf"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(EDFError, match="magic"):
-            read_edf(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(EDFError, match="no such"):
-            read_edf(tmp_path / "ghost.sedf")
 
 
 class TestRegistry:

@@ -1,53 +1,11 @@
-"""Unit tests for the evaluation harness: metrics, batches, reporting."""
+"""Unit tests for the evaluation harness: batches and reporting."""
 
 import pytest
 
 from repro.errors import EMAPError
 from repro.eval.batches import BatchSpec, make_anomaly_batches, make_normal_batch
-from repro.eval.metrics import BinaryConfusion, accuracy_score
 from repro.eval.reporting import format_series, format_table
 from repro.signals.types import AnomalyType
-
-
-class TestBinaryConfusion:
-    def test_counts_and_metrics(self):
-        confusion = BinaryConfusion()
-        for actual, predicted in [
-            (True, True),
-            (True, False),
-            (False, False),
-            (False, False),
-            (False, True),
-        ]:
-            confusion.add(actual, predicted)
-        assert confusion.total == 5
-        assert confusion.accuracy == pytest.approx(3 / 5)
-        assert confusion.sensitivity == pytest.approx(0.5)
-        assert confusion.specificity == pytest.approx(2 / 3)
-        assert confusion.false_positive_rate == pytest.approx(1 / 3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EMAPError, match="no observations"):
-            BinaryConfusion().accuracy
-
-    def test_no_positives_rejected(self):
-        confusion = BinaryConfusion()
-        confusion.add(False, False)
-        with pytest.raises(EMAPError, match="positive"):
-            confusion.sensitivity
-
-
-class TestAccuracyScore:
-    def test_basic(self):
-        assert accuracy_score([True, False], [True, True]) == pytest.approx(0.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(EMAPError, match="mismatch"):
-            accuracy_score([True], [True, False])
-
-    def test_empty(self):
-        with pytest.raises(EMAPError, match="empty"):
-            accuracy_score([], [])
 
 
 class TestBatches:

@@ -38,6 +38,13 @@ class TestSoakConfig:
         with pytest.raises(GatewayError):
             SoakConfig(max_queue_high_water=0)
 
+    def test_faulted_tenant_must_be_in_the_fleet(self):
+        fleet = FleetConfig(n_tenants=3)
+        SoakConfig(fleet=fleet, faulted_tenant="tenant-2")
+        for name in ("tenant-3", "tenant-01", "other"):
+            with pytest.raises(GatewayError, match="unknown tenant"):
+                SoakConfig(fleet=fleet, faulted_tenant=name)
+
 
 class TestReducedSoak:
     def test_reduced_scale_soak_passes_every_gate(self):

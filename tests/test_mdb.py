@@ -163,21 +163,20 @@ class TestMegaDatabase:
         assert [s.slice_id for s in second] == ["a", "b"]
 
     def test_out_of_band_write_drops_decoded_slices(self):
-        mdb = MegaDatabase()
-        mdb.insert_document(
-            slice_to_document(
-                SignalSlice(
-                    data=np.arange(300.0), label=AnomalyType.NONE, slice_id="a"
-                ),
+        def document(label):
+            return slice_to_document(
+                SignalSlice(data=np.arange(300.0), label=label, slice_id="a"),
                 dataset="test",
                 channel="Fp1",
             )
-        )
+
+        mdb = MegaDatabase()
+        mdb.insert_document(document(AnomalyType.NONE))
         before = next(mdb.slices())
-        # A write that bypasses the facade moves the generation.
-        mdb.store.collection(SLICE_COLLECTION).update_many(
-            {}, {"$set": {"label": AnomalyType.SEIZURE.value}}
-        )
+        # Writes that bypass the facade move the generation.
+        collection = mdb.store.collection(SLICE_COLLECTION)
+        assert collection.delete_many({"slice_id": "a"}) == 1
+        collection.insert_one(document(AnomalyType.SEIZURE))
         after = next(mdb.slices())
         assert after is not before
         assert after.label is AnomalyType.SEIZURE

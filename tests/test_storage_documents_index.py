@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.documents import ObjectId, get_path, validate_document
+from repro.storage.documents import ObjectId, validate_document
 from repro.storage.index import FieldIndex
 
 
@@ -44,17 +44,6 @@ class TestValidateDocument:
             validate_document({1: "x"})
 
 
-class TestGetPath:
-    def test_nested(self):
-        doc = {"a": {"b": {"c": 5}}}
-        assert get_path(doc, "a.b.c") == (True, 5)
-        assert get_path(doc, "a.b") == (True, {"c": 5})
-        assert get_path(doc, "a.z") == (False, None)
-
-    def test_non_mapping_intermediate(self):
-        assert get_path({"a": [1, 2]}, "a.b") == (False, None)
-
-
 class TestFieldIndex:
     def test_lookup(self):
         index = FieldIndex("label")
@@ -78,12 +67,6 @@ class TestFieldIndex:
         index.add(ObjectId("a"), {"label": "x"})
         index.add(ObjectId("b"), {"other": 1})
         assert index.distinct_values() == ["x"]
-
-    def test_dotted_path(self):
-        index = FieldIndex("meta.dataset")
-        oid = ObjectId("a")
-        index.add(oid, {"meta": {"dataset": "tuh"}})
-        assert index.lookup("tuh") == {oid}
 
     def test_rejects_unhashable_value(self):
         index = FieldIndex("v")

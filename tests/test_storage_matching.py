@@ -1,11 +1,9 @@
-"""Unit + property tests for the Mongo-style filter engine."""
+"""Unit tests for the document store's query language: top-level equality."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import QueryError
-from repro.storage.matching import matches_filter
+from repro.storage.store import Collection
 
 DOC = {
     "name": "slice-1",
@@ -16,132 +14,46 @@ DOC = {
 }
 
 
+def matches(query, indexed=()):
+    collection = Collection("one")
+    for field in indexed:
+        collection.create_index(field)
+    collection.insert_one(DOC)
+    return collection.count(query) == 1
+
+
 class TestLiteralEquality:
     def test_match(self):
-        assert matches_filter(DOC, {"label": "seizure"})
+        assert matches({"label": "seizure"})
+        assert matches({"label": "seizure", "anomalous": 1}, indexed=("anomalous",))
 
     def test_mismatch(self):
-        assert not matches_filter(DOC, {"label": "stroke"})
+        assert not matches({"label": "stroke"})
+        assert not matches({"label": "stroke"}, indexed=("label",))
+        assert not matches({"label": "seizure", "anomalous": 0})
 
     def test_missing_field_never_matches(self):
-        assert not matches_filter(DOC, {"nope": 1})
+        assert not matches({"nope": 1})
+        assert not matches({"nope": None}, indexed=("nope",))
 
     def test_empty_query_matches_all(self):
-        assert matches_filter(DOC, {})
+        assert matches({})
 
-    def test_dotted_path(self):
-        assert matches_filter(DOC, {"meta.dataset": "tuh-eeg"})
-        assert not matches_filter(DOC, {"meta.dataset": "bnci"})
-
-
-class TestComparisons:
-    @pytest.mark.parametrize(
-        ("query", "expected"),
-        [
-            ({"start": {"$gt": 1999}}, True),
-            ({"start": {"$gt": 2000}}, False),
-            ({"start": {"$gte": 2000}}, True),
-            ({"start": {"$lt": 2000}}, False),
-            ({"start": {"$lte": 2000}}, True),
-            ({"start": {"$eq": 2000}}, True),
-            ({"start": {"$ne": 2000}}, False),
-            ({"start": {"$ne": 1}}, True),
-        ],
-    )
-    def test_operators(self, query, expected):
-        assert matches_filter(DOC, query) is expected
-
-    def test_ne_matches_missing_field(self):
-        assert matches_filter(DOC, {"ghost": {"$ne": 5}})
-
-    def test_gt_on_missing_field_never_matches(self):
-        assert not matches_filter(DOC, {"ghost": {"$gt": 0}})
-
-    def test_cross_type_comparison_is_no_match(self):
-        assert not matches_filter(DOC, {"label": {"$gt": 5}})
-
-    def test_range_combination(self):
-        assert matches_filter(DOC, {"start": {"$gte": 1000, "$lt": 3000}})
-        assert not matches_filter(DOC, {"start": {"$gte": 1000, "$lt": 1500}})
-
-
-class TestMembership:
-    def test_in(self):
-        assert matches_filter(DOC, {"label": {"$in": ["seizure", "stroke"]}})
-        assert not matches_filter(DOC, {"label": {"$in": ["stroke"]}})
-
-    def test_nin(self):
-        assert matches_filter(DOC, {"label": {"$nin": ["stroke"]}})
-        assert matches_filter(DOC, {"ghost": {"$nin": ["anything"]}})
-
-    def test_in_requires_sequence(self):
-        with pytest.raises(QueryError, match=r"\$in"):
-            matches_filter(DOC, {"label": {"$in": "seizure"}})
-
-
-class TestLogical:
-    def test_and(self):
-        assert matches_filter(
-            DOC, {"$and": [{"label": "seizure"}, {"anomalous": 1}]}
-        )
-        assert not matches_filter(
-            DOC, {"$and": [{"label": "seizure"}, {"anomalous": 0}]}
-        )
-
-    def test_or(self):
-        assert matches_filter(DOC, {"$or": [{"label": "stroke"}, {"anomalous": 1}]})
-        assert not matches_filter(DOC, {"$or": [{"label": "stroke"}, {"anomalous": 0}]})
-
-    def test_not(self):
-        assert matches_filter(DOC, {"label": {"$not": {"$eq": "stroke"}}})
-        assert not matches_filter(DOC, {"label": {"$not": {"$eq": "seizure"}}})
-
-    def test_exists(self):
-        assert matches_filter(DOC, {"meta": {"$exists": True}})
-        assert matches_filter(DOC, {"ghost": {"$exists": False}})
-        with pytest.raises(QueryError, match=r"\$exists"):
-            matches_filter(DOC, {"meta": {"$exists": "yes"}})
+    def test_dotted_path_not_resolved(self):
+        assert not matches({"meta.dataset": "tuh-eeg"})
 
 
 class TestErrors:
     def test_unknown_operator(self):
-        with pytest.raises(QueryError, match="unsupported query operator"):
-            matches_filter(DOC, {"label": {"$regex": ".*"}})
+        with pytest.raises(QueryError, match="plain equality"):
+            matches({"label": {"$regex": ".*"}})
+        with pytest.raises(QueryError, match="plain equality"):
+            matches({"start": {"$gt": 1999}}, indexed=("start",))
 
     def test_unknown_top_level(self):
-        with pytest.raises(QueryError, match="top-level"):
-            matches_filter(DOC, {"$xor": []})
+        with pytest.raises(QueryError, match="operator"):
+            matches({"$or": [{"label": "seizure"}]})
 
     def test_non_mapping_query(self):
         with pytest.raises(QueryError, match="mapping"):
-            matches_filter(DOC, ["label"])  # type: ignore[arg-type]
-
-
-integers = st.integers(min_value=-100, max_value=100)
-
-
-class TestProperties:
-    @given(value=integers, bound=integers)
-    @settings(max_examples=80, deadline=None)
-    def test_gt_lte_partition(self, value, bound):
-        document = {"x": value}
-        assert matches_filter(document, {"x": {"$gt": bound}}) != matches_filter(
-            document, {"x": {"$lte": bound}}
-        )
-
-    @given(value=integers, other=integers)
-    @settings(max_examples=80, deadline=None)
-    def test_eq_ne_partition(self, value, other):
-        document = {"x": value}
-        assert matches_filter(document, {"x": {"$eq": other}}) != matches_filter(
-            document, {"x": {"$ne": other}}
-        )
-
-    @given(value=integers)
-    @settings(max_examples=40, deadline=None)
-    def test_not_inverts(self, value):
-        document = {"x": value}
-        condition = {"$gt": 0}
-        assert matches_filter(document, {"x": condition}) != matches_filter(
-            document, {"x": {"$not": condition}}
-        )
+            matches(["label"])

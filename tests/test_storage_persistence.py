@@ -35,17 +35,17 @@ class TestRoundTrip:
         assert set(loaded.collection_names) == {"signals", "other"}
         signals = loaded.collection("signals")
         assert len(signals) == 2
-        doc = signals.find_one({"label": "seizure"})
+        (doc,) = signals.find({"label": "seizure"})
         assert isinstance(doc["samples"], np.ndarray)
         assert np.allclose(doc["samples"], [1.5, -2.25, 3.0])
         assert doc["meta"]["nested"] == [1, 2]
 
     def test_ids_preserved(self, tmp_path):
         store = build_store()
-        original_id = store.collection("other").find_one({})["_id"]
+        original_id = store.collection("other").find()[0]["_id"]
         save_store(store, tmp_path / "db")
         loaded = load_store(tmp_path / "db")
-        reloaded = loaded.collection("other").find_one({})
+        reloaded = loaded.collection("other").find()[0]
         assert isinstance(reloaded["_id"], ObjectId)
         assert reloaded["_id"] == original_id
 

@@ -17,7 +17,7 @@ Results are cached per file, keyed by content hash:
 * **Per-file rules** (EM001, EM004–EM006, EM008, EM012) depend only on the
   file's own text, so their raw findings are reused whenever the hash
   matches.
-* **Project rules** (EM007, EM009, EM010) may attribute a
+* **Project rules** (EM007, EM009, EM010, EM013) may attribute a
   finding in file ``A`` to context in file ``B`` — including *reverse*
   dependencies (an async caller of ``A`` living in ``B``), which no
   per-file import-closure key can capture soundly.  Their findings are

@@ -184,13 +184,10 @@ class ProjectModel:
                 self._register_function(info, statement, owner=None)
             elif isinstance(statement, ast.ClassDef):
                 self._register_class(info, statement)
-        origins = set(info.imports.aliases.values())
         # ``import repro.cloud.plane`` binds only ``repro`` in the alias
-        # table; recover the full dotted target from the raw statements
-        # so the import closure stays transitive.
-        for node in ast.walk(info.tree):
-            if isinstance(node, ast.Import):
-                origins.update(item.name for item in node.names)
+        # table; the full dotted target keeps the import closure
+        # transitive.
+        origins = set(info.imports.aliases.values()) | info.imports.origins
         for origin in origins:
             root = origin.split(".")[0]
             for candidate in (origin, origin.rsplit(".", 1)[0], root):

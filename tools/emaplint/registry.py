@@ -170,11 +170,16 @@ class ImportMap:
     """
 
     aliases: dict[str, str] = field(default_factory=dict)
+    #: Every imported dotted target in full: ``import a.b.c`` records
+    #: ``a.b.c`` (its alias binds only ``a``), ``from a import b``
+    #: records ``a.b``.
+    origins: set[str] = field(default_factory=set)
 
     def collect(self, tree: ast.Module) -> "ImportMap":
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for item in node.names:
+                    self.origins.add(item.name)
                     self.aliases[item.asname or item.name.split(".")[0]] = (
                         item.name if item.asname else item.name.split(".")[0]
                     )
@@ -182,9 +187,9 @@ class ImportMap:
                 for item in node.names:
                     if item.name == "*":
                         continue
-                    self.aliases[item.asname or item.name] = (
-                        f"{node.module}.{item.name}"
-                    )
+                    origin = f"{node.module}.{item.name}"
+                    self.origins.add(origin)
+                    self.aliases[item.asname or item.name] = origin
         return self
 
     def resolve(self, dotted: str) -> str:

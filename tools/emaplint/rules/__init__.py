@@ -18,4 +18,5 @@ from emaplint.rules import (  # noqa: F401  (registration side effects)
     em009_generation_cache,
     em010_metric_names,
     em012_await_lock,
+    em013_unreached_module,
 )

@@ -2,9 +2,10 @@
 and stays silent on the good twin.
 
 Single-file rules use an ``emNNN_{bad,good}.py`` fixture pair; rules
-that need cross-file context (EM010's registry-vs-emitter split) use an
-``emNNN_{bad,good}/`` fixture *directory* whose files are linted
-together as one project.
+that need cross-file context (EM010's registry-vs-emitter split,
+EM013's import graph) use an ``emNNN_{bad,good}/`` fixture *directory*
+whose files, subdirectories included, are linted together as one
+project.
 """
 
 from pathlib import Path
@@ -27,6 +28,7 @@ EXPECTED_BAD_FINDINGS = {
     "EM009": 3,
     "EM010": 4,
     "EM012": 2,
+    "EM013": 3,
 }
 
 
@@ -43,7 +45,7 @@ def _lint_fixture(rule_id: str, twin: str):
     if target.is_dir():
         items = [
             (str(path), path.read_text())
-            for path in sorted(target.glob("*.py"))
+            for path in sorted(target.rglob("*.py"))
         ]
         return engine.lint_sources(items)
     return engine.lint_source(target.read_text(), path=str(target))
@@ -142,3 +144,26 @@ def test_em010_silent_without_registry_module():
     )
     engine = LintEngine(select=["EM010"], scoped=False)
     assert engine.lint_source(source, path="app.py").findings == []
+
+
+def test_em013_tests_are_not_entry_points():
+    """A module that only a test imports is still unreached, and with
+    scoping on only library modules are reported."""
+    engine = LintEngine(select=["EM013"])  # scoping on
+    result = engine.lint_sources(
+        [
+            ("src/repro/cli.py", "from repro.work import run\n"),
+            ("src/repro/work.py", "def run():\n    return 1\n"),
+            ("src/repro/extra.py", "def unused():\n    return 2\n"),
+            ("tests/test_extra.py", "from repro.extra import unused\n"),
+        ]
+    )
+    assert [f.path for f in result.findings] == ["src/repro/extra.py"]
+    assert "repro.extra" in result.findings[0].message
+
+
+def test_em013_silent_without_entry_points():
+    """Linting a subtree with no entry point in it flags nothing."""
+    engine = LintEngine(select=["EM013"], scoped=False)
+    source = "def helper():\n    return 1\n"
+    assert engine.lint_source(source, path="src/repro/lonely.py").findings == []
