@@ -11,8 +11,8 @@ ragged list of groups (one :class:`~repro.edge.plane.CompiledSliceWindows`
 per deduplicated compiled slice), one ``(sessions, m)`` query matrix
 and each (group, query) pair's query row, and returns each pair's
 ``np.argmin`` offset and area after flat rows are set to that pair's
-worst-case area.  No area rectangle is ever written: the running
-minimum lives in registers.
+worst-case area.  No area rectangle is ever written: the compiled
+kernel keeps only each pair's row bounds, in per-thread scratch.
 
 Every area is **bit-identical** to ``np.abs(rows - q).sum(axis=1)[r]``
 on every backend and at every thread count, and every argmin equals
@@ -25,14 +25,16 @@ load):
 
 * ``"c"`` — the library's ``abs_diff_argmin``.  Its work units are up
   to :data:`~repro.kernels.TILE` pairs of one group, taken by one
-  pthread team per call from an atomic counter.  A unit runs its pairs
-  one at a time: rows in index order with a running best, where a row
-  whose block-sum lower bound (:data:`~repro.kernels.BLOCK` samples a
-  block) exceeds the best by more than a proven rounding slack is
-  skipped, and every other row gets its exact area in numpy's pairwise
-  order.  A skipped row's area is strictly above the best, so skipping
-  never changes a bit; each pair's result depends only on its own
-  areas, so neither does the schedule.
+  pthread team per call from an atomic counter.  A unit runs two
+  passes.  The first takes every row's block-sum lower bound
+  (:data:`~repro.kernels.BLOCK` samples a block) for each pair, eight
+  rows at a time.  The second seeds each pair with the exact area of
+  its row of least bound, skips every row whose bound exceeds that
+  area by more than a proven rounding slack, and gives every other row
+  its exact area in numpy's pairwise order.  A skipped row's area is
+  strictly above the seed's, so skipping never changes a bit; each
+  pair's result depends only on its own areas, so neither does the
+  schedule.
 * ``"numpy"`` — evaluates each group's full area rectangle with
   :func:`_numpy_rect_sums`, which runs the three ufunc passes through
   an L2-sized scratch block reused per shape and per thread, then

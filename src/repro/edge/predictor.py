@@ -182,10 +182,12 @@ class AnomalyPredictor:
         elif len(self.trace) < 2:
             decision = False
         else:
+            # The cheap conditions first: the Theil–Sen slope runs only
+            # when they hold.
             decision = (
-                self.current_slope() >= self.config.min_slope
-                and latest >= self.config.min_level
+                latest >= self.config.min_level
                 and supported
+                and self.current_slope() >= self.config.min_slope
             )
         registry = obs.metrics()
         if registry.enabled:

@@ -98,9 +98,13 @@ static inline v8d load8(const double *p) {
     return v;
 }
 
-/* |w - q| lane-wise; clearing the sign bit is exactly fabs. */
+/* |x| lane-wise; clearing the sign bit is exactly fabs. */
+static inline v8d abs8(v8d x) {
+    return (v8d)((v8i)x & ABS_MASK);
+}
+
 static inline v8d abs_diff8(v8d w, const double *q) {
-    return (v8d)((v8i)(w - load8(q)) & ABS_MASK);
+    return abs8(w - load8(q));
 }
 
 static inline double lane_sum(v8d r) {
@@ -138,7 +142,7 @@ static double pairwise1(const double *w, const double *q, ptrdiff_t n) {
    block may be shorter) and let W_b, Q_b be the block sums of a window
    row w and a query q.  By the triangle inequality
        A = sum_i |q_i - w_i|  >=  B = sum_b |Q_b - W_b|,
-   so a row whose bound exceeds the running best cannot win.  A row's
+   so a row whose bound exceeds another row's area cannot win.  A row's
    block sums are compiled once per slice, a query's once per call.
 
    Slack.  Let u = 2^-53, g_k = k u / (1 - k u), nb the number of
@@ -148,25 +152,38 @@ static double pairwise1(const double *w, const double *q, ptrdiff_t n) {
        A^ >= (1 - g_m) A,
        |W^_b - W_b| <= g_3 |w_b|_1   and the same for Q^_b,
        B^ <= (1 + g_nb) (B + g_3 (|q|_1 + |w|_1)).
-   Suppose A^ <= best.  Then A <= best / (1 - g_m), B <= A and, as
-   w = q - (q - w), |w|_1 <= |q|_1 + A, so to first order in u
-       B^ - best <= (m + nb + 3) u best + 6 u |q|_1.
-   The limit best + (m + 4) 2^-52 (|q|^_1 + best) exceeds that by at
-   least (m - nb + 4) u (|q|_1 + best) even after its own four
-   roundings, since nb <= m; adding DBL_MIN covers the absolute error
-   of an underflowing product (sums never lose bits to underflow).  So
-   a finite B^ above the limit proves A^ > best: np.argmin would not
-   move to the row, and skipping it leaves every best and area bit for
-   bit unchanged.  The slack needs no norm of w.
+   Let a >= 0 be the computed area of some row and suppose A^ <= a.
+   Then A <= a / (1 - g_m), B <= A and, as w = q - (q - w),
+   |w|_1 <= |q|_1 + A, so to first order in u
+       B^ - a <= (m + nb + 3) u a + 6 u |q|_1.
+   The limit a + (m + 4) 2^-52 (|q|^_1 + a) exceeds that by at least
+   (m - nb + 4) u (|q|_1 + a) even after its own four roundings, since
+   nb <= m; adding DBL_MIN covers the absolute error of an underflowing
+   product (sums never lose bits to underflow).  So a finite B^ above
+   the limit proves A^ > a.  The slack needs no norm of w.
+
+   Two passes.  Pass 1 bounds every row of a unit for each of its
+   pairs.  The seed s is the non-flat row with the least finite bound,
+   lowest index on ties; its exact area a_s sets one limit L, the one
+   above with a = a_s.  Pass 2 skips a non-flat row r != s iff its
+   bound is finite and above L, gives every other non-flat row its
+   exact area and every flat row the pair's worst area.  By the slack
+   argument a skipped row has A^_r > a_s, and a_s is one of the areas
+   np.argmin sees, so the skipped row is neither a NaN nor a first
+   minimum: np.argmin's rule run in index order over the rows kept
+   picks the row and reads the area it picks over all rows, and
+   skipping leaves every best and area bit for bit unchanged.  With no
+   seed L is NaN and no row is skipped.
 
    Non-finite values.  A row is skipped only when its bound is finite
    and above the limit.  Any overflow while bounding makes the bound
-   +inf or NaN, and an infinite norm or best makes the limit +inf, so
+   +inf or NaN, and an infinite norm or a_s makes the limit +inf, so
    none of them skips a row.  A row's area is NaN only if some w_i or
    q_i is NaN or both are infinite with one sign; then a block sum of
    each is NaN or infinite and the bound is NaN.  Every comparison
-   with a NaN is false, so such rows are always evaluated and
-   np.argmin's NaN-first rule sees every NaN area. */
+   with a NaN is false, so such rows are never the seed, are always
+   evaluated, and np.argmin's NaN-first rule sees every NaN area; a
+   NaN a_s makes L NaN and skips nothing. */
 
 typedef struct {
     const double *windows;        /* (n_rows, m) */
@@ -186,6 +203,49 @@ static double block_bound(const double *wb, const double *qb, ptrdiff_t nb) {
     }
     for (; i < nb; i++) res += fabs(wb[i] - qb[i]);
     return res;
+}
+
+/* Lane j: the sum of the even/odd lane pair j of a:b, so lane j of
+   pair_sums(a, b) is a[2j] + a[2j+1] for j < 4, b[2j-8] + b[2j-7] else. */
+static inline v8d pair_sums(v8d a, v8d b) {
+#ifdef __clang__
+    return __builtin_shufflevector(a, b, 0, 2, 4, 6, 8, 10, 12, 14)
+         + __builtin_shufflevector(a, b, 1, 3, 5, 7, 9, 11, 13, 15);
+#else
+    static const v8i even = {0, 2, 4, 6, 8, 10, 12, 14};
+    static const v8i odd = {1, 3, 5, 7, 9, 11, 13, 15};
+    return __builtin_shuffle(a, b, even) + __builtin_shuffle(a, b, odd);
+#endif
+}
+
+/* block_bound of 8 consecutive rows (row-major block sums wb) at once,
+   into out[0..7].  One accumulator per row; three levels of pair_sums
+   leave lane j = ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) of row j's
+   accumulator, lane_sum's order, and the tail blocks follow in order,
+   so every bound is bit for bit block_bound's. */
+static void bound_panel(const double *wb, const double *qb, ptrdiff_t nb,
+                        double *out) {
+    v8d res = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+    ptrdiff_t i = 0, j;
+    if (nb >= 8) {
+        v8d acc[8];
+        for (j = 0; j < 8; j++) acc[j] = abs_diff8(load8(wb + j * nb), qb);
+        for (i = 8; i + 8 <= nb; i += 8) {
+            v8d q = load8(qb + i);
+            for (j = 0; j < 8; j++)
+                acc[j] += abs8(load8(wb + j * nb + i) - q);
+        }
+        res = pair_sums(pair_sums(pair_sums(acc[0], acc[1]),
+                                  pair_sums(acc[2], acc[3])),
+                        pair_sums(pair_sums(acc[4], acc[5]),
+                                  pair_sums(acc[6], acc[7])));
+    }
+    for (; i < nb; i++) {
+        v8d w = {wb[i], wb[nb + i], wb[2 * nb + i], wb[3 * nb + i],
+                 wb[4 * nb + i], wb[5 * nb + i], wb[6 * nb + i], wb[7 * nb + i]};
+        res += abs8(w - qb[i]);
+    }
+    memcpy(out, &res, sizeof res);
 }
 
 typedef struct {
@@ -211,36 +271,83 @@ typedef struct {
     int64_t exact;           /* atomic count of exactly evaluated rows */
 } argmin_job;
 
-/* One unit, one pair at a time: rows in index order with a running
-   best; a row is skipped only when its bound proves it loses. */
-static void argmin_run(argmin_job *job, const argmin_unit *u) {
+/* One worker's view of the job: its own (TILE, largest group) bounds. */
+typedef struct {
+    argmin_job *job;
+    double *bounds;
+} argmin_worker;
+
+/* The least of n >= 0 bounds, +inf when none is finite: 8 lane-wise
+   minima, then the lanes and the tail in order.  A NaN never passes a
+   comparison, so it is never the least. */
+static double least_bound(const double *bound, ptrdiff_t n) {
+    v8d low = {INFINITY, INFINITY, INFINITY, INFINITY,
+               INFINITY, INFINITY, INFINITY, INFINITY};
+    double least = INFINITY;
+    ptrdiff_t r, j;
+    for (r = 0; r + 8 <= n; r += 8) {
+        v8d x = load8(bound + r);
+        v8i lower = x < low;
+        low = (v8d)(((v8i)x & lower) | ((v8i)low & ~lower));
+    }
+    for (j = 0; j < 8; j++)
+        if (low[j] < least) least = low[j];
+    for (; r < n; r++)
+        if (bound[r] < least) least = bound[r];
+    return least;
+}
+
+/* One unit in two passes.  Pass 1 bounds every row for every pair,
+   rows outside and pairs inside so a panel's block sums stay in L1,
+   and sets flat rows' bounds to +inf so they never seed.  Pass 2 seeds
+   each pair's limit and evaluates only the rows it cannot rule out. */
+static void argmin_run(argmin_job *job, const argmin_unit *u,
+                       double *bounds) {
     const argmin_group *g = &job->groups[u->group];
-    ptrdiff_t m = job->m, nb = job->nb, r, k;
+    ptrdiff_t m = job->m, nb = job->nb, n = g->n_rows, r, k;
+    const double *qb[TILE];
     int64_t exact = 0;
+    for (k = 0; k < u->count; k++)
+        qb[k] = job->qblocks + job->pair_query[u->first + k] * nb;
+    for (r = 0; r + 8 <= n; r += 8)
+        for (k = 0; k < u->count; k++)
+            bound_panel(g->blocks + r * nb, qb[k], nb, bounds + k * n + r);
+    for (; r < n; r++)
+        for (k = 0; k < u->count; k++)
+            bounds[k * n + r] = block_bound(g->blocks + r * nb, qb[k], nb);
+    for (r = 0; r < n; r++)
+        if (g->flat[r])
+            for (k = 0; k < u->count; k++) bounds[k * n + r] = INFINITY;
     for (k = 0; k < u->count; k++) {
         int64_t row = job->pair_query[u->first + k];
         const double *q = job->queries + row * m;
-        const double *qb = job->qblocks + row * nb;
+        const double *bound = bounds + k * n;
         double worst = job->worst[row], norm = job->qnorm[row];
-        double low = 0.0, limit = 0.0, a, bound;
-        int64_t best = 0;
-        for (r = 0; r < g->n_rows; r++) {
+        double least = least_bound(bound, n), seed_area = 0.0, limit = NAN;
+        double low = 0.0, a;
+        ptrdiff_t seed = -1;
+        int64_t best = -1;
+        if (least <= DBL_MAX) {
+            for (seed = 0; bound[seed] != least; seed++) {}
+            seed_area = pairwise1(g->windows + seed * m, q, m);
+            exact++;
+            limit = seed_area + (job->slack * (norm + seed_area) + DBL_MIN);
+        }
+        for (r = 0; r < n; r++) {
             if (g->flat[r]) {
                 a = worst;
+            } else if (r == seed) {
+                a = seed_area;
             } else {
-                if (r > 0) {
-                    bound = block_bound(g->blocks + r * nb, qb, nb);
-                    if (bound > limit && bound <= DBL_MAX) continue;
-                }
+                if (bound[r] > limit && bound[r] <= DBL_MAX) continue;
                 a = pairwise1(g->windows + r * m, q, m);
                 exact++;
             }
             /* np.argmin: a later row wins only if strictly lower or the
                first NaN; once a NaN is held nothing replaces it. */
-            if (r == 0 || (!(a >= low) && low == low)) {
+            if (best < 0 || (!(a >= low) && low == low)) {
                 low = a;
                 best = r;
-                limit = low + (job->slack * (norm + low) + DBL_MIN);
             }
         }
         job->best[u->first + k] = best;
@@ -250,11 +357,12 @@ static void argmin_run(argmin_job *job, const argmin_unit *u) {
 }
 
 static void *argmin_entry(void *arg) {
-    argmin_job *job = (argmin_job *)arg;
+    argmin_worker *worker = (argmin_worker *)arg;
+    argmin_job *job = worker->job;
     for (;;) {
         ptrdiff_t u = __atomic_fetch_add(&job->next, 1, __ATOMIC_RELAXED);
         if (u >= job->n_units) return NULL;
-        argmin_run(job, &job->units[u]);
+        argmin_run(job, &job->units[u], worker->bounds);
     }
 }
 
@@ -266,22 +374,30 @@ int64_t abs_diff_argmin(const argmin_group *groups, const ptrdiff_t *pair_counts
                         const int64_t *pair_query, int64_t *best, double *area,
                         ptrdiff_t n_threads) {
     pthread_t workers[MAX_THREADS];
+    argmin_worker team[MAX_THREADS];
     argmin_job job;
     argmin_unit *units;
-    double *qblocks, *qnorm;
-    ptrdiff_t g, p, s, i, first = 0, n_units = 0, started = 0, t;
+    double *qblocks, *qnorm, *bounds;
+    ptrdiff_t g, p, s, i, first = 0, n_units = 0, started = 0, t, rows = 0;
     ptrdiff_t nb = (m + BLOCK - 1) / BLOCK;
-    for (g = 0; g < n_groups; g++)
+    for (g = 0; g < n_groups; g++) {
         n_units += (pair_counts[g] + TILE - 1) / TILE;
+        if (pair_counts[g] > 0 && groups[g].n_rows > rows) rows = groups[g].n_rows;
+    }
     if (n_units == 0) return 0;
+    if (n_threads > n_units) n_threads = n_units;
+    if (n_threads > MAX_THREADS) n_threads = MAX_THREADS;
+    if (n_threads < 1) n_threads = 1;
     units = (argmin_unit *)malloc((size_t)n_units * sizeof *units);
-    qblocks = (double *)malloc((size_t)(sessions * nb + sessions) * sizeof *qblocks);
+    qblocks = (double *)malloc(
+        (size_t)(sessions * nb + sessions + n_threads * TILE * rows) * sizeof *qblocks);
     if (units == NULL || qblocks == NULL) {
         free(units);
         free(qblocks);
         return -1;
     }
     qnorm = qblocks + sessions * nb;
+    bounds = qnorm + sessions;
     for (s = 0; s < sessions; s++) {
         const double *q = queries + s * m;
         double norm = 0.0;
@@ -322,16 +438,18 @@ int64_t abs_diff_argmin(const argmin_group *groups, const ptrdiff_t *pair_counts
     job.n_units = n_units;
     job.next = 0;
     job.exact = 0;
-    if (n_threads > n_units) n_threads = n_units;
-    if (n_threads > MAX_THREADS) n_threads = MAX_THREADS;
+    for (t = 0; t < n_threads; t++) {
+        team[t].job = &job;
+        team[t].bounds = bounds + t * TILE * rows;
+    }
     for (t = 1; t < n_threads; t++) {
-        if (pthread_create(&workers[t], NULL, argmin_entry, &job) != 0)
+        if (pthread_create(&workers[t], NULL, argmin_entry, &team[t]) != 0)
             break;
         started = t;
     }
     /* The caller's thread drains the counter too, so every unit runs
        exactly once however many workers started. */
-    argmin_entry(&job);
+    argmin_entry(&team[0]);
     for (t = 1; t <= started; t++)
         pthread_join(workers[t], NULL);
     free(units);
@@ -773,19 +891,32 @@ def _argmin_case(
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A small ragged step with flat rows, ties, ±inf and NaN.
 
-    With ``pruned`` a last group sits around session 0's query: its
-    row 0 is close, its row 3 is row 0 reversed within blocks (the same
-    block sums up to rounding, so the bound cannot skip it), and the
-    other rows are far enough for the bound to skip them.
+    Random groups of 1, 6, 9 and 4 rows come first.  With ``pruned``
+    four more groups are built around one query each, and with 8, 4, 9
+    and 7 rows they cover a full panel of 8 rows, a partial last panel
+    and no full panel at all:
+
+    * near session 0: row 0 close, row 3 row 0 reversed within blocks
+      (the same block sums up to rounding, so the bound cannot skip it)
+      and the other rows far enough for the bound to skip them;
+    * integer session 4: row 1 has one sign per block, so its bound is
+      its area, and row 2 the same differences with alternating signs,
+      so it is the seed with the same area: the earlier row must win;
+    * the near group and a far row whose only NaN is its last sample:
+      the far row must be evaluated and win;
+    * every non-flat row holds an infinity, so no bound is finite and
+      there is no seed.
     """
     sessions = 5
-    queries = np.ascontiguousarray(rng.standard_normal((sessions, m)) * 1e5)
+    queries = rng.standard_normal((sessions, m)) * 1e5
+    queries[4] = np.rint(queries[4])
+    queries = np.ascontiguousarray(queries)
     worst = np.abs(queries).sum(axis=1)
     worst[1] = np.inf
     windows: list[np.ndarray] = []
     flats: list[np.ndarray] = []
     counts: list[int] = []
-    for n_rows, n_pairs in ((1, 2), (6, 5), (9, 0), (4, 7)):
+    for n_rows, n_pairs in ((1, 2), (6, 5), (9, 3), (4, 7)):
         rows = rng.standard_normal((n_rows, m))
         if n_rows > 3:
             rows[2] = rows[0]  # a tie the first index must win
@@ -797,15 +928,32 @@ def _argmin_case(
     pair_query = rng.integers(0, sessions, size=sum(counts)).astype(np.int64)
     if not pruned:
         return windows, flats, np.array(counts, dtype=np.intp), queries, worst, pair_query
-    near = queries[0] + rng.standard_normal((6, m)) * 1e4
-    near[0] = queries[0] + rng.standard_normal(m) * 1e-3
     full = m - m % BLOCK
+    near = queries[0] + rng.standard_normal((8, m)) * 1e4
+    near[0] = queries[0] + near[1] * 1e-7
     near[3] = near[0]
     near[3, :full] = near[0, :full].reshape(-1, BLOCK)[:, ::-1].ravel()
-    windows.append(near)
-    flats.append(np.zeros(6, dtype=bool))
-    counts.append(3)
-    pair_query = np.concatenate((pair_query, [0, 2, 0]))
+    diff = rng.integers(1, 1000, m) * np.repeat(
+        rng.choice([-1.0, 1.0], -(-m // BLOCK)), BLOCK
+    )[:m]
+    tie = queries[4] + np.array(
+        [np.full(m, 1e4), diff, np.abs(diff) * (-1.0) ** np.arange(m), np.full(m, -1e4)]
+    )
+    nan = np.concatenate((near, 2 * near[-1:] - queries[0]))
+    nan[-1, -1] = np.nan
+    unbounded = near[:7].copy()
+    unbounded[np.arange(7), np.arange(7) % m] = np.inf
+    unbounded[3, -1] = -np.inf
+    for rows, flat, owners in (
+        (near, np.zeros(8, dtype=bool), [0, 2, 0]),
+        (tie, np.zeros(4, dtype=bool), [4, 4]),
+        (nan, np.zeros(9, dtype=bool), [0]),
+        (unbounded, np.arange(7) == 1, [0, 1]),
+    ):
+        windows.append(rows)
+        flats.append(flat)
+        counts.append(len(owners))
+        pair_query = np.concatenate((pair_query, owners))
     return windows, flats, np.array(counts, dtype=np.intp), queries, worst, pair_query
 
 
@@ -816,11 +964,14 @@ def _edge_passes(kernels: CKernels, rng: np.random.Generator) -> bool:
     path (< 8), the 8-lane block with and without a remainder (≤ 128),
     and the recursive halving above 128 — with large-magnitude queries,
     where any accumulation-order difference would surface in the last
-    bits — and a last bound block shorter than :data:`BLOCK` (5, 131).
-    Group pair counts cover full units, a short unit and a lone pair
-    (7 = 4 + 3, 5 = 4 + 1, 2).  Pairs are independent, so any thread
-    count must reproduce the same bits.  The cases add flat rows, ties,
-    ±inf and NaN, and at ``m = 131`` rows the bound must skip.
+    bits — and every bound shape: fewer than 8 blocks (5), tail blocks
+    after the lanes (131, 1000) and a last block shorter than
+    :data:`BLOCK`.  Group pair counts cover full units, a short unit and
+    a lone pair (7 = 4 + 3, 5 = 4 + 1, 2).  Pairs are independent, so
+    any thread count must reproduce the same bits.  The cases add flat
+    rows, ties, ±inf and NaN, and at ``m = 131`` rows the bound must
+    skip, a seed an earlier row ties, a NaN the bound cannot skip and a
+    group with no seed.
     """
     for m in (5, 131, 1000):
         pruned = m == 131
@@ -837,11 +988,13 @@ def _edge_passes(kernels: CKernels, rng: np.random.Generator) -> bool:
         evaluable = 0
         first = 0
         for rows, flat, count in zip(windows, flats, counts.tolist()):
+            # Every session's areas over the group at once: each is the
+            # same contiguous pairwise sum as a single row's.
+            areas = np.abs(rows - queries[:, None, :]).sum(axis=2)
+            areas[:, flat] = worst[:, None]
             for row in pair_query[first : first + count].tolist():
-                areas = np.abs(rows - queries[row]).sum(axis=1)
-                areas[flat] = worst[row]
-                expected_best.append(int(np.argmin(areas)))
-                expected_area.append(float(areas[expected_best[-1]]))
+                expected_best.append(int(np.argmin(areas[row])))
+                expected_area.append(float(areas[row, expected_best[-1]]))
             evaluable += count * int(np.count_nonzero(~flat))
             first += count
         for threads in (1, 3):

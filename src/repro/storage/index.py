@@ -1,9 +1,9 @@
 """Equality indexes for the embedded document store.
 
 A :class:`FieldIndex` maps each distinct value of one top-level field to
-the set of document ids holding it, accelerating the exact-equality
-queries the MDB layer issues constantly (``{"label": "seizure"}``,
-``{"dataset": ...}``).
+the ids of the documents holding it, in insertion order, accelerating
+the exact-equality queries the MDB layer issues constantly
+(``{"label": "seizure"}``, ``{"dataset": ...}``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,9 @@ class FieldIndex:
         if not field or not isinstance(field, str):
             raise StorageError(f"index field must be a non-empty string, got {field!r}")
         self.field = field
-        self._by_value: dict[Hashable, set[ObjectId]] = defaultdict(set)
+        # Each bucket is an insertion-ordered id set (dict keys), so a
+        # lookup yields ids in the order their documents were inserted.
+        self._by_value: dict[Hashable, dict[ObjectId, None]] = defaultdict(dict)
         self._by_id: dict[ObjectId, Hashable] = {}
 
     def __len__(self) -> int:
@@ -45,7 +47,7 @@ class FieldIndex:
     def add(self, doc_id: ObjectId, document: Mapping[str, Any]) -> None:
         """Index one document (no-op key for missing fields)."""
         key = _index_key(document[self.field]) if self.field in document else _MISSING
-        self._by_value[key].add(doc_id)
+        self._by_value[key][doc_id] = None
         self._by_id[doc_id] = key
 
     def remove(self, doc_id: ObjectId) -> None:
@@ -55,13 +57,14 @@ class FieldIndex:
             return
         bucket = self._by_value.get(key)
         if bucket is not None:
-            bucket.discard(doc_id)
+            bucket.pop(doc_id, None)
             if not bucket:
                 del self._by_value[key]
 
-    def lookup(self, value: Any) -> set[ObjectId]:
-        """Ids of documents whose field equals ``value`` (copy)."""
-        return set(self._by_value.get(_index_key(value), ()))
+    def lookup(self, value: Any) -> list[ObjectId]:
+        """Ids of documents whose field equals ``value``, in insertion
+        order (copy)."""
+        return list(self._by_value.get(_index_key(value), ()))
 
     def distinct_values(self) -> list[Hashable]:
         """All distinct indexed values (excluding the missing sentinel)."""

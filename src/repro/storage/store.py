@@ -172,11 +172,11 @@ class Collection:
         candidates: Iterator[dict[str, Any]]
         indexed = next((field for field in query if field in self._indexes), None)
         if indexed is not None:
-            ids = self._indexes[indexed].lookup(query[indexed])
+            # The index keeps each value's ids in insertion order, so
+            # only the ids it returns are visited.
             candidates = (
                 self._documents[doc_id]
-                for doc_id in self._documents
-                if doc_id in ids
+                for doc_id in self._indexes[indexed].lookup(query[indexed])
             )
         else:
             candidates = iter(list(self._documents.values()))

@@ -249,36 +249,37 @@ def _exact_rows_reference(groups, counts, queries, worst, pair_query) -> int:
     """The rows the compiled kernel evaluates exactly, rule for rule.
 
     Replays ``argmin_run`` in ``repro/kernels.py`` in Python floats
-    (the same IEEE operations in the same order): a later non-flat row
-    is skipped iff its block-sum bound is finite and above
-    ``best + ((m + 4) 2^-52 (Σ|q| + best) + DBL_MIN)``.
+    (the same IEEE operations in the same order).  The seed is the
+    non-flat row with the least finite block-sum bound, first on ties;
+    its area ``a`` fixes ``L = a + ((m + 4) 2^-52 (Σ|q| + a) + DBL_MIN)``.
+    Every other non-flat row is evaluated unless its bound is finite and
+    above ``L``; with no seed no row is skipped.
     """
     m = queries.shape[1]
     slack = (m + 4) * 2.0**-52
     exact = 0
     start = 0
     for group, count in zip(groups, counts):
+        rows = np.flatnonzero(~group.flat).tolist()
         for owner in pair_query[start : start + count].tolist():
             q = queries[owner]
             norm = 0.0
             for value in np.abs(q).tolist():
                 norm += value
             q_blocks = _query_blocks(q)
-            areas = np.abs(group.windows - q).sum(axis=1)
-            low = limit = 0.0
-            for r in range(group.n_offsets):
-                if group.flat[r]:
-                    a = float(worst[owner])
-                else:
-                    if r > 0:
-                        bound = _c_sum(np.abs(group.blocks[r] - q_blocks))
-                        if limit < bound <= sys.float_info.max:
-                            continue
-                    a = float(areas[r])
-                    exact += 1
-                if r == 0 or (not a >= low and low == low):
-                    low = a
-                    limit = low + (slack * (norm + low) + sys.float_info.min)
+            bounds = {r: _c_sum(np.abs(group.blocks[r] - q_blocks)) for r in rows}
+            finite = [r for r in rows if bounds[r] <= sys.float_info.max]
+            if not finite:
+                exact += len(rows)
+                continue
+            seed = min(finite, key=bounds.__getitem__)  # first on ties
+            a = float(np.abs(group.windows[seed] - q).sum())
+            limit = a + (slack * (norm + a) + sys.float_info.min)
+            exact += 1 + sum(
+                1
+                for r in rows
+                if r != seed and not limit < bounds[r] <= sys.float_info.max
+            )
         start += count
     return exact
 
@@ -444,9 +445,10 @@ class TestLowerBound:
     def test_bound_equal_to_the_best_is_evaluated(self, m):
         """Integer samples keep every sum exact.  The query is constant
         per block and row 1's differences have one sign per block, so
-        its bound equals its area; row 2 shuffles row 1 within blocks,
-        so its bound and its area both equal the best exactly: it must
-        be evaluated, and the tie keeps the first index."""
+        its bound equals its area and, first on the least bound, it is
+        the seed; row 2 shuffles row 1 within blocks, so its bound and
+        its area both equal the seed's area exactly: it must be
+        evaluated, and the tie keeps the first index."""
         rng = np.random.default_rng(m)
         n_blocks = -(-m // BLOCK)
         query = np.repeat(rng.integers(-50, 50, n_blocks), BLOCK)[:m].astype(float)
@@ -469,22 +471,94 @@ class TestLowerBound:
         )
         assert best.tolist() == [1, 1] and got.tolist() == [area, area]
         if kernel_backend() == "c":
-            assert exact == 2 * 3  # row 3 is skipped
+            assert exact == 2 * 2  # the seed and row 2; rows 0 and 3 are skipped
 
     def test_rows_on_the_slack(self):
-        """At m = 5 and a zero query the limit is best + 9·2^-52 exactly
-        and every bound equals its row's area: rows at best ± slack/2 and
-        on the limit are evaluated, the row just past it is skipped."""
+        """At m = 5 and a zero query every bound equals its row's area.
+        Row 2 is the seed, so the limit is 1 + 9·2^-52 exactly: the rows
+        just below it and on it are evaluated, the rows past it are
+        skipped, and a later row equal to the seed loses the tie."""
         ulp = 2.0**-52
-        rows = np.zeros((6, 5))
-        rows[:, 0] = [1.0, 1 + 4 * ulp, 1 + 9 * ulp, 1 + 10 * ulp, 1 - 9 * ulp / 2, 3.0]
-        group = _groups([rows], [np.zeros(6, dtype=bool)])[0]
+        rows = np.zeros((7, 5))
+        rows[:, 0] = [1 + 9 * ulp, 1 + 8 * ulp, 1.0, 1 + 10 * ulp, 1 + 9 * ulp, 3.0, 1.0]
+        group = _groups([rows], [np.zeros(7, dtype=bool)])[0]
         best, area, exact = _check_step(
             [group], [1], np.zeros((1, 5)), np.zeros(1), np.zeros(1, dtype=np.int64)
         )
-        assert best.tolist() == [4] and area.tolist() == [1 - 9 * ulp / 2]
+        assert best.tolist() == [2] and area.tolist() == [1.0]
         if kernel_backend() == "c":
-            assert exact == 4  # rows 0, 1, 2 and 4
+            assert exact == 5  # the seed and rows 0, 1, 4 and 6
+
+    @pytest.mark.parametrize("m", [5, 131, 256])
+    def test_an_earlier_row_equal_to_the_seed_wins(self, m):
+        """Integer samples keep every sum exact.  Row 1's differences
+        have one sign per block, so its bound is its area; row 2 has the
+        same magnitudes with alternating signs, so its bound is lower and
+        it is the seed, with exactly row 1's area.  Row 1 is evaluated
+        and wins the tie by its index."""
+        rng = np.random.default_rng(m)
+        n_blocks = -(-m // BLOCK)
+        query = rng.integers(-50, 50, m).astype(float)
+        magnitude = rng.integers(1, 20, m).astype(float)
+        signs = np.repeat(rng.choice([-1.0, 1.0], n_blocks), BLOCK)[:m]
+        rows = np.array([
+            query + 100.0,
+            query + magnitude * signs,
+            query + magnitude * (-1.0) ** np.arange(m),
+            query - 100.0,
+        ])
+        group = _groups([rows], [np.zeros(4, dtype=bool)])[0]
+        area = float(magnitude.sum())
+        q_blocks = _query_blocks(query)
+        assert _c_sum(np.abs(group.blocks[2] - q_blocks)) < area
+        best, got, exact = _check_step(
+            [group], [3], query[None, :].copy(), np.array([np.inf]),
+            np.zeros(3, dtype=np.int64),
+        )
+        assert best.tolist() == [1] * 3 and got.tolist() == [area] * 3
+        if kernel_backend() == "c":
+            assert exact == 3 * 2  # the seed and row 1
+
+    @pytest.mark.parametrize("m", [5, 131, 256])
+    @pytest.mark.parametrize("n_rows", [7, 8, 9])
+    def test_a_far_nan_is_evaluated_and_wins(self, m, n_rows):
+        """The last row is far from the query but its last sample is NaN,
+        so its bound is NaN: it must be evaluated, and np.argmin's
+        NaN-first rule picks it.  With 7, 8 and 9 rows it sits before
+        any full panel, at a panel's last lane and in a partial panel."""
+        rng = np.random.default_rng(m * 10 + n_rows)
+        query = rng.standard_normal(m)
+        rows = query + rng.standard_normal((n_rows, m)) * 1e3
+        rows[0] = query + rng.standard_normal(m) * 1e-3
+        rows[-1, -1] = np.nan
+        group = _groups([rows], [np.zeros(n_rows, dtype=bool)])[0]
+        best, area, exact = _check_step(
+            [group], [2], np.array([query, query]), np.abs(query).sum() * np.ones(2),
+            np.array([0, 1], dtype=np.int64),
+        )
+        assert best.tolist() == [n_rows - 1] * 2 and np.isnan(area).all()
+        if kernel_backend() == "c":
+            assert exact == 2 * 2  # the seed (row 0) and the NaN row
+
+    @pytest.mark.parametrize("m", [5, 131, 256])
+    def test_no_finite_bound_means_no_seed(self, m):
+        """Every non-flat row holds an infinity, so no bound is finite:
+        there is no seed, no row is skipped, and the flat row's finite
+        worst area wins."""
+        rng = np.random.default_rng(m)
+        query = rng.standard_normal(m)
+        rows = query + rng.standard_normal((9, m))
+        rows[np.arange(9), np.arange(9) % m] = np.inf
+        rows[4, -1] = -np.inf
+        flat = np.arange(9) == 6
+        worst = np.array([np.abs(query).sum()])
+        best, area, exact = _check_step(
+            _groups([rows], [flat]), [2], query[None, :].copy(), worst,
+            np.zeros(2, dtype=np.int64),
+        )
+        assert best.tolist() == [6, 6] and area.tolist() == [worst[0]] * 2
+        if kernel_backend() == "c":
+            assert exact == 2 * 8
 
     @pytest.mark.parametrize("m", [5, 131])
     @pytest.mark.parametrize(

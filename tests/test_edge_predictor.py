@@ -1,5 +1,6 @@
 """Unit tests for the anomaly predictor."""
 
+import numpy as np
 import pytest
 
 from repro.edge.predictor import (
@@ -134,6 +135,44 @@ class TestAnomalyPredictor:
         predictor.reset()
         assert not predictor.predict()
         assert predictor.ema == 0.0
+
+    def test_slope_only_when_the_cheap_conditions_hold(self, monkeypatch):
+        """Over a seeded trace every decision equals the full rule, which
+        evaluates slope, level and support alike, and the Theil–Sen slope
+        is computed only when the level and the support already hold."""
+        rng = np.random.default_rng(7)
+        predictor = AnomalyPredictor()
+        config = predictor.config
+        slope = predictor.current_slope
+        calls: list[float] = []
+        monkeypatch.setattr(
+            predictor, "current_slope", lambda: calls.append(0.0) or slope()
+        )
+        level = 0.2
+        slope_decisions = []
+        for _ in range(2000):
+            level = float(np.clip(level + rng.normal(0.0, 0.08), 0.0, 1.0))
+            if rng.random() < 0.05:
+                level = 0.0
+            support = int(rng.choice([-1, 2, 10]))
+            predictor.observe(level, support=None if support < 0 else support)
+            latest = predictor.trace.latest
+            supported = predictor.trace.latest_support < 0 or (
+                predictor.trace.latest_support >= config.min_support
+            )
+            cheap = latest >= config.min_level and supported
+            by_slope = slope() >= config.min_slope and cheap
+            expected = (
+                (latest >= config.decisive_level and supported)
+                or predictor.ema >= config.ema_level
+                or (len(predictor.trace) >= 2 and by_slope)
+            )
+            before = len(calls)
+            assert predictor.predict() == expected
+            if len(calls) > before:
+                assert cheap
+                slope_decisions.append(by_slope)
+        assert True in slope_decisions and False in slope_decisions
 
     def test_slope_zero_when_short(self):
         predictor = AnomalyPredictor()

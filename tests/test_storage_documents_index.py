@@ -51,15 +51,15 @@ class TestFieldIndex:
         labels = ["x", "y", "x", "z"]
         for doc_id, label in zip(ids, labels):
             index.add(doc_id, {"label": label})
-        assert index.lookup("x") == {ids[0], ids[2]}
-        assert index.lookup("missing") == set()
+        assert index.lookup("x") == [ids[0], ids[2]]
+        assert index.lookup("missing") == []
 
     def test_remove(self):
         index = FieldIndex("label")
         oid = ObjectId("one")
         index.add(oid, {"label": "x"})
         index.remove(oid)
-        assert index.lookup("x") == set()
+        assert index.lookup("x") == []
         index.remove(oid)  # idempotent
 
     def test_missing_field_documents_not_in_distinct(self):

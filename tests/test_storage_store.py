@@ -1,12 +1,14 @@
 """Unit tests for the embedded document store."""
 
+import time
+
 import pytest
 
 from repro.errors import DuplicateKeyError, QueryError, StorageError
 from repro.storage import store as store_module
 from repro.storage.documents import ObjectId
+from repro.storage.persistence import load_store, save_store
 from repro.storage.store import Collection, DocumentStore
-
 
 @pytest.fixture
 def people() -> Collection:
@@ -118,6 +120,50 @@ class TestIndexedQueries:
         result = people.find({"role": "engineer", "age": 41})
         assert [d["name"] for d in result] == ["alan"]
         assert people.find({"age": 41, "role": "admiral"}) == []
+
+    def test_indexed_find_keeps_insertion_order(self, tmp_path):
+        """An indexed query returns what a full scan returns, in the same
+        order, after deletes, a re-insert and a save and load."""
+        store = DocumentStore("ordered")
+        collection = store.collection("order")
+        collection.create_index("label")
+        for i in range(40):
+            collection.insert_one({"_id": f"d{i:02d}", "label": "ab"[i % 3 == 0]})
+        collection.delete_many({"_id": "d03"})
+        collection.delete_many({"_id": "d10"})
+        collection.insert_one({"_id": "d03", "label": "b"})
+
+        def scan(source: Collection) -> list[str]:
+            return [d["_id"].value for d in source.find() if d["label"] == "b"]
+
+        expected = scan(collection)
+        assert expected[-1] == "d03" and "d10" not in expected
+        assert [d["_id"].value for d in collection.find({"label": "b"})] == expected
+        save_store(store, tmp_path)
+        loaded = load_store(tmp_path).collection("order")
+        assert [d["_id"].value for d in loaded.find({"label": "b"})] == expected
+        assert scan(loaded) == expected
+
+    def test_indexed_count_visits_only_the_matches(self):
+        """Counting a rare label costs less than listing the collection:
+        the query walks the index's ids, not every document."""
+        collection = Collection("large")
+        collection.create_index("label")
+        for i in range(20_000):
+            collection.insert_one({"label": "rare" if i % 2000 == 0 else "common"})
+
+        def fastest(call) -> float:
+            best = float("inf")
+            for _ in range(5):
+                started = time.perf_counter()
+                call()
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        assert collection.count({"label": "rare"}) == 10
+        assert fastest(lambda: collection.count({"label": "rare"})) < fastest(
+            lambda: collection.find({})
+        )
 
 
 class TestDeleteAndClear:
