@@ -78,12 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--duration", type=float, default=60.0)
     monitor.add_argument("--mdb-scale", type=float, default=0.3)
     monitor.add_argument("--seed", type=int, default=0)
-    monitor.add_argument(
-        "--engine",
-        choices=["scalar", "plane"],
-        default="scalar",
-        help="edge tracking engine (plane = compiled set, fused stepping)",
-    )
 
     obs_cmd = subparsers.add_parser(
         "obs",
@@ -106,12 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     obs_cmd.add_argument("--duration", type=float, default=40.0)
     obs_cmd.add_argument("--mdb-scale", type=float, default=0.2)
     obs_cmd.add_argument("--seed", type=int, default=0)
-    obs_cmd.add_argument(
-        "--engine",
-        choices=["scalar", "plane"],
-        default="scalar",
-        help="edge tracking engine (plane = compiled set, fused stepping)",
-    )
     obs_cmd.add_argument(
         "--chunk-samples",
         type=int,
@@ -298,31 +286,13 @@ def _cmd_table1(args: argparse.Namespace) -> str:
 
 def _cmd_monitor(args: argparse.Namespace) -> str:
     from repro.config import PipelineConfig, build_pipeline
-    from repro.edge.tracker import TrackerConfig
-    from repro.signals.anomalies import AnomalySpec, make_anomalous_signal
-    from repro.signals.generator import EEGGenerator
-    from repro.signals.types import AnomalyType
 
-    kind = AnomalyType(args.kind)
-    generator = EEGGenerator(seed=args.seed + 1000)
-    if kind.is_anomalous:
-        if kind is AnomalyType.SEIZURE:
-            spec = AnomalySpec(
-                kind=kind,
-                onset_s=0.8 * args.duration,
-                buildup_s=0.7 * args.duration,
-            )
-        else:
-            spec = AnomalySpec(kind=kind)
-        recording = make_anomalous_signal(generator, args.duration, spec)
-    else:
-        recording = generator.record(args.duration)
+    recording = _session_recording(args)
     pipeline = build_pipeline(
         PipelineConfig(
             mdb_scale=args.mdb_scale,
             seed=args.seed,
             with_artifacts=False,
-            tracker=TrackerConfig(engine=args.engine),
         )
     )
     session = pipeline.framework.run(recording)
@@ -339,8 +309,9 @@ def _cmd_monitor(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _obs_recording(args: argparse.Namespace) -> Signal:
-    """An evaluation recording for the observability session."""
+def _session_recording(args: argparse.Namespace) -> Signal:
+    """The ``--kind`` / ``--duration`` recording a ``monitor`` or
+    ``obs`` session runs on."""
     from repro.signals.anomalies import AnomalySpec, make_anomalous_signal
     from repro.signals.generator import EEGGenerator
     from repro.signals.types import AnomalyType
@@ -364,7 +335,6 @@ def _cmd_obs(args: argparse.Namespace) -> str:
     """End-to-end streaming run with the observability layer enabled."""
     from repro import obs
     from repro.config import PipelineConfig, build_pipeline
-    from repro.edge.tracker import TrackerConfig
     from repro.obs.profiling import profile_block
     from repro.runtime.streaming import FrameworkConfig, StreamingMonitor
 
@@ -377,11 +347,8 @@ def _cmd_obs(args: argparse.Namespace) -> str:
             with_artifacts=False,
         )
     )
-    recording = _obs_recording(args)
-    monitor = StreamingMonitor(
-        pipeline.cloud,
-        FrameworkConfig(tracker=TrackerConfig(engine=args.engine)),
-    )
+    recording = _session_recording(args)
+    monitor = StreamingMonitor(pipeline.cloud, FrameworkConfig())
     chunk = max(1, args.chunk_samples)
     with profile_block("obs.streaming_run", obs.profiles()):
         for start in range(0, len(recording.data), chunk):

@@ -34,10 +34,10 @@ independent scalar :class:`~repro.edge.tracker.SignalTracker` stepping
 the same frames (``tests/test_edge_fleet_fused.py`` and
 ``tests/test_edge_fleet_differential.py`` assert it).
 
-:class:`FleetTrackingEngine` is a one-session fleet behind the
-:class:`~repro.edge.tracker.TrackingEngine` seam; it is what
-``TrackerConfig(engine="plane")`` builds, so a single tracker and a
-fleet of thousands run the same compiled step.
+:class:`FleetTracker` is the one production tracker: a single
+:class:`~repro.runtime.streaming.StreamingMonitor` tracks on a
+one-session fleet, the fused edge driver (:mod:`repro.gateway.fleet`)
+on one fleet of thousands, so both run the same compiled step.
 
 Slices with an empty ``slice_id`` cannot be content-addressed and are
 compiled privately per candidate (correct, just unshared — each
@@ -50,7 +50,6 @@ Every frame is checked (shape, finite samples, known session) by
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -66,7 +65,6 @@ from repro.edge._kernels import (
 )
 from repro.edge.plane import CompiledSliceWindows, compile_slice_windows
 from repro.edge.tracker import (
-    EngineStep,
     TrackedSignal,
     TrackerConfig,
     TrackingStep,
@@ -115,7 +113,7 @@ class _FleetSession:
 
     def __init__(
         self,
-        matches: Sequence[SearchMatch | TrackedSignal],
+        matches: Sequence[SearchMatch],
         entries: list[_CacheEntry],
     ) -> None:
         self.slices: list[SignalSlice] = [match.sig_slice for match in matches]
@@ -209,7 +207,6 @@ class FleetTracker:
         self.last_fused_groups = 0
         self.last_fused_pairs = 0
         self.last_fused_max_group = 0
-        self.last_fused_step_s = 0.0
 
     # -- introspection -------------------------------------------------
 
@@ -274,12 +271,9 @@ class FleetTracker:
     def open_session(
         self,
         session_id: str,
-        matches: Sequence[SearchMatch | TrackedSignal] | SearchResult,
+        matches: Sequence[SearchMatch] | SearchResult,
     ) -> None:
-        """Adopt a correlation set for ``session_id`` (replacing any).
-
-        ``matches`` are the cloud's matches, or tracked signals whose
-        slices, ω and offsets the session takes over.
+        """Adopt the cloud's correlation set for ``session_id`` (replacing any).
 
         Reopening an existing session id is the fleet equivalent of
         :meth:`SignalTracker.load`: the old set's references are
@@ -288,7 +282,7 @@ class FleetTracker:
         whose slice ids overlap the old set keeps those entries warm
         instead of evicting and immediately recompiling them.
         """
-        entries_in: Sequence[SearchMatch | TrackedSignal] = (
+        entries_in: Sequence[SearchMatch] = (
             matches.matches if isinstance(matches, SearchResult) else list(matches)
         )
         entries: list[_CacheEntry] = []
@@ -313,7 +307,7 @@ class FleetTracker:
         del self._sessions[session_id]
         self._publish_gauges()
 
-    def _acquire(self, match: SearchMatch | TrackedSignal) -> _CacheEntry:
+    def _acquire(self, match: SearchMatch) -> _CacheEntry:
         sig_slice = match.sig_slice
         key: object = sig_slice.slice_id if sig_slice.slice_id else object()
         entry = self._cache.get(key)
@@ -415,7 +409,6 @@ class FleetTracker:
         session its share to :meth:`_commit_session`, in submission
         order.
         """
-        started = time.perf_counter()
         sessions = [self._sessions[session_id] for session_id in queries]
         # -- plan ------------------------------------------------------
         prepared = [self._prepare_query(data) for data in queries.values()]
@@ -485,10 +478,8 @@ class FleetTracker:
         self.last_fused_groups = len(plan)
         self.last_fused_pairs = int(ranked.size)
         self.last_fused_max_group = int(counts.max()) if counts.size else 0
-        self.last_fused_step_s = time.perf_counter() - started
         registry = obs.metrics()
         if registry.enabled:
-            registry.observe("edge.fleet.fused_step_s", self.last_fused_step_s)
             registry.observe("edge.fleet.fused_groups", len(plan))
             for count in counts.tolist():
                 registry.observe("edge.fleet.fused_queries_per_group", count)
@@ -551,33 +542,3 @@ class FleetTracker:
         registry.set_gauge("edge.fleet.unique_slices", self.unique_slices)
         registry.set_gauge("edge.fleet.tracked_references", self.tracked_references)
         registry.set_gauge("edge.fleet.compiled_bytes", self.compiled_bytes)
-
-
-#: The one session id a :class:`FleetTrackingEngine` keeps open.
-_ENGINE_SESSION = "plane"
-
-
-class FleetTrackingEngine:
-    """``TrackerConfig(engine="plane")``: a one-session :class:`FleetTracker`.
-
-    Implements the :class:`~repro.edge.tracker.TrackingEngine` seam on
-    the fleet's compiled step.  :meth:`load` reopens the session, which
-    keeps the compiled entries of every slice the new set shares with
-    the old one; :meth:`step` reports the session's survivors and
-    removals as fresh :class:`TrackedSignal` values.
-    """
-
-    def __init__(self, config: TrackerConfig) -> None:
-        self.fleet = FleetTracker(config)
-        self.fleet.open_session(_ENGINE_SESSION, [])
-
-    def load(self, signals: Sequence[TrackedSignal]) -> None:
-        self.fleet.open_session(_ENGINE_SESSION, signals)
-
-    def step(self, data: np.ndarray) -> EngineStep:
-        step = self.fleet.step({_ENGINE_SESSION: data})[_ENGINE_SESSION]
-        return EngineStep(
-            survivors=list(self.fleet.tracked(_ENGINE_SESSION)),
-            removed=step.removed_signals,
-            area_evaluations=step.area_evaluations,
-        )

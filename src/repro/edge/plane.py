@@ -1,12 +1,12 @@
 """Frame-invariant compiled slice windows for the edge tracker.
 
-:class:`~repro.edge.tracker.ScalarTrackingEngine` calls
+The scalar reference, :class:`~repro.edge.tracker.SignalTracker`, calls
 :func:`~repro.signals.metrics.sliding_area_normalized` per candidate per
 frame, rebuilding prefix sums, per-offset means/RMS and normalised
 windows for slices that have not changed since the cloud returned
-them.  Those statistics are frame-invariant, so the compiled engine
-(:class:`~repro.edge.fleet.FleetTracker`, which also backs
-``TrackerConfig(engine="plane")``) computes them once per slice with
+them.  Those statistics are frame-invariant, so the production tracker
+(:class:`~repro.edge.fleet.FleetTracker`, which every closed loop
+tracks on) computes them once per slice with
 :func:`compile_slice_windows` and shares the result across every
 session tracking that slice.
 
@@ -14,7 +14,7 @@ Bit-identity: the compile step uses the same
 :func:`~repro.signals.metrics.sliding_window_stats` /
 :func:`~repro.signals.metrics.normalized_sliding_windows` formulas as
 the scalar path, so a step over the compiled windows reads the exact
-values the scalar engine recomputes.
+values the scalar reference recomputes.
 """
 
 from __future__ import annotations

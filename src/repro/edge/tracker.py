@@ -16,25 +16,26 @@ iterations between cloud calls, and the reported ~9 ms-per-signal edge
 cost matches a scan, not a single comparison.
 
 The scan cost is what Fig. 8(b) compares against cross-correlation
-tracking (~4.3× dearer); :meth:`SignalTracker.step` therefore reports
-its evaluation count so the timing model can convert it to edge time.
+tracking (~4.3× dearer); a step therefore reports its evaluation count
+so the timing model can convert it to edge time.
+
+:class:`SignalTracker` is the scalar reference: a per-candidate Python
+loop that rebuilds each slice's window statistics on every step.  The
+closed loop and the fleet track on the compiled
+:class:`~repro.edge.fleet.FleetTracker`, which is held to this loop
+bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro import obs
 from repro.cloud.results import SearchMatch, SearchResult
 from repro.errors import TrackingError
 from repro.signals.metrics import sliding_area, sliding_area_normalized
 from repro.signals.types import FRAME_SAMPLES, Frame, SignalSlice
-
-#: Engine names :class:`TrackerConfig.engine` accepts.
-TRACKING_ENGINES = ("scalar", "plane")
 
 #: Paper's area threshold δ_A (~900 sq. units ≈ δ = 0.8, Fig. 8a).
 DEFAULT_AREA_THRESHOLD = 900.0
@@ -82,12 +83,10 @@ class TrackerConfig:
     µV waveforms, in which case ``area_threshold`` must be chosen for
     the input's own amplitude scale.
 
-    ``engine`` selects how the area scan executes: ``"scalar"`` is the
-    reference per-candidate Python loop, ``"plane"`` compiles each
-    loaded slice once and evaluates each step in one kernel call
-    (:class:`repro.edge.fleet.FleetTrackingEngine`, a one-session
-    :class:`~repro.edge.fleet.FleetTracker`) — bit-identical results,
-    different cost.
+    ``engine`` has no effect and accepts only ``"scalar"``.  It is a
+    leftover kept only because the perfbench oracle still passes
+    ``engine="scalar"``; any other value raises
+    :class:`~repro.errors.TrackingError`.
     """
 
     area_threshold: float = DEFAULT_AREA_THRESHOLD
@@ -113,10 +112,10 @@ class TrackerConfig:
             raise TrackingError(
                 f"offset stride must be >= 1, got {self.offset_stride}"
             )
-        if self.engine not in TRACKING_ENGINES:
+        if self.engine != "scalar":
             raise TrackingError(
-                f"unknown tracking engine {self.engine!r}; "
-                f"expected one of {TRACKING_ENGINES}"
+                f"unknown tracking engine {self.engine!r}: track many "
+                "sessions, or one, on repro.edge.fleet.FleetTracker"
             )
 
 
@@ -150,111 +149,14 @@ class TrackingStep:
         return self.tracked_before - self.removed
 
 
-@dataclass
-class EngineStep:
-    """What a tracking engine reports for one evaluated frame.
-
-    ``survivors`` and ``removed`` partition the engine's live set in
-    candidate order; the engine has already updated each signal's
-    ``last_area`` (and survivors' ``offset``).
-    """
-
-    survivors: list[TrackedSignal]
-    removed: list[TrackedSignal]
-    area_evaluations: int
-
-
-class TrackingEngine(Protocol):
-    """Anything that can run Algorithm 2's area scan over a loaded set.
-
-    The engine seam mirroring the cloud's
-    :class:`~repro.cloud.server.SearchEngine`: engines own the
-    candidate state between :meth:`load` calls, and
-    :class:`SignalTracker` orchestrates validation, iteration counting
-    and metrics around them.  Satisfied by
-    :class:`ScalarTrackingEngine` and
-    :class:`repro.edge.fleet.FleetTrackingEngine`.
-    """
-
-    def load(self, signals: Sequence[TrackedSignal]) -> None:
-        ...
-
-    def step(self, data: np.ndarray) -> EngineStep:
-        ...
-
-
-class ScalarTrackingEngine:
-    """The reference per-candidate Python loop (bit-exactness baseline).
-
-    Every step rebuilds each slice's window statistics from scratch via
-    :func:`~repro.signals.metrics.sliding_area_normalized`; the
-    compiled engine exists precisely to amortise that work, and is held
-    to this engine's outputs bit for bit.
-    """
-
-    def __init__(self, config: TrackerConfig) -> None:
-        self.config = config
-        self._signals: list[TrackedSignal] = []
-
-    def load(self, signals: Sequence[TrackedSignal]) -> None:
-        self._signals = list(signals)
-
-    def step(self, data: np.ndarray) -> EngineStep:
-        survivors: list[TrackedSignal] = []
-        removed: list[TrackedSignal] = []
-        evaluations = 0
-        for signal in self._signals:
-            if len(signal.sig_slice) < self.config.frame_samples:
-                # Too short to hold even one comparison window: retired
-                # with a defined worst-case area.
-                signal.last_area = float("inf")
-                removed.append(signal)
-                continue
-            if self.config.reference_rms is not None:
-                areas = sliding_area_normalized(
-                    data,
-                    signal.sig_slice.data,
-                    self.config.reference_rms,
-                    stride=self.config.offset_stride,
-                )
-            else:
-                areas = sliding_area(
-                    data, signal.sig_slice.data, stride=self.config.offset_stride
-                )
-            evaluations += areas.size
-            best = int(np.argmin(areas))
-            signal.last_area = float(areas[best])
-            if signal.last_area > self.config.area_threshold:
-                removed.append(signal)
-            else:
-                signal.offset = best * self.config.offset_stride
-                survivors.append(signal)
-        self._signals = survivors
-        return EngineStep(
-            survivors=survivors, removed=removed, area_evaluations=evaluations
-        )
-
-
 class SignalTracker:
-    """Tracks the signal correlation set against incoming frames."""
+    """The scalar reference tracker: one correlation set, one frame at a
+    time, every candidate scanned by its own Python loop."""
 
-    def __init__(
-        self,
-        config: TrackerConfig | None = None,
-        engine: TrackingEngine | None = None,
-    ) -> None:
+    def __init__(self, config: TrackerConfig | None = None) -> None:
         self.config = config or TrackerConfig()
-        self.engine = engine if engine is not None else self._build_engine()
         self._tracked: list[TrackedSignal] = []
         self._iteration = 0
-
-    def _build_engine(self) -> TrackingEngine:
-        if self.config.engine == "plane":
-            # Imported lazily: fleet.py depends on this module.
-            from repro.edge.fleet import FleetTrackingEngine
-
-            return FleetTrackingEngine(self.config)
-        return ScalarTrackingEngine(self.config)
 
     # -- set management ------------------------------------------------
 
@@ -272,7 +174,6 @@ class SignalTracker:
             )
             for match in entries
         ]
-        self.engine.load(self._tracked)
         self._iteration = 0
 
     @property
@@ -307,36 +208,48 @@ class SignalTracker:
         For every tracked signal, scan the slice for the window with the
         minimum area against the frame; remove the signal when that
         minimum exceeds δ_A, otherwise advance its offset to the best
-        window.
+        window.  Each slice's window statistics are rebuilt from scratch
+        via :func:`~repro.signals.metrics.sliding_area_normalized`.
         """
         data = checked_frame(frame, self.config.frame_samples)
         self._iteration += 1
+        config = self.config
         tracked_before = len(self._tracked)
-        with obs.trace.span("edge.track_step", tracked=tracked_before) as span:
-            outcome = self.engine.step(data)
-        self._tracked = outcome.survivors
-        step = TrackingStep(
+        survivors: list[TrackedSignal] = []
+        removed: list[TrackedSignal] = []
+        evaluations = 0
+        for signal in self._tracked:
+            if len(signal.sig_slice) < config.frame_samples:
+                # Too short to hold even one comparison window: retired
+                # with a defined worst-case area.
+                signal.last_area = float("inf")
+                removed.append(signal)
+                continue
+            if config.reference_rms is not None:
+                areas = sliding_area_normalized(
+                    data,
+                    signal.sig_slice.data,
+                    config.reference_rms,
+                    stride=config.offset_stride,
+                )
+            else:
+                areas = sliding_area(
+                    data, signal.sig_slice.data, stride=config.offset_stride
+                )
+            evaluations += areas.size
+            best = int(np.argmin(areas))
+            signal.last_area = float(areas[best])
+            if signal.last_area > config.area_threshold:
+                removed.append(signal)
+            else:
+                signal.offset = best * config.offset_stride
+                survivors.append(signal)
+        self._tracked = survivors
+        return TrackingStep(
             iteration=self._iteration,
             tracked_before=tracked_before,
-            removed=len(outcome.removed),
-            area_evaluations=outcome.area_evaluations,
+            removed=len(removed),
+            area_evaluations=evaluations,
             anomaly_probability=self.anomaly_probability(),
-            removed_signals=outcome.removed,
+            removed_signals=removed,
         )
-        self._publish(step, span.elapsed_s)
-        return step
-
-    def _publish(self, step: TrackingStep, elapsed_s: float) -> None:
-        """Record one iteration's aggregates (once per step, post-loop)."""
-        registry = obs.metrics()
-        if not registry.enabled:
-            return
-        registry.inc("edge.tracker.iterations")
-        registry.inc("edge.tracker.area_evaluations", step.area_evaluations)
-        registry.inc("edge.tracker.candidates_pruned", step.removed)
-        registry.set_gauge("edge.tracker.tracked", step.tracked_after)
-        registry.observe("edge.tracker.step_s", elapsed_s)
-        if elapsed_s > 0:
-            registry.observe(
-                "edge.tracker.evaluations_per_s", step.area_evaluations / elapsed_s
-            )

@@ -68,12 +68,6 @@ METRIC_NAMES: dict[str, str] = {
     "gateway.queue_depth": "gauge",
     "gateway.request_latency_s": "histogram",
     # -- edge tracking ------------------------------------------------
-    "edge.tracker.iterations": "counter",
-    "edge.tracker.area_evaluations": "counter",
-    "edge.tracker.candidates_pruned": "counter",
-    "edge.tracker.tracked": "gauge",
-    "edge.tracker.step_s": "histogram",
-    "edge.tracker.evaluations_per_s": "histogram",
     "edge.fleet.steps": "counter",
     "edge.fleet.step_s": "histogram",
     "edge.fleet.area_evaluations": "counter",
@@ -84,7 +78,6 @@ METRIC_NAMES: dict[str, str] = {
     "edge.fleet.unique_slices": "gauge",
     "edge.fleet.tracked_references": "gauge",
     "edge.fleet.compiled_bytes": "gauge",
-    "edge.fleet.fused_step_s": "histogram",
     "edge.fleet.fused_groups": "histogram",
     "edge.fleet.fused_queries_per_group": "histogram",
     "edge.fleet.fused_kernel_threads": "gauge",

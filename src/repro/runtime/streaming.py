@@ -14,7 +14,10 @@ A frame:
    flight are not tracked, exactly as in Fig. 9;
 2. runs one Algorithm 2 tracking iteration and a prediction when a set
    is tracked, scored against the Section V-C budget (the device cost
-   model's edge seconds for the iteration, against one frame);
+   model's edge seconds for the iteration, against one frame).  The
+   iteration runs on a one-session
+   :class:`~repro.edge.fleet.FleetTracker`, the compiled step every
+   fleet session also runs;
 3. transmits the frame *in the background* when no search is in flight
    and the tracked set is empty or the :class:`CloudCallPolicy` fires
    (N(F) < H, or the five-iteration refresh).
@@ -29,7 +32,9 @@ a fresh set is adopted.
 :class:`~repro.runtime.framework.EMAPFramework` drives this same loop
 over a whole recording, one frame of raw samples at a time, and a
 fleet session (:mod:`repro.gateway.fleet`) drives the same
-:class:`ClosedLoop` over the serving gateway and the fused edge driver.
+:class:`ClosedLoop` over the serving gateway and the fused edge driver,
+which steps many sessions in one :class:`~repro.edge.fleet.FleetTracker`
+call.
 """
 
 from __future__ import annotations
@@ -43,8 +48,9 @@ import numpy as np
 from repro import obs
 from repro.cloud.client import CloudCallOutcome, ResilienceConfig, ResilientCloudClient
 from repro.edge.device import CloudCallPolicy
+from repro.edge.fleet import FleetTracker
 from repro.edge.predictor import AnomalyPredictor, PredictorConfig
-from repro.edge.tracker import SignalTracker, TrackerConfig, TrackingStep
+from repro.edge.tracker import TrackerConfig, TrackingStep
 from repro.errors import FrameworkError, SignalError
 from repro.signals.filters import StreamingFIRFilter
 from repro.signals.types import BASE_SAMPLE_RATE_HZ, Frame
@@ -144,7 +150,7 @@ class ClosedLoop:
     count and :class:`CloudCallPolicy`, the degraded flag, the Section
     V-C budget check, each call's Eq. 4 landing and the predictor — and
     leaves the I/O to its driver: :class:`StreamingMonitor` runs it over
-    a :class:`~repro.edge.tracker.SignalTracker` and a
+    a one-session :class:`~repro.edge.fleet.FleetTracker` and a
     :class:`~repro.cloud.client.ResilientCloudClient`, a fleet session
     (:mod:`repro.gateway.fleet`) over the fused edge driver and the
     serving gateway.  Once per frame at ``now_s``::
@@ -322,6 +328,10 @@ class SignalAcquisition:
         return frame
 
 
+#: The one session a :class:`StreamingMonitor`'s tracker holds.
+_SESSION = "monitor"
+
+
 class StreamingMonitor:
     """Push-based EMAP session over a live sample stream."""
 
@@ -337,7 +347,7 @@ class StreamingMonitor:
     def reset(self) -> None:
         """Start a fresh session (new patient)."""
         self._acquisition = SignalAcquisition(self._frame_samples)
-        self._tracker = SignalTracker(self.config.tracker)
+        self._tracker = FleetTracker(self.config.tracker)
         self._loop = ClosedLoop(self.config, self.cloud.timing)
         self._client.reset()
         self.updates: list[MonitorUpdate] = []
@@ -375,8 +385,12 @@ class StreamingMonitor:
         with obs.trace.span("runtime.stream_frame") as span:
             landed = loop.land(now_s)
             if landed is not None:
-                self._tracker.load(landed)
-            step = self._tracker.step(frame) if loop.tracks(landed) else None
+                self._tracker.open_session(_SESSION, landed)
+            step = (
+                self._tracker.step({_SESSION: frame.data})[_SESSION]
+                if loop.tracks(landed)
+                else None
+            )
             update, call = loop.advance(now_s, landed, step)
             if call:
                 update = loop.record_call(update, self._client.call(frame, now_s=now_s))

@@ -10,14 +10,16 @@ import asyncio
 
 import pytest
 
+from repro.cloud.client import ResilientCloudClient
 from repro.datasets.registry import scaled_registry
+from repro.edge.tracker import SignalTracker
 from repro.gateway import EdgeStepDriver, GatewayConfig, ServingGateway, run_fleet_session
 from repro.mdb.builder import MDBBuilder
 from repro.runtime.framework import EMAPFramework, MonitoringResult
-from repro.runtime.streaming import SignalAcquisition, StreamingMonitor
+from repro.runtime.streaming import ClosedLoop, SignalAcquisition, StreamingMonitor
 from repro.signals.anomalies import AnomalySpec, make_anomalous_signal
 from repro.signals.generator import EEGGenerator
-from repro.signals.types import AnomalyType
+from repro.signals.types import AnomalyType, Frame
 
 
 @pytest.fixture(autouse=True)
@@ -76,6 +78,39 @@ def normal_recording():
 #: Live-delivery chunk for monitor-driven sessions: 2.5 frames, so frame
 #: boundaries fall inside chunks.
 STREAM_CHUNK = 640
+
+
+def _run_reference(cloud, config, recording) -> MonitoringResult:
+    """The closed loop on the scalar reference tracker.
+
+    ``StreamingMonitor``'s per-frame body with a ``SignalTracker`` in
+    place of its one-session ``FleetTracker``: every production entry
+    point must equal this driver bit for bit.
+    """
+    size = config.tracker.frame_samples
+    loop = ClosedLoop(config, cloud.timing)
+    tracker = SignalTracker(config.tracker)
+    client = ResilientCloudClient(cloud, config.resilience)
+    result = MonitoringResult()
+    for data in SignalAcquisition(size).push(recording.data):
+        frame = Frame(data, loop.frame_index, filtered=True, expected_samples=size)
+        now_s = (frame.index + 1) * loop.frame_s
+        landed = loop.land(now_s)
+        if landed is not None:
+            tracker.load(landed)
+        step = tracker.step(frame) if loop.tracks(landed) else None
+        update, call = loop.advance(now_s, landed, step)
+        if call:
+            update = loop.record_call(update, client.call(frame, now_s=now_s))
+        result.record(update)
+    return result
+
+
+@pytest.fixture
+def run_reference():
+    """Run ``(cloud, config, recording)`` through the closed loop on the
+    scalar reference tracker (see ``_run_reference``)."""
+    return _run_reference
 
 
 def _run_framework(cloud, config, recording) -> MonitoringResult:

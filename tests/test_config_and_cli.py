@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.cli import main
 from repro.config import PipelineConfig, build_pipeline
 from repro.errors import ConfigurationError, GatewayError
@@ -70,6 +71,21 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "anomaly predicted" in output
 
+    def test_obs_reports_fleet_tracking(self, capsys):
+        """``emap obs`` end to end: the monitor tracks on the fleet, so
+        the report has the ``edge.fleet.*`` series and no
+        ``edge.tracker.*`` one."""
+        try:
+            assert main(["obs", "--duration", "8", "--mdb-scale", "0.05"]) == 0
+        finally:
+            obs.disable()
+            obs.reset()
+        output = capsys.readouterr().out
+        assert "edge.fleet.step_s" in output
+        assert "edge.fleet.area_evaluations" in output
+        assert "runtime.loop.iterations" in output
+        assert "edge.tracker." not in output
+
     def test_serve_fleet(self, capsys):
         assert (
             main(
@@ -116,7 +132,7 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "edge:" in output  # the report grows the edge-leg line
         assert "fused fleet step" in output
-        assert "edge.fleet.fused_step_s" in output  # --obs metrics
+        assert "edge.fleet.step_s" in output  # --obs metrics
         assert "runtime.loop.iterations" in output  # the loop's own counters
 
     def test_serve_soak_exit_codes(self, capsys):

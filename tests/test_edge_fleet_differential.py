@@ -5,7 +5,7 @@ actions over one small slice pool (with a short slice and a slice
 with a flat stretch), so re-opened sessions overlap their old sets and
 each other.  Every schedule runs on a
 :class:`~repro.edge.fleet.FleetTracker` beside per-session
-``SignalTracker(engine="scalar")`` mirrors, and every step must be bit
+scalar reference ``SignalTracker`` mirrors, and every step must be bit
 for bit what the mirrors report.  Signals returned by ``tracked()``
 are values: mutating them must leave fleet state alone.
 

@@ -6,7 +6,7 @@ evicted by pruning mid-step, subsets of sessions stepping, empty
 batches — ever produces a ``TrackingStep`` that differs from an
 independent per-session :class:`~repro.edge.tracker.SignalTracker`
 replaying the same frames.  Every scenario here drives a fused
-:class:`~repro.edge.fleet.FleetTracker` and a dict of scalar-engine
+:class:`~repro.edge.fleet.FleetTracker` and a dict of scalar reference
 mirror trackers in lock step and bit-compares the step keys.
 
 Runs in the CI ``kernel-backends`` matrix under both ``EMAP_KERNEL=c``
@@ -78,7 +78,7 @@ class _MirroredFleet:
 
     def __init__(self, **overrides) -> None:
         self.fleet = FleetTracker(TrackerConfig(**overrides))
-        self._mirror_config = TrackerConfig(engine="scalar", **overrides)
+        self._mirror_config = TrackerConfig(**overrides)
         self.mirrors: dict[str, SignalTracker] = {}
 
     def open(self, session_id: str, matches: list[SearchMatch]) -> None:
@@ -171,7 +171,6 @@ class TestFusedPlanStats:
         assert fleet.last_fused_groups == 5
         assert fleet.last_fused_pairs == 15
         assert fleet.last_fused_max_group == 3
-        assert fleet.last_fused_step_s > 0.0
 
     def test_one_kernel_call_per_step(self, monkeypatch):
         pool = _pool(48)

@@ -1,11 +1,11 @@
-"""Tests for the compiled edge engine and fleet batching.
+"""Tests for the compiled edge tracker and fleet batching.
 
-Covers the ``engine="plane"`` engine's slice cache across loads, the
-short-slice removal contract, and the cross-engine equivalence
-property: the scalar tracker, the plane engine and the fleet must
-produce bit-identical ``TrackingStep`` sequences — areas, offsets,
-removals, evaluation counts and anomaly probabilities — over random
-correlation sets, strides and both normalisation modes.
+Covers a one-session fleet's slice cache across reopens (the shape the
+streaming monitor tracks on), the short-slice removal contract, and the
+equivalence property: the scalar reference ``SignalTracker`` and the
+fleet must produce bit-identical ``TrackingStep`` sequences — areas,
+offsets, removals, evaluation counts and anomaly probabilities — over
+random correlation sets, strides and both normalisation modes.
 """
 
 from __future__ import annotations
@@ -16,17 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.results import SearchMatch
-from repro.cloud.server import CloudServer
-from repro.edge.fleet import FleetTracker, FleetTrackingEngine
+from repro.edge.fleet import FleetTracker
 from repro.edge.plane import compile_slice_windows
-from repro.edge.tracker import (
-    ScalarTrackingEngine,
-    SignalTracker,
-    TrackerConfig,
-)
+from repro.edge.tracker import SignalTracker, TrackerConfig
 from repro.errors import TrackingError
-from repro.runtime.streaming import FrameworkConfig, StreamingMonitor
-from repro.signals.generator import EEGGenerator
 from repro.signals.types import AnomalyType, SignalSlice
 
 
@@ -76,8 +69,8 @@ def _step_key(step, tracked):
     )
 
 
-def _run_tracker(engine: str, matches, frames, **overrides):
-    tracker = SignalTracker(TrackerConfig(engine=engine, **overrides))
+def _run_scalar(matches, frames, **overrides):
+    tracker = SignalTracker(TrackerConfig(**overrides))
     tracker.load(matches)
     return [
         _step_key(tracker.step(frame), tracker.tracked) for frame in frames
@@ -96,23 +89,10 @@ def _run_fleet(matches, frames, **overrides):
 
 class TestTrackerConfigEngine:
     def test_rejects_unknown_engine(self):
-        with pytest.raises(TrackingError, match="unknown tracking engine"):
-            TrackerConfig(engine="gpu")
-
-    def test_engine_selection_builds_matching_engine(self):
-        assert isinstance(
-            SignalTracker(TrackerConfig(engine="scalar")).engine,
-            ScalarTrackingEngine,
-        )
-        assert isinstance(
-            SignalTracker(TrackerConfig(engine="plane")).engine,
-            FleetTrackingEngine,
-        )
-
-    def test_explicit_engine_instance_wins(self):
-        config = TrackerConfig()
-        plane = FleetTrackingEngine(config)
-        assert SignalTracker(config, engine=plane).engine is plane
+        # "scalar" is the only value; "plane" tracking is a FleetTracker.
+        for engine in ("plane", "gpu"):
+            with pytest.raises(TrackingError, match="unknown tracking engine"):
+                TrackerConfig(engine=engine)
 
 
 class TestShortSliceRemoval:
@@ -120,16 +100,18 @@ class TestShortSliceRemoval:
 
     @pytest.mark.parametrize("engine", ["scalar", "plane"])
     def test_short_slice_removed_with_inf_area(self, engine):
+        """``scalar`` is the reference tracker; ``plane`` is the fleet,
+        which tracks on compiled slice windows."""
         short = SignalSlice(
             data=np.ones(10), label=AnomalyType.SEIZURE, slice_id="short"
         )
-        tracker = SignalTracker(TrackerConfig(engine=engine))
-        tracker.load([SearchMatch(sig_slice=short, omega=0.9, offset=0)])
-        step = tracker.step(np.zeros(256))
-        assert step.removed == 1
-        assert step.area_evaluations == 0
-        assert tracker.tracked_count == 0
-        assert step.removed_signals[0].last_area == float("inf")
+        matches = [SearchMatch(sig_slice=short, omega=0.9, offset=0)]
+        frames = [np.zeros(256)]
+        run = _run_scalar if engine == "scalar" else _run_fleet
+        # Iteration 1 removes the one candidate without evaluating it.
+        assert run(matches, frames) == [
+            (1, 1, 1, 0, 0.0, (), (("short", float("inf")),))
+        ]
 
     def test_fleet_short_slice_removed_with_inf_area(self):
         short = SignalSlice(
@@ -161,68 +143,58 @@ class TestCompiledSliceWindows:
 
 
 class TestPlaneEngineCache:
-    """The plane engine compiles a slice once, whatever the steps and
-    reloads, as long as some loaded set still tracks it."""
+    """A one-session fleet — what the streaming monitor tracks on —
+    compiles a slice once, whatever the steps and reopens, as long as
+    some adopted set still tracks it."""
 
     def test_load_compiles_once(self):
-        plane = FleetTrackingEngine(TrackerConfig())
-        tracker = SignalTracker(TrackerConfig(engine="plane"), engine=plane)
-        tracker.load(_random_matches(0, n=12))
-        assert plane.fleet.cache_misses == 12
-        assert plane.fleet.unique_slices == 12
+        fleet = FleetTracker()
+        fleet.open_session("s", _random_matches(0, n=12))
+        assert fleet.cache_misses == 12
+        assert fleet.unique_slices == 12
         for frame in _frames(0, 3):
-            tracker.step(frame)
-        assert plane.fleet.cache_misses == 12  # steps never recompile
+            fleet.step({"s": frame})
+        assert fleet.cache_misses == 12  # steps never recompile
 
     def test_mass_removal_releases_every_slice(self):
-        plane = FleetTrackingEngine(TrackerConfig(area_threshold=1e-6))
-        tracker = SignalTracker(
-            TrackerConfig(engine="plane", area_threshold=1e-6), engine=plane
-        )
-        tracker.load(_random_matches(1, n=10, short_every=0, flat_every=0))
-        step = tracker.step(_frames(1, 1)[0])
+        fleet = FleetTracker(TrackerConfig(area_threshold=1e-6))
+        fleet.open_session("s", _random_matches(1, n=10, short_every=0, flat_every=0))
+        step = fleet.step({"s": _frames(1, 1)[0]})["s"]
         assert step.removed == 10
-        assert plane.fleet.unique_slices == 0
-        # Further steps on the emptied engine are harmless no-ops.
-        empty = tracker.step(_frames(1, 2)[1])
+        assert fleet.unique_slices == 0
+        # Further steps on the emptied session are harmless no-ops.
+        empty = fleet.step({"s": _frames(1, 2)[1]})["s"]
         assert empty.tracked_before == 0
         assert empty.area_evaluations == 0
 
     def test_partial_removal_keeps_survivors_compiled(self):
         matches = _random_matches(2, n=8, short_every=0, flat_every=0)
-        config = TrackerConfig(
-            engine="plane", reference_rms=None, area_threshold=1e4
-        )
-        tracker = SignalTracker(config)
-        plane = tracker.engine
-        assert isinstance(plane, FleetTrackingEngine)
-        tracker.load(matches)
-        step = tracker.step(matches[0].sig_slice.data[:256])
+        fleet = FleetTracker(TrackerConfig(reference_rms=None, area_threshold=1e4))
+        fleet.open_session("s", matches)
+        step = fleet.step({"s": matches[0].sig_slice.data[:256]})["s"]
+        tracked = fleet.tracked("s")
         # The self-matching candidate survives with area exactly 0.
-        assert tracker.tracked[0].sig_slice is matches[0].sig_slice
-        assert tracker.tracked[0].last_area == 0.0
-        assert step.removed + tracker.tracked_count == 8
-        assert plane.fleet.unique_slices == tracker.tracked_count
+        assert tracked[0].sig_slice is matches[0].sig_slice
+        assert tracked[0].last_area == 0.0
+        assert step.removed + len(tracked) == 8
+        assert fleet.unique_slices == len(tracked)
 
     def test_reload_compiles_only_new_slices(self):
         matches = _random_matches(3, n=10, short_every=0, flat_every=0)
-        config = TrackerConfig(engine="plane", area_threshold=1e9)
-        tracker = SignalTracker(config)
-        plane = tracker.engine
-        assert isinstance(plane, FleetTrackingEngine)
-        tracker.load(matches[:6])
-        tracker.step(_frames(3, 1)[0])
-        tracker.load(matches[3:])  # slices 3-5 overlap the old set
-        assert plane.fleet.cache_misses == 6 + 4
-        assert plane.fleet.cache_hits == 3
-        assert plane.fleet.unique_slices == 7  # 0-2 released on reload
-        step = tracker.step(_frames(3, 2)[1])
+        fleet = FleetTracker(TrackerConfig(area_threshold=1e9))
+        fleet.open_session("s", matches[:6])
+        fleet.step({"s": _frames(3, 1)[0]})
+        fleet.open_session("s", matches[3:])  # slices 3-5 overlap the old set
+        assert fleet.cache_misses == 6 + 4
+        assert fleet.cache_hits == 3
+        assert fleet.unique_slices == 7  # 0-2 released on reopen
+        step = fleet.step({"s": _frames(3, 2)[1]})["s"]
         assert step.iteration == 1
         assert step.tracked_before == 7
 
 
 class TestEngineEquivalence:
-    """Satellite: bit-identical TrackingStep sequences across engines."""
+    """Bit-identical TrackingStep sequences: scalar reference vs fleet."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -239,11 +211,8 @@ class TestEngineEquivalence:
         }
         matches = _random_matches(seed)
         frames = _frames(seed, 6)
-        scalar = _run_tracker("scalar", matches, frames, **overrides)
-        plane = _run_tracker("plane", matches, frames, **overrides)
-        fleet = _run_fleet(matches, frames, **overrides)
-        assert plane == scalar
-        assert fleet == scalar
+        scalar = _run_scalar(matches, frames, **overrides)
+        assert _run_fleet(matches, frames, **overrides) == scalar
 
     def test_survivor_tracking_near_threshold(self):
         """Steps where most candidates survive (self-similar frames)."""
@@ -254,9 +223,7 @@ class TestEngineEquivalence:
             + rng.standard_normal(256) * 2.0
             for _ in range(8)
         ]
-        scalar = _run_tracker("scalar", matches, frames)
-        plane = _run_tracker("plane", matches, frames)
-        assert plane == scalar
+        assert _run_fleet(matches, frames) == _run_scalar(matches, frames)
 
 
 class TestFleetMechanics:
@@ -401,29 +368,3 @@ class TestFleetMechanics:
         assert fleet.unique_slices == 3  # compiled privately, not merged
         step = fleet.step({"a": rng.standard_normal(256) * 7})["a"]
         assert step.tracked_before == 3
-
-
-class TestRuntimeIntegration:
-    """Plane mode flows through the streaming monitor unchanged."""
-
-    def test_streaming_monitor_identical_across_engines(self, mdb_slices):
-        recording = EEGGenerator(seed=77).record(8.0)
-        traces = {}
-        for engine in ("scalar", "plane"):
-            monitor = StreamingMonitor(
-                CloudServer(mdb_slices),
-                FrameworkConfig(tracker=TrackerConfig(engine=engine)),
-            )
-            monitor.push(recording.data)
-            traces[engine] = [
-                (
-                    u.frame_index,
-                    u.anomaly_probability,
-                    u.tracked_count,
-                    u.anomaly_predicted,
-                    u.cloud_call_issued,
-                    u.tracking_active,
-                )
-                for u in monitor.updates
-            ]
-        assert traces["plane"] == traces["scalar"]

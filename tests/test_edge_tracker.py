@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cloud.results import SearchMatch, SearchResult
+from repro.edge.fleet import FleetTracker
 from repro.edge.tracker import (
     DEFAULT_AREA_THRESHOLD,
     SignalTracker,
@@ -144,13 +145,40 @@ class TestStep:
 
     @pytest.mark.parametrize("engine", ["scalar", "plane"])
     def test_rejects_non_finite_frame_without_stepping(self, rng, engine):
-        tracker = SignalTracker(TrackerConfig(engine=engine))
-        tracker.load([match_for(rng.standard_normal(1000)) for _ in range(3)])
+        """``scalar`` is the reference tracker; ``plane`` is the fleet,
+        which tracks on compiled slice windows.  Either refuses the
+        frame before any state changes, then steps on a clean one as
+        the reference does."""
+        matches = [
+            match_for(rng.standard_normal(1000), slice_id=f"s{index}")
+            for index in range(3)
+        ]
+        reference = SignalTracker(TrackerConfig(area_threshold=1e9))
+        reference.load(matches)
         frame = rng.standard_normal(256)
         frame[17] = np.nan
-        with pytest.raises(TrackingError, match="non-finite"):
-            tracker.step(frame)
-        assert tracker.iteration == 0 and len(tracker.tracked) == 3
+        if engine == "scalar":
+            with pytest.raises(TrackingError, match="non-finite"):
+                reference.step(frame)
+            assert reference.iteration == 0 and len(reference.tracked) == 3
+            frame[17] = 0.0
+            step, tracked = reference.step(frame), reference.tracked
+        else:
+            fleet = FleetTracker(TrackerConfig(area_threshold=1e9))
+            fleet.open_session("s", matches)
+            with pytest.raises(TrackingError, match="non-finite"):
+                fleet.step({"s": frame})
+            assert len(fleet.tracked("s")) == 3
+            frame[17] = 0.0
+            step, tracked = fleet.step({"s": frame})["s"], fleet.tracked("s")
+        expected = SignalTracker(TrackerConfig(area_threshold=1e9))
+        expected.load(matches)
+        expected_step = expected.step(frame)
+        assert (step.iteration, step.area_evaluations) == (
+            1,
+            expected_step.area_evaluations,
+        )
+        assert tracked == expected.tracked
 
     def test_probability_tracks_composition(self, rng):
         frame = rng.standard_normal(256)

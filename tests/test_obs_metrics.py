@@ -129,7 +129,7 @@ class TestRegistry:
 
     def test_json_round_trip(self, registry):
         registry.inc("cloud.search.requests", 3)
-        registry.set_gauge("edge.tracker.tracked", 12)
+        registry.set_gauge("edge.fleet.sessions", 12)
         registry.observe("network.upload_s", 0.5)
         registry.observe("network.upload_s", 1.5)
         assert json.loads(registry.to_json()) == registry.as_dict()

@@ -230,16 +230,19 @@ class TestBatchStreamEquivalence:
 
 
 class TestEntryPointsAgree:
-    """Every entry point of the closed loop equals ``EMAPFramework.run``
-    on the same recording, bit for bit.  The ``fleet`` case is a
-    one-session fleet on the simulated clock: the same loop over the
-    serving gateway and the fused edge driver, so it also holds the
-    compiled fleet tracker to the scalar one inside the loop."""
+    """Every entry point of the closed loop equals the reference driver
+    (the same loop on the scalar ``SignalTracker``) on the same
+    recording, bit for bit.  The entry points all track on the compiled
+    ``FleetTracker``; the ``fleet`` case is a one-session fleet on the
+    simulated clock, the same loop over the serving gateway and the
+    fused edge driver."""
 
     @pytest.mark.parametrize("recording", ["seizure_recording", "normal_recording"])
-    def test_matches_framework(self, mdb_slices, request, recording, run_session):
+    def test_matches_framework(
+        self, mdb_slices, request, recording, run_session, run_reference
+    ):
         signal = request.getfixturevalue(recording)
-        expected = EMAPFramework(CloudServer(mdb_slices)).run(signal)
+        expected = run_reference(CloudServer(mdb_slices), FrameworkConfig(), signal)
         result = run_session(CloudServer(mdb_slices), FrameworkConfig(), signal)
         assert result.pa_series == expected.pa_series
         assert result.tracked_counts == expected.tracked_counts
