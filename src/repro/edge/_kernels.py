@@ -150,7 +150,7 @@ def _numpy_argmin(
             continue
         stop = start + count
         owners = pair_query[start:stop]
-        areas = _numpy_rect_sums(group.windows, queries[owners])
+        areas = _numpy_rect_sums(group.rows(), queries[owners])
         flat = group.flat
         if flat.any():
             areas[:, flat] = worst[owners][:, None]
@@ -172,8 +172,8 @@ def abs_diff_argmin(
 ) -> ArgminResult:
     """Each pair's best offset and area over a ragged set of groups.
 
-    Group ``g`` is one compiled slice, ``groups[g]``, whose window
-    matrix and flat mask were checked when it was compiled.  It is
+    Group ``g`` is one compiled slice, ``groups[g]``, whose rows and
+    flat mask were checked when it was compiled.  It is
     evaluated for ``pair_counts[g]`` pairs; pairs are numbered
     group-major, and pair ``p`` compares against query row
     ``pair_query[p]`` (int64) of the C-contiguous float64
@@ -182,7 +182,7 @@ def abs_diff_argmin(
 
     Returns ``(best, area, exact_rows)``: for every pair, the int64
     index and the float64 value that ``np.argmin`` picks and reads over
-    ``np.abs(windows - q).sum(axis=1)`` once the flat rows are set to
+    ``np.abs(rows - q).sum(axis=1)`` once the flat rows are set to
     the pair's worst area — ties to the first index, NaN first — bit
     for bit the same on every backend and at every thread count; and
     the number of (pair, row) areas computed exactly, which only the
@@ -215,7 +215,7 @@ def abs_diff_argmin(
         int(pair_query.min()) < 0 or int(pair_query.max()) >= sessions
     ):
         raise ValueError(f"pair_query rows must lie in [0, {sessions})")
-    if any(group.windows.shape[1] != m for group in groups):
+    if any(group.width != m for group in groups):
         raise ValueError(f"a window group does not match row length {m}")
     best = np.empty(n_pairs, dtype=np.int64)
     area = np.empty(n_pairs)

@@ -111,29 +111,37 @@ static inline double lane_sum(v8d r) {
     return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
 }
 
-/* One pairwise block (n <= 128) of one row against one query. */
-static double block1(const double *w, const double *q, ptrdiff_t n) {
+/* One pairwise block (n <= 128) of one row against one query.  The row
+   is built as it is read: w_i = (s_i - mean) * scale, one rounded
+   subtraction and one rounded product per sample (never fused), which
+   are the two ufuncs that build a normalised window in numpy, so w_i
+   is bit for bit the window value numpy holds. */
+static double block1(const double *s, double mean, double scale,
+                     const double *q, ptrdiff_t n) {
     ptrdiff_t i;
     double res;
     v8d r;
     if (n < 8) {
         res = 0.0;
-        for (i = 0; i < n; i++) res += fabs(w[i] - q[i]);
+        for (i = 0; i < n; i++) res += fabs((s[i] - mean) * scale - q[i]);
         return res;
     }
-    r = abs_diff8(load8(w), q);
-    for (i = 8; i + 8 <= n; i += 8) r += abs_diff8(load8(w + i), q + i);
+    r = abs_diff8((load8(s) - mean) * scale, q);
+    for (i = 8; i + 8 <= n; i += 8)
+        r += abs_diff8((load8(s + i) - mean) * scale, q + i);
     res = lane_sum(r);
-    for (; i < n; i++) res += fabs(w[i] - q[i]);
+    for (; i < n; i++) res += fabs((s[i] - mean) * scale - q[i]);
     return res;
 }
 
-static double pairwise1(const double *w, const double *q, ptrdiff_t n) {
+static double pairwise1(const double *s, double mean, double scale,
+                        const double *q, ptrdiff_t n) {
     ptrdiff_t n2;
-    if (n <= 128) return block1(w, q, n);
+    if (n <= 128) return block1(s, mean, scale, q, n);
     n2 = n / 2;
     n2 -= n2 % 8;
-    return pairwise1(w, q, n2) + pairwise1(w + n2, q + n2, n - n2);
+    return pairwise1(s, mean, scale, q, n2)
+         + pairwise1(s + n2, mean, scale, q + n2, n - n2);
 }
 
 /* -- ragged argmin: one fused fleet step per call ------------------ */
@@ -185,12 +193,25 @@ static double pairwise1(const double *w, const double *q, ptrdiff_t n) {
    evaluated, and np.argmin's NaN-first rule sees every NaN area; a
    NaN a_s makes L NaN and skips nothing. */
 
+/* One compiled slice.  Row r is (samples[r * stride + i] - means[r])
+   * scales[r] for i < m, so the kernel reads (n_rows - 1) * stride + m
+   samples, which the record's builder checks once.  Raw windows use
+   means 0 and scales 1: (x - 0) * 1 is x bit for bit. */
 typedef struct {
-    const double *windows;        /* (n_rows, m) */
+    const double *samples;
+    const double *means;          /* (n_rows,) */
+    const double *scales;         /* (n_rows,) */
     const unsigned char *flat;    /* (n_rows,) */
     const double *blocks;         /* (n_rows, nb) block sums */
     ptrdiff_t n_rows;
+    ptrdiff_t stride;
 } argmin_group;
+
+/* The exact area of row r against q. */
+static double row_area(const argmin_group *g, ptrdiff_t r, const double *q,
+                       ptrdiff_t m) {
+    return pairwise1(g->samples + r * g->stride, g->means[r], g->scales[r], q, m);
+}
 
 /* sum_b |Q_b - W_b| over nb block sums. */
 static double block_bound(const double *wb, const double *qb, ptrdiff_t nb) {
@@ -329,7 +350,7 @@ static void argmin_run(argmin_job *job, const argmin_unit *u,
         int64_t best = -1;
         if (least <= DBL_MAX) {
             for (seed = 0; bound[seed] != least; seed++) {}
-            seed_area = pairwise1(g->windows + seed * m, q, m);
+            seed_area = row_area(g, seed, q, m);
             exact++;
             limit = seed_area + (job->slack * (norm + seed_area) + DBL_MIN);
         }
@@ -340,7 +361,7 @@ static void argmin_run(argmin_job *job, const argmin_unit *u,
                 a = seed_area;
             } else {
                 if (bound[r] > limit && bound[r] <= DBL_MAX) continue;
-                a = pairwise1(g->windows + r * m, q, m);
+                a = row_area(g, r, q, m);
                 exact++;
             }
             /* np.argmin: a later row wins only if strictly lower or the
@@ -592,10 +613,13 @@ class _ArgminGroup(ctypes.Structure):
     """The source's ``argmin_group``: one compiled slice as the kernel reads it."""
 
     _fields_ = [
-        ("windows", ctypes.c_void_p),
+        ("samples", ctypes.c_void_p),
+        ("means", ctypes.c_void_p),
+        ("scales", ctypes.c_void_p),
         ("flat", ctypes.c_void_p),
         ("blocks", ctypes.c_void_p),
         ("n_rows", ctypes.c_ssize_t),
+        ("stride", ctypes.c_ssize_t),
     ]
 
 
@@ -623,17 +647,50 @@ def block_sums(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def group_record(windows: np.ndarray, flat: np.ndarray, blocks: np.ndarray) -> bytes:
+def window_rows(
+    samples: np.ndarray, means: np.ndarray, scales: np.ndarray, m: int, stride: int
+) -> np.ndarray:
+    """A fresh ``(n_rows, m)`` matrix of rows ``(samples[r*stride:][:m] - means[r]) * scales[r]``.
+
+    The kernel's rows, built with numpy's two ufuncs in the kernel's
+    order (one subtraction, then one product per sample), so each value
+    is bit for bit the one the kernel reads.  The caller guarantees
+    ``(n_rows - 1) * stride + m <= samples.size``.
+    """
+    step = samples.strides[0]
+    view = np.lib.stride_tricks.as_strided(
+        samples, shape=(means.size, m), strides=(step * stride, step), writeable=False
+    )
+    rows = np.subtract(view, means[:, None])
+    return np.multiply(rows, scales[:, None], out=rows)
+
+
+def group_record(
+    samples: np.ndarray,
+    means: np.ndarray,
+    scales: np.ndarray,
+    flat: np.ndarray,
+    blocks: np.ndarray,
+    stride: int,
+) -> bytes:
     """One group packed as the kernel's ``argmin_group``.
 
-    ``windows`` is a C-contiguous float64 ``(n_rows, m)`` matrix,
-    ``flat`` its ``(n_rows,)`` bool mask and ``blocks`` its
-    C-contiguous :func:`block_sums`; the row length is the queries'.
-    The record holds raw pointers: the arrays must outlive it, unchanged.
+    ``samples`` holds the rows' samples (float64), ``means``,
+    ``scales`` and the bool ``flat`` mask one value per row, and
+    ``blocks`` the rows' C-contiguous :func:`block_sums`; row ``r`` is
+    :func:`window_rows`'s row ``r``, and its length is the queries'.
+    The caller checks that the rows lie inside ``samples``.  The record
+    holds raw pointers: the arrays must outlive it, unchanged.
     """
     return bytes(
         _ArgminGroup(
-            windows.ctypes.data, flat.ctypes.data, blocks.ctypes.data, windows.shape[0]
+            samples.ctypes.data,
+            means.ctypes.data,
+            scales.ctypes.data,
+            flat.ctypes.data,
+            blocks.ctypes.data,
+            means.size,
+            stride,
         )
     )
 
@@ -886,15 +943,27 @@ def _load_c_kernels() -> CKernels | None:
 # -- the bitwise self-check ---------------------------------------------
 
 
+#: One self-check group: ``(samples, means, scales, flat, stride)``.
+_Group = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]
+
+
+def _row_group(rows: np.ndarray, flat: np.ndarray) -> _Group:
+    """A group over a row matrix: stride ``m``, means 0 and scales 1."""
+    n_rows, m = rows.shape
+    return np.ascontiguousarray(rows).ravel(), np.zeros(n_rows), np.ones(n_rows), flat, m
+
+
 def _argmin_case(
     rng: np.random.Generator, m: int, pruned: bool
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[_Group], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A small ragged step with flat rows, ties, ±inf and NaN.
 
-    Random groups of 1, 6, 9 and 4 rows come first.  With ``pruned``
-    four more groups are built around one query each, and with 8, 4, 9
-    and 7 rows they cover a full panel of 8 rows, a partial last panel
-    and no full panel at all:
+    Random groups of 1, 6, 9 and 4 rows come first, then one group of
+    5 overlapping rows (stride 3) with random means and scales, built
+    the way a normalised slice is.  With ``pruned`` four more groups
+    are built around one query each, and with 8, 4, 9 and 7 rows they
+    cover a full panel of 8 rows, a partial last panel and no full
+    panel at all:
 
     * near session 0: row 0 close, row 3 row 0 reversed within blocks
       (the same block sums up to rounding, so the bound cannot skip it)
@@ -925,9 +994,20 @@ def _argmin_case(
         counts.append(n_pairs)
     windows[1][3, 0] = np.inf
     windows[3][1, -1] = np.nan
+    groups = [_row_group(rows, flat) for rows, flat in zip(windows, flats)]
+    groups.append(
+        (
+            rng.standard_normal(4 * 3 + m) * 1e5,
+            rng.standard_normal(5) * 1e3,
+            rng.random(5) * 4.0,
+            np.arange(5) == 2,
+            3,
+        )
+    )
+    counts.append(3)
     pair_query = rng.integers(0, sessions, size=sum(counts)).astype(np.int64)
     if not pruned:
-        return windows, flats, np.array(counts, dtype=np.intp), queries, worst, pair_query
+        return groups, np.array(counts, dtype=np.intp), queries, worst, pair_query
     full = m - m % BLOCK
     near = queries[0] + rng.standard_normal((8, m)) * 1e4
     near[0] = queries[0] + near[1] * 1e-7
@@ -950,11 +1030,10 @@ def _argmin_case(
         (nan, np.zeros(9, dtype=bool), [0]),
         (unbounded, np.arange(7) == 1, [0, 1]),
     ):
-        windows.append(rows)
-        flats.append(flat)
+        groups.append(_row_group(rows, flat))
         counts.append(len(owners))
         pair_query = np.concatenate((pair_query, owners))
-    return windows, flats, np.array(counts, dtype=np.intp), queries, worst, pair_query
+    return groups, np.array(counts, dtype=np.intp), queries, worst, pair_query
 
 
 def _edge_passes(kernels: CKernels, rng: np.random.Generator) -> bool:
@@ -969,25 +1048,28 @@ def _edge_passes(kernels: CKernels, rng: np.random.Generator) -> bool:
     :data:`BLOCK`.  Group pair counts cover full units, a short unit and
     a lone pair (7 = 4 + 3, 5 = 4 + 1, 2).  Pairs are independent, so
     any thread count must reproduce the same bits.  The cases add flat
-    rows, ties, ±inf and NaN, and at ``m = 131`` rows the bound must
-    skip, a seed an earlier row ties, a NaN the bound cannot skip and a
-    group with no seed.
+    rows, ties, ±inf and NaN, rows the kernel builds from overlapping
+    strided samples with a mean and a scale, and at ``m = 131`` rows
+    the bound must skip, a seed an earlier row ties, a NaN the bound
+    cannot skip and a group with no seed.
     """
     for m in (5, 131, 1000):
         pruned = m == 131
-        windows, flats, counts, queries, worst, pair_query = _argmin_case(
-            rng, m, pruned
-        )
+        groups, counts, queries, worst, pair_query = _argmin_case(rng, m, pruned)
+        windows = [
+            window_rows(samples, means, scales, m, stride)
+            for samples, means, scales, _, stride in groups
+        ]
         blocks = [block_sums(rows) for rows in windows]
         records = b"".join(
-            group_record(rows, flat, block)
-            for rows, flat, block in zip(windows, flats, blocks)
+            group_record(samples, means, scales, flat, block, stride)
+            for (samples, means, scales, flat, stride), block in zip(groups, blocks)
         )
         expected_best: list[int] = []
         expected_area: list[float] = []
         evaluable = 0
         first = 0
-        for rows, flat, count in zip(windows, flats, counts.tolist()):
+        for rows, (_, _, _, flat, _), count in zip(windows, groups, counts.tolist()):
             # Every session's areas over the group at once: each is the
             # same contiguous pairwise sum as a single row's.
             areas = np.abs(rows - queries[:, None, :]).sum(axis=2)

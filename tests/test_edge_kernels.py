@@ -95,7 +95,9 @@ def _rect_via_argmin(
 
 def _groups(windows, flats) -> list[CompiledSliceWindows]:
     return [
-        CompiledSliceWindows(np.ascontiguousarray(rows), np.ascontiguousarray(flat))
+        CompiledSliceWindows.from_rows(
+            np.ascontiguousarray(rows), np.ascontiguousarray(flat)
+        )
         for rows, flat in zip(windows, flats)
     ]
 
@@ -273,7 +275,7 @@ def _exact_rows_reference(groups, counts, queries, worst, pair_query) -> int:
                 exact += len(rows)
                 continue
             seed = min(finite, key=bounds.__getitem__)  # first on ties
-            a = float(np.abs(group.windows[seed] - q).sum())
+            a = float(np.abs(group.rows()[seed] - q).sum())
             limit = a + (slack * (norm + a) + sys.float_info.min)
             exact += 1 + sum(
                 1
@@ -292,7 +294,7 @@ def _check_step(groups, counts, queries, worst, pair_query, threads=None):
             groups, counts, queries, worst, pair_query, threads=threads
         )
         expected_best, expected_area = _argmin_reference(
-            [group.windows for group in groups],
+            [group.rows() for group in groups],
             [group.flat for group in groups],
             counts, queries, worst, pair_query,
         )
@@ -388,7 +390,7 @@ class TestArgminKernel:
         )
         assert best.shape == area.shape == (0,) and exact == 0
         # Groups with no pairs evaluate nothing.
-        group = CompiledSliceWindows(np.ones((3, 16)), np.zeros(3, dtype=bool))
+        group = CompiledSliceWindows.from_rows(np.ones((3, 16)), np.zeros(3, dtype=bool))
         best, area, exact = abs_diff_argmin(
             [group], [0], np.zeros((2, 16)), np.zeros(2),
             np.zeros(0, dtype=np.int64),
@@ -397,7 +399,7 @@ class TestArgminKernel:
 
     def test_rejects_bad_inputs(self):
         flat = np.zeros(3, dtype=bool)
-        group = CompiledSliceWindows(np.zeros((3, 8)), flat)
+        group = CompiledSliceWindows.from_rows(np.zeros((3, 8)), flat)
         queries = np.zeros((2, 8))
         worst = np.zeros(2)
         one = np.zeros(1, dtype=np.int64)
@@ -413,7 +415,7 @@ class TestArgminKernel:
             abs_diff_argmin([group], [1], queries, worst, one + 2)
         with pytest.raises(ValueError, match="non-negative"):
             abs_diff_argmin([group], [-1], queries, worst, one[:0])
-        short = CompiledSliceWindows(np.zeros((3, 4)), flat)
+        short = CompiledSliceWindows.from_rows(np.zeros((3, 4)), flat)
         with pytest.raises(ValueError, match="row length"):
             abs_diff_argmin([short], [1], queries, worst, one)
         with pytest.raises(ValueError, match="contiguous"):
@@ -422,13 +424,13 @@ class TestArgminKernel:
             abs_diff_argmin([group], [1], queries.astype(np.float32), worst, one)
         # A compiled slice checks its arrays once, when it is built.
         with pytest.raises(ValueError, match="at least one row"):
-            CompiledSliceWindows(np.zeros((0, 8)), flat[:0])
+            CompiledSliceWindows.from_rows(np.zeros((0, 8)), flat[:0])
         with pytest.raises(ValueError, match="flat mask"):
-            CompiledSliceWindows(np.zeros((3, 8)), flat.astype(np.uint8))
+            CompiledSliceWindows.from_rows(np.zeros((3, 8)), flat.astype(np.uint8))
         with pytest.raises(ValueError, match="contiguous"):
-            CompiledSliceWindows(np.zeros((3, 16))[:, ::2], flat)
+            CompiledSliceWindows.from_rows(np.zeros((3, 16))[:, ::2], flat)
         with pytest.raises(ValueError, match="float64"):
-            CompiledSliceWindows(np.zeros((3, 8), dtype=np.float32), flat)
+            CompiledSliceWindows.from_rows(np.zeros((3, 8), dtype=np.float32), flat)
 
 
 class TestLowerBound:

@@ -138,7 +138,7 @@ class TestCompiledSliceWindows:
         expected = np.stack(
             [data[k * 4 : k * 4 + 256] for k in range(compiled.n_offsets)]
         )
-        np.testing.assert_array_equal(compiled.windows, expected)
+        np.testing.assert_array_equal(compiled.rows(), expected)
         assert not compiled.flat.any()
 
 
