@@ -71,7 +71,7 @@ from repro.edge.tracker import (
     checked_frame,
 )
 from repro.errors import TrackingError
-from repro.signals.metrics import normalized_query
+from repro.signals.metrics import NORM_EPSILON
 from repro.signals.types import SignalSlice
 
 
@@ -186,6 +186,31 @@ def _session_sums(values: np.ndarray, bounds: np.ndarray) -> list[int]:
     return sums
 
 
+def _query_matrix(
+    frames: list[np.ndarray], frame_samples: int, reference_rms: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every frame's query row and worst-case (flat) area, all at once.
+
+    In reference-RMS mode each row is
+    :func:`~repro.signals.metrics.normalized_query` of its frame, value
+    for value: the row means, RMS and rescaling run over the whole
+    matrix with the same ufuncs along contiguous rows, and a flat frame
+    (RMS at most ``NORM_EPSILON``) is only centred, its scale being
+    exactly 1.  Its worst area is ``Σ|query|``; raw queries have none.
+    """
+    if not frames:
+        return np.empty((0, frame_samples)), np.zeros(0)
+    data = np.stack(frames)
+    if reference_rms is None:
+        return data, np.full(len(frames), np.inf)
+    centered = data - data.mean(axis=1, keepdims=True)
+    rms = np.sqrt(np.mean(centered**2, axis=1))
+    shaped = rms > NORM_EPSILON
+    scale = np.divide(reference_rms, rms, out=np.ones_like(rms), where=shaped)
+    matrix = centered * scale[:, None]
+    return matrix, np.abs(matrix).sum(axis=1)
+
+
 class FleetTracker:
     """Steps many concurrent tracking sessions in one batched call.
 
@@ -286,17 +311,18 @@ class FleetTracker:
             matches.matches if isinstance(matches, SearchResult) else list(matches)
         )
         entries: list[_CacheEntry] = []
-        try:
-            for match in entries_in:
-                entries.append(self._acquire(match))
-            session = _FleetSession(entries_in, entries)
-        except Exception:
-            for entry in entries:
-                self._release(entry)
-            raise
-        if session_id in self._sessions:
-            self.close_session(session_id)
-        self._sessions[session_id] = session
+        with obs.trace.span("edge.fleet.open", matches=len(entries_in)):
+            try:
+                for match in entries_in:
+                    entries.append(self._acquire(match))
+                session = _FleetSession(entries_in, entries)
+            except Exception:
+                for entry in entries:
+                    self._release(entry)
+                raise
+            if session_id in self._sessions:
+                self.close_session(session_id)
+            self._sessions[session_id] = session
         self._publish_gauges()
 
     def close_session(self, session_id: str) -> None:
@@ -382,13 +408,6 @@ class FleetTracker:
             self._publish_gauges()
         return steps
 
-    def _prepare_query(self, data: np.ndarray) -> tuple[np.ndarray, float]:
-        """Normalise one frame and compute its worst-case (flat) area."""
-        if self.config.reference_rms is not None:
-            query = normalized_query(data, self.config.reference_rms)
-            return query, float(np.abs(query).sum())
-        return np.ascontiguousarray(data), float("inf")
-
     # -- fused slice-major stepping ------------------------------------
 
     def _step_fused(
@@ -411,12 +430,9 @@ class FleetTracker:
         """
         sessions = [self._sessions[session_id] for session_id in queries]
         # -- plan ------------------------------------------------------
-        prepared = [self._prepare_query(data) for data in queries.values()]
-        if prepared:
-            matrix = np.stack([query for query, _ in prepared])
-        else:
-            matrix = np.empty((0, self.config.frame_samples))
-        worst = np.array([bound for _, bound in prepared], dtype=np.float64)
+        matrix, worst = _query_matrix(
+            list(queries.values()), self.config.frame_samples, self.config.reference_rms
+        )
         bounds = np.zeros(len(sessions) + 1, dtype=np.int64)
         np.cumsum([len(s.entries) for s in sessions], out=bounds[1:])
         edges = bounds.tolist()

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kernels import block_sums, group_record, window_rows
+from repro.kernels import bound_panels, group_record, window_rows
 from repro.signals.metrics import sliding_window_stats
 
 
@@ -99,7 +99,7 @@ class CompiledSliceWindows:
             object.__setattr__(self, name, _frozen(np.array(array, order="C")))
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "stride", stride)
-        blocks = _frozen(block_sums(self.rows()))
+        blocks = _frozen(bound_panels(self.rows()))
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(
             self,

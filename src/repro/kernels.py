@@ -71,6 +71,10 @@ TILE = 4
 #: ``BLOCK`` in the source).
 BLOCK = 4
 
+#: Rows per panel of a group's float32 block sums (keep in sync with
+#: ``PANEL`` in the source).
+PANEL = 16
+
 _C_SOURCE = """
 #include <float.h>
 #include <math.h>
@@ -83,6 +87,8 @@ _C_SOURCE = """
 #define MAX_THREADS 64
 #define TILE 4
 #define BLOCK 4
+#define PANEL 16
+#define MAX_BOUND_BLOCKS 4096
 
 typedef double v8d __attribute__((vector_size(64)));
 typedef int64_t v8i __attribute__((vector_size(64)));
@@ -151,24 +157,37 @@ static double pairwise1(const double *s, double mean, double scale,
    row w and a query q.  By the triangle inequality
        A = sum_i |q_i - w_i|  >=  B = sum_b |Q_b - W_b|,
    so a row whose bound exceeds another row's area cannot win.  A row's
-   block sums are compiled once per slice, a query's once per call.
+   block sums are compiled once per slice, a query's once per call, both
+   summed in float64 and then rounded to float32, and the bound is
+   summed in float32: half the bytes and twice the lanes of float64.
 
-   Slack.  Let u = 2^-53, g_k = k u / (1 - k u), nb the number of
-   blocks, computed values marked ^ and exact ones bare.  Summing n
-   terms in any order (numpy's pairwise tree included) is off by at
-   most g_(n-1) times the sum of their magnitudes, so
+   Slack.  Let u = 2^-53 and v = 2^-24 be the unit roundoffs of float64
+   and float32, g_k = k u / (1 - k u), h_k = k v / (1 - k v), nb the
+   number of blocks, float64 results marked ^, float32 ones ~ and exact
+   values bare.  Summing n terms in any order (numpy's pairwise tree
+   included) is off by at most g_(n-1), in float32 h_(n-1), times the
+   sum of their magnitudes.  In the default IEEE environment a sum or
+   difference that underflows is exact, and rounding a finite x to
+   float32 is off by at most v |x| + 2^-150 (the second term only when
+   the result is subnormal).  So
        A^ >= (1 - g_m) A,
-       |W^_b - W_b| <= g_3 |w_b|_1   and the same for Q^_b,
-       B^ <= (1 + g_nb) (B + g_3 (|q|_1 + |w|_1)).
-   Let a >= 0 be the computed area of some row and suppose A^ <= a.
-   Then A <= a / (1 - g_m), B <= A and, as w = q - (q - w),
-   |w|_1 <= |q|_1 + A, so to first order in u
-       B^ - a <= (m + nb + 3) u a + 6 u |q|_1.
-   The limit a + (m + 4) 2^-52 (|q|^_1 + a) exceeds that by at least
-   (m - nb + 4) u (|q|_1 + a) even after its own four roundings, since
-   nb <= m; adding DBL_MIN covers the absolute error of an underflowing
-   product (sums never lose bits to underflow).  So a finite B^ above
-   the limit proves A^ > a.  The slack needs no norm of w.
+       |W^_b - W_b| <= g_3 |w_b|_1,  |W~_b - W^_b| <= v |W^_b| + 2^-150,
+   the same for Q, and the bound (one rounded difference per block,
+   then nb terms summed in order) satisfies
+       B~ <= (1 + h_nb) (B + c (|q|_1 + |w|_1) + nb 2^-149),
+   with c = v + g_3 (1 + v).  Let a >= 0 be the computed area of some
+   row and suppose A^ <= a.  Then A <= a / (1 - g_m), B <= A and, as
+   w = q - (q - w), |w|_1 <= |q|_1 + A, so to first order
+       B~ - a <= ((nb + 1) v + (m + 3) u) a + (2 v + 6 u) |q|_1
+                 + nb 2^-149.
+   The limit a + ((nb + 5) 2^-24 (|q|^_1 + a) + FLT_MIN) exceeds the
+   first-order terms in v by 4 v a + (nb + 3) v |q|_1.  For nb <= 4096
+   (m <= 16384) that margin covers the second-order terms
+   (h_nb - nb v <= 1.001 v), the terms in u (at most 2^-39 (a + |q|_1))
+   and the limit's own four float64 roundings, and FLT_MIN covers
+   nb 2^-149.  So a finite B~ above the limit proves A^ > a.  The slack
+   needs no norm of w.  For nb > 4096 the slack is NaN, so the limit is
+   NaN and no row is skipped.
 
    Two passes.  Pass 1 bounds every row of a unit for each of its
    pairs.  The seed s is the non-flat row with the least finite bound,
@@ -184,25 +203,49 @@ static double pairwise1(const double *s, double mean, double scale,
    seed L is NaN and no row is skipped.
 
    Non-finite values.  A row is skipped only when its bound is finite
-   and above the limit.  Any overflow while bounding makes the bound
-   +inf or NaN, and an infinite norm or a_s makes the limit +inf, so
-   none of them skips a row.  A row's area is NaN only if some w_i or
-   q_i is NaN or both are infinite with one sign; then a block sum of
-   each is NaN or infinite and the bound is NaN.  Every comparison
-   with a NaN is false, so such rows are never the seed, are always
-   evaluated, and np.argmin's NaN-first rule sees every NaN area; a
-   NaN a_s makes L NaN and skips nothing. */
+   and above the limit.  Any overflow while bounding (a block sum past
+   FLT_MAX rounds to +-inf, a float32 difference or sum overflows)
+   makes the bound +inf or NaN, and an infinite norm or a_s makes the
+   limit +inf, so none of them skips a row.  A row's area is NaN only
+   if some w_i or q_i is NaN or both are infinite with one sign; then a
+   block sum of each is NaN or infinite and the bound is NaN.  Every
+   comparison with a NaN is false, so such rows are never the seed,
+   are always evaluated, and np.argmin's NaN-first rule sees every NaN
+   area; a NaN a_s makes L NaN and skips nothing. */
+
+typedef float v16f __attribute__((vector_size(64)));
+typedef int32_t v16i __attribute__((vector_size(64)));
+
+static const v16i ABS_MASK16 = {
+    INT32_MAX, INT32_MAX, INT32_MAX, INT32_MAX,
+    INT32_MAX, INT32_MAX, INT32_MAX, INT32_MAX,
+    INT32_MAX, INT32_MAX, INT32_MAX, INT32_MAX,
+    INT32_MAX, INT32_MAX, INT32_MAX, INT32_MAX
+};
+
+static inline v16f load16(const float *p) {
+    v16f v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline v16f abs16(v16f x) {
+    return (v16f)((v16i)x & ABS_MASK16);
+}
 
 /* One compiled slice.  Row r is (samples[r * stride + i] - means[r])
    * scales[r] for i < m, so the kernel reads (n_rows - 1) * stride + m
    samples, which the record's builder checks once.  Raw windows use
-   means 0 and scales 1: (x - 0) * 1 is x bit for bit. */
+   means 0 and scales 1: (x - 0) * 1 is x bit for bit.  The rows' block
+   sums come in panels of PANEL rows, block-major inside a panel: block
+   b of row r is blocks[(r / PANEL) * nb * PANEL + b * PANEL + r % PANEL],
+   and the last panel is padded to PANEL rows. */
 typedef struct {
     const double *samples;
     const double *means;          /* (n_rows,) */
     const double *scales;         /* (n_rows,) */
     const unsigned char *flat;    /* (n_rows,) */
-    const double *blocks;         /* (n_rows, nb) block sums */
+    const float *blocks;
     ptrdiff_t n_rows;
     ptrdiff_t stride;
 } argmin_group;
@@ -213,60 +256,20 @@ static double row_area(const argmin_group *g, ptrdiff_t r, const double *q,
     return pairwise1(g->samples + r * g->stride, g->means[r], g->scales[r], q, m);
 }
 
-/* sum_b |Q_b - W_b| over nb block sums. */
-static double block_bound(const double *wb, const double *qb, ptrdiff_t nb) {
-    ptrdiff_t i = 0;
-    double res = 0.0;
-    if (nb >= 8) {
-        v8d r = abs_diff8(load8(wb), qb);
-        for (i = 8; i + 8 <= nb; i += 8) r += abs_diff8(load8(wb + i), qb + i);
-        res = lane_sum(r);
+/* The bounds of one panel's rows against TILE queries' block sums at
+   once, one lane a row: lane j of query k's accumulator adds
+   |Q~_b - W~_b| of row j for b = 0, 1, ... in order.  Query k's bounds
+   go to out + k * stride. */
+static void bound_panel(const float *wb, const float *const *qb, ptrdiff_t nb,
+                        float *out, ptrdiff_t stride) {
+    v16f acc[TILE];
+    ptrdiff_t b, k;
+    for (k = 0; k < TILE; k++) acc[k] = abs16(load16(wb) - qb[k][0]);
+    for (b = 1; b < nb; b++) {
+        v16f w = load16(wb + b * PANEL);
+        for (k = 0; k < TILE; k++) acc[k] += abs16(w - qb[k][b]);
     }
-    for (; i < nb; i++) res += fabs(wb[i] - qb[i]);
-    return res;
-}
-
-/* Lane j: the sum of the even/odd lane pair j of a:b, so lane j of
-   pair_sums(a, b) is a[2j] + a[2j+1] for j < 4, b[2j-8] + b[2j-7] else. */
-static inline v8d pair_sums(v8d a, v8d b) {
-#ifdef __clang__
-    return __builtin_shufflevector(a, b, 0, 2, 4, 6, 8, 10, 12, 14)
-         + __builtin_shufflevector(a, b, 1, 3, 5, 7, 9, 11, 13, 15);
-#else
-    static const v8i even = {0, 2, 4, 6, 8, 10, 12, 14};
-    static const v8i odd = {1, 3, 5, 7, 9, 11, 13, 15};
-    return __builtin_shuffle(a, b, even) + __builtin_shuffle(a, b, odd);
-#endif
-}
-
-/* block_bound of 8 consecutive rows (row-major block sums wb) at once,
-   into out[0..7].  One accumulator per row; three levels of pair_sums
-   leave lane j = ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) of row j's
-   accumulator, lane_sum's order, and the tail blocks follow in order,
-   so every bound is bit for bit block_bound's. */
-static void bound_panel(const double *wb, const double *qb, ptrdiff_t nb,
-                        double *out) {
-    v8d res = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-    ptrdiff_t i = 0, j;
-    if (nb >= 8) {
-        v8d acc[8];
-        for (j = 0; j < 8; j++) acc[j] = abs_diff8(load8(wb + j * nb), qb);
-        for (i = 8; i + 8 <= nb; i += 8) {
-            v8d q = load8(qb + i);
-            for (j = 0; j < 8; j++)
-                acc[j] += abs8(load8(wb + j * nb + i) - q);
-        }
-        res = pair_sums(pair_sums(pair_sums(acc[0], acc[1]),
-                                  pair_sums(acc[2], acc[3])),
-                        pair_sums(pair_sums(acc[4], acc[5]),
-                                  pair_sums(acc[6], acc[7])));
-    }
-    for (; i < nb; i++) {
-        v8d w = {wb[i], wb[nb + i], wb[2 * nb + i], wb[3 * nb + i],
-                 wb[4 * nb + i], wb[5 * nb + i], wb[6 * nb + i], wb[7 * nb + i]};
-        res += abs8(w - qb[i]);
-    }
-    memcpy(out, &res, sizeof res);
+    for (k = 0; k < TILE; k++) memcpy(out + k * stride, &acc[k], sizeof acc[k]);
 }
 
 typedef struct {
@@ -278,10 +281,10 @@ typedef struct {
 typedef struct {
     const argmin_group *groups;
     const double *queries;
-    const double *qblocks;   /* (sessions, nb) query block sums */
+    const float *qblocks;    /* (sessions, nb) query block sums */
     const double *qnorm;     /* (sessions,) query L1 norms */
     ptrdiff_t m, nb;
-    double slack;            /* (m + 4) 2^-52 */
+    double slack;            /* (nb + 5) 2^-24, NaN past MAX_BOUND_BLOCKS */
     const double *worst;
     const int64_t *pair_query;
     int64_t *best;
@@ -292,67 +295,66 @@ typedef struct {
     int64_t exact;           /* atomic count of exactly evaluated rows */
 } argmin_job;
 
-/* One worker's view of the job: its own (TILE, largest group) bounds. */
+/* One worker's view of the job: its own (TILE, largest padded group)
+   bounds. */
 typedef struct {
     argmin_job *job;
-    double *bounds;
+    float *bounds;
 } argmin_worker;
 
-/* The least of n >= 0 bounds, +inf when none is finite: 8 lane-wise
-   minima, then the lanes and the tail in order.  A NaN never passes a
-   comparison, so it is never the least. */
-static double least_bound(const double *bound, ptrdiff_t n) {
-    v8d low = {INFINITY, INFINITY, INFINITY, INFINITY,
-               INFINITY, INFINITY, INFINITY, INFINITY};
-    double least = INFINITY;
+/* The least of n bounds (n a multiple of PANEL), +inf when none is
+   finite: PANEL lane-wise minima, then the lanes in order.  A NaN
+   never passes a comparison, so it is never the least. */
+static float least_bound(const float *bound, ptrdiff_t n) {
+    v16f low = {INFINITY, INFINITY, INFINITY, INFINITY,
+                INFINITY, INFINITY, INFINITY, INFINITY,
+                INFINITY, INFINITY, INFINITY, INFINITY,
+                INFINITY, INFINITY, INFINITY, INFINITY};
+    float least = INFINITY;
     ptrdiff_t r, j;
-    for (r = 0; r + 8 <= n; r += 8) {
-        v8d x = load8(bound + r);
-        v8i lower = x < low;
-        low = (v8d)(((v8i)x & lower) | ((v8i)low & ~lower));
+    for (r = 0; r < n; r += PANEL) {
+        v16f x = load16(bound + r);
+        v16i lower = x < low;
+        low = (v16f)(((v16i)x & lower) | ((v16i)low & ~lower));
     }
-    for (j = 0; j < 8; j++)
+    for (j = 0; j < PANEL; j++)
         if (low[j] < least) least = low[j];
-    for (; r < n; r++)
-        if (bound[r] < least) least = bound[r];
     return least;
 }
 
-/* One unit in two passes.  Pass 1 bounds every row for every pair,
-   rows outside and pairs inside so a panel's block sums stay in L1,
-   and sets flat rows' bounds to +inf so they never seed.  Pass 2 seeds
-   each pair's limit and evaluates only the rows it cannot rule out. */
-static void argmin_run(argmin_job *job, const argmin_unit *u,
-                       double *bounds) {
+/* One unit in two passes.  Pass 1 bounds every row for all of the
+   unit's pairs at once, so each panel of block sums is read once a
+   unit (a short unit repeats its first pair, whose extra bounds are
+   never read), and sets the bounds of flat rows and of the padding
+   to +inf so they never seed.  Pass 2 seeds each pair's limit and
+   evaluates only the rows it cannot rule out. */
+static void argmin_run(argmin_job *job, const argmin_unit *u, float *bounds) {
     const argmin_group *g = &job->groups[u->group];
     ptrdiff_t m = job->m, nb = job->nb, n = g->n_rows, r, k;
-    const double *qb[TILE];
+    ptrdiff_t padded = (n + PANEL - 1) / PANEL * PANEL;
+    const float *qb[TILE];
     int64_t exact = 0;
-    for (k = 0; k < u->count; k++)
-        qb[k] = job->qblocks + job->pair_query[u->first + k] * nb;
-    for (r = 0; r + 8 <= n; r += 8)
-        for (k = 0; k < u->count; k++)
-            bound_panel(g->blocks + r * nb, qb[k], nb, bounds + k * n + r);
-    for (; r < n; r++)
-        for (k = 0; k < u->count; k++)
-            bounds[k * n + r] = block_bound(g->blocks + r * nb, qb[k], nb);
-    for (r = 0; r < n; r++)
-        if (g->flat[r])
-            for (k = 0; k < u->count; k++) bounds[k * n + r] = INFINITY;
+    for (k = 0; k < TILE; k++)
+        qb[k] = job->qblocks + job->pair_query[u->first + (k < u->count ? k : 0)] * nb;
+    for (r = 0; r < padded; r += PANEL)
+        bound_panel(g->blocks + r * nb, qb, nb, bounds + r, padded);
+    for (r = 0; r < padded; r++)
+        if (r >= n || g->flat[r])
+            for (k = 0; k < u->count; k++) bounds[k * padded + r] = INFINITY;
     for (k = 0; k < u->count; k++) {
         int64_t row = job->pair_query[u->first + k];
         const double *q = job->queries + row * m;
-        const double *bound = bounds + k * n;
+        const float *bound = bounds + k * padded;
         double worst = job->worst[row], norm = job->qnorm[row];
-        double least = least_bound(bound, n), seed_area = 0.0, limit = NAN;
-        double low = 0.0, a;
+        float least = least_bound(bound, padded);
+        double seed_area = 0.0, limit = NAN, low = 0.0, a;
         ptrdiff_t seed = -1;
         int64_t best = -1;
-        if (least <= DBL_MAX) {
+        if (least <= FLT_MAX) {
             for (seed = 0; bound[seed] != least; seed++) {}
             seed_area = row_area(g, seed, q, m);
             exact++;
-            limit = seed_area + (job->slack * (norm + seed_area) + DBL_MIN);
+            limit = seed_area + (job->slack * (norm + seed_area) + FLT_MIN);
         }
         for (r = 0; r < n; r++) {
             if (g->flat[r]) {
@@ -360,7 +362,7 @@ static void argmin_run(argmin_job *job, const argmin_unit *u,
             } else if (r == seed) {
                 a = seed_area;
             } else {
-                if (bound[r] > limit && bound[r] <= DBL_MAX) continue;
+                if (bound[r] > limit && bound[r] <= FLT_MAX) continue;
                 a = row_area(g, r, q, m);
                 exact++;
             }
@@ -398,27 +400,30 @@ int64_t abs_diff_argmin(const argmin_group *groups, const ptrdiff_t *pair_counts
     argmin_worker team[MAX_THREADS];
     argmin_job job;
     argmin_unit *units;
-    double *qblocks, *qnorm, *bounds;
+    double *qnorm;
+    float *qblocks, *bounds;
     ptrdiff_t g, p, s, i, first = 0, n_units = 0, started = 0, t, rows = 0;
     ptrdiff_t nb = (m + BLOCK - 1) / BLOCK;
     for (g = 0; g < n_groups; g++) {
+        ptrdiff_t padded = (groups[g].n_rows + PANEL - 1) / PANEL * PANEL;
         n_units += (pair_counts[g] + TILE - 1) / TILE;
-        if (pair_counts[g] > 0 && groups[g].n_rows > rows) rows = groups[g].n_rows;
+        if (pair_counts[g] > 0 && padded > rows) rows = padded;
     }
     if (n_units == 0) return 0;
     if (n_threads > n_units) n_threads = n_units;
     if (n_threads > MAX_THREADS) n_threads = MAX_THREADS;
     if (n_threads < 1) n_threads = 1;
     units = (argmin_unit *)malloc((size_t)n_units * sizeof *units);
-    qblocks = (double *)malloc(
-        (size_t)(sessions * nb + sessions + n_threads * TILE * rows) * sizeof *qblocks);
-    if (units == NULL || qblocks == NULL) {
+    qnorm = (double *)malloc((size_t)sessions * sizeof *qnorm);
+    qblocks = (float *)malloc(
+        (size_t)(sessions * nb + n_threads * TILE * rows) * sizeof *qblocks);
+    if (units == NULL || qnorm == NULL || qblocks == NULL) {
         free(units);
+        free(qnorm);
         free(qblocks);
         return -1;
     }
-    qnorm = qblocks + sessions * nb;
-    bounds = qnorm + sessions;
+    bounds = qblocks + sessions * nb;
     for (s = 0; s < sessions; s++) {
         const double *q = queries + s * m;
         double norm = 0.0;
@@ -429,7 +434,7 @@ int64_t abs_diff_argmin(const argmin_group *groups, const ptrdiff_t *pair_counts
                 sum += q[j];
                 norm += fabs(q[j]);
             }
-            qblocks[s * nb + i] = sum;
+            qblocks[s * nb + i] = (float)sum;
         }
         qnorm[s] = norm;
     }
@@ -450,7 +455,7 @@ int64_t abs_diff_argmin(const argmin_group *groups, const ptrdiff_t *pair_counts
     job.qnorm = qnorm;
     job.m = m;
     job.nb = nb;
-    job.slack = (double)(m + 4) * 0x1p-52;
+    job.slack = nb <= MAX_BOUND_BLOCKS ? (double)(nb + 5) * 0x1p-24 : NAN;
     job.worst = worst;
     job.pair_query = pair_query;
     job.best = best;
@@ -474,6 +479,7 @@ int64_t abs_diff_argmin(const argmin_group *groups, const ptrdiff_t *pair_counts
     for (t = 1; t <= started; t++)
         pthread_join(workers[t], NULL);
     free(units);
+    free(qnorm);
     free(qblocks);
     return job.exact;
 }
@@ -647,6 +653,23 @@ def block_sums(rows: np.ndarray) -> np.ndarray:
     return sums
 
 
+def bound_panels(rows: np.ndarray) -> np.ndarray:
+    """The rows' :func:`block_sums` rounded to float32, in the kernel's panels.
+
+    ``(ceil(n_rows / PANEL), nb, PANEL)``: panel ``p`` holds rows
+    ``p * PANEL`` onwards, block-major, one lane a row, and the last
+    panel is padded with zeros.  A sum past the float32 range rounds to
+    ``±inf``, which switches the bound off for its row.
+    """
+    sums = block_sums(rows)
+    n_rows, nb = sums.shape
+    panels = -(-n_rows // PANEL)
+    padded = np.zeros((panels * PANEL, nb), dtype=np.float32)
+    with np.errstate(over="ignore"):
+        padded[:n_rows] = sums
+    return np.ascontiguousarray(padded.reshape(panels, PANEL, nb).transpose(0, 2, 1))
+
+
 def window_rows(
     samples: np.ndarray, means: np.ndarray, scales: np.ndarray, m: int, stride: int
 ) -> np.ndarray:
@@ -677,7 +700,7 @@ def group_record(
 
     ``samples`` holds the rows' samples (float64), ``means``,
     ``scales`` and the bool ``flat`` mask one value per row, and
-    ``blocks`` the rows' C-contiguous :func:`block_sums`; row ``r`` is
+    ``blocks`` the rows' :func:`bound_panels`; row ``r`` is
     :func:`window_rows`'s row ``r``, and its length is the queries'.
     The caller checks that the rows lie inside ``samples``.  The record
     holds raw pointers: the arrays must outlive it, unchanged.
@@ -1060,7 +1083,7 @@ def _edge_passes(kernels: CKernels, rng: np.random.Generator) -> bool:
             window_rows(samples, means, scales, m, stride)
             for samples, means, scales, _, stride in groups
         ]
-        blocks = [block_sums(rows) for rows in windows]
+        blocks = [bound_panels(rows) for rows in windows]
         records = b"".join(
             group_record(samples, means, scales, flat, block, stride)
             for (samples, means, scales, flat, stride), block in zip(groups, blocks)

@@ -73,8 +73,8 @@ class TestCLI:
 
     def test_obs_reports_fleet_tracking(self, capsys):
         """``emap obs`` end to end: the monitor tracks on the fleet, so
-        the report has the ``edge.fleet.*`` series and no
-        ``edge.tracker.*`` one."""
+        the report has the ``edge.fleet.*`` series, a span for each set
+        adoption, and no ``edge.tracker.*`` series."""
         try:
             assert main(["obs", "--duration", "8", "--mdb-scale", "0.05"]) == 0
         finally:
@@ -83,6 +83,7 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "edge.fleet.step_s" in output
         assert "edge.fleet.area_evaluations" in output
+        assert "obs.span.edge.fleet.open.s" in output
         assert "runtime.loop.iterations" in output
         assert "edge.tracker." not in output
 

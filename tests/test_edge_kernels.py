@@ -219,68 +219,78 @@ def _ragged_steps(draw):
     return windows, flats, counts, np.ascontiguousarray(queries), worst, pair_query, threads
 
 
-def _c_sum(values: np.ndarray) -> float:
-    """A sum in the C bound's order: 8 lanes, combined pairwise, then
-    the tail in order (in order from 0.0 below 8 values)."""
-    n = values.size
-    if n < 8:
-        total = 0.0
-        for value in values.tolist():
-            total += value
-        return total
-    lanes = values[:8].copy()
-    i = 8
-    while i + 8 <= n:
-        lanes += values[i : i + 8]
-        i += 8
-    r = lanes.tolist()
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for value in values[i:].tolist():
-        total += value
-    return total
-
-
 def _query_blocks(query: np.ndarray) -> np.ndarray:
-    """A query's block sums in the C kernel's order."""
-    return np.array(
-        [_c_sum(query[i : i + BLOCK]) for i in range(0, query.size, BLOCK)]
-    )
+    """A query's block sums in the C kernel's order (in order from 0.0),
+    rounded to float32."""
+    sums = []
+    for start in range(0, query.size, BLOCK):
+        total = 0.0
+        for value in query[start : start + BLOCK].tolist():
+            total += value
+        sums.append(total)
+    with np.errstate(over="ignore"):
+        return np.array(sums).astype(np.float32)
+
+
+def _row_blocks(group: CompiledSliceWindows) -> np.ndarray:
+    """A group's float32 block sums, one row each (its panels undone)."""
+    nb = group.blocks.shape[1]
+    return group.blocks.transpose(0, 2, 1).reshape(-1, nb)[: group.n_offsets]
+
+
+def _bounds(row_blocks: np.ndarray, query_blocks: np.ndarray) -> np.ndarray:
+    """Every row's bound as the C kernel sums it: ``|Q_b − W_b|`` in
+    float32, blocks in order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = np.abs(row_blocks[:, 0] - query_blocks[0])
+        for block in range(1, query_blocks.size):
+            bounds += np.abs(row_blocks[:, block] - query_blocks[block])
+    return bounds
+
+
+def _slack(m: int) -> float:
+    """The limit's relative slack: ``(nb + 5) 2^-24``, NaN past 4096 blocks."""
+    nb = -(-m // BLOCK)
+    return (nb + 5) * 2.0**-24 if nb <= 4096 else float("nan")
+
+
+_FLT_MIN = float(np.finfo(np.float32).tiny)
+_FLT_MAX = float(np.finfo(np.float32).max)
 
 
 def _exact_rows_reference(groups, counts, queries, worst, pair_query) -> int:
     """The rows the compiled kernel evaluates exactly, rule for rule.
 
-    Replays ``argmin_run`` in ``repro/kernels.py`` in Python floats
-    (the same IEEE operations in the same order).  The seed is the
-    non-flat row with the least finite block-sum bound, first on ties;
-    its area ``a`` fixes ``L = a + ((m + 4) 2^-52 (Σ|q| + a) + DBL_MIN)``.
+    Replays ``argmin_run`` in ``repro/kernels.py`` with the same IEEE
+    operations in the same order: float32 bounds, then Python floats.
+    The seed is the non-flat row with the least finite bound, first on
+    ties; its area ``a`` fixes ``L = a + (slack (Σ|q| + a) + FLT_MIN)``.
     Every other non-flat row is evaluated unless its bound is finite and
     above ``L``; with no seed no row is skipped.
     """
-    m = queries.shape[1]
-    slack = (m + 4) * 2.0**-52
+    slack = _slack(queries.shape[1])
     exact = 0
     start = 0
     for group, count in zip(groups, counts):
         rows = np.flatnonzero(~group.flat).tolist()
+        row_blocks = _row_blocks(group)
         for owner in pair_query[start : start + count].tolist():
             q = queries[owner]
             norm = 0.0
             for value in np.abs(q).tolist():
                 norm += value
-            q_blocks = _query_blocks(q)
-            bounds = {r: _c_sum(np.abs(group.blocks[r] - q_blocks)) for r in rows}
-            finite = [r for r in rows if bounds[r] <= sys.float_info.max]
+            bounds = _bounds(row_blocks, _query_blocks(q)).tolist()
+            finite = [r for r in rows if bounds[r] <= _FLT_MAX]
             if not finite:
                 exact += len(rows)
                 continue
             seed = min(finite, key=bounds.__getitem__)  # first on ties
             a = float(np.abs(group.rows()[seed] - q).sum())
-            limit = a + (slack * (norm + a) + sys.float_info.min)
+            limit = a + (slack * (norm + a) + _FLT_MIN)
             exact += 1 + sum(
                 1
                 for r in rows
-                if r != seed and not limit < bounds[r] <= sys.float_info.max
+                if r != seed and not limit < bounds[r] <= _FLT_MAX
             )
         start += count
     return exact
@@ -330,7 +340,7 @@ def _shuffled_within_blocks(rng: np.random.Generator, values: np.ndarray) -> np.
 
 
 #: Relative moves of a row's differences around the best one: ulps, the
-#: slack's order ((m + 4) 2^-52), and clearly outside it.
+#: slack's order ((nb + 5) 2^-24), and clearly outside it.
 _NEAR = ("ulp", "half_slack", "slack", "two_slack", "far")
 
 
@@ -343,7 +353,7 @@ def _near_tie_steps(draw):
     scale = 10.0 ** draw(st.integers(-3, 5))
     query = rng.standard_normal(m) * scale
     diff = _one_sign_per_block(rng, m, scale)
-    slack = (m + 4) * 2.0**-52
+    slack = _slack(m)
     moves = {
         "ulp": 2.0**-52,
         "half_slack": slack / 2,
@@ -433,6 +443,56 @@ class TestArgminKernel:
             CompiledSliceWindows.from_rows(np.zeros((3, 8), dtype=np.float32), flat)
 
 
+class TestStridedGroups:
+    """Groups whose rows the kernel builds from overlapping strided
+    samples, a mean and a scale, as a compiled slice's are."""
+
+    @staticmethod
+    def _group(rng, m, stride, n_rows):
+        samples = rng.standard_normal((n_rows - 1) * stride + m + 2) * 1e3
+        means = rng.standard_normal(n_rows) * 10.0
+        scales = rng.random(n_rows) * 3.0 + 0.1
+        flat = rng.random(n_rows) < 0.2
+        group = CompiledSliceWindows(samples, means, scales, flat, m, stride)
+        expected = np.array(
+            [(samples[r * stride : r * stride + m] - means[r]) * scales[r] for r in range(n_rows)]
+        )
+        np.testing.assert_array_equal(group.rows(), expected)
+        return group
+
+    @pytest.mark.parametrize("m", [5, 131, 256])
+    @pytest.mark.parametrize("stride", [1, 3, 4])
+    def test_overlapping_rows_match_numpy(self, m, stride):
+        rng = np.random.default_rng(m * 10 + stride)
+        groups = [self._group(rng, m, stride, n_rows) for n_rows in (1, 9, 23)]
+        queries = np.ascontiguousarray(rng.standard_normal((3, m)) * 1e3)
+        queries[1] = groups[1].rows()[4] + rng.standard_normal(m)  # a near row
+        worst = np.abs(queries).sum(axis=1)
+        counts = [2, 5, 7]
+        pair_query = rng.integers(0, 3, size=sum(counts)).astype(np.int64)
+        for threads in (1, 3):
+            _check_step(groups, counts, queries, worst, pair_query, threads)
+
+    def test_rejects_rows_outside_the_samples(self):
+        flat = np.zeros(3, dtype=bool)
+        means, scales = np.zeros(3), np.ones(3)
+        # 3 rows of 5 at stride 3 read 2 * 3 + 5 = 11 samples.
+        group = CompiledSliceWindows(np.arange(11.0), means, scales, flat, 5, 3)
+        assert group.samples.size == 11 and group.rows()[2].tolist() == [6, 7, 8, 9, 10]
+        with pytest.raises(ValueError, match="read 11 samples"):
+            CompiledSliceWindows(np.arange(10.0), means, scales, flat, 5, 3)
+        with pytest.raises(ValueError, match="read 21 samples"):
+            CompiledSliceWindows(np.arange(20.0), means, scales, flat, 5, 8)
+        with pytest.raises(ValueError, match="at least 1"):
+            CompiledSliceWindows(np.arange(11.0), means, scales, flat, 5, 0)
+        with pytest.raises(ValueError, match="at least 1"):
+            CompiledSliceWindows(np.arange(11.0), means, scales, flat, 0, 3)
+        with pytest.raises(ValueError, match="scales"):
+            CompiledSliceWindows(np.arange(11.0), means, scales[:2], flat, 5, 3)
+        with pytest.raises(ValueError, match="float64"):
+            CompiledSliceWindows(np.arange(11), means, scales, flat, 5, 3)
+
+
 class TestLowerBound:
     """The compiled kernel skips only rows its bound proves lose, and
     reports exactly the rows it evaluated."""
@@ -464,9 +524,8 @@ class TestLowerBound:
         ])
         group = _groups([rows], [np.zeros(4, dtype=bool)])[0]
         area = float(np.abs(diff).sum())
-        q_blocks = _query_blocks(query)
-        for row in (1, 2):
-            assert _c_sum(np.abs(group.blocks[row] - q_blocks)) == area
+        bounds = _bounds(_row_blocks(group), _query_blocks(query))
+        assert bounds[1] == bounds[2] == area
         best, got, exact = _check_step(
             [group], [2], query[None, :].copy(), np.array([np.inf]),
             np.zeros(2, dtype=np.int64),
@@ -476,20 +535,45 @@ class TestLowerBound:
             assert exact == 2 * 2  # the seed and row 2; rows 0 and 3 are skipped
 
     def test_rows_on_the_slack(self):
-        """At m = 5 and a zero query every bound equals its row's area.
-        Row 2 is the seed, so the limit is 1 + 9·2^-52 exactly: the rows
-        just below it and on it are evaluated, the rows past it are
-        skipped, and a later row equal to the seed loses the tie."""
-        ulp = 2.0**-52
-        rows = np.zeros((7, 5))
-        rows[:, 0] = [1 + 9 * ulp, 1 + 8 * ulp, 1.0, 1 + 10 * ulp, 1 + 9 * ulp, 3.0, 1.0]
+        """At m = 5 (two blocks) the query is ``e_4``, so ``Σ|q| = 1``,
+        and each row is the query plus ``x`` at sample 0: its bound and
+        its area are both ``x`` for a float32 ``x``.  Row 2 equals the
+        query, so it is the seed with area 0 and the limit is exactly
+        the slack, ``7·2^-24``: the rows one float32 step below it and on
+        it are evaluated, the rows past it are skipped, and a later row
+        equal to the seed loses the tie.  A slack one ulp smaller would
+        skip the rows on it."""
+        slack = _slack(5)
+        assert slack == 7 * 2.0**-24
+        step = 2.0**-45  # the float32 spacing at the slack
+        query = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+        rows = np.tile(query, (7, 1))
+        rows[:, 0] = [slack - step, slack, 0.0, slack + step, slack, 3.0, 0.0]
         group = _groups([rows], [np.zeros(7, dtype=bool)])[0]
+        assert _bounds(_row_blocks(group), _query_blocks(query)).tolist() == rows[
+            :, 0
+        ].tolist()
         best, area, exact = _check_step(
-            [group], [1], np.zeros((1, 5)), np.zeros(1), np.zeros(1, dtype=np.int64)
+            [group], [1], query[None, :].copy(), np.zeros(1),
+            np.zeros(1, dtype=np.int64),
         )
-        assert best.tolist() == [2] and area.tolist() == [1.0]
+        assert best.tolist() == [2] and area.tolist() == [0.0]
         if kernel_backend() == "c":
             assert exact == 5  # the seed and rows 0, 1, 4 and 6
+
+    @pytest.mark.parametrize("m, skipped", [(4 * 4096, 2), (4 * 4096 + 1, 0)])
+    def test_no_row_is_skipped_past_4096_blocks(self, m, skipped):
+        """The slack is proven for at most 4096 blocks; a longer row has
+        a NaN limit, so even far rows are evaluated."""
+        rng = np.random.default_rng(m)
+        query = rng.standard_normal(m)
+        rows = np.array([query, query + 1e3, query - 1e3])
+        _, _, exact = _check_step(
+            _groups([rows], [np.zeros(3, dtype=bool)]), [1], query[None, :].copy(),
+            np.zeros(1), np.zeros(1, dtype=np.int64),
+        )
+        if kernel_backend() == "c":
+            assert exact == 3 - skipped
 
     @pytest.mark.parametrize("m", [5, 131, 256])
     def test_an_earlier_row_equal_to_the_seed_wins(self, m):
@@ -511,8 +595,7 @@ class TestLowerBound:
         ])
         group = _groups([rows], [np.zeros(4, dtype=bool)])[0]
         area = float(magnitude.sum())
-        q_blocks = _query_blocks(query)
-        assert _c_sum(np.abs(group.blocks[2] - q_blocks)) < area
+        assert _bounds(_row_blocks(group), _query_blocks(query))[2] < area
         best, got, exact = _check_step(
             [group], [3], query[None, :].copy(), np.array([np.inf]),
             np.zeros(3, dtype=np.int64),

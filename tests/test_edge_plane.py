@@ -17,9 +17,15 @@ from hypothesis import strategies as st
 
 from repro.cloud.results import SearchMatch
 from repro.edge.fleet import FleetTracker
+from repro.edge.fleet import _query_matrix
 from repro.edge.plane import compile_slice_windows
 from repro.edge.tracker import SignalTracker, TrackerConfig
 from repro.errors import TrackingError
+from repro.signals.metrics import (
+    normalized_query,
+    normalized_sliding_windows,
+    sliding_window_stats,
+)
 from repro.signals.types import AnomalyType, SignalSlice
 
 
@@ -140,6 +146,59 @@ class TestCompiledSliceWindows:
         )
         np.testing.assert_array_equal(compiled.rows(), expected)
         assert not compiled.flat.any()
+
+    @pytest.mark.parametrize("stride", [1, 3, 4])
+    @pytest.mark.parametrize("length", [256, 641, 1002])
+    @pytest.mark.parametrize("reference_rms", [7.0, None])
+    def test_rows_are_the_scalar_windows_bit_for_bit(
+        self, stride, length, reference_rms
+    ):
+        """Rows rebuilt from the kept samples, means and scales are the
+        windows the scalar path materialises, to the bit, flat offsets
+        included; only the samples the rows read are kept."""
+        rng = np.random.default_rng(stride * 1000 + length)
+        data = rng.standard_normal(length) * 50.0 + 3.0
+        data[:300] = 2.5  # a flat stretch: offset 0 has zero variance
+        compiled = compile_slice_windows(data, 256, stride, reference_rms)
+        assert compiled is not None
+        stats = sliding_window_stats(data, 256, stride)
+        if reference_rms is None:
+            expected = np.ascontiguousarray(stats.windows)
+            assert not compiled.flat.any()
+        else:
+            expected = normalized_sliding_windows(stats, reference_rms)
+            np.testing.assert_array_equal(compiled.flat, stats.flat)
+            assert compiled.flat[0]
+        rows = compiled.rows()
+        assert rows.shape == expected.shape
+        np.testing.assert_array_equal(rows.view(np.uint64), expected.view(np.uint64))
+        assert compiled.samples.size == (stats.n_offsets - 1) * stride + 256
+        assert not compiled.samples.flags.writeable
+
+
+class TestQueryMatrix:
+    def test_rows_are_normalized_queries_bit_for_bit(self):
+        """The step's query matrix is built at once; each row and worst
+        area equal the per-frame ``normalized_query`` path's, flat and
+        all-zero frames included."""
+        rng = np.random.default_rng(3)
+        frames = [
+            rng.standard_normal(256) * 10.0 ** k + rng.standard_normal() * 100
+            for k in range(-3, 4)
+        ]
+        frames += [np.full(256, 5.0), np.zeros(256)]
+        matrix, worst = _query_matrix(frames, 256, 7.0)
+        for row, frame in enumerate(frames):
+            query = normalized_query(frame, 7.0)
+            np.testing.assert_array_equal(
+                matrix[row].view(np.uint64), query.view(np.uint64)
+            )
+            assert worst[row] == float(np.abs(query).sum())
+        raw, raw_worst = _query_matrix(frames, 256, None)
+        np.testing.assert_array_equal(raw, np.stack(frames))
+        assert np.isinf(raw_worst).all()
+        empty, empty_worst = _query_matrix([], 256, 7.0)
+        assert empty.shape == (0, 256) and empty_worst.shape == (0,)
 
 
 class TestPlaneEngineCache:
