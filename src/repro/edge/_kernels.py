@@ -27,19 +27,22 @@ load):
   to :data:`~repro.kernels.TILE` pairs of one group, taken by one
   pthread team per call from an atomic counter.  A unit runs two
   passes.  The first takes every row's block-sum lower bound
-  (:data:`~repro.kernels.BLOCK` samples a block) for each pair, eight
-  rows at a time.  The second seeds each pair with the exact area of
-  its row of least bound, skips every row whose bound exceeds that
-  area by more than a proven rounding slack, and gives every other row
-  its exact area in numpy's pairwise order.  A skipped row's area is
-  strictly above the seed's, so skipping never changes a bit; each
-  pair's result depends only on its own areas, so neither does the
-  schedule.
-* ``"numpy"`` — evaluates each group's full area rectangle with
-  :func:`_numpy_rect_sums`, which runs the three ufunc passes through
-  an L2-sized scratch block reused per shape and per thread, then
-  applies the flat override and ``np.argmin``.  Same pairwise sum per
-  row, so it is bit-identical by construction.
+  (:data:`~repro.kernels.BLOCK` samples a block) in float32, for all
+  of the unit's pairs and :data:`~repro.kernels.PANEL` rows at a time.
+  The second seeds each pair with the exact area of its row of least
+  bound, skips every row whose bound exceeds that area by more than a
+  proven rounding slack, and gives every other row its exact area in
+  numpy's pairwise order, building the row from the slice's samples as
+  it reads it.  A skipped row's area is strictly above the seed's, so
+  skipping never changes a bit; each pair's result depends only on its
+  own areas, so neither does the schedule.
+* ``"numpy"`` — rebuilds each group's rows
+  (:meth:`~repro.edge.plane.CompiledSliceWindows.rows`) and evaluates
+  their full area rectangle with :func:`_numpy_rect_sums`, which runs
+  the three ufunc passes through an L2-sized scratch block reused per
+  shape and per thread, then applies the flat override and
+  ``np.argmin``.  Same rows and the same pairwise sum per row, so it is
+  bit-identical by construction.
 
 ``kernel_backend``, ``kernel_threads`` and ``_reset_backend_selection``
 are re-exported from :mod:`repro.kernels`.

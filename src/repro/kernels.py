@@ -677,12 +677,13 @@ def window_rows(
 
     The kernel's rows, built with numpy's two ufuncs in the kernel's
     order (one subtraction, then one product per sample), so each value
-    is bit for bit the one the kernel reads.  The caller guarantees
+    is bit for bit the one the kernel reads.  ``samples`` is a
+    C-contiguous float64 vector, and the caller guarantees
     ``(n_rows - 1) * stride + m <= samples.size``.
     """
-    step = samples.strides[0]
-    view = np.lib.stride_tricks.as_strided(
-        samples, shape=(means.size, m), strides=(step * stride, step), writeable=False
+    size = samples.itemsize
+    view = np.ndarray(
+        (means.size, m), np.float64, buffer=samples, strides=(size * stride, size)
     )
     rows = np.subtract(view, means[:, None])
     return np.multiply(rows, scales[:, None], out=rows)
@@ -978,8 +979,11 @@ def _row_group(rows: np.ndarray, flat: np.ndarray) -> _Group:
 
 def _argmin_case(
     rng: np.random.Generator, m: int, pruned: bool
-) -> tuple[list[_Group], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A small ragged step with flat rows, ties, ±inf and NaN.
+) -> tuple[
+    list[_Group], list[np.ndarray], np.ndarray, np.ndarray, np.ndarray, np.ndarray
+]:
+    """A small ragged step with flat rows, ties, ±inf and NaN: its groups,
+    each group's rows as numpy builds them, and the step's arrays.
 
     Random groups of 1, 6, 9 and 4 rows come first, then one group of
     5 overlapping rows (stride 3) with random means and scales, built
@@ -1018,19 +1022,21 @@ def _argmin_case(
     windows[1][3, 0] = np.inf
     windows[3][1, -1] = np.nan
     groups = [_row_group(rows, flat) for rows, flat in zip(windows, flats)]
-    groups.append(
-        (
-            rng.standard_normal(4 * 3 + m) * 1e5,
-            rng.standard_normal(5) * 1e3,
-            rng.random(5) * 4.0,
-            np.arange(5) == 2,
-            3,
-        )
+    strided = (
+        rng.standard_normal(4 * 3 + m) * 1e5,
+        rng.standard_normal(5) * 1e3,
+        rng.random(5) * 4.0,
+        np.arange(5) == 2,
+        3,
     )
+    groups.append(strided)
+    windows.append(window_rows(strided[0], strided[1], strided[2], m, 3))
     counts.append(3)
     pair_query = rng.integers(0, sessions, size=sum(counts)).astype(np.int64)
     if not pruned:
-        return groups, np.array(counts, dtype=np.intp), queries, worst, pair_query
+        return (
+            groups, windows, np.array(counts, dtype=np.intp), queries, worst, pair_query
+        )
     full = m - m % BLOCK
     near = queries[0] + rng.standard_normal((8, m)) * 1e4
     near[0] = queries[0] + near[1] * 1e-7
@@ -1054,9 +1060,10 @@ def _argmin_case(
         (unbounded, np.arange(7) == 1, [0, 1]),
     ):
         groups.append(_row_group(rows, flat))
+        windows.append(rows)
         counts.append(len(owners))
         pair_query = np.concatenate((pair_query, owners))
-    return groups, np.array(counts, dtype=np.intp), queries, worst, pair_query
+    return groups, windows, np.array(counts, dtype=np.intp), queries, worst, pair_query
 
 
 def _edge_passes(kernels: CKernels, rng: np.random.Generator) -> bool:
@@ -1078,11 +1085,9 @@ def _edge_passes(kernels: CKernels, rng: np.random.Generator) -> bool:
     """
     for m in (5, 131, 1000):
         pruned = m == 131
-        groups, counts, queries, worst, pair_query = _argmin_case(rng, m, pruned)
-        windows = [
-            window_rows(samples, means, scales, m, stride)
-            for samples, means, scales, _, stride in groups
-        ]
+        groups, windows, counts, queries, worst, pair_query = _argmin_case(
+            rng, m, pruned
+        )
         blocks = [bound_panels(rows) for rows in windows]
         records = b"".join(
             group_record(samples, means, scales, flat, block, stride)
