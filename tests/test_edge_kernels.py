@@ -5,10 +5,12 @@ Covers the area contract (every area equal to
 count, for the compiled kernel's work units and lone pairs and for the
 numpy fallback's rectangle), the ragged argmin entry point's contract
 (every pair's offset and area equal to ``np.argmin`` over those areas
-after the flat override — ties, ±inf and NaN included), the compiled
-kernel's block-sum lower bound (near-ties, rows on the slack, bounds
-equal to the best, non-finite values across block boundaries, and the
-exact rows it reports, replayed rule for rule), input validation, the
+after the flat override — ties, ±inf and NaN included), groups whose
+rows the kernel builds from overlapping strided samples, the compiled
+kernel's float32 block-sum lower bound (near-ties, rows on the slack,
+bounds equal to the best, non-finite values across block boundaries,
+rows too long for the proven slack, and the exact rows it reports,
+replayed rule for rule), input validation, the
 numpy fallback's per-shape scratch reuse, the
 ``EMAP_KERNEL`` /
 ``EMAP_KERNEL_THREADS`` overrides (including the
@@ -25,7 +27,6 @@ from __future__ import annotations
 import ctypes
 import os
 import shutil
-import sys
 
 import numpy as np
 import pytest

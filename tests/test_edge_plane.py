@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.results import SearchMatch
-from repro.edge.fleet import FleetTracker
-from repro.edge.fleet import _query_matrix
+from repro.edge.fleet import FleetTracker, _query_matrix
 from repro.edge.plane import compile_slice_windows
 from repro.edge.tracker import SignalTracker, TrackerConfig
 from repro.errors import TrackingError
